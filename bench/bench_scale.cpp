@@ -126,13 +126,14 @@ struct ScenarioResult {
 
 /// Re-execs this binary in child mode and harvests wall time (child's
 /// stats file) + peak RSS (wait4 rusage; Linux reports KB).
-bool run_scenario(const char* self, int population, const std::string& mode,
+bool run_scenario(const char* self, const std::string& work_dir,
+                  int population, const std::string& mode,
                   ScenarioResult& out) {
   const std::string tag = std::to_string(population) + "_" + mode;
   out.population = population;
   out.mode = mode;
-  out.curve_path = "/tmp/fca_scale_curve_" + tag + ".csv";
-  const std::string stats_path = "/tmp/fca_scale_stats_" + tag + ".txt";
+  out.curve_path = work_dir + "/curve_" + tag + ".csv";
+  const std::string stats_path = work_dir + "/stats_" + tag + ".txt";
 
   const pid_t pid = fork();
   if (pid < 0) {
@@ -192,6 +193,16 @@ int main(int argc, char** argv) {
   }
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_scale.json";
   const char* self = "/proc/self/exe";
+  // A private scratch directory per invocation, so concurrent runs never
+  // overwrite each other's curve and stats files.
+  const char* tmp = std::getenv("TMPDIR");
+  std::string work_dir =
+      std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+      "/fca_scale.XXXXXX";
+  if (mkdtemp(work_dir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
 
   struct Scenario {
     int population;
@@ -207,7 +218,10 @@ int main(int argc, char** argv) {
   std::vector<ScenarioResult> results;
   for (const Scenario& sc : scenarios) {
     ScenarioResult r;
-    if (!run_scenario(self, sc.population, sc.mode, r)) return 1;
+    if (!run_scenario(self, work_dir, sc.population, sc.mode, r)) {
+      std::fprintf(stderr, "scenario files kept in %s\n", work_dir.c_str());
+      return 1;
+    }
     std::printf(
         "%7d clients %-8s  %5.1fs  %6.2f rounds/s  peak RSS %7.1f MB  "
         "(resident<=%ld, built %ld, paged out %ld)\n",
@@ -275,5 +289,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   for (const ScenarioResult& r : results) std::remove(r.curve_path.c_str());
+  rmdir(work_dir.c_str());
   return (curve_match && rss_ok) ? 0 : 1;
 }

@@ -12,7 +12,7 @@ Endpoint::Endpoint(Network& net, int rank) : net_(&net), rank_(rank) {
 }
 
 void Endpoint::send(int dst, int tag, std::span<const std::byte> payload) {
-  net_->send(rank_, dst, tag, Bytes(payload.begin(), payload.end()));
+  net_->send(rank_, dst, tag, payload);
 }
 
 Bytes Endpoint::recv(int src, int tag) { return net_->recv(rank_, src, tag); }

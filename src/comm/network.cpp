@@ -33,7 +33,7 @@ constexpr uint32_t kEnvDelayed = 1u << 1;
 constexpr size_t kEnvHeaderBytes = 28;
 
 Bytes envelope_wrap(uint32_t flags, uint64_t orig_size, double base_s,
-                    double extra_s, const Bytes& payload) {
+                    double extra_s, std::span<const std::byte> payload) {
   Bytes out(kEnvHeaderBytes + payload.size());
   framing::put_u32(out.data(), flags);
   framing::put_u64(out.data() + 4, orig_size);
@@ -155,7 +155,8 @@ Network::EdgeCounters& Network::edge_counters_locked(int src, int dst) {
   return it->second;
 }
 
-void Network::send(int src, int dst, int tag, Bytes payload) {
+void Network::send(int src, int dst, int tag,
+                   std::span<const std::byte> payload) {
   check_rank(src);
   check_rank(dst);
   FCA_CHECK_MSG(tag < kOobTagBase,
@@ -223,8 +224,7 @@ void Network::send(int src, int dst, int tag, Bytes payload) {
       return;  // link already condemned; the message is lost like any drop
     }
     try {
-      transport_->send(
-          WireMessage{src, dst, tag, transfer, std::move(payload)});
+      transport_->send(WireView{src, dst, tag, transfer, payload});
     } catch (const TransportError& e) {
       degrade_locked(e, dst);  // rethrows when not peer-scoped
     }
@@ -243,14 +243,13 @@ void Network::send(int src, int dst, int tag, Bytes payload) {
   if (tombstone) {
     flags |= kEnvTombstone;
     wire_transfer = 0.0;
-    payload.clear();
+    payload = {};
   }
   if (extra > 0.0) flags |= kEnvDelayed;
-  Bytes wrapped =
+  const Bytes wrapped =
       envelope_wrap(flags, orig_size, base_transfer, extra, payload);
   try {
-    transport_->send(
-        WireMessage{src, dst, tag, wire_transfer, std::move(wrapped)});
+    transport_->send(WireView{src, dst, tag, wire_transfer, wrapped});
   } catch (const TransportError& e) {
     degrade_locked(e, dst);  // rethrows when not peer-scoped
   }
@@ -284,8 +283,10 @@ std::optional<Bytes> Network::consume_wire_locked(int src, WireMessage msg) {
     add_checked(faults_.dropped_bytes, orig_size, "dropped bytes");
     return std::nullopt;
   }
-  Bytes payload(env.begin() + static_cast<std::ptrdiff_t>(kEnvHeaderBytes),
-                env.end());
+  // Strip the envelope in place: the received buffer becomes the payload.
+  Bytes payload = std::move(msg.payload);
+  payload.erase(payload.begin(),
+                payload.begin() + static_cast<std::ptrdiff_t>(kEnvHeaderBytes));
   return payload;
 }
 
@@ -443,7 +444,7 @@ bool Network::has_message(int dst, int src, int tag) const {
   return transport_->has_message(dst, src, tag);
 }
 
-void Network::oob_send(int dst, int tag, Bytes payload) {
+void Network::oob_send(int dst, int tag, std::span<const std::byte> payload) {
   check_rank(dst);
   FCA_CHECK_MSG(scoped_, "oob_send is scoped-mode only");
   FCA_CHECK_MSG(tag >= kOobTagBase, "oob tag 0x" << std::hex << tag
@@ -451,8 +452,7 @@ void Network::oob_send(int dst, int tag, Bytes payload) {
   std::lock_guard lk(mu_);
   if (peer_dead_[static_cast<size_t>(dst)] != 0) return;
   try {
-    transport_->send(
-        WireMessage{self_rank_, dst, tag, 0.0, std::move(payload)});
+    transport_->send(WireView{self_rank_, dst, tag, 0.0, payload});
   } catch (const TransportError& e) {
     degrade_locked(e, dst);  // rethrows when not peer-scoped
   }

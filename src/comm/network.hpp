@@ -29,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "comm/fault.hpp"
@@ -102,8 +103,9 @@ class Network {
 
   /// Enqueues a message from `src` to `dst` under `tag`. Traffic is always
   /// metered (the sender paid for the bytes); an active fault plan may then
-  /// lose the message in flight or delay its arrival.
-  void send(int src, int dst, int tag, Bytes payload);
+  /// lose the message in flight or delay its arrival. The payload is only
+  /// borrowed: the transport makes the one owned copy it needs.
+  void send(int src, int dst, int tag, std::span<const std::byte> payload);
 
   /// Dequeues the oldest message from `src` to `dst` under `tag`.
   /// Throws if none is pending — in a deterministically scheduled
@@ -188,7 +190,7 @@ class Network {
   /// injection, no envelope. Only tags >= kOobTagBase are accepted. A dead
   /// peer is skipped; a transport error condemns the peer instead of
   /// propagating. Scoped mode only.
-  void oob_send(int dst, int tag, Bytes payload);
+  void oob_send(int dst, int tag, std::span<const std::byte> payload);
   /// Blocking control-plane receive (up to `attempts` spans of the
   /// transport's io timeout). std::nullopt means the peer is — now, if not
   /// before — condemned. Waits on the root use attempts > 1: before

@@ -41,21 +41,21 @@ void ChaosTransport::check_killed(int rank) {
                        os.str());
 }
 
-void ChaosTransport::account_kill_bytes(const WireMessage& msg) {
+void ChaosTransport::account_kill_bytes(int src, int dst, size_t payload_len) {
   if (config_.kill_peer == ChaosConfig::kNoKill) return;
-  if (msg.src != config_.kill_peer && msg.dst != config_.kill_peer) return;
-  kill_bytes_moved_ += framing::frame_size(msg.payload.size());
+  if (src != config_.kill_peer && dst != config_.kill_peer) return;
+  kill_bytes_moved_ += framing::frame_size(payload_len);
 }
 
-void ChaosTransport::send(WireMessage msg) {
+void ChaosTransport::send(const WireView& msg) {
   check_killed(msg.dst);
   check_killed(msg.src);
-  account_kill_bytes(msg);
-  inner_->send(std::move(msg));
+  account_kill_bytes(msg.src, msg.dst, msg.payload.size());
+  inner_->send(msg);
 }
 
 WireMessage ChaosTransport::apply_recv_chaos(WireMessage msg) {
-  account_kill_bytes(msg);
+  account_kill_bytes(msg.src, msg.dst, msg.payload.size());
   const uint64_t edge = static_cast<uint64_t>(msg.src) *
                             static_cast<uint64_t>(world_) +
                         static_cast<uint64_t>(msg.dst);

@@ -36,7 +36,7 @@ class ChaosTransport : public Transport {
 
   std::string_view name() const override { return name_; }
 
-  void send(WireMessage msg) override;
+  void send(const WireView& msg) override;
   std::optional<WireMessage> try_recv(int dst, int src, int tag) override;
   std::optional<WireMessage> wait_recv(int dst, int src, int tag) override;
   bool has_message(int dst, int src, int tag) override;
@@ -82,7 +82,7 @@ class ChaosTransport : public Transport {
   /// operation touches that rank: kPeerReset the first time (the moment of
   /// death), kPeerUnreachable afterwards.
   void check_killed(int rank);
-  void account_kill_bytes(const WireMessage& msg);
+  void account_kill_bytes(int src, int dst, size_t payload_len);
 
   std::unique_ptr<Transport> inner_;
   ChaosConfig config_;

@@ -17,10 +17,12 @@ class InprocTransport : public Transport {
 
   std::string_view name() const override { return "inproc"; }
 
-  void send(WireMessage msg) override {
+  void send(const WireView& msg) override {
     check_rank_pair(msg.dst, msg.src);
     note_sent_frame(msg.payload.size());
-    boxes_.push(std::move(msg));
+    // The mailbox copy is the one owned copy on this backend.
+    boxes_.push(WireMessage{msg.src, msg.dst, msg.tag, msg.transfer_s,
+                            Bytes(msg.payload.begin(), msg.payload.end())});
   }
 
   std::optional<WireMessage> try_recv(int dst, int src, int tag) override {

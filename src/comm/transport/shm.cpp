@@ -170,7 +170,10 @@ ShmTransport::ShmTransport(const TransportOptions& options, int world,
 
   auto* header = reinterpret_cast<RegionHeader*>(map_);
   if (created_) {
-    std::memset(map_, 0, map_size_);
+    // A fresh shm object (O_EXCL + ftruncate) and an anonymous mapping are
+    // already zero-filled by the kernel. Writing only the region header and
+    // the ring headers keeps every unused ring's data pages non-resident:
+    // a ring costs memory only once an edge first carries a frame.
     header->magic = kRegionMagic;
     header->version = kRegionVersion;
     header->world = static_cast<uint32_t>(world);
@@ -251,26 +254,27 @@ std::byte* ShmTransport::ring_data(int src, int dst) const {
          align_up(sizeof(RingHeader), 64);
 }
 
-bool ShmTransport::ring_write(int src, int dst, const WireMessage& msg) {
+bool ShmTransport::ring_write(int src, int dst, const WireView& msg) {
   RingHeader& r = ring_header(src, dst);
   const uint64_t frame = framing::frame_size(msg.payload.size());
   const uint64_t head = r.head.load(std::memory_order_relaxed);
   const uint64_t tail = r.tail.load(std::memory_order_acquire);
   if (ring_capacity_ - (head - tail) < frame) return false;
 
-  scratch_.resize(framing::kHeaderBytes);
+  std::byte header[framing::kHeaderBytes];
   framing::encode_header(
       {msg.src, msg.dst, msg.tag, static_cast<uint32_t>(msg.payload.size()),
        msg.transfer_s, 0},
-      scratch_.data(), msg.payload);
+      header, msg.payload);
   std::byte* data = ring_data(src, dst);
   auto copy_in = [&](uint64_t at, const std::byte* p, size_t n) {
+    if (n == 0) return;  // an empty payload's data() may be null
     const size_t pos = static_cast<size_t>(at % ring_capacity_);
     const size_t first = std::min(n, ring_capacity_ - pos);
     std::memcpy(data + pos, p, first);
     if (first < n) std::memcpy(data, p + first, n - first);
   };
-  copy_in(head, scratch_.data(), framing::kHeaderBytes);
+  copy_in(head, header, framing::kHeaderBytes);
   copy_in(head + framing::kHeaderBytes, msg.payload.data(),
           msg.payload.size());
   r.head.store(head + frame, std::memory_order_release);
@@ -288,6 +292,14 @@ void ShmTransport::drain_ring(int src, int dst) {
     const size_t first = std::min(n, ring_capacity_ - pos);
     std::memcpy(p, data + pos, first);
     if (first < n) std::memcpy(p + first, data, n - first);
+  };
+  // Appends ring bytes [at, at + n) to `out` without zero-filling it first.
+  auto append_out = [&](uint64_t at, Bytes& out, size_t n) {
+    const size_t pos = static_cast<size_t>(at % ring_capacity_);
+    const size_t first = std::min(n, ring_capacity_ - pos);
+    out.reserve(n);
+    out.insert(out.end(), data + pos, data + pos + first);
+    out.insert(out.end(), data, data + (n - first));
   };
   // The producer publishes head only after the whole frame is in the
   // buffer, so everything below head parses as complete frames.
@@ -313,9 +325,7 @@ void ShmTransport::drain_ring(int src, int dst) {
       msg.dst = h.dst;
       msg.tag = h.tag;
       msg.transfer_s = h.transfer_s;
-      msg.payload.resize(h.payload_len);
-      copy_out(tail + framing::kHeaderBytes, msg.payload.data(),
-               h.payload_len);
+      append_out(tail + framing::kHeaderBytes, msg.payload, h.payload_len);
       framing::verify_frame(h, raw, msg.payload);
       tail += framing::frame_size(h.payload_len);
       queues_.push(std::move(msg));
@@ -336,7 +346,7 @@ void ShmTransport::drain_all_inbound() {
   }
 }
 
-void ShmTransport::send(WireMessage msg) {
+void ShmTransport::send(const WireView& msg) {
   check_rank_pair(msg.dst, msg.src);
   FCA_CHECK_MSG(produces(msg.src),
                 "rank " << self_rank_ << " cannot send as rank " << msg.src);

@@ -22,6 +22,9 @@
 //
 // The rendezvous handshake blob is embedded in the region header: the
 // creator writes it before publishing `ready`, attachers read it after.
+// The creator writes only the region and ring headers (the kernel hands out
+// zeroed pages), so a ring's body becomes resident when its edge is first
+// used, not when the world is built.
 #pragma once
 
 #include <atomic>
@@ -43,7 +46,7 @@ class ShmTransport : public Transport {
 
   std::string_view name() const override { return "shm"; }
 
-  void send(WireMessage msg) override;
+  void send(const WireView& msg) override;
   std::optional<WireMessage> try_recv(int dst, int src, int tag) override;
   bool has_message(int dst, int src, int tag) override;
   std::optional<WireMessage> wait_recv(int dst, int src, int tag) override;
@@ -62,7 +65,7 @@ class ShmTransport : public Transport {
   std::byte* region_base() const { return static_cast<std::byte*>(map_); }
   RingHeader& ring_header(int src, int dst) const;
   std::byte* ring_data(int src, int dst) const;
-  bool ring_write(int src, int dst, const WireMessage& msg);
+  bool ring_write(int src, int dst, const WireView& msg);
   /// Moves every complete frame of ring (src, dst) into the demux queues.
   /// Only legal when this process is the ring's consumer.
   void drain_ring(int src, int dst);
@@ -89,7 +92,6 @@ class ShmTransport : public Transport {
   RetryPolicy stall_retry_;
   uint64_t stall_episodes_ = 0;
   MailboxSet queues_;
-  Bytes scratch_;  // frame assembly/drain buffer, reused across calls
 };
 
 }  // namespace fca::comm

@@ -699,7 +699,7 @@ void TcpTransport::pump(double wait_s) {
   }
 }
 
-void TcpTransport::send(WireMessage msg) {
+void TcpTransport::send(const WireView& msg) {
   check_rank_pair(msg.dst, msg.src);
   const size_t index = conn_for_edge(msg.src, msg.dst);
   Conn& conn = conns_[index];

@@ -40,7 +40,7 @@ class TcpTransport : public Transport {
 
   std::string_view name() const override { return "tcp"; }
 
-  void send(WireMessage msg) override;
+  void send(const WireView& msg) override;
   std::optional<WireMessage> try_recv(int dst, int src, int tag) override;
   std::optional<WireMessage> wait_recv(int dst, int src, int tag) override;
   bool has_message(int dst, int src, int tag) override;

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +40,17 @@
 namespace fca::comm {
 
 using Bytes = std::vector<std::byte>;
+
+/// A message handed to Transport::send: the addressing of a WireMessage
+/// with a borrowed, read-only payload. The backend copies the bytes exactly
+/// once, into whatever it keeps them in (DESIGN.md §11).
+struct WireView {
+  int src = 0;
+  int dst = 0;
+  int tag = 0;
+  double transfer_s = 0.0;
+  std::span<const std::byte> payload;
+};
 
 /// One addressed message on the fabric. `transfer_s` is the simulated
 /// transfer time (cost model plus any injected straggler delay) stamped by
@@ -50,6 +62,9 @@ struct WireMessage {
   int tag = 0;
   double transfer_s = 0.0;
   Bytes payload;
+
+  /// Borrows this message for a send; valid while the message lives.
+  operator WireView() const { return {src, dst, tag, transfer_s, payload}; }
 };
 
 enum class TransportKind { kInproc, kShm, kTcp };
@@ -191,7 +206,8 @@ class Transport {
   int self_rank() const { return self_rank_; }
 
   /// Hands one message to the fabric. Must preserve per-(src, dst) order.
-  virtual void send(WireMessage msg) = 0;
+  /// The payload is only borrowed for the duration of the call.
+  virtual void send(const WireView& msg) = 0;
 
   /// Oldest pending message for (dst, src, tag) after a non-blocking
   /// progress pass; std::nullopt when none is available locally.

@@ -62,8 +62,8 @@ void FedClassAvg::initialize(fl::FederatedRun& run) {
   for (int k : all) {
     run.client_endpoint(k).send(
         0, fl::kTagModelUp,
-        models::serialize_tensors(models::snapshot_values(
-            shared_params(run.client(k), config_.share_all_weights))));
+        models::serialize_values(
+            shared_params(run.client(k), config_.share_all_weights)));
   }
   // The initialization barrier degrades like a round (DESIGN.md §12): on a
   // fabric that can actually lose a peer, a client whose init upload dies
@@ -79,16 +79,13 @@ void FedClassAvg::initialize(fl::FederatedRun& run) {
                 "lost to transport failures");
   const std::vector<double> weights = run.data_weights(contributors);
   global_.clear();
+  for (const models::TensorView& v :
+       models::view_tensors(collected.uploads[0])) {
+    global_.emplace_back(v.shape);
+  }
   for (size_t i = 0; i < contributors.size(); ++i) {
-    const std::vector<Tensor> up =
-        models::deserialize_tensors(collected.uploads[i]);
-    if (global_.empty()) {
-      for (const Tensor& t : up) global_.emplace_back(t.shape());
-    }
-    FCA_CHECK(up.size() == global_.size());
-    for (size_t t = 0; t < up.size(); ++t) {
-      axpy_(global_[t], static_cast<float>(weights[i]), up[t]);
-    }
+    models::accumulate_tensors(collected.uploads[i],
+                               static_cast<float>(weights[i]), global_);
   }
   const comm::Bytes payload = models::serialize_tensors(global_);
   // Condemned ranks are short-circuited by the network, so the broadcast
@@ -257,8 +254,7 @@ float FedClassAvg::execute_round(fl::FederatedRun& run, int round,
     }
     run.client_endpoint(k).send(
         0, fl::kTagModelUp,
-        models::serialize_tensors(models::snapshot_values(
-            shared_params(c, config_.share_all_weights))));
+        models::serialize_values(shared_params(c, config_.share_all_weights)));
     return loss;
   });
 
@@ -275,12 +271,8 @@ float FedClassAvg::execute_round(fl::FederatedRun& run, int round,
     agg.reserve(global_.size());
     for (const Tensor& t : global_) agg.emplace_back(t.shape());
     for (size_t i = 0; i < g.survivors.size(); ++i) {
-      const std::vector<Tensor> up =
-          models::deserialize_tensors(g.payloads[i]);
-      FCA_CHECK(up.size() == agg.size());
-      for (size_t t = 0; t < agg.size(); ++t) {
-        axpy_(agg[t], static_cast<float>(weights[i]), up[t]);
-      }
+      models::accumulate_tensors(g.payloads[i], static_cast<float>(weights[i]),
+                                 agg);
     }
     global_ = std::move(agg);
   }

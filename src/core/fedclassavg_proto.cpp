@@ -87,8 +87,8 @@ void FedClassAvgProto::initialize(fl::FederatedRun& run) {
   for (int k : all) {
     run.client_endpoint(k).send(
         0, fl::kTagModelUp,
-        models::serialize_tensors(models::snapshot_values(
-            run.client(k).model().classifier_parameters())));
+        models::serialize_values(
+            run.client(k).model().classifier_parameters()));
   }
   const std::vector<double> weights = run.data_weights(all);
   // Strict collect: on a reliable fabric a lost init upload is a protocol
@@ -97,15 +97,13 @@ void FedClassAvgProto::initialize(fl::FederatedRun& run) {
   const fl::FederatedRun::CollectedUploads collected =
       run.collect_uploads(all, fl::kTagModelUp, /*strict=*/true);
   global_.clear();
+  for (const models::TensorView& v :
+       models::view_tensors(collected.uploads[0])) {
+    global_.emplace_back(v.shape);
+  }
   for (size_t i = 0; i < collected.uploads.size(); ++i) {
-    const std::vector<Tensor> up =
-        models::deserialize_tensors(collected.uploads[i]);
-    if (global_.empty()) {
-      for (const Tensor& t : up) global_.emplace_back(t.shape());
-    }
-    for (size_t t = 0; t < up.size(); ++t) {
-      axpy_(global_[t], static_cast<float>(weights[i]), up[t]);
-    }
+    models::accumulate_tensors(collected.uploads[i],
+                               static_cast<float>(weights[i]), global_);
   }
   const comm::Bytes payload = models::serialize_tensors(global_);
   run.server_endpoint().bcast_send(fl::FederatedRun::ranks_of(all),
@@ -307,12 +305,14 @@ float FedClassAvgProto::execute_round(fl::FederatedRun& run, int round,
     Tensor proto_agg({num_classes, d});
     Tensor count_agg({num_classes});
     for (size_t i = 0; i < g.survivors.size(); ++i) {
-      const std::vector<Tensor> up =
-          models::deserialize_tensors(g.payloads[i]);
-      axpy_(clf_agg[0], static_cast<float>(weights[i]), up[0]);
-      axpy_(clf_agg[1], static_cast<float>(weights[i]), up[1]);
-      const Tensor& protos = up[2];
-      const Tensor& counts = up[3];
+      const std::vector<models::TensorView> up =
+          models::view_tensors(g.payloads[i]);
+      FCA_CHECK(up.size() == 4 && up[2].numel == num_classes * d &&
+                up[3].numel == num_classes);
+      models::accumulate_tensors(std::span(up).first(2),
+                                 static_cast<float>(weights[i]), clf_agg);
+      const models::TensorView& protos = up[2];
+      const models::TensorView& counts = up[3];
       for (int64_t cc = 0; cc < num_classes; ++cc) {
         if (counts[cc] <= 0.0f) continue;
         for (int64_t j = 0; j < d; ++j) {

@@ -6,7 +6,6 @@
 #include "models/serialize.hpp"
 #include "obs/trace.hpp"
 #include "utils/error.hpp"
-#include "tensor/ops.hpp"
 
 namespace fca::fl {
 
@@ -91,9 +90,7 @@ float FedAvg::execute_round(FederatedRun& run, int round,
         loss += c.train_epoch_supervised(mu > 0.0f ? &down : nullptr, mu);
       }
     }
-    ep.send(0, kTagModelUp,
-            models::serialize_tensors(
-                models::snapshot_values(c.model().parameters())));
+    ep.send(0, kTagModelUp, models::serialize_values(c.model().parameters()));
     return loss;
   });
 
@@ -110,12 +107,8 @@ float FedAvg::execute_round(FederatedRun& run, int round,
     agg.reserve(global_.size());
     for (const Tensor& t : global_) agg.emplace_back(t.shape());
     for (size_t i = 0; i < g.survivors.size(); ++i) {
-      const std::vector<Tensor> up =
-          models::deserialize_tensors(g.payloads[i]);
-      FCA_CHECK(up.size() == agg.size());
-      for (size_t t = 0; t < agg.size(); ++t) {
-        axpy_(agg[t], static_cast<float>(weights[i]), up[t]);
-      }
+      models::accumulate_tensors(g.payloads[i], static_cast<float>(weights[i]),
+                                 agg);
     }
     global_ = std::move(agg);
   }

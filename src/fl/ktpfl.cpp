@@ -214,9 +214,7 @@ float KTpFL::execute_round(FederatedRun& run, int round,
       const ClientStore::Lease lease = run.lease_client_readonly(k);
       Client& c = *lease;
       run.client_endpoint(k).send(
-          0, kTagModelUp,
-          models::serialize_tensors(
-              models::snapshot_values(c.model().parameters())));
+          0, kTagModelUp, models::serialize_values(c.model().parameters()));
     });
     obs::TraceSpan exch_span("fl", "exchange");
     const FederatedRun::SurvivorGather gw =

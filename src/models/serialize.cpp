@@ -14,15 +14,17 @@ namespace {
 //   u32 tensor_count
 //   per tensor: u32 name_len, name bytes, u32 ndim, i64 dims..., f32 data...
 
-void put_u32(std::vector<std::byte>& out, uint32_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+// resize + memcpy rather than insert: GCC 12 reports a false
+// -Wstringop-overflow for an insert into a reserved, still empty vector.
+template <typename T>
+void put(std::vector<std::byte>& out, T v) {
+  const size_t at = out.size();
+  out.resize(at + sizeof(v));
+  std::memcpy(out.data() + at, &v, sizeof(v));
 }
 
-void put_i64(std::vector<std::byte>& out, int64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
+void put_u32(std::vector<std::byte>& out, uint32_t v) { put(out, v); }
+void put_i64(std::vector<std::byte>& out, int64_t v) { put(out, v); }
 
 class Reader {
  public:
@@ -45,6 +47,14 @@ class Reader {
     return s;
   }
   void floats(float* dst, size_t count) { read(dst, count * sizeof(float)); }
+  /// Skips `n` bytes and returns where they start.
+  const std::byte* skip(size_t n) {
+    FCA_CHECK_MSG(n <= remaining(), "truncated buffer");
+    const std::byte* p = bytes_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+  size_t remaining() const { return bytes_.size() - pos_; }
   bool done() const { return pos_ == bytes_.size(); }
 
  private:
@@ -62,8 +72,20 @@ struct NamedTensor {
   Tensor* tensor;
 };
 
+size_t serialized_named_size(const std::vector<NamedTensor>& items) {
+  size_t n = sizeof(uint32_t);
+  for (const auto& it : items) {
+    n += sizeof(uint32_t) + it.name.size();
+    n += sizeof(uint32_t) +
+         static_cast<size_t>(it.tensor->ndim()) * sizeof(int64_t);
+    n += static_cast<size_t>(it.tensor->numel()) * sizeof(float);
+  }
+  return n;
+}
+
 std::vector<std::byte> serialize_named(const std::vector<NamedTensor>& items) {
   std::vector<std::byte> out;
+  out.reserve(serialized_named_size(items));
   put_u32(out, static_cast<uint32_t>(items.size()));
   for (const auto& it : items) {
     put_u32(out, static_cast<uint32_t>(it.name.size()));
@@ -101,17 +123,6 @@ void deserialize_named(std::span<const std::byte> bytes,
     r.floats(it.tensor->data(), static_cast<size_t>(it.tensor->numel()));
   }
   FCA_CHECK_MSG(r.done(), "trailing bytes after deserialization");
-}
-
-size_t serialized_named_size(const std::vector<NamedTensor>& items) {
-  size_t n = sizeof(uint32_t);
-  for (const auto& it : items) {
-    n += sizeof(uint32_t) + it.name.size();
-    n += sizeof(uint32_t) +
-         static_cast<size_t>(it.tensor->ndim()) * sizeof(int64_t);
-    n += static_cast<size_t>(it.tensor->numel()) * sizeof(float);
-  }
-  return n;
 }
 
 std::vector<NamedTensor> param_tensors(const std::vector<nn::Param*>& params) {
@@ -208,23 +219,97 @@ std::vector<std::byte> serialize_tensors(const std::vector<Tensor>& tensors) {
   return serialize_named(items);
 }
 
-std::vector<Tensor> deserialize_tensors(std::span<const std::byte> bytes) {
+std::vector<std::byte> serialize_values(const std::vector<nn::Param*>& params) {
+  std::vector<NamedTensor> items;
+  items.reserve(params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    items.push_back({std::to_string(i), &params[i]->value});
+  }
+  return serialize_named(items);
+}
+
+std::vector<TensorView> view_tensors(std::span<const std::byte> bytes) {
+  // Every length field is checked against the bytes still unread before it
+  // sizes anything, so a corrupt header costs O(input) memory, never more.
+  constexpr size_t kMinRecordBytes = 2 * sizeof(uint32_t);  // name_len, ndim
   Reader r(bytes);
   const uint32_t count = r.u32();
-  std::vector<Tensor> out;
+  FCA_CHECK_MSG(count <= r.remaining() / kMinRecordBytes,
+                "tensor count " << count << " cannot fit in the "
+                                << r.remaining() << " byte(s) left");
+  std::vector<TensorView> out;
   out.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     const uint32_t name_len = r.u32();
-    (void)r.str(name_len);
+    r.skip(name_len);
     const uint32_t ndim = r.u32();
-    Shape shape;
-    for (uint32_t d = 0; d < ndim; ++d) shape.push_back(r.i64());
-    Tensor t(shape);
-    r.floats(t.data(), static_cast<size_t>(t.numel()));
-    out.push_back(std::move(t));
+    FCA_CHECK_MSG(ndim <= r.remaining() / sizeof(int64_t),
+                  "tensor " << i << " claims " << ndim
+                            << " dims; only " << r.remaining()
+                            << " byte(s) left");
+    TensorView v;
+    v.shape.reserve(ndim);
+    for (uint32_t d = 0; d < ndim; ++d) v.shape.push_back(r.i64());
+    // Checked product: numel * 4 must fit in what is left, so no dim can
+    // overflow it or make a caller allocate past the input.
+    const size_t max_floats = r.remaining() / sizeof(float);
+    size_t numel = 1;
+    for (int64_t dim : v.shape) {
+      FCA_CHECK_MSG(dim >= 0, "tensor " << i << " has negative dim " << dim);
+      const auto d = static_cast<size_t>(dim);
+      FCA_CHECK_MSG(d == 0 || numel <= max_floats / d,
+                    "tensor " << i << " of shape " << shape_to_string(v.shape)
+                              << " overruns the " << r.remaining()
+                              << " byte(s) left");
+      numel *= d;
+    }
+    v.numel = static_cast<int64_t>(numel);
+    v.data = r.skip(numel * sizeof(float));
+    out.push_back(std::move(v));
   }
   FCA_CHECK_MSG(r.done(), "trailing bytes after tensor deserialization");
   return out;
+}
+
+std::vector<Tensor> deserialize_tensors(std::span<const std::byte> bytes) {
+  const std::vector<TensorView> views = view_tensors(bytes);
+  std::vector<Tensor> out;
+  out.reserve(views.size());
+  for (const TensorView& v : views) {
+    Tensor t = Tensor::uninit(v.shape);
+    if (v.numel > 0) {
+      std::memcpy(t.data(), v.data,
+                  static_cast<size_t>(v.numel) * sizeof(float));
+    }
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+void accumulate_tensors(std::span<const TensorView> up, float weight,
+                        std::span<Tensor> agg) {
+  FCA_CHECK_MSG(up.size() == agg.size(), "tensor count mismatch: payload has "
+                                             << up.size() << ", aggregate has "
+                                             << agg.size());
+  // Every shape is checked before anything is added, so a rejected payload
+  // leaves the aggregate untouched.
+  for (size_t t = 0; t < agg.size(); ++t) {
+    FCA_CHECK_MSG(up[t].shape == agg[t].shape(),
+                  "shape mismatch at tensor " << t << ": payload "
+                                              << shape_to_string(up[t].shape)
+                                              << ", aggregate "
+                                              << shape_to_string(agg[t].shape()));
+  }
+  for (size_t t = 0; t < agg.size(); ++t) {
+    // axpy_'s per-element arithmetic, reading straight from the bytes.
+    float* pa = agg[t].data();
+    for (int64_t i = 0; i < up[t].numel; ++i) pa[i] += weight * up[t][i];
+  }
+}
+
+void accumulate_tensors(std::span<const std::byte> payload, float weight,
+                        std::vector<Tensor>& agg) {
+  accumulate_tensors(view_tensors(payload), weight, agg);
 }
 
 void copy_param_values(const std::vector<nn::Param*>& src,

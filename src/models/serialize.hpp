@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,8 +46,44 @@ void load_state_file(SplitModel& model, const std::string& path);
 /// Serializes an anonymous tensor list (used for prototypes, soft
 /// predictions and other non-parameter payloads on the wire).
 std::vector<std::byte> serialize_tensors(const std::vector<Tensor>& tensors);
-/// Inverse of serialize_tensors; shapes are carried in the buffer.
+/// serialize_tensors of the parameters' values, read in place: the same
+/// bytes as serialize_tensors(snapshot_values(params)) without the clones.
+std::vector<std::byte> serialize_values(const std::vector<nn::Param*>& params);
+
+/// One tensor of a serialize_tensors buffer, viewed where it lies: its
+/// shape and `numel` float32 values starting at `data`. The values may be
+/// unaligned, so they are read through operator[]. Valid while the buffer
+/// lives.
+struct TensorView {
+  Shape shape;
+  int64_t numel = 0;
+  const std::byte* data = nullptr;
+  float operator[](int64_t i) const {
+    float v = 0.0f;
+    std::memcpy(&v, data + static_cast<size_t>(i) * sizeof(float), sizeof(v));
+    return v;
+  }
+};
+
+/// Parses a serialize_tensors buffer without copying a float. The parse is
+/// bounded: the tensor count, every ndim and every numel * 4 are checked
+/// against the bytes left before they size anything, so a corrupt header
+/// throws fca::Error instead of allocating. Trailing bytes are rejected.
+std::vector<TensorView> view_tensors(std::span<const std::byte> bytes);
+/// Inverse of serialize_tensors; shapes are carried in the buffer. Bounded
+/// like view_tensors.
 std::vector<Tensor> deserialize_tensors(std::span<const std::byte> bytes);
+
+/// agg[t] += weight * (tensor t of the payload) for every t, with axpy_'s
+/// per-element arithmetic, reading the floats straight from the bytes (no
+/// per-payload tensors). The payload must hold exactly agg.size() tensors
+/// of agg's shapes, and nothing after them; anything else throws.
+void accumulate_tensors(std::span<const std::byte> payload, float weight,
+                        std::vector<Tensor>& agg);
+/// The same over already parsed views (a payload whose tail is not a plain
+/// weighted sum, e.g. FedClassAvg+Proto's prototypes).
+void accumulate_tensors(std::span<const TensorView> up, float weight,
+                        std::span<Tensor> agg);
 
 /// Copies parameter *values* between equally shaped parameter lists.
 void copy_param_values(const std::vector<nn::Param*>& src,

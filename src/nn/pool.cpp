@@ -1,7 +1,5 @@
 #include "nn/pool.hpp"
 
-#include <limits>
-
 #include "utils/error.hpp"
 
 namespace fca::nn {
@@ -36,7 +34,9 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
     float* oi = out.data() + i * oh * ow;
     for (int64_t y = 0; y < oh; ++y) {
       for (int64_t xo = 0; xo < ow; ++xo) {
-        float best = -std::numeric_limits<float>::infinity();
+        // The first in-bounds tap seeds the argmax, so a window whose taps
+        // are all NaN or -inf still records a real index for backward.
+        float best = 0.0f;
         int64_t best_idx = -1;
         for (int64_t ky = 0; ky < kernel_; ++ky) {
           const int64_t iy = y * stride_ - padding_ + ky;
@@ -45,13 +45,14 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
             const int64_t ix = xo * stride_ - padding_ + kx;
             if (ix < 0 || ix >= w) continue;
             const float v = xi[iy * w + ix];
-            if (v > best) {
+            if (best_idx < 0 || v > best) {
               best = v;
               best_idx = iy * w + ix;
             }
           }
         }
-        // A window fully in padding can't happen given padding < kernel.
+        // A window fully in padding can't happen given padding < kernel, so
+        // best_idx >= 0 here.
         oi[y * ow + xo] = best;
         if (train) {
           cached_argmax_[static_cast<size_t>(i * oh * ow + y * ow + xo)] =

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "nn/activation.hpp"
 #include "nn/container.hpp"
 #include "nn/conv.hpp"
@@ -309,6 +312,41 @@ TEST(MaxPool2d, PaddedWindowGradients) {
   Rng rng(13);
   Tensor x = Tensor::randn({1, 1, 4, 4}, rng);
   check_input_gradient(pool, x);
+}
+
+// A window whose taps are all NaN (or all -inf) has no tap that beats an
+// initial -inf. Its argmax must still be a real index: the first in-bounds
+// tap. Plane 1 below is the degenerate one, so an index of -1 would make
+// backward write into plane 0 (or before the buffer under ASan).
+TEST(MaxPool2d, AllNanWindowRoutesToFirstTap) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  MaxPool2d pool(2, 2);
+  Tensor x({1, 2, 2, 2}, {1, 5, 3, 2, nan, nan, nan, nan});
+  Tensor y = pool.forward(x, true);
+  EXPECT_FLOAT_EQ(y[0], 5.0f);
+  EXPECT_TRUE(std::isnan(y[1]));
+  Tensor gx = pool.backward(Tensor({1, 2, 1, 1}, {7.0f, 3.0f}));
+  const std::vector<float> expected{0, 7, 0, 0, 3, 0, 0, 0};
+  for (int64_t i = 0; i < gx.numel(); ++i) {
+    EXPECT_FLOAT_EQ(gx[i], expected[static_cast<size_t>(i)]) << "at " << i;
+  }
+}
+
+TEST(MaxPool2d, AllNegInfPaddedWindowRoutesToFirstTap) {
+  const float ninf = -std::numeric_limits<float>::infinity();
+  MaxPool2d pool(3, 1, 1);  // every window also holds padding taps
+  Tensor x({1, 2, 2, 2}, {1, 5, 3, 2, ninf, ninf, ninf, ninf});
+  Tensor y = pool.forward(x, true);
+  for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(y[i], 5.0f);
+  for (int64_t i = 4; i < 8; ++i) EXPECT_EQ(y[i], ninf);
+  Tensor gx = pool.backward(
+      Tensor({1, 2, 2, 2}, {1, 1, 1, 1, 1, 2, 3, 4}));
+  // Plane 0: all four windows pick the 5. Plane 1: all four pick (0, 0),
+  // the first in-bounds tap of each window.
+  const std::vector<float> expected{0, 4, 0, 0, 10, 0, 0, 0};
+  for (int64_t i = 0; i < gx.numel(); ++i) {
+    EXPECT_FLOAT_EQ(gx[i], expected[static_cast<size_t>(i)]) << "at " << i;
+  }
 }
 
 TEST(AvgPool2d, ForwardAveragesWindow) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "models/factory.hpp"
 #include "tensor/ops.hpp"
 #include "utils/error.hpp"
@@ -124,6 +126,118 @@ TEST(Serialize, RestoreRejectsCountMismatch) {
   auto a = build_model(tiny_config(), rng);
   std::vector<Tensor> wrong{Tensor({2})};
   EXPECT_THROW(restore_values(wrong, a->parameters()), Error);
+}
+
+TEST(Serialize, SerializeValuesMatchesSnapshotBytes) {
+  ModelConfig mc = tiny_config();
+  mc.arch = Arch::kMiniResNet;
+  Rng rng(9);
+  auto model = build_model(mc, rng);
+  EXPECT_EQ(serialize_values(model->parameters()),
+            serialize_tensors(snapshot_values(model->parameters())));
+  EXPECT_EQ(serialize_values(model->classifier_parameters()),
+            serialize_tensors(snapshot_values(model->classifier_parameters())));
+}
+
+std::vector<Tensor> zeros_like(const std::vector<Tensor>& ts) {
+  std::vector<Tensor> out;
+  for (const Tensor& t : ts) out.emplace_back(t.shape());
+  return out;
+}
+
+TEST(Serialize, AccumulateIsBitEqualToDeserializeAxpy) {
+  Rng rng(10);
+  std::vector<std::vector<Tensor>> uploads;
+  for (int k = 0; k < 3; ++k) {
+    uploads.push_back({Tensor::randn({5, 7}, rng), Tensor::randn({5}, rng),
+                       Tensor::randn({2, 3, 2}, rng)});
+  }
+  const float weights[3] = {0.2f, 0.3333333f, 0.4666667f};
+  std::vector<Tensor> expected = zeros_like(uploads[0]);
+  std::vector<Tensor> got = zeros_like(uploads[0]);
+  for (size_t k = 0; k < uploads.size(); ++k) {
+    const std::vector<std::byte> bytes = serialize_tensors(uploads[k]);
+    const std::vector<Tensor> up = deserialize_tensors(bytes);
+    for (size_t t = 0; t < up.size(); ++t) axpy_(expected[t], weights[k], up[t]);
+    accumulate_tensors(bytes, weights[k], got);
+  }
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].shape(), expected[t].shape());
+    EXPECT_EQ(std::memcmp(got[t].data(), expected[t].data(),
+                          static_cast<size_t>(got[t].numel()) * sizeof(float)),
+              0)
+        << "tensor " << t;
+  }
+}
+
+TEST(Serialize, AccumulateRejectsMismatchedPayloads) {
+  Rng rng(11);
+  const std::vector<Tensor> two{Tensor::randn({3, 2}, rng),
+                                Tensor::randn({3}, rng)};
+  std::vector<Tensor> agg = zeros_like(two);
+  // Count mismatch: one tensor too many and one too few.
+  std::vector<Tensor> three = two;
+  three.push_back(Tensor::randn({1}, rng));
+  EXPECT_THROW(accumulate_tensors(serialize_tensors(three), 1.0f, agg), Error);
+  EXPECT_THROW(accumulate_tensors(serialize_tensors({two[0]}), 1.0f, agg),
+               Error);
+  // Shape mismatch: same numel, different shape.
+  const std::vector<Tensor> reshaped{two[0].reshape({2, 3}), two[1]};
+  EXPECT_THROW(accumulate_tensors(serialize_tensors(reshaped), 1.0f, agg),
+               Error);
+  // Trailing bytes after a well-formed list.
+  std::vector<std::byte> trailing = serialize_tensors(two);
+  trailing.push_back(std::byte{0});
+  EXPECT_THROW(accumulate_tensors(trailing, 1.0f, agg), Error);
+  // A rejected payload leaves the aggregate untouched: one good payload
+  // afterwards yields exactly that payload.
+  accumulate_tensors(serialize_tensors(two), 1.0f, agg);
+  EXPECT_TRUE(allclose(agg[0], two[0], 0.0f, 0.0f));
+}
+
+void put_u32_at(std::vector<std::byte>& b, size_t at, uint32_t v) {
+  std::memcpy(b.data() + at, &v, sizeof(v));
+}
+
+TEST(Serialize, DeserializeBoundsCorruptHeaders) {
+  Rng rng(12);
+  const std::vector<std::byte> good =
+      serialize_tensors({Tensor::randn({4, 4}, rng)});
+  // Layout: u32 count | u32 name_len | "0" | u32 ndim | i64 dims[2] | floats.
+  constexpr size_t kNdimAt = 4 + 4 + 1;
+  constexpr size_t kDim0At = kNdimAt + 4;
+
+  // Truncated anywhere: never a partial parse.
+  for (size_t n = 0; n < good.size(); ++n) {
+    const std::vector<std::byte> cut(good.begin(),
+                                     good.begin() + static_cast<long>(n));
+    EXPECT_THROW(deserialize_tensors(cut), Error) << "truncated to " << n;
+  }
+  // A count of 0xFFFFFFFF must fail before reserving 4G tensor slots.
+  std::vector<std::byte> huge_count = good;
+  put_u32_at(huge_count, 0, 0xFFFFFFFFu);
+  EXPECT_THROW(deserialize_tensors(huge_count), Error);
+  // A 2^40 dim must fail before allocating 4 TiB of floats.
+  std::vector<std::byte> huge_dim = good;
+  const int64_t big = int64_t{1} << 40;
+  std::memcpy(huge_dim.data() + kDim0At, &big, sizeof(big));
+  EXPECT_THROW(deserialize_tensors(huge_dim), Error);
+  // Dims whose product overflows int64 are rejected, not wrapped.
+  std::vector<std::byte> overflow = good;
+  const int64_t half = int64_t{1} << 33;
+  std::memcpy(overflow.data() + kDim0At, &half, sizeof(half));
+  std::memcpy(overflow.data() + kDim0At + 8, &half, sizeof(half));
+  EXPECT_THROW(deserialize_tensors(overflow), Error);
+  // A negative dim and an absurd ndim are rejected too.
+  std::vector<std::byte> negative = good;
+  const int64_t minus = -4;
+  std::memcpy(negative.data() + kDim0At, &minus, sizeof(minus));
+  EXPECT_THROW(deserialize_tensors(negative), Error);
+  std::vector<std::byte> huge_ndim = good;
+  put_u32_at(huge_ndim, kNdimAt, 0xFFFFFFFFu);
+  EXPECT_THROW(deserialize_tensors(huge_ndim), Error);
+  // The untouched buffer still parses.
+  EXPECT_EQ(deserialize_tensors(good).size(), 1u);
 }
 
 }  // namespace

@@ -16,8 +16,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "comm/endpoint.hpp"
@@ -498,6 +500,39 @@ TEST(ShmTransport, OversizedFrameIsDiagnosed) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// Resident shared-memory pages of this process in KiB (RssShmem in
+/// /proc/self/status), or -1 when the kernel does not report it.
+long rss_shmem_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("RssShmem:", 0) == 0) {
+      return std::stol(line.substr(std::strlen("RssShmem:")));
+    }
+  }
+  return -1;
+}
+
+TEST(ShmTransport, UnusedRingsNeverBecomeResident) {
+  // A 21-rank world with 1 MiB rings maps 441 MiB of rings, but a star
+  // round only ever uses the 40 server <-> client edges. Creating the world
+  // may touch the region and ring headers, never the ring bodies.
+  const long before = rss_shmem_kib();
+  if (before < 0) GTEST_SKIP() << "kernel does not report RssShmem";
+  TransportOptions opts;
+  opts.kind = TransportKind::kShm;
+  opts.shm_ring_capacity = 1u << 20;
+  auto t = make_transport(opts, 21);
+  const long after = rss_shmem_kib();
+  EXPECT_LT(after - before, 16L * 1024)
+      << "building the world made " << (after - before)
+      << " KiB of shm resident";
+  // The lazily faulted rings still carry traffic.
+  t->send(make_msg(0, 20, 3, make_payload(1000, std::byte{0x42})));
+  const WireMessage got = t->recv(20, 0, 3);
+  EXPECT_EQ(got.payload, make_payload(1000, std::byte{0x42}));
 }
 
 TEST(ShmTransport, SpscRingSurvivesAThreadedHammer) {
