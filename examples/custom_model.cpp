@@ -92,7 +92,8 @@ int main() {
         client_config, root.fork("custom-rng/" + std::to_string(k))));
   }
 
-  fl::FederatedRun run(std::move(clients), experiment.fl_config());
+  fl::FederatedRun run(std::make_unique<fl::ClientStore>(std::move(clients)),
+                       experiment.fl_config());
   core::FedClassAvg strategy(experiment.fedclassavg_config());
   const fl::RunResult result = run.execute(strategy);
 

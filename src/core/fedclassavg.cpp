@@ -1,11 +1,9 @@
 #include "core/fedclassavg.hpp"
 
-#include <limits>
 #include <optional>
 
 #include "autograd/ops.hpp"
 #include "models/serialize.hpp"
-#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 #include "utils/error.hpp"
 
@@ -73,20 +71,11 @@ void FedClassAvg::initialize(fl::FederatedRun& run) {
   // the contributor set to every rank of a multi-process world.
   const fl::FederatedRun::CollectedUploads collected =
       run.collect_uploads(all, fl::kTagModelUp, /*strict=*/false);
-  const std::vector<int>& contributors = collected.contributors;
-  FCA_CHECK_MSG(!contributors.empty(),
+  FCA_CHECK_MSG(!collected.contributors.empty(),
                 "no client survived initialization: every init upload was "
                 "lost to transport failures");
-  const std::vector<double> weights = run.data_weights(contributors);
   global_.clear();
-  for (const models::TensorView& v :
-       models::view_tensors(collected.uploads[0])) {
-    global_.emplace_back(v.shape);
-  }
-  for (size_t i = 0; i < contributors.size(); ++i) {
-    models::accumulate_tensors(collected.uploads[i],
-                               static_cast<float>(weights[i]), global_);
-  }
+  run.average_into(global_, collected.contributors, collected.uploads);
   const comm::Bytes payload = models::serialize_tensors(global_);
   // Condemned ranks are short-circuited by the network, so the broadcast
   // still targets everyone.
@@ -145,7 +134,8 @@ void FedClassAvg::load_state(std::span<const std::byte> state) {
 }
 
 float FedClassAvg::train_epoch(fl::Client& client, const Tensor& global_weight,
-                               const Tensor& global_bias) const {
+                               const Tensor& global_bias,
+                               const ExtraTerm& extra) const {
   models::SplitModel& model = client.model();
   nn::Linear& clf = model.classifier();
   FCA_CHECK(global_weight.same_shape(clf.weight().value) &&
@@ -193,6 +183,7 @@ float FedClassAvg::train_epoch(fl::Client& client, const Tensor& global_weight,
           ag::exp(ag::mul_scalar(ag::log(ag::add_scalar(ss, 1e-12f)), 0.5f));
       loss = ag::add(loss, ag::mul_scalar(dist, config_.rho));
     }
+    if (extra) loss = ag::add(loss, extra(f, batch.labels));
     loss.backward();
 
     add_(clf.weight().grad, w.grad());
@@ -206,77 +197,30 @@ float FedClassAvg::train_epoch(fl::Client& client, const Tensor& global_weight,
   return batches > 0 ? static_cast<float>(total / batches) : 0.0f;
 }
 
-float FedClassAvg::execute_round(fl::FederatedRun& run, int round,
-                                 const std::vector<int>& selected) {
+comm::Bytes FedClassAvg::downlink(fl::FederatedRun& run) {
+  (void)run;
   FCA_CHECK_MSG(!global_.empty(), "initialize() was not called");
-  // Server -> live cohort members: C^t (or the full global model in
-  // +weight). A crashed client neither receives nor trains this round; on
-  // rejoin its next downlink re-syncs it with the current global state.
-  const std::vector<int> live = run.live_clients(round, selected);
-  comm::Bytes payload;
-  {
-    obs::TraceSpan ser_span("fl", "serialize");
-    payload = models::serialize_tensors(global_);
-    ser_span.set_value(static_cast<int64_t>(payload.size()));
-  }
-  {
-    obs::TraceSpan bcast_span("fl", "broadcast",
-                              static_cast<int64_t>(live.size()));
-    run.server_endpoint().bcast_send(fl::FederatedRun::ranks_of(live),
-                                     fl::kTagModelDown, payload);
-  }
+  return models::serialize_tensors(global_);
+}
 
-  // Per-client local updates on the round executor (fl/executor.hpp):
-  // each body touches only its own client's state and rank mailboxes, so
-  // any client_parallelism yields the serial sweep's bits. A lost downlink
-  // means the client sits the round out (NaN, excluded from the mean).
-  const std::vector<double> losses = run.executor().map(live, [&](int k) {
-    const fl::ClientStore::Lease lease = run.lease_client(k);
-    fl::Client& c = *lease;
-    const std::optional<comm::Bytes> down_bytes =
-        run.client_endpoint(k).try_recv(0, fl::kTagModelDown);
-    if (!down_bytes.has_value()) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    const std::vector<Tensor> down =
-        models::deserialize_tensors(*down_bytes);
-    models::restore_values(down,
-                           shared_params(c, config_.share_all_weights));
-    const Tensor& gw = down[down.size() - 2];
-    const Tensor& gb = down[down.size() - 1];
-    double loss = 0.0;
-    {
-      obs::TraceSpan train_span("fl", "local-train",
-                                run.config().local_epochs);
-      for (int e = 0; e < run.config().local_epochs; ++e) {
-        loss += train_epoch(c, gw, gb);
-      }
-    }
-    run.client_endpoint(k).send(
-        0, fl::kTagModelUp,
-        models::serialize_values(shared_params(c, config_.share_all_weights)));
-    return loss;
-  });
+fl::ClientUpdate FedClassAvg::update(fl::FederatedRun& run, int round,
+                                     fl::Client& client,
+                                     std::span<const std::byte> down) {
+  (void)round;
+  const std::vector<Tensor> global = models::deserialize_tensors(down);
+  const std::vector<nn::Param*> shared =
+      shared_params(client, config_.share_all_weights);
+  models::restore_values(global, shared);
+  const Tensor& gw = global[global.size() - 2];
+  const Tensor& gb = global[global.size() - 1];
+  const double loss =
+      run.local_train([&] { return train_epoch(client, gw, gb); });
+  return {loss, models::serialize_values(shared)};
+}
 
-  // Classifier averaging (eq. 3) over the survivors, with eq. 1 weights
-  // renormalized to the clients that actually reported. Below quorum the
-  // round aborts and C^t carries over unchanged.
-  obs::TraceSpan agg_span("fl", "aggregate");
-  const fl::FederatedRun::SurvivorGather g =
-      run.gather_survivors(live, fl::kTagModelUp);
-  agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
-  if (g.quorum_met && !g.survivors.empty()) {
-    const std::vector<double> weights = run.data_weights(g.survivors);
-    std::vector<Tensor> agg;
-    agg.reserve(global_.size());
-    for (const Tensor& t : global_) agg.emplace_back(t.shape());
-    for (size_t i = 0; i < g.survivors.size(); ++i) {
-      models::accumulate_tensors(g.payloads[i], static_cast<float>(weights[i]),
-                                 agg);
-    }
-    global_ = std::move(agg);
-  }
-  return fl::FederatedRun::mean_finite(losses, run.config().local_epochs);
+void FedClassAvg::reduce(fl::FederatedRun& run,
+                         const fl::FederatedRun::SurvivorGather& gathered) {
+  run.average_into(global_, gathered.survivors, gathered.payloads);
 }
 
 }  // namespace fca::core

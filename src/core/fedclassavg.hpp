@@ -17,6 +17,9 @@
 // regularizes the classifier. The ablation flags reproduce Table 4.
 #pragma once
 
+#include <functional>
+
+#include "autograd/variable.hpp"
 #include "fl/server.hpp"
 
 namespace fca::core {
@@ -39,14 +42,22 @@ struct FedClassAvgConfig {
   bool share_all_weights = false;
 };
 
-class FedClassAvg : public fl::RoundStrategy {
+class FedClassAvg : public fl::PipelineStrategy {
  public:
   explicit FedClassAvg(FedClassAvgConfig config = {});
 
   std::string name() const override;
+  /// Builds C^1 as the data-weighted average of the clients' initial
+  /// classifiers (the full models in +weight) and synchronizes everyone.
   void initialize(fl::FederatedRun& run) override;
-  float execute_round(fl::FederatedRun& run, int round,
-                      const std::vector<int>& selected) override;
+  /// Round stages (Algorithm 1): C^t down; each client restores it, trains
+  /// E epochs of eq. 4 and uploads its classifier; the server averages the
+  /// survivors' classifiers (eq. 3).
+  comm::Bytes downlink(fl::FederatedRun& run) override;
+  fl::ClientUpdate update(fl::FederatedRun& run, int round, fl::Client& client,
+                          std::span<const std::byte> down) override;
+  void reduce(fl::FederatedRun& run,
+              const fl::FederatedRun::SurvivorGather& gathered) override;
   /// Lazy init streams every client through a read-only touch in id order,
   /// accumulating the same data-weighted C^1 the eager barrier gathers
   /// (identical arithmetic: weights from run.data_weights over all ids,
@@ -68,17 +79,26 @@ class FedClassAvg : public fl::RoundStrategy {
 
   const FedClassAvgConfig& config() const { return config_; }
 
-  /// One local epoch of the eq. (4) objective against the given global
-  /// classifier (weight, bias). Exposed for tests and for the ablation
-  /// bench; returns the mean batch loss.
-  float train_epoch(fl::Client& client, const Tensor& global_weight,
-                    const Tensor& global_bias) const;
+  /// An extra loss term on one batch: receives the features of both views
+  /// ([2B, D], first view first) and the batch labels, returns a scalar.
+  using ExtraTerm = std::function<ag::Variable(const ag::Variable& features,
+                                               const std::vector<int>& labels)>;
 
- private:
-  FedClassAvgConfig config_;
+  /// One local epoch of the eq. (4) objective against the given global
+  /// classifier (weight, bias), plus `extra` when set (FedClassAvg+Proto's
+  /// prototype pull). Exposed for tests and for the ablation bench; returns
+  /// the mean batch loss.
+  float train_epoch(fl::Client& client, const Tensor& global_weight,
+                    const Tensor& global_bias,
+                    const ExtraTerm& extra = {}) const;
+
+ protected:
   /// Aggregated values: classifier [W, b], or every parameter in +weight
   /// mode (classifier params come last, matching SplitModel::parameters()).
   std::vector<Tensor> global_;
+
+ private:
+  FedClassAvgConfig config_;
 };
 
 }  // namespace fca::core

@@ -13,9 +13,11 @@
 // alignment signal on top of the indirect one the shared classifier
 // provides; the extra traffic is one [C, D] matrix per direction per round.
 // Requires a common feature dimension (which FedClassAvg already assumes).
+// Initialization, the client bootstrap and the eq. 4 head are FedClassAvg's.
 #pragma once
 
 #include "core/fedclassavg.hpp"
+#include "fl/fedproto.hpp"
 
 namespace fca::core {
 
@@ -30,37 +32,36 @@ struct FedClassAvgProtoConfig {
   int warmup_rounds = 2;
 };
 
-class FedClassAvgProto : public fl::RoundStrategy {
+class FedClassAvgProto : public FedClassAvg {
  public:
   explicit FedClassAvgProto(FedClassAvgProtoConfig config = {});
 
   std::string name() const override { return "FedClassAvg+Proto"; }
+  /// FedClassAvg's C^1 synchronization (eager or lazy) plus zero
+  /// prototypes.
   void initialize(fl::FederatedRun& run) override;
-  float execute_round(fl::FederatedRun& run, int round,
-                      const std::vector<int>& selected) override;
-  /// Same streamed C^1 computation as FedClassAvg::initialize_lazy, plus
-  /// the zero-prototype setup; the bootstrap restores the averaged
-  /// classifier into each client at first materialization.
-  bool supports_lazy_init() const override { return true; }
   comm::Bytes initialize_lazy(fl::FederatedRun& run) override;
-  void bootstrap_client(fl::FederatedRun& run, fl::Client& client,
-                        const comm::Bytes& payload) override;
+  /// Round stages: FedClassAvg's, with the global prototypes + mask riding
+  /// the downlink, local prototypes + class counts riding the upload, and a
+  /// count-weighted prototype merge after the classifier average.
+  comm::Bytes downlink(fl::FederatedRun& run) override;
+  fl::ClientUpdate update(fl::FederatedRun& run, int round, fl::Client& client,
+                          std::span<const std::byte> down) override;
+  void reduce(fl::FederatedRun& run,
+              const fl::FederatedRun::SurvivorGather& gathered) override;
   comm::Bytes save_state() const override;
   void load_state(std::span<const std::byte> state) override;
 
   /// Global prototypes [num_classes, D]; zero rows for classes not yet seen.
-  const Tensor& prototypes() const { return global_protos_; }
-  const std::vector<bool>& prototype_valid() const { return valid_; }
+  const Tensor& prototypes() const { return protos_.protos; }
+  const std::vector<bool>& prototype_valid() const { return protos_.valid; }
 
  private:
-  float train_epoch(fl::Client& client, const Tensor& global_weight,
-                    const Tensor& global_bias, const Tensor& protos,
-                    const std::vector<bool>& valid, bool proto_active) const;
+  /// Zero prototypes shaped like the global classifier's [C, D] weight.
+  void reset_prototypes();
 
-  FedClassAvgProtoConfig config_;
-  std::vector<Tensor> global_;  // [classifier W, classifier b]
-  Tensor global_protos_;
-  std::vector<bool> valid_;
+  FedClassAvgProtoConfig proto_config_;
+  fl::Prototypes protos_;
 };
 
 }  // namespace fca::core

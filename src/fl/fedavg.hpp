@@ -6,7 +6,7 @@
 
 namespace fca::fl {
 
-class FedAvg : public RoundStrategy {
+class FedAvg : public PipelineStrategy {
  public:
   FedAvg() = default;
 
@@ -14,8 +14,14 @@ class FedAvg : public RoundStrategy {
   /// Snapshots client 0 as the initial global model and broadcasts it so
   /// every client starts from identical weights.
   void initialize(FederatedRun& run) override;
-  float execute_round(FederatedRun& run, int round,
-                      const std::vector<int>& selected) override;
+  /// Round stages: the global model down; each client restores it, trains
+  /// and uploads its whole model; the server averages the survivors'
+  /// models (eq. 1 weights).
+  comm::Bytes downlink(FederatedRun& run) override;
+  ClientUpdate update(FederatedRun& run, int round, Client& client,
+                      std::span<const std::byte> down) override;
+  void reduce(FederatedRun& run,
+              const FederatedRun::SurvivorGather& gathered) override;
   /// Lazy form of initialize(): snapshots client 0 (read-only touch) as the
   /// initial global model and returns it as the bootstrap payload — no
   /// broadcast. bootstrap_client() then restores that payload into each

@@ -1,35 +1,79 @@
 #include "fl/fedproto.hpp"
 
-#include <limits>
-#include <optional>
-
-#include "models/serialize.hpp"
-#include "obs/trace.hpp"
 #include "utils/error.hpp"
-#include "tensor/ops.hpp"
 
 namespace fca::fl {
 
-comm::Bytes FedProto::save_state() const {
-  // Prototypes plus the seen-class mask as a 0/1 float tensor.
-  Tensor mask({static_cast<int64_t>(valid_.size())});
-  for (size_t i = 0; i < valid_.size(); ++i) {
-    mask[static_cast<int64_t>(i)] = valid_[i] ? 1.0f : 0.0f;
-  }
-  return models::serialize_tensors({global_protos_, mask});
+void Prototypes::reset(int64_t num_classes, int64_t dim) {
+  protos = Tensor({num_classes, dim});
+  valid.assign(static_cast<size_t>(num_classes), false);
 }
 
-void FedProto::load_state(std::span<const std::byte> state) {
-  std::vector<Tensor> t = models::deserialize_tensors(state);
-  FCA_CHECK_MSG(t.size() == 2, "FedProto state must hold [protos, mask]");
-  global_protos_ = std::move(t[0]);
-  valid_.assign(static_cast<size_t>(t[1].numel()), false);
-  for (size_t i = 0; i < valid_.size(); ++i) {
-    valid_[i] = t[1][static_cast<int64_t>(i)] != 0.0f;
+Tensor Prototypes::mask() const {
+  Tensor m({static_cast<int64_t>(valid.size())});
+  for (size_t i = 0; i < valid.size(); ++i) {
+    m[static_cast<int64_t>(i)] = valid[i] ? 1.0f : 0.0f;
+  }
+  return m;
+}
+
+void Prototypes::restore(Tensor restored_protos, const Tensor& restored_mask) {
+  FCA_CHECK_MSG(restored_protos.ndim() == 2,
+                "prototypes must be [C, D], got "
+                    << shape_to_string(restored_protos.shape()));
+  valid = decode_mask(restored_mask, restored_protos.dim(0));
+  protos = std::move(restored_protos);
+}
+
+void Prototypes::merge(
+    const std::vector<std::vector<models::TensorView>>& uploads,
+    size_t first) {
+  const int64_t num_classes = protos.dim(0);
+  const int64_t d = protos.dim(1);
+  for (const std::vector<models::TensorView>& up : uploads) {
+    FCA_CHECK_MSG(up.size() == first + 2 &&
+                      up[first].shape == protos.shape() &&
+                      up[first + 1].shape == Shape{num_classes},
+                  "prototype upload must end in [protos "
+                      << shape_to_string(protos.shape()) << ", counts ["
+                      << num_classes << "]]");
+  }
+  Tensor agg({num_classes, d});
+  Tensor agg_counts({num_classes});
+  for (const std::vector<models::TensorView>& up : uploads) {
+    const models::TensorView& p = up[first];
+    const models::TensorView& counts = up[first + 1];
+    for (int64_t cc = 0; cc < num_classes; ++cc) {
+      if (counts[cc] <= 0.0f) continue;
+      for (int64_t j = 0; j < d; ++j) {
+        agg[cc * d + j] += counts[cc] * p[cc * d + j];
+      }
+      agg_counts[cc] += counts[cc];
+    }
+  }
+  for (int64_t cc = 0; cc < num_classes; ++cc) {
+    if (agg_counts[cc] > 0.0f) {
+      const float inv = 1.0f / agg_counts[cc];
+      for (int64_t j = 0; j < d; ++j) {
+        protos[cc * d + j] = agg[cc * d + j] * inv;
+      }
+      valid[static_cast<size_t>(cc)] = true;
+    }
   }
 }
 
-std::pair<Tensor, Tensor> FedProto::local_prototypes(Client& c) {
+std::vector<bool> decode_mask(const Tensor& mask, int64_t num_classes) {
+  FCA_CHECK_MSG(mask.shape() == Shape{num_classes},
+                "class mask must be [" << num_classes << "], got "
+                                       << shape_to_string(mask.shape()));
+  std::vector<bool> valid(static_cast<size_t>(num_classes));
+  for (int64_t cc = 0; cc < num_classes; ++cc) {
+    valid[static_cast<size_t>(cc)] = mask[cc] > 0.5f;
+  }
+  return valid;
+}
+
+std::pair<Tensor, Tensor> local_prototypes(Client& c) {
   const data::Dataset& ds = c.train_data();
   const int64_t d = c.model().feature_dim();
   const int64_t num_classes = c.model().num_classes();
@@ -41,13 +85,23 @@ std::pair<Tensor, Tensor> FedProto::local_prototypes(Client& c) {
     counts[y] += 1.0f;
     for (int64_t j = 0; j < d; ++j) protos[y * d + j] += feats[i * d + j];
   }
-  for (int64_t ccls = 0; ccls < num_classes; ++ccls) {
-    if (counts[ccls] > 0.0f) {
-      const float inv = 1.0f / counts[ccls];
-      for (int64_t j = 0; j < d; ++j) protos[ccls * d + j] *= inv;
+  for (int64_t cc = 0; cc < num_classes; ++cc) {
+    if (counts[cc] > 0.0f) {
+      const float inv = 1.0f / counts[cc];
+      for (int64_t j = 0; j < d; ++j) protos[cc * d + j] *= inv;
     }
   }
   return {std::move(protos), std::move(counts)};
+}
+
+comm::Bytes FedProto::save_state() const {
+  return models::serialize_tensors({global_.protos, global_.mask()});
+}
+
+void FedProto::load_state(std::span<const std::byte> state) {
+  std::vector<Tensor> t = models::deserialize_tensors(state);
+  FCA_CHECK_MSG(t.size() == 2, "FedProto state must hold [protos, mask]");
+  global_.restore(std::move(t[0]), t[1]);
 }
 
 float FedProto::train_epoch(Client& c, const Tensor& protos,
@@ -91,95 +145,43 @@ float FedProto::train_epoch(Client& c, const Tensor& protos,
   return batches > 0 ? static_cast<float>(total / batches) : 0.0f;
 }
 
-float FedProto::execute_round(FederatedRun& run, int round,
-                              const std::vector<int>& selected) {
+comm::Bytes FedProto::downlink(FederatedRun& run) {
   // Architecture metadata only: a read-only touch keeps client 0 clean.
-  const int64_t num_classes = run.client_readonly(0).model().num_classes();
-  const int64_t d = run.client_readonly(0).model().feature_dim();
-  if (valid_.empty()) {
-    valid_.assign(static_cast<size_t>(num_classes), false);
-    global_protos_ = Tensor({num_classes, d});
-  }
+  models::SplitModel& model = run.client_readonly(0).model();
+  const Shape shape{model.num_classes(), model.feature_dim()};
+  if (global_.valid.empty()) global_.reset(shape[0], shape[1]);
+  FCA_CHECK_MSG(global_.protos.shape() == shape,
+                "FedProto prototypes " << shape_to_string(global_.protos.shape())
+                                       << " do not match the models' "
+                                       << shape_to_string(shape));
+  return models::serialize_tensors({global_.protos, global_.mask()});
+}
 
-  // Server -> live clients: current global prototypes (+ validity as
-  // floats); crashed cohort members sit the round out.
-  const std::vector<int> live = run.live_clients(round, selected);
-  Tensor valid_t({num_classes});
-  for (int64_t cc = 0; cc < num_classes; ++cc) {
-    valid_t[cc] = valid_[static_cast<size_t>(cc)] ? 1.0f : 0.0f;
-  }
-  comm::Bytes down;
-  {
-    obs::TraceSpan ser_span("fl", "serialize");
-    down = models::serialize_tensors({global_protos_, valid_t});
-    ser_span.set_value(static_cast<int64_t>(down.size()));
-  }
-  {
-    obs::TraceSpan bcast_span("fl", "broadcast",
-                              static_cast<int64_t>(live.size()));
-    run.server_endpoint().bcast_send(FederatedRun::ranks_of(live),
-                                     kTagModelDown, down);
-  }
+ClientUpdate FedProto::update(FederatedRun& run, int round, Client& client,
+                              std::span<const std::byte> down) {
+  (void)round;
+  const std::vector<Tensor> msg = models::deserialize_tensors(down);
+  const int64_t num_classes = client.model().num_classes();
+  const Shape protos_shape{num_classes, client.model().feature_dim()};
+  FCA_CHECK_MSG(msg.size() == 2 && msg[0].shape() == protos_shape,
+                "FedProto downlink must hold [protos "
+                    << shape_to_string(protos_shape) << ", mask]");
+  const std::vector<bool> valid = decode_mask(msg[1], num_classes);
+  const double loss =
+      run.local_train([&] { return train_epoch(client, msg[0], valid); });
+  auto [protos, counts] = local_prototypes(client);
+  return {loss, models::serialize_tensors({protos, counts})};
+}
 
-  const std::vector<double> losses = run.executor().map(live, [&](int k) {
-    const ClientStore::Lease lease = run.lease_client(k);
-    Client& c = *lease;
-    const std::optional<comm::Bytes> msg_bytes =
-        run.client_endpoint(k).try_recv(0, kTagModelDown);
-    if (!msg_bytes.has_value()) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    const std::vector<Tensor> msg = models::deserialize_tensors(*msg_bytes);
-    std::vector<bool> valid(static_cast<size_t>(num_classes));
-    for (int64_t cc = 0; cc < num_classes; ++cc) {
-      valid[static_cast<size_t>(cc)] = msg[1][cc] > 0.5f;
-    }
-    double loss = 0.0;
-    {
-      obs::TraceSpan train_span("fl", "local-train",
-                                run.config().local_epochs);
-      for (int e = 0; e < run.config().local_epochs; ++e) {
-        loss += train_epoch(c, msg[0], valid);
-      }
-    }
-    auto [protos, counts] = local_prototypes(c);
-    run.client_endpoint(k).send(
-        0, kTagModelUp, models::serialize_tensors({protos, counts}));
-    return loss;
-  });
-
-  // Server: count-weighted prototype aggregation across survivors; below
-  // quorum the previous global prototypes carry over unchanged.
-  obs::TraceSpan agg_span("fl", "aggregate");
-  const FederatedRun::SurvivorGather g =
-      run.gather_survivors(live, kTagModelUp);
-  agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
-  if (g.quorum_met && !g.survivors.empty()) {
-    Tensor agg({num_classes, d});
-    Tensor agg_counts({num_classes});
-    for (const comm::Bytes& payload : g.payloads) {
-      const std::vector<Tensor> up = models::deserialize_tensors(payload);
-      const Tensor& protos = up[0];
-      const Tensor& counts = up[1];
-      for (int64_t cc = 0; cc < num_classes; ++cc) {
-        if (counts[cc] <= 0.0f) continue;
-        for (int64_t j = 0; j < d; ++j) {
-          agg[cc * d + j] += counts[cc] * protos[cc * d + j];
-        }
-        agg_counts[cc] += counts[cc];
-      }
-    }
-    for (int64_t cc = 0; cc < num_classes; ++cc) {
-      if (agg_counts[cc] > 0.0f) {
-        const float inv = 1.0f / agg_counts[cc];
-        for (int64_t j = 0; j < d; ++j) {
-          global_protos_[cc * d + j] = agg[cc * d + j] * inv;
-        }
-        valid_[static_cast<size_t>(cc)] = true;
-      }
-    }
+void FedProto::reduce(FederatedRun& run,
+                      const FederatedRun::SurvivorGather& gathered) {
+  (void)run;
+  std::vector<std::vector<models::TensorView>> uploads;
+  uploads.reserve(gathered.payloads.size());
+  for (const comm::Bytes& payload : gathered.payloads) {
+    uploads.push_back(models::view_tensors(payload));
   }
-  return FederatedRun::mean_finite(losses, run.config().local_epochs);
+  global_.merge(uploads, 0);
 }
 
 }  // namespace fca::fl

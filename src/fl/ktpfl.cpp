@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "models/serialize.hpp"
@@ -118,49 +117,35 @@ void KTpFL::update_coefficients(const std::vector<int>& selected,
   }
 }
 
-float KTpFL::execute_round(FederatedRun& run, int round,
-                           const std::vector<int>& selected) {
-  const float t = config_.temperature;
-  const std::vector<int> live = run.live_clients(round, selected);
-
+ClientUpdate KTpFL::update(FederatedRun& run, int round, Client& client,
+                           std::span<const std::byte> down) {
+  (void)round;
+  (void)down;
   // 1+2. Local supervised training, then soft predictions on the public
-  // data, per client. Merged into one executor body: prediction reads only
-  // the client's own post-training model, so fusing the phases leaves every
-  // client's compute sequence exactly as the serial two-phase sweep had it.
-  // Training needs no downlink, so every live client trains; only its
+  // data. Training needs no downlink, so every live client trains; only its
   // logits upload can be lost.
-  const std::vector<double> losses = run.executor().map(live, [&](int k) {
-    const ClientStore::Lease lease = run.lease_client(k);
-    Client& c = *lease;
-    double loss = 0.0;
-    {
-      obs::TraceSpan train_span("fl", "local-train",
-                                run.config().local_epochs);
-      for (int e = 0; e < run.config().local_epochs; ++e) {
-        loss += c.train_epoch_supervised();
-      }
-    }
-    Tensor logits = c.predict_logits(public_data_);
-    run.client_endpoint(k).send(0, kTagAuxUp,
-                                models::serialize_tensors({logits}));
-    return loss;
-  });
-  obs::TraceSpan agg_span("fl", "aggregate");
-  const FederatedRun::SurvivorGather g =
-      run.gather_survivors(live, kTagAuxUp);
-  agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
-  const float mean_loss =
-      FederatedRun::mean_finite(losses, run.config().local_epochs);
-  if (!g.quorum_met || g.survivors.empty()) {
-    // Below quorum the knowledge-transfer phase aborts: coefficients and
-    // client models carry over; the local-training progress above stands.
-    return mean_loss;
-  }
-  const std::vector<int>& survivors = g.survivors;
+  const double loss =
+      run.local_train([&] { return client.train_epoch_supervised(); });
+  const Tensor logits = client.predict_logits(public_data_);
+  return {loss, models::serialize_tensors({logits})};
+}
+
+void KTpFL::reduce(FederatedRun& run,
+                   const FederatedRun::SurvivorGather& gathered) {
+  const float t = config_.temperature;
+  const std::vector<int>& survivors = gathered.survivors;
   std::vector<Tensor> soft_preds;
   soft_preds.reserve(survivors.size());
-  for (const comm::Bytes& payload : g.payloads) {
+  for (const comm::Bytes& payload : gathered.payloads) {
     const std::vector<Tensor> up = models::deserialize_tensors(payload);
+    // The coefficient update reads every pair of survivors element-wise, so
+    // all logits must share one [public samples, C] shape.
+    FCA_CHECK_MSG(up.size() == 1 && up[0].ndim() == 2 &&
+                      up[0].dim(0) == public_data_.size() &&
+                      (soft_preds.empty() ||
+                       up[0].same_shape(soft_preds.front())),
+                  "KT-pFL upload must hold one [" << public_data_.size()
+                                                  << ", C] logits tensor");
     soft_preds.push_back(softmax_rows(mul_scalar(up[0], 1.0f / t)));
   }
 
@@ -189,6 +174,10 @@ float KTpFL::execute_round(FederatedRun& run, int round,
       obs::TraceSpan distill_span("fl", "distill", config_.distill_epochs);
       const std::vector<Tensor> down =
           models::deserialize_tensors(*down_bytes);
+      FCA_CHECK_MSG(down.size() == 1 && down[0].ndim() == 2 &&
+                        down[0].dim(0) == public_data_.size(),
+                    "KT-pFL target must hold one [" << public_data_.size()
+                                                    << ", C] tensor");
       const Tensor& target = down[0];
       for (int e = 0; e < config_.distill_epochs; ++e) {
         data::BatchLoader loader(public_data_, {}, c.config().batch_size);
@@ -206,60 +195,59 @@ float KTpFL::execute_round(FederatedRun& run, int round,
         }
       }
     });
-  } else {
-    // 4b. "+weight": survivors upload weights; each one that still reports
-    // in time receives the coefficient-weighted personalized model. A
-    // client whose upload or downlink is lost keeps its local model.
-    run.executor().for_each(survivors, [&run](int k) {
-      const ClientStore::Lease lease = run.lease_client_readonly(k);
-      Client& c = *lease;
-      run.client_endpoint(k).send(
-          0, kTagModelUp, models::serialize_values(c.model().parameters()));
-    });
-    obs::TraceSpan exch_span("fl", "exchange");
-    const FederatedRun::SurvivorGather gw =
-        run.gather_survivors(survivors, kTagModelUp);
-    exch_span.set_value(static_cast<int64_t>(gw.survivors.size()));
-    if (gw.quorum_met && !gw.survivors.empty()) {
-      std::vector<std::vector<Tensor>> weights;
-      weights.reserve(gw.survivors.size());
-      for (const comm::Bytes& payload : gw.payloads) {
-        weights.push_back(models::deserialize_tensors(payload));
-      }
-      const int64_t kk = coef_.dim(0);
-      for (size_t a = 0; a < gw.survivors.size(); ++a) {
-        const int k = gw.survivors[a];
-        double wt = 0.0;
-        for (size_t b = 0; b < gw.survivors.size(); ++b) {
-          wt += coef_[k * kk + gw.survivors[b]];
-        }
-        std::vector<Tensor> personalized;
-        for (const Tensor& t0 : weights.front()) {
-          personalized.emplace_back(t0.shape());
-        }
-        for (size_t b = 0; b < gw.survivors.size(); ++b) {
-          const auto w =
-              static_cast<float>(coef_[k * kk + gw.survivors[b]] / wt);
-          for (size_t i = 0; i < personalized.size(); ++i) {
-            axpy_(personalized[i], w, weights[b][i]);
-          }
-        }
-        run.server_endpoint().send(k + 1, kTagModelDown,
-                                   models::serialize_tensors(personalized));
-      }
-      run.executor().for_each(gw.survivors, [&run](int k) {
-        const ClientStore::Lease lease = run.lease_client(k);
-        Client& c = *lease;
-        const std::optional<comm::Bytes> down =
-            run.client_endpoint(k).try_recv(0, kTagModelDown);
-        if (!down.has_value()) return;
-        models::restore_values(models::deserialize_tensors(*down),
-                               c.model().parameters());
-      });
-    }
+    return;
   }
 
-  return mean_loss;
+  // 4b. "+weight": survivors upload weights; each one that still reports in
+  // time receives the coefficient-weighted personalized model. A client
+  // whose upload or downlink is lost keeps its local model.
+  run.executor().for_each(survivors, [&run](int k) {
+    const ClientStore::Lease lease = run.lease_client_readonly(k);
+    Client& c = *lease;
+    run.client_endpoint(k).send(
+        0, kTagModelUp, models::serialize_values(c.model().parameters()));
+  });
+  obs::TraceSpan exch_span("fl", "exchange");
+  const FederatedRun::SurvivorGather gw =
+      run.gather_survivors(survivors, kTagModelUp);
+  exch_span.set_value(static_cast<int64_t>(gw.survivors.size()));
+  if (!gw.quorum_met || gw.survivors.empty()) return;
+  std::vector<std::vector<Tensor>> weights;
+  weights.reserve(gw.survivors.size());
+  for (const comm::Bytes& payload : gw.payloads) {
+    weights.push_back(models::deserialize_tensors(payload));
+    FCA_CHECK_MSG(weights.back().size() == weights.front().size(),
+                  "KT-pFL weight uploads differ in tensor count");
+  }
+  const int64_t kk = coef_.dim(0);
+  for (size_t a = 0; a < gw.survivors.size(); ++a) {
+    const int k = gw.survivors[a];
+    double wt = 0.0;
+    for (size_t b = 0; b < gw.survivors.size(); ++b) {
+      wt += coef_[k * kk + gw.survivors[b]];
+    }
+    std::vector<Tensor> personalized;
+    for (const Tensor& t0 : weights.front()) {
+      personalized.emplace_back(t0.shape());
+    }
+    for (size_t b = 0; b < gw.survivors.size(); ++b) {
+      const auto w = static_cast<float>(coef_[k * kk + gw.survivors[b]] / wt);
+      for (size_t i = 0; i < personalized.size(); ++i) {
+        axpy_(personalized[i], w, weights[b][i]);
+      }
+    }
+    run.server_endpoint().send(k + 1, kTagModelDown,
+                               models::serialize_tensors(personalized));
+  }
+  run.executor().for_each(gw.survivors, [&run](int k) {
+    const ClientStore::Lease lease = run.lease_client(k);
+    Client& c = *lease;
+    const std::optional<comm::Bytes> down =
+        run.client_endpoint(k).try_recv(0, kTagModelDown);
+    if (!down.has_value()) return;
+    models::restore_values(models::deserialize_tensors(*down),
+                           c.model().parameters());
+  });
 }
 
 }  // namespace fca::fl

@@ -28,7 +28,7 @@ struct KTpFLConfig {
   bool share_weights = false; // "+weight" variant (homogeneous only)
 };
 
-class KTpFL : public RoundStrategy {
+class KTpFL : public PipelineStrategy {
  public:
   KTpFL(data::Dataset public_data, KTpFLConfig config = {});
 
@@ -36,8 +36,16 @@ class KTpFL : public RoundStrategy {
     return config_.share_weights ? "KT-pFL+weight" : "KT-pFL";
   }
   void initialize(FederatedRun& run) override;
-  float execute_round(FederatedRun& run, int round,
-                      const std::vector<int>& selected) override;
+  /// Round stages: no downlink; each client trains and uploads its logits
+  /// on the public data (kTagAuxUp); reduce() updates the coefficients over
+  /// the survivors and runs phase 4 — distillation toward personalized
+  /// targets, or the "+weight" personalized-model exchange.
+  bool has_downlink() const override { return false; }
+  ClientUpdate update(FederatedRun& run, int round, Client& client,
+                      std::span<const std::byte> down) override;
+  int upload_tag() const override { return kTagAuxUp; }
+  void reduce(FederatedRun& run,
+              const FederatedRun::SurvivorGather& gathered) override;
   /// Lazy init sets up the coefficient matrix only. The one-time public
   /// data broadcast is skipped: in this single-process simulation clients
   /// validate and discard the duplicate payload (the strategy trains them
@@ -70,7 +78,6 @@ class KTpFL : public RoundStrategy {
   data::Dataset public_data_;
   KTpFLConfig config_;
   Tensor coef_;  // [K, K]
-  std::vector<int> selected_index_;  // scratch: client id -> position
 };
 
 }  // namespace fca::fl

@@ -1,25 +1,13 @@
 #include "fl/local_only.hpp"
 
-#include "obs/trace.hpp"
-
 namespace fca::fl {
 
-float LocalOnly::execute_round(FederatedRun& run, int round,
-                               const std::vector<int>& selected) {
-  // No communication, but the crash model still applies: a crashed client
-  // performs no local work this round.
-  const std::vector<int> live = run.live_clients(round, selected);
-  const std::vector<double> losses = run.executor().map(live, [&run](int k) {
-    const ClientStore::Lease lease = run.lease_client(k);
-    Client& c = *lease;
-    obs::TraceSpan train_span("fl", "local-train", run.config().local_epochs);
-    double loss = 0.0;
-    for (int e = 0; e < run.config().local_epochs; ++e) {
-      loss += c.train_epoch_supervised();
-    }
-    return loss;
-  });
-  return FederatedRun::mean_finite(losses, run.config().local_epochs);
+ClientUpdate LocalOnly::update(FederatedRun& run, int round, Client& client,
+                               std::span<const std::byte> down) {
+  (void)round;
+  (void)down;
+  return {run.local_train([&] { return client.train_epoch_supervised(); }),
+          {}};
 }
 
 }  // namespace fca::fl

@@ -6,11 +6,15 @@
 
 namespace fca::fl {
 
-class LocalOnly : public RoundStrategy {
+class LocalOnly : public PipelineStrategy {
  public:
   std::string name() const override { return "LocalOnly"; }
-  float execute_round(FederatedRun& run, int round,
-                      const std::vector<int>& selected) override;
+  /// The pipeline with local training only: no downlink, no upload. The
+  /// crash model still applies — a crashed client does no local work.
+  bool has_downlink() const override { return false; }
+  ClientUpdate update(FederatedRun& run, int round, Client& client,
+                      std::span<const std::byte> down) override;
+  int upload_tag() const override { return kTagNone; }
   /// No server state and no init sweep: clients start from their factory
   /// weights, so lazy mode needs no bootstrap at all.
   bool supports_lazy_init() const override { return true; }

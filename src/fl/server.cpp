@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "fl/rank_runner.hpp"
+#include "models/serialize.hpp"
 #include "obs/trace.hpp"
 #include "utils/error.hpp"
 #include "utils/logging.hpp"
@@ -69,10 +71,6 @@ void RoundStrategy::bootstrap_client(FederatedRun& run, Client& client,
                 "strategy " << name() << " has no client bootstrap, got "
                             << payload.size() << " payload bytes");
 }
-
-FederatedRun::FederatedRun(std::vector<ClientPtr> clients, FLConfig config)
-    : FederatedRun(std::make_unique<ClientStore>(std::move(clients)),
-                   std::move(config)) {}
 
 FederatedRun::FederatedRun(std::unique_ptr<ClientStore> store,
                            FLConfig config)
@@ -288,6 +286,84 @@ float FederatedRun::mean_finite(const std::vector<double>& values,
   }
   return n > 0 ? static_cast<float>(sum / (n * static_cast<size_t>(scale)))
                : 0.0f;
+}
+
+float FederatedRun::run_pipeline(PipelineStrategy& strategy, int round,
+                                 const std::vector<int>& selected) {
+  // Crashed cohort members neither receive nor train this round; on rejoin
+  // their next downlink re-syncs them with the current server state.
+  const std::vector<int> live = live_clients(round, selected);
+  const bool has_downlink = strategy.has_downlink();
+  if (has_downlink) {
+    comm::Bytes payload;
+    {
+      obs::TraceSpan ser_span("fl", "serialize");
+      payload = strategy.downlink(*this);
+      ser_span.set_value(static_cast<int64_t>(payload.size()));
+    }
+    obs::TraceSpan bcast_span("fl", "broadcast",
+                              static_cast<int64_t>(live.size()));
+    server_ep_->bcast_send(ranks_of(live), kTagModelDown, payload);
+  }
+
+  // One executor body per live client (fl/executor.hpp): each touches only
+  // its own leased client and rank mailboxes, so any client_parallelism
+  // yields the serial sweep's bits. A client whose downlink was lost sits
+  // the round out and reports NaN, which mean_finite excludes.
+  const int tag = strategy.upload_tag();
+  const std::vector<double> losses = executor_.map(live, [&](int k) {
+    const ClientStore::Lease lease = lease_client(k);
+    comm::Endpoint& ep = client_endpoint(k);
+    std::optional<comm::Bytes> down;
+    if (has_downlink) {
+      down = ep.try_recv(0, kTagModelDown);
+      if (!down.has_value()) return std::numeric_limits<double>::quiet_NaN();
+    }
+    const ClientUpdate update = strategy.update(
+        *this, round, *lease,
+        down.has_value() ? std::span<const std::byte>(*down)
+                         : std::span<const std::byte>());
+    if (tag != kTagNone) ep.send(0, tag, update.upload);
+    return update.loss;
+  });
+
+  // The server step over the survivors; below quorum the round aborts and
+  // the strategy's state carries over unchanged.
+  if (tag != kTagNone) {
+    obs::TraceSpan agg_span("fl", "aggregate");
+    const SurvivorGather g = gather_survivors(live, tag);
+    agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
+    if (g.quorum_met && !g.survivors.empty()) strategy.reduce(*this, g);
+  }
+  return mean_finite(losses, config_.local_epochs);
+}
+
+double FederatedRun::local_train(const std::function<float()>& epoch) const {
+  obs::TraceSpan train_span("fl", "local-train", config_.local_epochs);
+  double loss = 0.0;
+  for (int e = 0; e < config_.local_epochs; ++e) loss += epoch();
+  return loss;
+}
+
+void FederatedRun::average_into(
+    std::vector<Tensor>& global, const std::vector<int>& clients,
+    const std::vector<comm::Bytes>& payloads) const {
+  FCA_CHECK(!clients.empty() && clients.size() == payloads.size());
+  const std::vector<double> weights = data_weights(clients);
+  std::vector<Tensor> agg;
+  if (global.empty()) {
+    for (const models::TensorView& v : models::view_tensors(payloads[0])) {
+      agg.emplace_back(v.shape);
+    }
+  } else {
+    agg.reserve(global.size());
+    for (const Tensor& t : global) agg.emplace_back(t.shape());
+  }
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    models::accumulate_tensors(payloads[i], static_cast<float>(weights[i]),
+                               agg);
+  }
+  global = std::move(agg);
 }
 
 std::vector<double> FederatedRun::evaluate_all() {

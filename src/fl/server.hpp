@@ -4,8 +4,8 @@
 // = client k) and the round loop: sample participants, delegate the round
 // body to a RoundStrategy, evaluate every client on its local test set, and
 // record metrics. All algorithms (FedClassAvg and the baselines) plug in as
-// RoundStrategy implementations, so every method is measured under an
-// identical protocol.
+// PipelineStrategy stages of one round pipeline (FederatedRun::run_pipeline,
+// DESIGN.md §15), so every method is measured under an identical protocol.
 //
 // Round boundaries are the driver's durability points: a RoundHook observes
 // each completed round with the exact cursor (round index, sampler state,
@@ -14,8 +14,10 @@
 // (src/ckpt) plugs in through this interface.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "comm/endpoint.hpp"
@@ -84,6 +86,7 @@ struct FLConfig {
 
 /// Message tags on the fabric.
 enum Tag : int {
+  kTagNone = 0,        // no message (a pipeline stage that sends nothing)
   kTagModelDown = 1,   // server -> client parameter broadcast
   kTagModelUp = 2,     // client -> server parameter upload
   kTagAuxDown = 3,     // server -> client auxiliary payloads
@@ -92,6 +95,7 @@ enum Tag : int {
 };
 
 class FederatedRun;
+class PipelineStrategy;
 
 class RoundStrategy {
  public:
@@ -193,11 +197,9 @@ class FederatedRun {
  public:
   /// Store-backed construction: the run drives whatever population the
   /// store exposes; under a paged store the resident set stays within the
-  /// store's budget for the whole run.
+  /// store's budget for the whole run. All-resident runs wrap prebuilt
+  /// clients in a resident ClientStore.
   FederatedRun(std::unique_ptr<ClientStore> store, FLConfig config);
-  /// Historical all-resident construction; wraps the vector in a resident
-  /// ClientStore.
-  FederatedRun(std::vector<ClientPtr> clients, FLConfig config);
 
   /// Runs the federated protocol and returns the metric record.
   ///
@@ -277,8 +279,8 @@ class FederatedRun {
 
   /// Filters the sampled cohort down to clients whose rank is up this round
   /// under the fault plan, recording crashed-client rounds and rejoins in
-  /// FaultStats. Identity on a reliable fabric. Strategies must broadcast
-  /// to (and run round bodies over) this set, not the raw sample — a
+  /// FaultStats. Identity on a reliable fabric. The round pipeline
+  /// broadcasts to (and runs updates over) this set, not the raw sample — a
   /// crashed client neither receives nor trains.
   std::vector<int> live_clients(int round, const std::vector<int>& selected);
 
@@ -298,6 +300,27 @@ class FederatedRun {
 
   /// The round deadline strategies pass to Endpoint::recv_with_deadline.
   double round_deadline() const { return config_.faults.round_deadline_s; }
+
+  // -- the round pipeline (DESIGN.md §15) ------------------------------------
+
+  /// One round of `strategy`'s stages over the sampled cohort: live filter,
+  /// downlink serialize + broadcast, leased client updates on the executor,
+  /// survivor gather and quorum-gated reduce. Returns the mean local loss
+  /// (mean_finite over E epochs).
+  float run_pipeline(PipelineStrategy& strategy, int round,
+                     const std::vector<int>& selected);
+
+  /// The E = FLConfig::local_epochs epochs of one client update, under the
+  /// "local-train" span; returns the summed epoch losses.
+  double local_train(const std::function<float()>& epoch) const;
+
+  /// Eq. 1 average into `global`: sum_i w_i * payloads[i], w = data weights
+  /// renormalized over `clients`. Keeps global's shapes, or takes
+  /// payloads[0]'s when global is empty (the C^1 init); a payload of any
+  /// other tensor count or shape throws.
+  void average_into(std::vector<Tensor>& global,
+                    const std::vector<int>& clients,
+                    const std::vector<comm::Bytes>& payloads) const;
 
   // -- scoped (multi-process) execution: DESIGN.md §14 -----------------------
   /// True when this process drives a single fabric rank of a multi-process
@@ -381,6 +404,50 @@ class FederatedRun {
   std::unique_ptr<comm::Network> network_;
   std::unique_ptr<comm::Endpoint> server_ep_;
   std::vector<std::unique_ptr<comm::Endpoint>> client_eps_;
+};
+
+/// What one client's update stage hands back to the pipeline.
+struct ClientUpdate {
+  double loss = 0.0;   // summed over the local epochs (local_train)
+  comm::Bytes upload;  // sent to the server on upload_tag()
+};
+
+/// A RoundStrategy written as the stages of the one round pipeline
+/// (FederatedRun::run_pipeline). Per round the pipeline calls, in order:
+///   downlink()  once: the server -> cohort payload, produced under the
+///               "serialize" span and sent under "broadcast";
+///   update()    per live client, under its lease on the round executor,
+///               with the downlink bytes (a client whose downlink was lost
+///               skips the round);
+///   reduce()    once, inside the "aggregate" span, over the uploads that
+///               reached the server — only when the quorum is met and
+///               someone survived.
+class PipelineStrategy : public RoundStrategy {
+ public:
+  float execute_round(FederatedRun& run, int round,
+                      const std::vector<int>& selected) final {
+    return run.run_pipeline(*this, round, selected);
+  }
+
+  /// False for strategies without a downlink (LocalOnly, KT-pFL): no
+  /// serialize/broadcast, and update() gets empty `down` bytes.
+  virtual bool has_downlink() const { return true; }
+  virtual comm::Bytes downlink(FederatedRun& run) {
+    (void)run;
+    return {};
+  }
+  /// One client's local update: apply `down`, train via run.local_train(),
+  /// return the summed loss and the upload. Must touch only `client` (it
+  /// runs concurrently with other clients' updates).
+  virtual ClientUpdate update(FederatedRun& run, int round, Client& client,
+                              std::span<const std::byte> down) = 0;
+  /// Tag the uploads travel on; kTagNone skips upload, gather and reduce.
+  virtual int upload_tag() const { return kTagModelUp; }
+  virtual void reduce(FederatedRun& run,
+                      const FederatedRun::SurvivorGather& gathered) {
+    (void)run;
+    (void)gathered;
+  }
 };
 
 }  // namespace fca::fl

@@ -40,10 +40,6 @@ ThreadPool::SerialRegion::SerialRegion() { ++t_task_depth; }
 ThreadPool::SerialRegion::~SerialRegion() { --t_task_depth; }
 
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 1 ? hw - 1 : 0;
-  }
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -121,7 +117,12 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& global_pool() {
-  static ThreadPool pool;
+  // One worker per hardware thread besides the caller's, which joins in
+  // through wait_all(); a single-core host gets a worker-less pool.
+  static ThreadPool pool([] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 1 ? hw - 1 : 0u;
+  }());
   return pool;
 }
 

@@ -28,8 +28,8 @@ namespace fca {
 /// global_pool()); standalone instances are used in tests.
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means hardware_concurrency - 1.
-  explicit ThreadPool(unsigned threads = 0);
+  /// Creates exactly `threads` workers (0 is a valid, worker-less pool).
+  explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -37,6 +37,13 @@ inline core::ExperimentConfig tiny_experiment_config(int num_clients = 4) {
   return cfg;
 }
 
+/// A run over `exp`'s freshly built clients in an all-resident store.
+inline std::unique_ptr<fl::FederatedRun> resident_run(
+    const core::Experiment& exp) {
+  return std::make_unique<fl::FederatedRun>(
+      std::make_unique<fl::ClientStore>(exp.build_clients()), exp.fl_config());
+}
+
 /// Curve-only bit-identity: every curve row must match, but the traffic
 /// totals may differ. This is the contract lazy init makes: round_bytes
 /// watermarks are taken after initialize(), so the curve is identical to an

@@ -258,8 +258,7 @@ TEST(CheckpointResume, CorruptNewestFallsBackToPreviousCheckpoint) {
 
   core::Experiment second_exp(resume_test_config(7));
   core::FedClassAvg second(second_exp.fedclassavg_config());
-  auto run = std::make_unique<fl::FederatedRun>(second_exp.build_clients(),
-                                                second_exp.fl_config());
+  auto run = test::resident_run(second_exp);
   ckpt::CheckpointManager manager(opts);
   const fl::ResumeState cursor = manager.resume(*run, second);
   EXPECT_EQ(cursor.next_round, 5);  // round-4 checkpoint, not the corrupt 5

@@ -107,8 +107,7 @@ TEST(FedClassAvgProto, RejectsWeightSharingConfig) {
 
 TEST(FedClassAvgProto, SynchronizesClassifiersLikeBase) {
   core::Experiment exp(tiny_experiment_config());
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
-                                                exp.fl_config());
+  auto run = test::resident_run(exp);
   core::FedClassAvgProto strat;
   strat.initialize(*run);
   const Tensor& w0 = run->client(0).model().classifier().weight().value;

@@ -52,8 +52,7 @@ TEST(FedClassAvg, NameReflectsAblationFlags) {
 
 TEST(FedClassAvg, InitializeUnifiesClassifiersAcrossHeterogeneousModels) {
   core::Experiment exp(tiny_experiment_config());
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
-                                                exp.fl_config());
+  auto run = test::resident_run(exp);
   FedClassAvg strat{FedClassAvgConfig{}};
   strat.initialize(*run);
   const Tensor& w0 = run->client(0).model().classifier().weight().value;
@@ -69,8 +68,7 @@ TEST(FedClassAvg, InitializeUnifiesClassifiersAcrossHeterogeneousModels) {
 
 TEST(FedClassAvg, RoundEndsWithAveragedClassifierBroadcastNextRound) {
   core::Experiment exp(tiny_experiment_config());
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
-                                                exp.fl_config());
+  auto run = test::resident_run(exp);
   FedClassAvg strat{FedClassAvgConfig{}};
   strat.initialize(*run);
   strat.execute_round(*run, 1, {0, 1, 2, 3});
@@ -132,8 +130,7 @@ TEST(FedClassAvg, ProximalTermLimitsClassifierDrift) {
 
 TEST(FedClassAvg, RejectsUninitializedRound) {
   core::Experiment exp(tiny_experiment_config());
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
-                                                exp.fl_config());
+  auto run = test::resident_run(exp);
   FedClassAvg strat{FedClassAvgConfig{}};
   EXPECT_THROW(strat.execute_round(*run, 1, {0}), Error);
 }
@@ -142,8 +139,7 @@ TEST(FedClassAvg, WeightVariantSynchronizesFullModel) {
   core::ExperimentConfig cfg = tiny_experiment_config();
   cfg.models = core::ModelScheme::kHomogeneousResNet;
   core::Experiment exp(cfg);
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
-                                                exp.fl_config());
+  auto run = test::resident_run(exp);
   FedClassAvgConfig fcfg;
   fcfg.share_all_weights = true;
   FedClassAvg strat(fcfg);

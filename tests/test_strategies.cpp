@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/fedclassavg_proto.hpp"
 #include "fl_fixtures.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/fedprox.hpp"
@@ -75,8 +76,7 @@ TEST(LocalOnly, NoTrafficAndLearning) {
 
 TEST(FedAvg, InitializeSynchronizesAllClients) {
   core::Experiment exp(homogeneous_config());
-  auto run = std::make_unique<FederatedRun>(exp.build_clients(),
-                                            exp.fl_config());
+  auto run = test::resident_run(exp);
   FedAvg strat;
   strat.initialize(*run);
   const auto ref = models::snapshot_values(run->client(0).model().parameters());
@@ -114,8 +114,7 @@ TEST(FedProx, HeavyMuStaysCloserToGlobalThanFedAvg) {
   // Run one round each and compare drift of client 0 from the broadcast
   // model. Deterministic construction makes the comparison exact.
   auto measure_drift = [&](RoundStrategy& strat) {
-    auto run = std::make_unique<FederatedRun>(exp.build_clients(),
-                                              exp.fl_config());
+    auto run = test::resident_run(exp);
     strat.initialize(*run);
     const auto before =
         models::snapshot_values(run->client(0).model().parameters());
@@ -214,8 +213,8 @@ TEST(KTpFL, PublicBroadcastDominatesSoftLabelTraffic) {
 
 TEST(Server, DataWeightsNormalized) {
   core::Experiment exp(tiny_experiment_config());
-  FederatedRun run(exp.build_clients(), exp.fl_config());
-  const auto w = run.data_weights({0, 1, 2, 3});
+  const auto run = test::resident_run(exp);
+  const auto w = run->data_weights({0, 1, 2, 3});
   double total = 0.0;
   for (double v : w) {
     EXPECT_GT(v, 0.0);
@@ -226,8 +225,8 @@ TEST(Server, DataWeightsNormalized) {
 
 TEST(Server, EvaluateAllReturnsPerClientAccuracies) {
   core::Experiment exp(tiny_experiment_config());
-  FederatedRun run(exp.build_clients(), exp.fl_config());
-  const auto acc = run.evaluate_all();
+  const auto run = test::resident_run(exp);
+  const auto acc = run->evaluate_all();
   EXPECT_EQ(acc.size(), 4u);
   for (double a : acc) {
     EXPECT_GE(a, 0.0);
@@ -246,6 +245,102 @@ TEST(Server, CurveRespectsEvalEvery) {
   EXPECT_EQ(done.result.curve[0].round, 2);
   EXPECT_EQ(done.result.curve[1].round, 4);
   EXPECT_EQ(done.result.curve[1].cumulative_local_epochs, 4);
+}
+
+// -- bounded stage decoders --------------------------------------------------
+// Every payload a stage decodes (downlink, upload, checkpointed state) is
+// checked for its tensor count and shapes before anything indexes it: a
+// short or mis-shaped payload throws fca::Error instead of reading out of
+// bounds.
+
+comm::Bytes pack(const std::vector<Tensor>& tensors) {
+  return models::serialize_tensors(tensors);
+}
+
+/// A gather in which client k delivered payloads[k].
+FederatedRun::SurvivorGather gather_of(std::vector<comm::Bytes> payloads) {
+  FederatedRun::SurvivorGather g;
+  for (size_t k = 0; k < payloads.size(); ++k) {
+    g.survivors.push_back(static_cast<int>(k));
+  }
+  g.payloads = std::move(payloads);
+  return g;
+}
+
+TEST(StageDecoders, FedProtoRejectsShortOrMisshapedPayloads) {
+  core::ExperimentConfig cfg = tiny_experiment_config();
+  cfg.models = core::ModelScheme::kFedProtoFamily;
+  core::Experiment exp(cfg);
+  const auto run = test::resident_run(exp);
+  FedProto strat;
+  (void)strat.downlink(*run);  // sizes the prototype state
+  Client& client = run->client(0);
+  const int64_t c = client.model().num_classes();
+  const int64_t d = client.model().feature_dim();
+  const Tensor protos({c, d});
+  for (const comm::Bytes& down :
+       {pack({protos}), pack({Tensor({c, d + 1}), Tensor({c})}),
+        pack({protos, Tensor({c + 1})})}) {
+    EXPECT_THROW(strat.update(*run, 1, client, down), Error);
+  }
+  for (const comm::Bytes& up :
+       {pack({protos}), pack({protos, Tensor({c - 1})}),
+        pack({Tensor({c, d - 1}), Tensor({c})})}) {
+    EXPECT_THROW(strat.reduce(*run, gather_of({up})), Error);
+  }
+  for (const comm::Bytes& state :
+       {pack({protos}), pack({protos, Tensor({c + 1})}),
+        pack({Tensor({c * d}), Tensor({c})})}) {
+    EXPECT_THROW(strat.load_state(state), Error);
+  }
+}
+
+TEST(StageDecoders, FedClassAvgProtoRejectsShortOrMisshapedPayloads) {
+  core::Experiment exp(tiny_experiment_config());
+  const auto run = test::resident_run(exp);
+  core::FedClassAvgProto strat;
+  strat.initialize(*run);
+  Client& client = run->client(0);
+  const int64_t c = client.model().num_classes();
+  const int64_t d = client.model().feature_dim();
+  const Tensor w({c, d});
+  const Tensor b({c});
+  const Tensor protos({c, d});
+  for (const comm::Bytes& down :
+       {pack({w, b, protos}), pack({w, b, protos, Tensor({c + 2})}),
+        pack({w, b, Tensor({c, d + 1}), b})}) {
+    EXPECT_THROW(strat.update(*run, 1, client, down), Error);
+  }
+  for (const comm::Bytes& up :
+       {pack({w, b, protos}), pack({w, b, protos, Tensor({c - 1})})}) {
+    EXPECT_THROW(strat.reduce(*run, gather_of({up})), Error);
+  }
+  for (const comm::Bytes& state :
+       {pack({w, b, protos}), pack({w, b, protos, Tensor({c + 1})})}) {
+    EXPECT_THROW(strat.load_state(state), Error);
+  }
+}
+
+TEST(StageDecoders, KTpFLRejectsShortOrMisshapedLogits) {
+  core::Experiment exp(tiny_experiment_config());
+  const auto run = test::resident_run(exp);
+  KTpFL strat(exp.public_data(), {});
+  strat.initialize(*run);
+  const int64_t p = exp.public_data().size();
+  const int64_t c = run->client(0).model().num_classes();
+  // Rejected while decoding, before the coefficients move.
+  const Tensor coef = strat.coefficients().clone();
+  auto expect_rejected = [&](std::vector<comm::Bytes> uploads) {
+    EXPECT_THROW(strat.reduce(*run, gather_of(std::move(uploads))), Error);
+    EXPECT_TRUE(allclose(strat.coefficients(), coef, 0.0f, 0.0f));
+  };
+  expect_rejected({pack({})});
+  // Two distinct predictions, so a coefficient update would move them.
+  Tensor peaked({p + 1, c});
+  peaked[0] = 4.0f;
+  expect_rejected({pack({Tensor({p + 1, c})}), pack({peaked})});
+  // Survivors whose logits disagree in shape cannot be compared pairwise.
+  expect_rejected({pack({Tensor({p, c})}), pack({Tensor({p, c + 1})})});
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 //   * emission is thread-safe (an 8-thread hammer, run under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -17,8 +18,13 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "core/fedclassavg.hpp"
+#include "core/fedclassavg_proto.hpp"
 #include "core/trainer.hpp"
 #include "fl/fedavg.hpp"
+#include "fl/fedproto.hpp"
+#include "fl/fedprox.hpp"
+#include "fl/ktpfl.hpp"
+#include "fl/local_only.hpp"
 #include "fl/metrics.hpp"
 #include "fl_fixtures.hpp"
 #include "obs/metrics.hpp"
@@ -38,21 +44,43 @@ core::ExperimentConfig trace_test_config(const std::string& strategy,
   core::ExperimentConfig cfg = tiny_experiment_config();
   cfg.rounds = 4;
   cfg.client_parallelism = parallelism;
-  if (strategy == "fedavg") {
+  // Weight-sharing strategies need one architecture; FedProto its CNN family.
+  if (strategy == "fedavg" || strategy == "fedprox" ||
+      strategy == "ktpfl-weight") {
     cfg.models = core::ModelScheme::kHomogeneousResNet;
+  } else if (strategy == "fedproto") {
+    cfg.models = core::ModelScheme::kFedProtoFamily;
   }
   return cfg;
 }
 
 std::unique_ptr<fl::RoundStrategy> make_strategy(
     const std::string& name, const core::Experiment& experiment) {
+  if (name == "local") return std::make_unique<fl::LocalOnly>();
   if (name == "fedavg") return std::make_unique<fl::FedAvg>();
+  if (name == "fedprox") return std::make_unique<fl::FedProx>(0.1f);
+  if (name == "fedproto") return std::make_unique<fl::FedProto>();
+  if (name == "ktpfl" || name == "ktpfl-weight") {
+    fl::KTpFLConfig cfg;
+    cfg.share_weights = name == "ktpfl-weight";
+    return std::make_unique<fl::KTpFL>(experiment.public_data(), cfg);
+  }
   if (name == "fedclassavg") {
     return std::make_unique<core::FedClassAvg>(
         experiment.fedclassavg_config());
   }
+  if (name == "fedclassavg-proto") {
+    core::FedClassAvgProtoConfig cfg;
+    cfg.base = experiment.fedclassavg_config();
+    return std::make_unique<core::FedClassAvgProto>(cfg);
+  }
   throw std::runtime_error("unknown strategy: " + name);
 }
+
+/// Every strategy the round driver runs, by its fca_cli --algorithm name.
+constexpr const char* kAllStrategies[] = {
+    "local", "fedavg",       "fedprox",     "fedproto",
+    "ktpfl", "ktpfl-weight", "fedclassavg", "fedclassavg-proto"};
 
 /// RAII tracing window: flips the flag on, clears any prior capture, and
 /// guarantees the flag is off again even if an assertion throws.
@@ -144,6 +172,75 @@ TEST(GoldenTrace, FedAvgRoundHasTheCanonicalPhaseSequence) {
   }
 }
 
+// Every strategy's round protocol as a trace. Per round, rank 0 emits the
+// "name=value" spans of `server` in close order, and every client rank emits
+// exactly the span names of `client`. Serialize values are payload bytes;
+// the cohort-sized values are the tiny fixture's 4 clients.
+struct RoundGolden {
+  const char* strategy;
+  const char* server;
+  const char* client;
+};
+
+constexpr RoundGolden kRoundGoldens[] = {
+    {"local", "round=4 eval=4", "local-train"},
+    {"fedavg", "serialize=179388 broadcast=4 aggregate=4 round=4 eval=4",
+     "local-train"},
+    {"fedprox", "serialize=179388 broadcast=4 aggregate=4 round=4 eval=4",
+     "local-train"},
+    {"fedproto", "serialize=726 broadcast=4 aggregate=4 round=4 eval=4",
+     "local-train"},
+    {"ktpfl", "broadcast=4 aggregate=4 round=4 eval=4",
+     "local-train distill"},
+    {"ktpfl-weight", "exchange=4 aggregate=4 round=4 eval=4", "local-train"},
+    {"fedclassavg", "serialize=726 broadcast=4 aggregate=4 round=4 eval=4",
+     "local-train"},
+    {"fedclassavg-proto",
+     "serialize=1448 broadcast=4 aggregate=4 round=4 eval=4", "local-train"},
+};
+
+class RoundGoldenTrace : public ::testing::TestWithParam<RoundGolden> {};
+
+TEST_P(RoundGoldenTrace, RoundHasThePinnedSpanSequence) {
+  const RoundGolden& golden = GetParam();
+  const auto events = run_traced(golden.strategy, 1);
+  const core::ExperimentConfig cfg = trace_test_config(golden.strategy, 1);
+  for (int round = 1; round <= cfg.rounds; ++round) {
+    std::string server;
+    std::vector<std::string> clients(static_cast<size_t>(cfg.num_clients));
+    for (const auto& e : events) {
+      ASSERT_GE(e.round, 1);
+      ASSERT_LE(e.round, cfg.rounds);
+      ASSERT_GE(e.rank, 0);
+      ASSERT_LE(e.rank, cfg.num_clients);
+      if (e.round != round) continue;
+      EXPECT_STREQ(e.cat, "fl");
+      if (e.rank == 0) {
+        if (!server.empty()) server += ' ';
+        server += std::string(e.name) + "=" + std::to_string(e.value);
+      } else {
+        std::string& names = clients[static_cast<size_t>(e.rank - 1)];
+        if (!names.empty()) names += ' ';
+        names += e.name;
+      }
+    }
+    EXPECT_EQ(server, golden.server)
+        << golden.strategy << " round " << round;
+    for (int k = 0; k < cfg.num_clients; ++k) {
+      EXPECT_EQ(clients[static_cast<size_t>(k)], golden.client)
+          << golden.strategy << " round " << round << " rank " << k + 1;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, RoundGoldenTrace, ::testing::ValuesIn(kRoundGoldens),
+    [](const ::testing::TestParamInfo<RoundGolden>& info) {
+      std::string name = info.param.strategy;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
 TEST(GoldenTrace, DisabledTracingEmitsNothing) {
   ASSERT_FALSE(obs::tracing_enabled());
   obs::Tracer::instance().reset();
@@ -180,8 +277,13 @@ TEST_P(TraceDeterminism, RerunIsByteIdentical) {
   EXPECT_EQ(obs::logical_digest(a), obs::logical_digest(b));
 }
 
-INSTANTIATE_TEST_SUITE_P(Strategies, TraceDeterminism,
-                         ::testing::Values("fedavg", "fedclassavg"));
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, TraceDeterminism, ::testing::ValuesIn(kAllStrategies),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(TraceDeterminism, KernelProfileIsIdenticalAcrossParallelism) {
   // With the profile flag on, kernel spans (gemm/conv/SupCon/optimizer) join

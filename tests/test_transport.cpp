@@ -749,7 +749,7 @@ TEST(NetworkDeadlines, FederatedRunRejectsNonPositiveRoundDeadline) {
   cfg.faults.drop_rate = 0.1;
   cfg.faults.round_deadline_s = -1.0;
   core::Experiment exp(cfg);
-  EXPECT_THROW(fl::FederatedRun(exp.build_clients(), exp.fl_config()), Error);
+  EXPECT_THROW(test::resident_run(exp), Error);
 }
 
 }  // namespace
