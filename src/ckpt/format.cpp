@@ -78,12 +78,12 @@ std::string ByteReader::str() {
   pos_ += len;
   return s;
 }
-std::vector<std::byte> ByteReader::blob() {
+std::span<const std::byte> ByteReader::blob() {
   const uint64_t len = u64();
-  FCA_CHECK_MSG(pos_ + len <= bytes_.size(), "truncated checkpoint payload");
-  std::vector<std::byte> b(bytes_.begin() + static_cast<ptrdiff_t>(pos_),
-                           bytes_.begin() + static_cast<ptrdiff_t>(pos_ + len));
-  pos_ += len;
+  FCA_CHECK_MSG(len <= bytes_.size() - pos_, "truncated checkpoint payload");
+  const std::span<const std::byte> b =
+      bytes_.subspan(pos_, static_cast<size_t>(len));
+  pos_ += static_cast<size_t>(len);
   return b;
 }
 void ByteReader::expect_done() const {
@@ -99,25 +99,30 @@ void SectionWriter::add(const std::string& name,
 }
 
 void SectionWriter::write(const std::string& path, uint32_t version) const {
-  std::vector<std::byte> file(
-      reinterpret_cast<const std::byte*>(kMagic),
-      reinterpret_cast<const std::byte*>(kMagic) + sizeof(kMagic));
-  ByteWriter header;
-  header.u32(version);
-  header.u32(static_cast<uint32_t>(sections_.size()));
+  // Only the header and each section's name/length/CRC prefix are built
+  // here; the file is gathered from them and the payloads as they lie.
+  ByteWriter w;
+  w.u32(version);
+  w.u32(static_cast<uint32_t>(sections_.size()));
+  std::vector<std::vector<std::byte>> prefixes;
+  prefixes.reserve(sections_.size() + 1);
+  prefixes.push_back(w.take());
   for (const auto& [name, payload] : sections_) {
-    header.str(name);
-    header.u64(payload.size());
-    header.u32(crc32(payload));
-    const std::vector<std::byte> chunk = header.take();
-    file.insert(file.end(), chunk.begin(), chunk.end());
-    file.insert(file.end(), payload.begin(), payload.end());
+    w.str(name);
+    w.u64(payload.size());
+    w.u32(crc32(payload));
+    prefixes.push_back(w.take());
   }
-  if (sections_.empty()) {
-    const std::vector<std::byte> chunk = header.take();
-    file.insert(file.end(), chunk.begin(), chunk.end());
+  std::vector<std::span<const std::byte>> chunks;
+  chunks.reserve(2 * sections_.size() + 2);
+  chunks.emplace_back(reinterpret_cast<const std::byte*>(kMagic),
+                      sizeof(kMagic));
+  chunks.emplace_back(prefixes[0]);
+  for (size_t i = 0; i < sections_.size(); ++i) {
+    chunks.emplace_back(prefixes[i + 1]);
+    chunks.emplace_back(sections_[i].second);
   }
-  atomic_write_file(path, std::span<const std::byte>(file));
+  atomic_write_file(path, chunks);
 }
 
 SectionReader::SectionReader(const std::string& path) {

@@ -58,6 +58,12 @@ class ByteWriter {
   void f64(double v);
   void str(const std::string& s);            // u32 length + bytes
   void blob(std::span<const std::byte> b);   // u64 length + bytes
+  /// Reserves room for `n` more bytes: a writer sized up front builds its
+  /// payload in one allocation.
+  void reserve(size_t n) { out_.reserve(out_.size() + n); }
+  /// The payload built so far, for serializers that append in place
+  /// (models::append_state) instead of handing over a finished blob.
+  std::vector<std::byte>& buffer() { return out_; }
   /// Returns the accumulated bytes and resets the writer.
   std::vector<std::byte> take() {
     std::vector<std::byte> v = std::move(out_);
@@ -78,7 +84,9 @@ class ByteReader {
   int64_t i64();
   double f64();
   std::string str();
-  std::vector<std::byte> blob();
+  /// A u64-length-prefixed byte string, viewed in place (valid while the
+  /// reader's bytes live).
+  std::span<const std::byte> blob();
   bool done() const { return pos_ == bytes_.size(); }
   /// Asserts the payload was consumed exactly.
   void expect_done() const;
@@ -94,9 +102,10 @@ class SectionWriter {
  public:
   /// Adds a section; names must be unique within one file.
   void add(const std::string& name, std::vector<std::byte> payload);
-  /// Serializes header + sections and atomically replaces `path`. The
-  /// version override exists for tests that fabricate older-format files;
-  /// production saves always stamp kFormatVersion.
+  /// Writes header + sections and atomically replaces `path`. Payloads are
+  /// written where they lie, never joined into a second file-sized buffer.
+  /// The version override exists for tests that fabricate older-format
+  /// files; production saves always stamp kFormatVersion.
   void write(const std::string& path,
              uint32_t version = kFormatVersion) const;
 

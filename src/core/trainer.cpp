@@ -3,7 +3,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "fl/obs_hook.hpp"
@@ -12,6 +14,28 @@
 #include "utils/logging.hpp"
 
 namespace fca::core {
+namespace {
+
+/// FCA_MAX_RESIDENT_CLIENTS as a plain non-negative decimal int: a sign,
+/// whitespace, trailing bytes or an overflow is an EnvError, never a silent
+/// fallback to all-resident.
+int parse_resident_budget(const char* value) {
+  const char* end = value + std::strlen(value);
+  int budget = 0;
+  const auto [stop, ec] = std::from_chars(value, end, budget);
+  if (ec != std::errc() || stop != end || budget < 0) {
+    throw EnvError("FCA_MAX_RESIDENT_CLIENTS", value,
+                   "a non-negative decimal client count");
+  }
+  return budget;
+}
+
+}  // namespace
+
+EnvError::EnvError(std::string variable, const std::string& value,
+                   const std::string& expected)
+    : Error(variable + "='" + value + "' is not " + expected),
+      variable_(std::move(variable)) {}
 
 ExperimentConfig& ExperimentConfig::with_scaled_preset() {
   const HyperPreset p = scaled_preset(dataset);
@@ -118,7 +142,7 @@ std::vector<fl::ClientPtr> Experiment::build_clients() const {
 std::unique_ptr<fl::ClientStore> Experiment::build_store() const {
   int budget = config_.max_resident_clients;
   if (const char* env = std::getenv("FCA_MAX_RESIDENT_CLIENTS")) {
-    if (*env != '\0') budget = std::atoi(env);
+    if (*env != '\0') budget = parse_resident_budget(env);
   }
   if (budget <= 0 && !config_.lazy_init) {
     // Historical behavior: the whole population resident for the run.

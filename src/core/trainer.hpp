@@ -71,7 +71,8 @@ struct ExperimentConfig {
   /// (--max-resident-clients). 0 keeps the historical all-resident
   /// behavior; > 0 backs the run with a paging ClientStore whose idle
   /// clients live on disk. Must be at least client parallelism + 1.
-  /// FCA_MAX_RESIDENT_CLIENTS overrides at store construction.
+  /// FCA_MAX_RESIDENT_CLIENTS (a plain non-negative decimal; anything else
+  /// throws EnvError) overrides at store construction.
   int max_resident_clients = 0;
   /// Directory for client page files; empty picks a fresh directory under
   /// the system temp dir (cleaned up with the store).
@@ -94,6 +95,18 @@ struct ExperimentConfig {
   /// Applies the dataset's scaled hyper-parameter preset (lr, batch size,
   /// local epochs) on top of this config.
   ExperimentConfig& with_scaled_preset();
+};
+
+/// An FCA_* environment override holds a value that does not parse. The
+/// message names the variable, its value and what was expected.
+class EnvError : public Error {
+ public:
+  EnvError(std::string variable, const std::string& value,
+           const std::string& expected);
+  const std::string& variable() const { return variable_; }
+
+ private:
+  std::string variable_;
 };
 
 /// A finished run: the metrics plus the driver (for post-hoc analysis of the

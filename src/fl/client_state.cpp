@@ -1,6 +1,6 @@
 #include "fl/client_state.hpp"
 
-#include <algorithm>
+#include <cstring>
 
 #include "ckpt/format.hpp"
 #include "models/serialize.hpp"
@@ -9,40 +9,52 @@
 namespace fca::fl {
 
 std::vector<std::byte> encode_client_state(Client& client) {
-  ckpt::ByteWriter w;
-  w.blob(models::serialize_state(client.model()));
+  models::SplitModel& model = client.model();
   // Optimizer: scalar state (e.g. Adam's step count) + slot tensors.
   const std::vector<int64_t> scalars = client.optimizer().scalar_state();
+  const std::vector<Tensor*> slots = client.optimizer().state_tensors();
+  const size_t model_bytes = models::serialized_state_size(model);
+  const size_t slot_bytes = models::serialized_tensors_size(slots);
+  // One exactly sized buffer: the model and the slots serialize straight
+  // into it, read in place (no clones, no intermediate blobs).
+  ckpt::ByteWriter w;
+  w.reserve(sizeof(uint64_t) + model_bytes + sizeof(uint32_t) +
+            scalars.size() * sizeof(int64_t) + sizeof(uint64_t) +
+            slot_bytes + sizeof(uint64_t));
+  w.u64(model_bytes);
+  models::append_state(model, w.buffer());
   w.u32(static_cast<uint32_t>(scalars.size()));
   for (int64_t s : scalars) w.i64(s);
-  std::vector<Tensor> slots;
-  for (Tensor* t : client.optimizer().state_tensors()) {
-    slots.push_back(t->clone());
-  }
-  w.blob(models::serialize_tensors(slots));
+  w.u64(slot_bytes);
+  models::append_tensors(slots, w.buffer());
   w.u64(client.rng().state());
   return w.take();
 }
 
 void decode_client_state(std::span<const std::byte> bytes, Client& client) {
+  // Parsed in place: the model and slot blobs are views into `bytes`.
   ckpt::ByteReader r(bytes);
-  const std::vector<std::byte> model_state = r.blob();
-  models::deserialize_state(model_state, client.model());
+  models::deserialize_state(r.blob(), client.model());
   const uint32_t scalar_count = r.u32();
+  FCA_CHECK_MSG(scalar_count <= bytes.size() / sizeof(int64_t),
+                "optimizer scalar count " << scalar_count
+                                          << " overruns the client state");
   std::vector<int64_t> scalars(scalar_count);
   for (uint32_t i = 0; i < scalar_count; ++i) scalars[i] = r.i64();
   client.optimizer().restore_scalar_state(scalars);
-  const std::vector<std::byte> slot_bytes = r.blob();
-  const std::vector<Tensor> slots = models::deserialize_tensors(slot_bytes);
+  const std::vector<models::TensorView> slots = models::view_tensors(r.blob());
   const std::vector<Tensor*> targets = client.optimizer().state_tensors();
   FCA_CHECK_MSG(slots.size() == targets.size(),
                 "optimizer slot count mismatch for client " << client.id()
                     << ": serialized state has " << slots.size()
                     << ", live has " << targets.size());
   for (size_t i = 0; i < slots.size(); ++i) {
-    FCA_CHECK_MSG(slots[i].same_shape(*targets[i]),
+    FCA_CHECK_MSG(slots[i].shape == targets[i]->shape(),
                   "optimizer slot shape mismatch for client " << client.id());
-    std::copy_n(slots[i].data(), slots[i].numel(), targets[i]->data());
+    if (slots[i].numel > 0) {
+      std::memcpy(targets[i]->data(), slots[i].data,
+                  static_cast<size_t>(slots[i].numel) * sizeof(float));
+    }
   }
   client.rng().restore(r.u64());
   r.expect_done();

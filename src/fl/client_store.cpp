@@ -1,6 +1,7 @@
 #include "fl/client_store.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -89,6 +90,7 @@ ClientStore::ClientStore(int population, ClientFactory factory,
   }
   dirty_.assign(static_cast<size_t>(population_), 0);
   page_valid_.assign(static_cast<size_t>(population_), 0);
+  in_transit_.assign(static_cast<size_t>(population_), 0);
 }
 
 ClientStore::~ClientStore() {
@@ -126,8 +128,7 @@ ClientStore::Lease ClientStore::lease(int k, bool mark_dirty) {
     return Lease(nullptr, k, resident_all_[static_cast<size_t>(k)].get());
   }
   std::unique_lock<std::mutex> lk(mu_);
-  Client& c = acquire_locked(k, mark_dirty, lk);
-  ++entries_.find(k)->second.pins;
+  Client& c = acquire(k, mark_dirty, /*pin=*/true, lk);
   return Lease(this, k, &c);
 }
 
@@ -135,7 +136,7 @@ Client& ClientStore::touch(int k, bool mark_dirty) {
   check_id(k);
   if (factory_ == nullptr) return *resident_all_[static_cast<size_t>(k)];
   std::unique_lock<std::mutex> lk(mu_);
-  return acquire_locked(k, mark_dirty, lk);
+  return acquire(k, mark_dirty, /*pin=*/false, lk);
 }
 
 void ClientStore::release(int k) {
@@ -145,103 +146,179 @@ void ClientStore::release(int k) {
   --it->second.pins;
 }
 
-Client& ClientStore::acquire_locked(int k, bool mark_dirty,
-                                    std::unique_lock<std::mutex>& lk) {
-  if (mark_dirty) dirty_[static_cast<size_t>(k)] = 1;
-  auto it = entries_.find(k);
-  Client* c;
-  if (it != entries_.end()) {
-    it->second.last_use = ++use_tick_;
-    c = it->second.client.get();
-  } else {
-    c = &materialize_locked(k, lk);
-  }
-  mru_id_ = k;
-  return *c;
+void ClientStore::settle(int k, std::unique_lock<std::mutex>& lk) {
+  settled_.wait(lk, [&] { return in_transit_[static_cast<size_t>(k)] == 0; });
 }
 
-Client& ClientStore::materialize_locked(int k,
-                                        std::unique_lock<std::mutex>& lk) {
-  (void)lk;
-  ensure_room_locked();
-  ClientPtr client = factory_(k);
-  FCA_CHECK_MSG(client != nullptr, "factory returned null for client " << k);
-  ++stats_.materializations;
-  if (page_valid_[static_cast<size_t>(k)] != 0) {
-    const std::string path = page_path(k);
-    try {
-      ckpt::SectionReader reader(path);
-      ckpt::ByteReader meta(reader.section("meta"));
-      const uint32_t id = meta.u32();
-      meta.expect_done();
-      FCA_CHECK_MSG(static_cast<int>(id) == k,
-                    "page records client " << id << ", expected " << k);
-      decode_client_state(reader.section("state"), *client);
-    } catch (const PageError&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw PageError(k, path, e.what());
-    }
-    ++stats_.page_loads;
-  } else if (bootstrap_armed_) {
-    // Clean first materialization under lazy initialization: apply the
-    // armed bootstrap so the client starts exactly where the eager init
-    // sweep would have left it. The result is still re-derivable, so the
-    // client stays clean.
-    bootstrap_strategy_->bootstrap_client(*bootstrap_run_, *client,
-                                          bootstrap_payload_);
+void ClientStore::settle_all(std::unique_lock<std::mutex>& lk) {
+  settled_.wait(lk, [&] { return transits_ == 0; });
+}
+
+void ClientStore::off_lock(int k, std::unique_lock<std::mutex>& lk,
+                           const std::function<void()>& io) {
+  in_transit_[static_cast<size_t>(k)] = 1;
+  ++transits_;
+  lk.unlock();
+  std::exception_ptr failure;
+  try {
+    io();
+  } catch (...) {
+    failure = std::current_exception();
   }
-  Entry e;
-  e.client = std::move(client);
-  e.last_use = ++use_tick_;
-  Client& ref = *e.client;
-  entries_.emplace(k, std::move(e));
+  lk.lock();
+  in_transit_[static_cast<size_t>(k)] = 0;
+  --transits_;
+  settled_.notify_all();
+  if (failure) std::rethrow_exception(failure);
+}
+
+Client& ClientStore::acquire(int k, bool mark_dirty, bool pin,
+                             std::unique_lock<std::mutex>& lk) {
+  for (;;) {
+    settle(k, lk);
+    auto it = entries_.find(k);
+    if (it != entries_.end()) {
+      Entry& e = it->second;
+      e.last_use = ++use_tick_;
+      if (pin) ++e.pins;
+      if (mark_dirty) {
+        dirty_[static_cast<size_t>(k)] = 1;
+        e.page_current = false;
+      }
+      mru_id_ = k;
+      return *e.client;
+    }
+    make_room(lk);
+    // make_room may have dropped the lock: another lane can have started
+    // (or finished) materializing k meanwhile.
+    if (in_transit_[static_cast<size_t>(k)] == 0 && entries_.count(k) == 0) {
+      return materialize(k, mark_dirty, pin, lk);
+    }
+  }
+}
+
+Client& ClientStore::materialize(int k, bool mark_dirty, bool pin,
+                                 std::unique_lock<std::mutex>& lk) {
+  // The slot is taken before the lock drops, so the budget counts k from
+  // here on. References into the map survive rehashing, and nobody erases
+  // an entry in transit, so `e` stays valid across the unlocked build.
+  Entry& e = entries_[k];
+  e.pins = pin ? 1 : 0;
   stats_.peak_resident =
       std::max(stats_.peak_resident, static_cast<int>(entries_.size()));
-  return ref;
+  const bool from_page = page_valid_[static_cast<size_t>(k)] != 0;
+  const bool bootstrap = !from_page && bootstrap_armed_;
+  ClientPtr client;
+  try {
+    off_lock(k, lk, [&] {
+      client = factory_(k);
+      FCA_CHECK_MSG(client != nullptr,
+                    "factory returned null for client " << k);
+      if (from_page) {
+        load_page(k, *client);
+      } else if (bootstrap) {
+        // Clean first materialization under lazy initialization: apply the
+        // armed bootstrap so the client starts exactly where the eager init
+        // sweep would have left it. The result is still re-derivable, so
+        // the client stays clean. arm_bootstrap() waits for every transit,
+        // so the payload cannot change underneath this read.
+        bootstrap_strategy_->bootstrap_client(*bootstrap_run_, *client,
+                                              bootstrap_payload_);
+      }
+    });
+  } catch (...) {
+    entries_.erase(k);
+    throw;
+  }
+  ++stats_.materializations;
+  if (from_page) ++stats_.page_loads;
+  if (mark_dirty) dirty_[static_cast<size_t>(k)] = 1;
+  e.client = std::move(client);
+  e.page_current = from_page && !mark_dirty;
+  e.last_use = ++use_tick_;
+  mru_id_ = k;
+  return *e.client;
 }
 
-void ClientStore::ensure_room_locked() {
-  if (!paged()) return;
-  while (static_cast<int>(entries_.size()) >= options_.max_resident) {
+void ClientStore::make_room(std::unique_lock<std::mutex>& lk) {
+  while (paged() &&
+         static_cast<int>(entries_.size()) >= options_.max_resident) {
     int victim = -1;
     uint64_t oldest = std::numeric_limits<uint64_t>::max();
     for (const auto& [id, e] : entries_) {
-      if (e.pins > 0 || id == mru_id_) continue;
+      if (e.pins > 0 || id == mru_id_ ||
+          in_transit_[static_cast<size_t>(id)] != 0) {
+        continue;
+      }
       if (e.last_use < oldest) {
         oldest = e.last_use;
         victim = id;
       }
     }
+    if (victim >= 0) {
+      evict(victim, lk);
+      continue;
+    }
+    if (transits_ > 0) {
+      // A load or page-out in flight will free a slot or pin one; look
+      // again once it lands.
+      settled_.wait(lk);
+      continue;
+    }
     FCA_CHECK_MSG(
-        victim >= 0,
+        false,
         "client-store budget exhausted: all "
             << entries_.size() << " resident clients are pinned or "
             << "just-touched; raise --max-resident-clients (currently "
             << options_.max_resident
             << ") above client parallelism + 1");
-    evict_locked(victim);
   }
 }
 
-void ClientStore::evict_locked(int k) {
-  auto it = entries_.find(k);
-  FCA_DCHECK(it != entries_.end() && it->second.pins == 0);
-  if (dirty_[static_cast<size_t>(k)] != 0) {
-    ckpt::SectionWriter w;
-    ckpt::ByteWriter meta;
-    meta.u32(static_cast<uint32_t>(k));
-    w.add("meta", meta.take());
-    w.add("state", encode_client_state(*it->second.client));
-    w.write(page_path(k));
+void ClientStore::evict(int k, std::unique_lock<std::mutex>& lk) {
+  Entry& e = entries_.at(k);
+  FCA_DCHECK(e.pins == 0 && in_transit_[static_cast<size_t>(k)] == 0);
+  if (dirty_[static_cast<size_t>(k)] != 0 && !e.page_current) {
+    // The victim keeps its slot until the page is on disk; if the write
+    // fails it stays resident and leasable, and the PageError propagates.
+    off_lock(k, lk, [&] { write_page(k, encode_client_state(*e.client)); });
     page_valid_[static_cast<size_t>(k)] = 1;
     ++stats_.page_writes;
   } else {
-    // Clean clients are pure factory (+ bootstrap) output: drop without a
-    // page write and re-derive on the next touch.
+    // Clean clients are pure factory (+ bootstrap) output, and a page-current
+    // one equals its page: drop without a write, re-derive or reload later.
     ++stats_.clean_drops;
   }
-  entries_.erase(it);
+  entries_.erase(k);
+}
+
+void ClientStore::load_page(int k, Client& client) const {
+  const std::string path = page_path(k);
+  try {
+    ckpt::SectionReader reader(path);
+    ckpt::ByteReader meta(reader.section("meta"));
+    const uint32_t id = meta.u32();
+    meta.expect_done();
+    FCA_CHECK_MSG(static_cast<int>(id) == k,
+                  "page records client " << id << ", expected " << k);
+    decode_client_state(reader.section("state"), client);
+  } catch (const std::exception& e) {
+    throw PageError(k, path, e.what());
+  }
+}
+
+void ClientStore::write_page(int k, std::vector<std::byte> state) const {
+  ckpt::SectionWriter w;
+  ckpt::ByteWriter meta;
+  meta.u32(static_cast<uint32_t>(k));
+  w.add("meta", meta.take());
+  w.add("state", std::move(state));
+  const std::string path = page_path(k);
+  try {
+    w.write(path);
+  } catch (const std::exception& e) {
+    throw PageError(k, path, e.what());
+  }
 }
 
 void ClientStore::arm_bootstrap(FederatedRun* run, RoundStrategy* strategy,
@@ -249,6 +326,7 @@ void ClientStore::arm_bootstrap(FederatedRun* run, RoundStrategy* strategy,
   FCA_CHECK_MSG(factory_ != nullptr,
                 "bootstrap only applies to a lazily-backed client store");
   std::unique_lock<std::mutex> lk(mu_);
+  settle_all(lk);
   // Clients materialized before arming (initialize_lazy's read-only
   // sweeps) never saw the bootstrap: drop every clean resident entry so its
   // next access re-derives through factory + bootstrap. Dirty entries (a
@@ -297,17 +375,27 @@ std::vector<std::byte> ClientStore::serialized_state(int k) {
     return encode_client_state(*resident_all_[static_cast<size_t>(k)]);
   }
   std::unique_lock<std::mutex> lk(mu_);
+  settle(k, lk);
   auto it = entries_.find(k);
-  if (it != entries_.end()) return encode_client_state(*it->second.client);
+  if (it != entries_.end()) {
+    ++it->second.pins;
+    const Lease pin(this, k, it->second.client.get());
+    lk.unlock();
+    return encode_client_state(*pin);
+  }
   if (page_valid_[static_cast<size_t>(k)] != 0) {
     const std::string path = page_path(k);
-    try {
-      ckpt::SectionReader reader(path);
-      const std::span<const std::byte> state = reader.section("state");
-      return std::vector<std::byte>(state.begin(), state.end());
-    } catch (const std::exception& e) {
-      throw PageError(k, path, e.what());
-    }
+    std::vector<std::byte> state;
+    off_lock(k, lk, [&] {
+      try {
+        ckpt::SectionReader reader(path);
+        const std::span<const std::byte> s = reader.section("state");
+        state.assign(s.begin(), s.end());
+      } catch (const std::exception& e) {
+        throw PageError(k, path, e.what());
+      }
+    });
+    return state;
   }
   FCA_CHECK_MSG(dirty_[static_cast<size_t>(k)] == 0,
                 "dirty client " << k << " has neither memory nor page state");
@@ -324,6 +412,7 @@ void ClientStore::restore_serialized_state(int k,
     return;
   }
   std::unique_lock<std::mutex> lk(mu_);
+  settle(k, lk);
   auto it = entries_.find(k);
   if (it != entries_.end()) {
     FCA_CHECK_MSG(it->second.pins == 0,
@@ -335,23 +424,23 @@ void ClientStore::restore_serialized_state(int k,
     // Write the checkpoint bytes straight through as k's page; the client
     // materializes from it on next touch. Keeps restores O(dirty bytes)
     // instead of O(population) materializations.
-    ckpt::SectionWriter w;
-    ckpt::ByteWriter meta;
-    meta.u32(static_cast<uint32_t>(k));
-    w.add("meta", meta.take());
-    w.add("state", std::vector<std::byte>(bytes.begin(), bytes.end()));
-    w.write(page_path(k));
+    off_lock(k, lk, [&] {
+      write_page(k, std::vector<std::byte>(bytes.begin(), bytes.end()));
+    });
     page_valid_[static_cast<size_t>(k)] = 1;
     ++stats_.page_writes;
     return;
   }
-  Client& c = materialize_locked(k, lk);
+  Client& c = materialize(k, /*mark_dirty=*/true, /*pin=*/true, lk);
+  const Lease pin(this, k, &c);
+  lk.unlock();
   decode_client_state(bytes, c);
 }
 
 void ClientStore::reset() {
   if (factory_ == nullptr) return;
   std::unique_lock<std::mutex> lk(mu_);
+  settle_all(lk);
   for (const auto& [id, e] : entries_) {
     FCA_CHECK_MSG(e.pins == 0, "cannot reset the client store while client "
                                    << id << " is leased");
@@ -374,6 +463,7 @@ void ClientStore::invalidate(int k) {
                 "cannot invalidate client " << k
                     << " of a resident store: nothing can re-derive it");
   std::unique_lock<std::mutex> lk(mu_);
+  settle(k, lk);
   auto it = entries_.find(k);
   if (it != entries_.end()) {
     FCA_CHECK_MSG(it->second.pins == 0,
@@ -418,11 +508,17 @@ void ClientStore::evict_idle() {
   if (!paged()) return;
   std::unique_lock<std::mutex> lk(mu_);
   mru_id_ = -1;
-  std::vector<int> idle;
-  for (const auto& [id, e] : entries_) {
-    if (e.pins == 0) idle.push_back(id);
+  for (;;) {
+    int idle = -1;
+    for (const auto& [id, e] : entries_) {
+      if (e.pins == 0 && in_transit_[static_cast<size_t>(id)] == 0) {
+        idle = id;
+        break;
+      }
+    }
+    if (idle < 0) return;
+    evict(idle, lk);
   }
-  for (int id : idle) evict_locked(id);
 }
 
 }  // namespace fca::fl

@@ -20,7 +20,14 @@
 // bootstrap payload under lazy initialization, see RoundStrategy's
 // initialize_lazy contract in fl/server.hpp).
 //
-// Concurrency: every mutating path runs under one mutex. Executor bodies pin
+// Concurrency: one mutex guards bookkeeping only — the entry table, LRU
+// ticks, pins, dirty/page flags and a per-client "in transit" mark. The
+// expensive work runs on the calling lane with the lock released: the
+// factory build, the page load (read + CRC + decode), the lazy-init
+// bootstrap, and a victim's encode + atomic page write. A client in transit
+// is invisible to everyone else (waiters block on a condition variable until
+// it lands or leaves), and a victim keeps its slot until its page is on
+// disk, so the resident count never exceeds the budget. Executor bodies pin
 // their client with a Lease (RAII refcount) for the body's duration, so at
 // most `client_parallelism` clients are pinned at once and the LRU can never
 // evict a client mid-train. References returned by touch() stay valid until
@@ -28,6 +35,7 @@
 // eviction victim), which serial driver code relies on.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -52,7 +60,8 @@ using ClientFactory = std::function<ClientPtr(int)>;
 
 /// A client page file failed validation (CRC mismatch, truncation, wrong
 /// client id): the on-disk state is untrustworthy and the error is surfaced
-/// instead of silently re-deriving a stale client.
+/// instead of silently re-deriving a stale client. Also thrown when a
+/// victim's page cannot be written; the victim then stays resident.
 class PageError : public Error {
  public:
   PageError(int client_id, std::string path, const std::string& why);
@@ -78,9 +87,10 @@ struct ClientStoreOptions {
 struct ClientStoreStats {
   int peak_resident = 0;          // high-water mark of in-memory clients
   uint64_t materializations = 0;  // factory constructions (incl. restores)
-  uint64_t page_writes = 0;       // dirty evictions flushed to disk
+  uint64_t page_writes = 0;       // stale dirty evictions flushed to disk
   uint64_t page_loads = 0;        // page files restored into a client
   uint64_t clean_drops = 0;       // evictions that needed no page write
+                                  // (clean, or unchanged since its load)
 };
 
 class ClientStore {
@@ -140,7 +150,10 @@ class ClientStore {
   /// Materializes (if needed) and pins client k. With mark_dirty, the client
   /// is flagged as mutated: it will be paged on eviction and checkpointed.
   /// Pass mark_dirty = false for read-only access (evaluation, snapshots of
-  /// initial weights) so clean clients stay droppable.
+  /// initial weights) so clean clients stay droppable, and a dirty client
+  /// loaded from its page and only read since is dropped, not rewritten.
+  /// Safe to call from concurrent lanes; throws PageError when the page
+  /// this lease needed to load or write is unusable.
   Lease lease(int k, bool mark_dirty);
 
   /// Materializes (if needed) client k and returns a reference valid until
@@ -166,8 +179,8 @@ class ClientStore {
   /// re-derived on resume from factory + bootstrap.
   std::vector<int> checkpoint_clients() const;
   /// Client k's encoded state (fl/client_state.hpp), whether k is resident
-  /// (encoded live) or paged out (lifted from its page file without
-  /// materializing).
+  /// (encoded live under a pin) or paged out (lifted from its page file
+  /// without materializing).
   std::vector<std::byte> serialized_state(int k);
   /// Overwrites client k's state with checkpoint bytes: decoded in place for
   /// a resident store, written as k's page for a paged store (no
@@ -186,6 +199,8 @@ class ClientStore {
   void invalidate(int k);
 
   // -- introspection ---------------------------------------------------------
+  /// Resident clients, counting slots held by clients in transit (being
+  /// materialized or paged out).
   int resident_count() const;
   bool resident(int k) const;
   bool dirty(int k) const;
@@ -196,16 +211,30 @@ class ClientStore {
 
  private:
   struct Entry {
-    ClientPtr client;
+    ClientPtr client;  // null while the entry is being materialized
     uint64_t last_use = 0;
     int pins = 0;
+    /// The resident state equals k's page file: loaded from it and not
+    /// leased dirty since, so eviction can drop it without a rewrite.
+    bool page_current = false;
   };
 
-  Client& acquire_locked(int k, bool mark_dirty,
-                         std::unique_lock<std::mutex>& lk);
-  Client& materialize_locked(int k, std::unique_lock<std::mutex>& lk);
-  void ensure_room_locked();
-  void evict_locked(int k);
+  Client& acquire(int k, bool mark_dirty, bool pin,
+                  std::unique_lock<std::mutex>& lk);
+  Client& materialize(int k, bool mark_dirty, bool pin,
+                      std::unique_lock<std::mutex>& lk);
+  void make_room(std::unique_lock<std::mutex>& lk);
+  void evict(int k, std::unique_lock<std::mutex>& lk);
+  /// Runs `io` with the lock released while k is marked in transit; the
+  /// mark clears (and waiters wake) whether or not `io` throws.
+  void off_lock(int k, std::unique_lock<std::mutex>& lk,
+                const std::function<void()>& io);
+  /// Blocks until k is not in transit.
+  void settle(int k, std::unique_lock<std::mutex>& lk);
+  /// Blocks until no client is in transit.
+  void settle_all(std::unique_lock<std::mutex>& lk);
+  void load_page(int k, Client& client) const;
+  void write_page(int k, std::vector<std::byte> state) const;
   void release(int k);
   void check_id(int k) const;
 
@@ -216,9 +245,12 @@ class ClientStore {
   ClientStoreOptions options_;
 
   mutable std::mutex mu_;
+  std::condition_variable settled_;         // a transit mark cleared
   std::unordered_map<int, Entry> entries_;  // materialized clients (lazy)
   std::vector<char> dirty_;                 // sticky mutation flags
   std::vector<char> page_valid_;            // page file exists for client k
+  std::vector<char> in_transit_;            // k's I/O runs off the lock
+  int transits_ = 0;                        // clients in transit
   uint64_t use_tick_ = 0;
   int mru_id_ = -1;                         // never the eviction victim
   ClientStoreStats stats_;

@@ -20,22 +20,4 @@ std::vector<int> sample_clients(int total, double rate, Rng& rng) {
   return ids;
 }
 
-std::vector<std::vector<int>> cohort_waves(const std::vector<int>& ids,
-                                           int wave_size) {
-  std::vector<std::vector<int>> waves;
-  if (ids.empty()) return waves;
-  if (wave_size <= 0) {
-    waves.push_back(ids);
-    return waves;
-  }
-  for (size_t start = 0; start < ids.size();
-       start += static_cast<size_t>(wave_size)) {
-    const size_t end =
-        std::min(ids.size(), start + static_cast<size_t>(wave_size));
-    waves.emplace_back(ids.begin() + static_cast<ptrdiff_t>(start),
-                       ids.begin() + static_cast<ptrdiff_t>(end));
-  }
-  return waves;
-}
-
 }  // namespace fca::fl

@@ -12,13 +12,4 @@ namespace fca::fl {
 /// participant count is fixed across rounds, as §3.2 specifies.
 std::vector<int> sample_clients(int total, double rate, Rng& rng);
 
-/// Cohort scheduler: splits `ids` into consecutive waves of at most
-/// `wave_size` clients, preserving order. Under a --max-resident-clients
-/// budget the driver streams one wave at a time through the executor so the
-/// resident set never exceeds the budget; with wave_size <= 0 everything
-/// lands in one wave. Deterministic (pure function of its inputs), so wave
-/// boundaries never perturb the curve.
-std::vector<std::vector<int>> cohort_waves(const std::vector<int>& ids,
-                                           int wave_size);
-
 }  // namespace fca::fl

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <string_view>
 
 #include "fl/rank_runner.hpp"
@@ -368,37 +369,16 @@ void FederatedRun::average_into(
 
 std::vector<double> FederatedRun::evaluate_all() {
   // Evaluation is deterministic per client (eval mode, no RNG draws), so it
-  // rides the same executor as training; results land by client index.
-  // Touches stay clean: evaluating a never-trained client must not turn it
+  // rides the same executor as training; results land by client index. Each
+  // body leases its own client, as in run_pipeline: at most one pin per
+  // lane keeps a paged store within budget, and lanes page in parallel.
+  // Leases stay clean: evaluating a never-trained client must not turn it
   // into page traffic.
-  const int n_eval = num_eval_clients();
-  std::vector<int> cohort(static_cast<size_t>(n_eval));
-  for (int k = 0; k < n_eval; ++k) cohort[static_cast<size_t>(k)] = k;
-  if (!store_->paged()) {
-    return executor_.map(cohort, [this](int k) {
-      return static_cast<double>(store_->touch(k, false).evaluate());
-    });
-  }
-  // Paged: stream the cohort in waves of leases so the resident set stays
-  // within budget (one slot is kept free for the MRU entry).
-  std::vector<double> acc;
-  acc.reserve(cohort.size());
-  const int wave_size = store_->max_resident() - 1;
-  for (const std::vector<int>& wave : cohort_waves(cohort, wave_size)) {
-    std::vector<ClientStore::Lease> leases;
-    leases.reserve(wave.size());
-    for (int k : wave) leases.push_back(store_->lease(k, false));
-    // The eval cohort is the contiguous prefix, so each wave is a
-    // contiguous id range: mapping over the ids themselves keeps the
-    // executor's per-client trace coordinates intact.
-    const int base = wave.front();
-    const std::vector<double> vals = executor_.map(wave, [&](int k) {
-      return static_cast<double>(
-          leases[static_cast<size_t>(k - base)]->evaluate());
-    });
-    acc.insert(acc.end(), vals.begin(), vals.end());
-  }
-  return acc;
+  std::vector<int> cohort(static_cast<size_t>(num_eval_clients()));
+  std::iota(cohort.begin(), cohort.end(), 0);
+  return executor_.map(cohort, [this](int k) {
+    return static_cast<double>(lease_client_readonly(k)->evaluate());
+  });
 }
 
 RunResult FederatedRun::execute(RoundStrategy& strategy, RoundHook* hook,

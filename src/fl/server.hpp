@@ -118,10 +118,13 @@ class RoundStrategy {
   /// payload the store passes back to every bootstrap_client() call.
   virtual bool supports_lazy_init() const { return false; }
   virtual comm::Bytes initialize_lazy(FederatedRun& run);
-  /// Applied to one freshly-factory-built client under the ClientStore's
-  /// lock: must be a pure function of (payload, client state) — it must not
-  /// touch the store, the network, or any other client, and must not leave
-  /// the result dependent on materialization order.
+  /// Applied to one freshly-factory-built client on the lane that
+  /// materializes it, with the ClientStore's lock released — so it runs
+  /// concurrently with other clients' bootstraps (and factory builds, page
+  /// loads and page writes). It must be a pure function of (payload, client
+  /// state): it may read `run` and the payload but must not touch the
+  /// store, the network, any other client or shared mutable state, and must
+  /// not leave the result dependent on materialization order.
   virtual void bootstrap_client(FederatedRun& run, Client& client,
                                 const comm::Bytes& payload);
 
@@ -255,9 +258,11 @@ class FederatedRun {
   std::vector<double> data_weights(const std::vector<int>& selected) const;
 
   /// Per-client test accuracy over the eval cohort (all clients, or the
-  /// [0, eval_clients) prefix when FLConfig::eval_clients > 0). Under a
-  /// paged store the cohort streams through the executor in waves of at
-  /// most max_resident - 1 leases (fl::cohort_waves).
+  /// [0, eval_clients) prefix when FLConfig::eval_clients > 0), evaluated on
+  /// the executor. Each body holds a read-only lease on its client, so a
+  /// paged store stays within budget and pages the cohort in on every lane
+  /// at once; evaluated clients stay clean (or page-current) and are
+  /// dropped, not rewritten, on eviction.
   std::vector<double> evaluate_all();
   /// Size of the cohort evaluate_all() sweeps.
   int num_eval_clients() const {

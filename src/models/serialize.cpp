@@ -83,9 +83,8 @@ size_t serialized_named_size(const std::vector<NamedTensor>& items) {
   return n;
 }
 
-std::vector<std::byte> serialize_named(const std::vector<NamedTensor>& items) {
-  std::vector<std::byte> out;
-  out.reserve(serialized_named_size(items));
+void append_named(const std::vector<NamedTensor>& items,
+                  std::vector<std::byte>& out) {
   put_u32(out, static_cast<uint32_t>(items.size()));
   for (const auto& it : items) {
     put_u32(out, static_cast<uint32_t>(it.name.size()));
@@ -97,6 +96,12 @@ std::vector<std::byte> serialize_named(const std::vector<NamedTensor>& items) {
     out.insert(out.end(), dp,
                dp + static_cast<size_t>(it.tensor->numel()) * sizeof(float));
   }
+}
+
+std::vector<std::byte> serialize_named(const std::vector<NamedTensor>& items) {
+  std::vector<std::byte> out;
+  out.reserve(serialized_named_size(items));
+  append_named(items, out);
   return out;
 }
 
@@ -144,6 +149,16 @@ std::vector<NamedTensor> state_tensors(SplitModel& model) {
   return out;
 }
 
+/// serialize_tensors' naming: position i is named "i".
+std::vector<NamedTensor> indexed_tensors(const std::vector<Tensor*>& tensors) {
+  std::vector<NamedTensor> out;
+  out.reserve(tensors.size());
+  for (size_t i = 0; i < tensors.size(); ++i) {
+    out.push_back({std::to_string(i), tensors[i]});
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::byte> serialize_params(
@@ -170,6 +185,19 @@ void deserialize_state(std::span<const std::byte> bytes, SplitModel& model) {
 
 size_t serialized_state_size(SplitModel& model) {
   return serialized_named_size(state_tensors(model));
+}
+
+void append_state(SplitModel& model, std::vector<std::byte>& out) {
+  append_named(state_tensors(model), out);
+}
+
+size_t serialized_tensors_size(const std::vector<Tensor*>& tensors) {
+  return serialized_named_size(indexed_tensors(tensors));
+}
+
+void append_tensors(const std::vector<Tensor*>& tensors,
+                    std::vector<std::byte>& out) {
+  append_named(indexed_tensors(tensors), out);
 }
 
 namespace {

@@ -34,6 +34,9 @@ size_t serialized_params_size(const std::vector<nn::Param*>& params);
 std::vector<std::byte> serialize_state(SplitModel& model);
 void deserialize_state(std::span<const std::byte> bytes, SplitModel& model);
 size_t serialized_state_size(SplitModel& model);
+/// serialize_state's bytes appended to `out` in place, with no buffer of
+/// their own (reserve serialized_state_size first to avoid regrowth).
+void append_state(SplitModel& model, std::vector<std::byte>& out);
 
 /// Writes the full model state to a file (the equivalent of
 /// torch.save(state_dict)): a small magic/version header followed by the
@@ -46,6 +49,11 @@ void load_state_file(SplitModel& model, const std::string& path);
 /// Serializes an anonymous tensor list (used for prototypes, soft
 /// predictions and other non-parameter payloads on the wire).
 std::vector<std::byte> serialize_tensors(const std::vector<Tensor>& tensors);
+/// serialize_tensors' bytes for tensors held by pointer (optimizer slots),
+/// read in place and appended to `out`: no clones, no buffer of their own.
+void append_tensors(const std::vector<Tensor*>& tensors,
+                    std::vector<std::byte>& out);
+size_t serialized_tensors_size(const std::vector<Tensor*>& tensors);
 /// serialize_tensors of the parameters' values, read in place: the same
 /// bytes as serialize_tensors(snapshot_values(params)) without the clones.
 std::vector<std::byte> serialize_values(const std::vector<nn::Param*>& params);

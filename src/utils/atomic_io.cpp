@@ -22,11 +22,18 @@ std::string temp_path_for(const std::string& path) {
 
 void atomic_write_file(const std::string& path,
                        std::span<const std::byte> data) {
+  const std::span<const std::byte> chunks[] = {data};
+  atomic_write_file(path, chunks);
+}
+
+void atomic_write_file(const std::string& path,
+                       std::span<const std::span<const std::byte>> chunks) {
   const std::string tmp = temp_path_for(path);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     FCA_CHECK_MSG(out.good(), "cannot open " << tmp << " for writing");
-    if (!data.empty()) {
+    for (const std::span<const std::byte> data : chunks) {
+      if (data.empty()) continue;
       out.write(reinterpret_cast<const char*>(data.data()),
                 static_cast<std::streamsize>(data.size()));
     }

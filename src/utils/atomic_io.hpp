@@ -20,6 +20,11 @@ namespace fca {
 void atomic_write_file(const std::string& path,
                        std::span<const std::byte> data);
 
+/// Gather overload: writes the concatenation of `chunks` without joining
+/// them in memory first.
+void atomic_write_file(const std::string& path,
+                       std::span<const std::span<const std::byte>> chunks);
+
 /// Text overload.
 void atomic_write_file(const std::string& path, std::string_view text);
 

@@ -3,13 +3,22 @@
 // historical all-resident run — for every strategy, at any client
 // parallelism, and under adversarial access patterns. Also the ClientStore
 // unit contracts: LRU budget enforcement, eviction/restore round-trips,
-// lazy-init bootstrap equivalence, and typed corruption errors.
+// lazy-init bootstrap equivalence, typed corruption and write errors, and
+// paging from concurrent lanes with the store lock held only for
+// bookkeeping.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <map>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "core/fedclassavg.hpp"
@@ -186,27 +195,43 @@ TEST(LazyInit, UnsupportedStrategyIsRejected) {
 
 // -- ClientStore unit contracts ----------------------------------------------
 
-// A paged factory store over the tiny experiment's population.
+// A paged factory store over the tiny experiment's population. The
+// optional `before_build` hook runs inside the factory, on the lane that
+// materializes the client.
 struct StoreFixture {
-  explicit StoreFixture(int population, int max_resident)
-      : exp(tiny_experiment_config(population)) {
+  explicit StoreFixture(int population, int max_resident,
+                        std::function<void(int)> before_build = nullptr)
+      : exp(tiny_experiment_config(population)),
+        before_build_(std::move(before_build)) {
     static int next_dir = 0;
     fl::ClientStoreOptions opts;
     opts.max_resident = max_resident;
     opts.page_dir =
         testing::TempDir() + "fca_store_fixture_" + std::to_string(next_dir++);
+    page_dir = opts.page_dir;
+    // Names repeat across processes: clear whatever an earlier (possibly
+    // failed) run left at this path.
+    std::filesystem::remove_all(page_dir);
     std::vector<int64_t> sizes;
     for (int k = 0; k < population; ++k) {
       sizes.push_back(static_cast<int64_t>(
           exp.partition().client_indices[static_cast<size_t>(k)].size()));
     }
     store = std::make_unique<fl::ClientStore>(
-        population, [this](int k) { return exp.build_client(k); },
+        population,
+        [this](int k) {
+          if (before_build_) before_build_(k);
+          return exp.build_client(k);
+        },
         std::move(sizes), opts);
   }
 
   core::Experiment exp;
+  std::string page_dir;
   std::unique_ptr<fl::ClientStore> store;
+
+ private:
+  std::function<void(int)> before_build_;
 };
 
 TEST(ClientStore, LruBudgetIsNeverExceeded) {
@@ -253,6 +278,80 @@ TEST(ClientStore, EvictionRestoreRoundTripsAreByteIdentical) {
   for (const auto& [k, bytes] : expected) {
     EXPECT_EQ(fl::encode_client_state(f.store->touch(k, false)), bytes);
   }
+}
+
+TEST(ClientStore, ReadOnlyRevisitOfPagedClientIsDroppedNotRewritten) {
+  // A dirty client reloaded from its page and only read since (evaluating
+  // the eval prefix) still equals that page: evicting it again must drop
+  // it, and only a later dirty lease makes the next eviction write.
+  StoreFixture f(4, 2);
+  {
+    const fl::ClientStore::Lease lease = f.store->lease(0, true);
+    (void)lease->rng().next_u64();
+  }
+  f.store->evict_idle();
+  const std::vector<std::byte> paged = f.store->serialized_state(0);
+  fl::ClientStoreStats before = f.store->stats();
+  ASSERT_EQ(before.page_writes, 1u);
+
+  (void)f.store->lease(0, false);
+  f.store->evict_idle();
+  fl::ClientStoreStats after = f.store->stats();
+  EXPECT_EQ(after.page_loads, before.page_loads + 1);
+  EXPECT_EQ(after.page_writes, before.page_writes)
+      << "an unchanged client was rewritten";
+  EXPECT_EQ(after.clean_drops, before.clean_drops + 1);
+  EXPECT_EQ(f.store->serialized_state(0), paged);
+
+  before = after;
+  {
+    const fl::ClientStore::Lease lease = f.store->lease(0, true);
+    (void)lease->rng().next_u64();
+  }
+  f.store->evict_idle();
+  after = f.store->stats();
+  EXPECT_EQ(after.page_writes, before.page_writes + 1)
+      << "a client mutated after its load was dropped";
+  EXPECT_NE(f.store->serialized_state(0), paged);
+}
+
+TEST(ClientStore, FailedPageWriteKeepsTheVictimResident) {
+  // The page directory turns into a plain file mid-run (unwritable even for
+  // root): the eviction's write fails, the lease that needed the room throws
+  // a typed error, and the victim stays resident, leasable and unchanged.
+  StoreFixture f(4, 2);
+  std::vector<std::byte> expected;
+  {
+    const fl::ClientStore::Lease lease = f.store->lease(0, true);
+    (void)lease->rng().next_u64();
+    expected = fl::encode_client_state(*lease);
+  }
+  (void)f.store->touch(1, false);
+  std::filesystem::remove_all(f.page_dir);
+  std::ofstream(f.page_dir) << "not a directory";
+
+  try {
+    (void)f.store->lease(2, false);
+    FAIL() << "eviction into an unwritable page directory succeeded";
+  } catch (const fl::PageError& e) {
+    EXPECT_EQ(e.client_id(), 0);
+    EXPECT_EQ(e.path(), f.store->page_path(0));
+  }
+  EXPECT_TRUE(f.store->resident(0));
+  EXPECT_FALSE(f.store->resident(2));
+  EXPECT_LE(f.store->resident_count(), 2);
+  EXPECT_EQ(f.store->stats().page_writes, 0u);
+  EXPECT_EQ(fl::encode_client_state(*f.store->lease(0, false)), expected);
+
+  // Once the directory is back, the same eviction goes through.
+  std::filesystem::remove(f.page_dir);
+  std::filesystem::create_directories(f.page_dir);
+  (void)f.store->touch(1, false);
+  (void)f.store->lease(2, false);
+  EXPECT_FALSE(f.store->resident(0));
+  EXPECT_EQ(f.store->stats().page_writes, 1u);
+  EXPECT_EQ(fl::encode_client_state(f.store->touch(0, false)), expected);
+  EXPECT_LE(f.store->stats().peak_resident, 2);
 }
 
 TEST(ClientStore, CleanClientsAreDroppedNotPaged) {
@@ -305,6 +404,33 @@ TEST(ClientStore, BudgetExhaustionNamesTheFlag) {
   }
 }
 
+TEST(ClientStore, ResidentBudgetEnvIsParsedStrictly) {
+  // FCA_MAX_RESIDENT_CLIENTS must be a plain non-negative decimal: a typo
+  // must not silently disable paging or pick a different budget.
+  struct EnvGuard {
+    ~EnvGuard() { unsetenv("FCA_MAX_RESIDENT_CLIENTS"); }
+  } guard;
+  core::Experiment exp(tiny_experiment_config(6));
+  for (const char* bad : {"abc", "24x", "-3", " 4", "+4", "4.0",
+                          "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    setenv("FCA_MAX_RESIDENT_CLIENTS", bad, 1);
+    try {
+      (void)exp.build_store();
+      FAIL() << "accepted FCA_MAX_RESIDENT_CLIENTS=" << bad;
+    } catch (const core::EnvError& e) {
+      EXPECT_EQ(e.variable(), "FCA_MAX_RESIDENT_CLIENTS");
+      EXPECT_NE(std::string(e.what()).find("FCA_MAX_RESIDENT_CLIENTS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  setenv("FCA_MAX_RESIDENT_CLIENTS", "3", 1);
+  EXPECT_EQ(exp.build_store()->max_resident(), 3);
+  setenv("FCA_MAX_RESIDENT_CLIENTS", "0", 1);
+  EXPECT_FALSE(exp.build_store()->paged());
+}
+
 TEST(ClientStore, ResidentBackingKeepsEveryoneInMemory) {
   core::Experiment exp(tiny_experiment_config());
   fl::ClientStore store(exp.build_clients());
@@ -327,6 +453,82 @@ TEST(ClientStore, DirtySetDrivesCheckpointClients) {
   (void)f.store->touch(2, false);
   const std::vector<int> recorded = f.store->checkpoint_clients();
   EXPECT_EQ(recorded, (std::vector<int>{1, 4}));
+}
+
+// -- concurrent paging ---------------------------------------------------------
+
+TEST(ClientStoreConcurrency, BlockedFactoryDoesNotBlockResidentLeases) {
+  // Factory builds run off the store lock: while one lane is stuck building
+  // client 2, another lane's lease of resident client 0 must go through.
+  constexpr int kSlow = 2;
+  std::promise<void> entered;
+  std::promise<void> gate;
+  const std::shared_future<void> open = gate.get_future().share();
+  StoreFixture f(4, 3, [&](int k) {
+    if (k == kSlow) {
+      entered.set_value();
+      open.wait();
+    }
+  });
+  (void)f.store->lease(0, true);
+  auto slow = std::async(std::launch::async,
+                         [&] { return f.store->lease(kSlow, false)->id(); });
+  entered.get_future().wait();
+  auto fast = std::async(std::launch::async,
+                         [&] { return f.store->lease(0, false)->id(); });
+  const bool fast_done =
+      fast.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gate.set_value();
+  EXPECT_TRUE(fast_done)
+      << "a lease of a resident client waited for another client's factory";
+  EXPECT_EQ(fast.get(), 0);
+  EXPECT_EQ(slow.get(), kSlow);
+}
+
+TEST(ClientStoreConcurrency, ParallelEvictionRestoreRoundTripsAreByteIdentical) {
+  // EvictionRestoreRoundTripsAreByteIdentical on four lanes at the tightest
+  // budget FederatedRun accepts (lanes + 1). Each lane owns a disjoint set of
+  // clients (two lanes never mutate one client), but all of them compete
+  // for the same slots, so loads, page-outs and factory builds interleave.
+  constexpr int kLanes = 4;
+  constexpr int kPopulation = 16;
+  constexpr int kBudget = kLanes + 1;
+  StoreFixture f(kPopulation, kBudget);
+  std::vector<std::map<int, std::vector<std::byte>>> expected(kLanes);
+  std::vector<std::thread> lanes;
+  std::atomic<int> failures{0};
+  for (int lane = 0; lane < kLanes; ++lane) {
+    lanes.emplace_back([&, lane] {
+      std::mt19937 order(static_cast<unsigned>(31 + lane));
+      auto& mine = expected[static_cast<size_t>(lane)];
+      for (int i = 0; i < 60; ++i) {
+        const int k =
+            lane + kLanes * static_cast<int>(order() % (kPopulation / kLanes));
+        const fl::ClientStore::Lease lease = f.store->lease(k, true);
+        const auto it = mine.find(k);
+        if (it != mine.end() && fl::encode_client_state(*lease) != it->second) {
+          ++failures;
+        }
+        (void)lease->rng().next_u64();
+        mine[k] = fl::encode_client_state(*lease);
+        if (f.store->resident_count() > kBudget) ++failures;
+      }
+    });
+  }
+  for (std::thread& t : lanes) t.join();
+  EXPECT_EQ(failures.load(), 0) << "a client diverged or the budget broke";
+  const fl::ClientStoreStats stats = f.store->stats();
+  EXPECT_LE(stats.peak_resident, kBudget);
+  EXPECT_GT(stats.page_writes, 0u);
+  EXPECT_GT(stats.page_loads, 0u);
+  f.store->evict_idle();
+  EXPECT_EQ(f.store->resident_count(), 0);
+  for (const auto& mine : expected) {
+    for (const auto& [k, bytes] : mine) {
+      EXPECT_EQ(fl::encode_client_state(f.store->touch(k, false)), bytes)
+          << "client " << k;
+    }
+  }
 }
 
 }  // namespace
