@@ -128,11 +128,12 @@ ChannelShuffle::ChannelShuffle(int64_t groups) : groups_(groups) {
   FCA_CHECK(groups > 0);
 }
 
-Tensor ChannelShuffle::forward(const Tensor& x, bool /*train*/) {
+Tensor ChannelShuffle::forward(const Tensor& x, bool train) {
   FCA_CHECK(x.ndim() == 4);
   const int64_t b = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
   FCA_CHECK_MSG(c % groups_ == 0, "channels " << c << " not divisible by "
                                               << groups_ << " groups");
+  if (train) cached_shape_ = x.shape();
   const int64_t per = c / groups_;
   Tensor out = Tensor::uninit(x.shape());
   for (int64_t i = 0; i < b; ++i) {
@@ -148,7 +149,12 @@ Tensor ChannelShuffle::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor ChannelShuffle::backward(const Tensor& grad_out) {
-  FCA_CHECK(grad_out.ndim() == 4);
+  FCA_CHECK_MSG(!cached_shape_.empty(),
+                "ChannelShuffle::backward without a training forward");
+  FCA_CHECK_MSG(grad_out.shape() == cached_shape_,
+                "ChannelShuffle::backward expects grad_out "
+                    << shape_to_string(cached_shape_) << ", got "
+                    << shape_to_string(grad_out.shape()));
   const int64_t b = grad_out.dim(0), c = grad_out.dim(1),
                 hw = grad_out.dim(2) * grad_out.dim(3);
   const int64_t per = c / groups_;

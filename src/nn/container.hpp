@@ -82,6 +82,7 @@ class ChannelShuffle : public Module {
 
  private:
   int64_t groups_;
+  Shape cached_shape_;  // forward input (and output) shape
 };
 
 }  // namespace fca::nn

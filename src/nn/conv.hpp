@@ -1,5 +1,7 @@
-// 2-D convolution (NCHW) lowered to GEMM via im2col, with grouped /
-// depthwise support (groups == in_channels == out_channels).
+// 2-D convolution (NCHW) lowered to GEMM, with grouped / depthwise support
+// (groups == in_channels == out_channels). Stride-1 convs lower through
+// zero-bordered input planes, one contiguous window per lowered row; strided
+// convs unfold through im2col/col2im (DESIGN.md §9).
 #pragma once
 
 #include "nn/module.hpp"

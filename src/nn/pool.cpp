@@ -1,5 +1,7 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
+
 #include "utils/error.hpp"
 
 namespace fca::nn {
@@ -29,30 +31,37 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
     cached_in_shape_ = x.shape();
     cached_argmax_.assign(static_cast<size_t>(b * c * oh * ow), -1);
   }
+  const int64_t k = kernel_, s = stride_, p = padding_;
   for (int64_t i = 0; i < b * c; ++i) {
     const float* xi = x.data() + i * h * w;
     float* oi = out.data() + i * oh * ow;
     for (int64_t y = 0; y < oh; ++y) {
+      // Each window's in-bounds taps form the rectangle [ky0, ky1) x
+      // [kx0, kx1), clipped once per window instead of checked per tap;
+      // padding < kernel keeps it non-empty. Interior windows get the full
+      // kernel.
+      const int64_t top = y * s - p;
+      const int64_t ky0 = std::max<int64_t>(0, -top);
+      const int64_t ky1 = std::min(k, h - top);
       for (int64_t xo = 0; xo < ow; ++xo) {
-        // The first in-bounds tap seeds the argmax, so a window whose taps
-        // are all NaN or -inf still records a real index for backward.
-        float best = 0.0f;
-        int64_t best_idx = -1;
-        for (int64_t ky = 0; ky < kernel_; ++ky) {
-          const int64_t iy = y * stride_ - padding_ + ky;
-          if (iy < 0 || iy >= h) continue;
-          for (int64_t kx = 0; kx < kernel_; ++kx) {
-            const int64_t ix = xo * stride_ - padding_ + kx;
-            if (ix < 0 || ix >= w) continue;
-            const float v = xi[iy * w + ix];
-            if (best_idx < 0 || v > best) {
-              best = v;
-              best_idx = iy * w + ix;
-            }
+        const int64_t left = xo * s - p;
+        const int64_t kx0 = std::max<int64_t>(0, -left);
+        const int64_t kx1 = std::min(k, w - left);
+        // The first in-bounds tap (ky-then-kx order) seeds the maximum, so a
+        // window whose taps are all NaN or -inf still records a real index
+        // for backward; only a strictly greater tap replaces it. Selects,
+        // not branches: the comparisons are data-dependent.
+        int64_t best_idx = (top + ky0) * w + left + kx0;
+        float best = xi[best_idx];
+        for (int64_t ky = ky0; ky < ky1; ++ky) {
+          const int64_t row = (top + ky) * w + left;
+          for (int64_t kx = kx0; kx < kx1; ++kx) {
+            const float v = xi[row + kx];
+            const bool greater = v > best;
+            best = greater ? v : best;
+            best_idx = greater ? row + kx : best_idx;
           }
         }
-        // A window fully in padding can't happen given padding < kernel, so
-        // best_idx >= 0 here.
         oi[y * ow + xo] = best;
         if (train) {
           cached_argmax_[static_cast<size_t>(i * oh * ow + y * ow + xo)] =
@@ -69,8 +78,12 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
                 "MaxPool2d::backward without a training forward");
   const int64_t b = cached_in_shape_[0], c = cached_in_shape_[1],
                 h = cached_in_shape_[2], w = cached_in_shape_[3];
-  const int64_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  FCA_CHECK(grad_out.dim(0) == b && grad_out.dim(1) == c);
+  const int64_t oh = pooled_extent(h, kernel_, stride_, padding_);
+  const int64_t ow = pooled_extent(w, kernel_, stride_, padding_);
+  FCA_CHECK_MSG(grad_out.shape() == (Shape{b, c, oh, ow}),
+                "MaxPool2d::backward expects grad_out "
+                    << shape_to_string({b, c, oh, ow}) << ", got "
+                    << shape_to_string(grad_out.shape()));
   Tensor grad_in(cached_in_shape_);
   for (int64_t i = 0; i < b * c; ++i) {
     float* gi = grad_in.data() + i * h * w;
@@ -125,7 +138,12 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
                 "AvgPool2d::backward without a training forward");
   const int64_t b = cached_in_shape_[0], c = cached_in_shape_[1],
                 h = cached_in_shape_[2], w = cached_in_shape_[3];
-  const int64_t oh = grad_out.dim(2), ow = grad_out.dim(3);
+  const int64_t oh = pooled_extent(h, kernel_, stride_, padding_);
+  const int64_t ow = pooled_extent(w, kernel_, stride_, padding_);
+  FCA_CHECK_MSG(grad_out.shape() == (Shape{b, c, oh, ow}),
+                "AvgPool2d::backward expects grad_out "
+                    << shape_to_string({b, c, oh, ow}) << ", got "
+                    << shape_to_string(grad_out.shape()));
   Tensor grad_in(cached_in_shape_);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   for (int64_t i = 0; i < b * c; ++i) {
@@ -166,7 +184,12 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   FCA_CHECK_MSG(!cached_in_shape_.empty(),
                 "GlobalAvgPool::backward without a training forward");
-  const int64_t hw = cached_in_shape_[2] * cached_in_shape_[3];
+  const int64_t b = cached_in_shape_[0], c = cached_in_shape_[1],
+                hw = cached_in_shape_[2] * cached_in_shape_[3];
+  FCA_CHECK_MSG(grad_out.shape() == (Shape{b, c}),
+                "GlobalAvgPool::backward expects grad_out "
+                    << shape_to_string({b, c}) << ", got "
+                    << shape_to_string(grad_out.shape()));
   Tensor grad_in = Tensor::uninit(cached_in_shape_);
   const float inv = 1.0f / static_cast<float>(hw);
   for (int64_t i = 0; i < grad_out.numel(); ++i) {

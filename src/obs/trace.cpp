@@ -88,7 +88,7 @@ Tracer::Context Tracer::push_context(int rank) {
   Context next;
   next.round = current_round();
   next.rank = rank;
-  next.pool_depth = ThreadPool::pool_task_depth();
+  next.for_depth = parallel_for_depth();
   {
     std::lock_guard lk(state().seq_mu);
     next.seq = &state().seq[{next.round, next.rank}];
@@ -99,7 +99,7 @@ Tracer::Context Tracer::push_context(int rank) {
 
 bool kernel_spans_armed() {
   return tl_context.seq != nullptr &&
-         ThreadPool::pool_task_depth() == tl_context.pool_depth;
+         parallel_for_depth() == tl_context.for_depth;
 }
 
 void Tracer::pop_context(const Context& previous) { tl_context = previous; }

@@ -55,11 +55,12 @@ void set_tracing(bool on);
 void set_kernel_tracing(bool on);
 
 /// True when a kernel span opened on this thread right now would be
-/// deterministic: the kernel flag is on, the thread holds a ContextScope,
-/// and it sits at the context's own pool-task nesting level. Calls made from
-/// inside a parallel_for launch fail the last condition — there, which
-/// thread runs a chunk is scheduling-dependent, so spans are suppressed and
-/// only the enclosing (context-level) kernel span is recorded.
+/// deterministic: the thread holds a ContextScope and sits at the context's
+/// own parallel_for nesting level (parallel_for_depth()). Calls made from
+/// inside a parallel_for body fail the last condition however the loop was
+/// scheduled — which thread runs a chunk, and whether chunks run inline,
+/// depends on the pool and the lane count — so spans there are suppressed
+/// and only the enclosing (context-level) kernel span is recorded.
 bool kernel_spans_armed();
 
 /// One completed span. cat/name point at string literals (every emission
@@ -102,7 +103,7 @@ class Tracer {
     int32_t round = 0;
     int32_t rank = -1;
     std::atomic<uint64_t>* seq = nullptr;
-    int pool_depth = 0;  // ThreadPool::pool_task_depth() at push time
+    int for_depth = 0;  // parallel_for_depth() at push time
   };
   /// Pushes a (current_round, rank) context on this thread; returns the
   /// previous one for restoration.

@@ -1,8 +1,10 @@
 // im2col / col2im for NCHW convolution lowering.
 //
-// Conv2d forward is lowered to a GEMM: the input image is unfolded into a
-// [C*KH*KW, OH*OW] column matrix per sample, multiplied by the [OC, C*KH*KW]
-// weight matrix. col2im is the adjoint used by the backward pass.
+// A strided Conv2d forward is lowered to a GEMM: the input image is unfolded
+// into a [C*KH*KW, OH*OW] column matrix per sample, multiplied by the
+// [OC, C*KH*KW] weight matrix. col2im is the adjoint used by the backward
+// pass. Stride-1 convs lower through padded planes instead (nn/conv.cpp);
+// tests/test_im2col.cpp pins that lowering byte-for-byte to this one.
 #pragma once
 
 #include <cstdint>

@@ -13,28 +13,26 @@ namespace {
 /// matter which pool scheduled the enclosing task.
 thread_local int t_task_depth = 0;
 
-/// Like t_task_depth but counting only real pool-task bodies, not
-/// SerialRegions — the discriminator behind ThreadPool::pool_task_depth().
-thread_local int t_pool_depth = 0;
+/// Number of parallel_for bodies the current thread is running, however
+/// each loop was scheduled — the counter behind parallel_for_depth().
+thread_local int t_for_depth = 0;
 
 /// RAII depth bump around a task body; exception-safe so accounting survives
 /// a throwing task (parallel_for wrappers catch, but keep this robust).
 struct TaskDepthScope {
-  TaskDepthScope() {
-    ++t_task_depth;
-    ++t_pool_depth;
-  }
-  ~TaskDepthScope() {
-    --t_task_depth;
-    --t_pool_depth;
-  }
+  TaskDepthScope() { ++t_task_depth; }
+  ~TaskDepthScope() { --t_task_depth; }
+};
+
+/// RAII bump of t_for_depth around one parallel_for body invocation.
+struct ForBodyScope {
+  ForBodyScope() { ++t_for_depth; }
+  ~ForBodyScope() { --t_for_depth; }
 };
 
 }  // namespace
 
 bool ThreadPool::in_task() { return t_task_depth > 0; }
-
-int ThreadPool::pool_task_depth() { return t_pool_depth; }
 
 ThreadPool::SerialRegion::SerialRegion() { ++t_task_depth; }
 ThreadPool::SerialRegion::~SerialRegion() { --t_task_depth; }
@@ -135,12 +133,14 @@ void parallel_for_range(int64_t begin, int64_t end,
   // Nested invocation (from a pool task or a SerialRegion) runs serially:
   // re-submitting would let wait_all() block on the enclosing task itself.
   if (ThreadPool::in_task()) {
+    ForBodyScope body;
     fn(begin, end);
     return;
   }
   ThreadPool& pool = global_pool();
   const int64_t max_tasks = static_cast<int64_t>(pool.size()) + 1;
   if (n <= grain || max_tasks <= 1) {
+    ForBodyScope body;
     fn(begin, end);
     return;
   }
@@ -154,6 +154,7 @@ void parallel_for_range(int64_t begin, int64_t end,
   for (int64_t lo = begin; lo < end; lo += step) {
     const int64_t hi = std::min(lo + step, end);
     pool.submit([&fn, &err_mu, &first_err, &first_err_lo, lo, hi] {
+      ForBodyScope body;
       try {
         fn(lo, hi);
       } catch (...) {
@@ -168,6 +169,8 @@ void parallel_for_range(int64_t begin, int64_t end,
   pool.wait_all();
   if (first_err) std::rethrow_exception(first_err);
 }
+
+int parallel_for_depth() { return t_for_depth; }
 
 void parallel_for(int64_t begin, int64_t end,
                   const std::function<void(int64_t)>& fn, int64_t grain) {

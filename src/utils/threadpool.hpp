@@ -53,13 +53,6 @@ class ThreadPool {
   /// loop instead of nesting, which would deadlock wait_all().
   static bool in_task();
 
-  /// Number of actual pool-task bodies the calling thread is nested inside
-  /// (SerialRegions do NOT count, unlike in_task()). Observability uses this
-  /// to tell "on the thread that owns this work" apart from "inside a
-  /// parallel kernel launch", where span emission would be
-  /// scheduling-dependent.
-  static int pool_task_depth();
-
   /// RAII marker that makes the current thread behave as if it were inside a
   /// pool task: nested parallel_for calls run serially until the region is
   /// exited. RoundExecutor wraps client bodies in one of these on every lane
@@ -97,6 +90,14 @@ ThreadPool& global_pool();
 /// the lowest-indexed failing chunk wins, deterministically).
 void parallel_for(int64_t begin, int64_t end,
                   const std::function<void(int64_t)>& fn, int64_t grain = 256);
+
+/// Number of parallel_for / parallel_for_range bodies the calling thread is
+/// nested inside, counted the same whether a loop ran its chunks on the pool
+/// or inline (nested in a task or SerialRegion, or too small to split).
+/// Observability uses this to tell "on the thread that owns this work" apart
+/// from "inside a parallel kernel launch", where span emission would depend
+/// on scheduling.
+int parallel_for_depth();
 
 /// Range flavor: fn(lo, hi) receives whole grains, which lets kernels keep
 /// per-chunk accumulators. fn must be safe for disjoint ranges concurrently.

@@ -134,6 +134,20 @@ TEST(ChannelShuffle, RejectsIndivisibleChannels) {
   EXPECT_THROW(shuffle.forward(Tensor({1, 4, 2, 2}), false), Error);
 }
 
+TEST(ChannelShuffle, BackwardRejectsMisshapenGradOut) {
+  ChannelShuffle shuffle(3);
+  Rng rng(11);
+  EXPECT_THROW(shuffle.backward(Tensor({1, 6, 2, 2})), Error)
+      << "backward without a training forward";
+  shuffle.forward(Tensor::randn({2, 6, 2, 2}, rng), true);
+  // 4 channels are not divisible by 3 groups: the inverse permutation would
+  // leave channels of the uninitialized result unwritten.
+  EXPECT_THROW(shuffle.backward(Tensor({2, 4, 2, 2})), Error);
+  EXPECT_THROW(shuffle.backward(Tensor({2, 6, 2, 3})), Error);
+  EXPECT_THROW(shuffle.backward(Tensor({1, 6, 2, 2})), Error);
+  EXPECT_NO_THROW(shuffle.backward(Tensor({2, 6, 2, 2})));
+}
+
 TEST(ChannelHelpers, SliceAndConcatRoundTrip) {
   Rng rng(11);
   Tensor x = Tensor::randn({2, 6, 3, 3}, rng);

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "nn/conv.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/tensor.hpp"
 #include "utils/rng.hpp"
 
 namespace fca {
@@ -200,6 +205,30 @@ TEST_P(ConvLoweringTest, GemmLoweringMatchesDirectConvolution) {
   }
 }
 
+// nn::Conv2d lowers stride-1 convs through padded planes and strided ones
+// through im2col; both must match the direct convolution too.
+TEST_P(ConvLoweringTest, Conv2dModuleMatchesDirectConvolution) {
+  const ConvCase p = GetParam();
+  ConvGeom g{p.c, p.h, p.w, p.k, p.k, p.stride, p.stride, p.pad, p.pad};
+  Rng rng(99);
+  std::vector<float> im = random_vec(static_cast<size_t>(p.c * p.h * p.w), rng);
+  std::vector<float> weight =
+      random_vec(static_cast<size_t>(p.oc * g.col_rows()), rng);
+
+  std::vector<float> direct(
+      static_cast<size_t>(p.oc * g.out_h() * g.out_w()), 0.0f);
+  conv2d_direct(im.data(), weight.data(), p.oc, g, direct.data());
+
+  Rng init(1);
+  nn::Conv2d conv(p.c, p.oc, p.k, p.stride, p.pad, init, /*bias=*/false);
+  std::copy(weight.begin(), weight.end(), conv.weight().value.data());
+  const Tensor out = conv.forward(Tensor({1, p.c, p.h, p.w}, im), false);
+  ASSERT_EQ(out.numel(), static_cast<int64_t>(direct.size()));
+  for (size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_NEAR(out[static_cast<int64_t>(i)], direct[i], 1e-4f) << "at " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvLoweringTest,
     ::testing::Values(ConvCase{1, 5, 5, 2, 3, 1, 1},
@@ -208,7 +237,258 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 9, 7, 3, 5, 1, 2},
                       ConvCase{4, 6, 6, 8, 1, 1, 0},
                       ConvCase{1, 4, 4, 1, 3, 2, 0},
-                      ConvCase{2, 12, 12, 6, 3, 2, 1}));
+                      ConvCase{2, 12, 12, 6, 3, 2, 1},
+                      // Stride-1 shapes for the padded-plane lowering: an
+                      // even kernel, padding wider than k/2, a 1x1 kernel
+                      // with a zero border, a one-pixel input, and a wide
+                      // depth past one 256-deep GEMM panel.
+                      ConvCase{2, 7, 6, 3, 2, 1, 1},
+                      ConvCase{2, 5, 6, 3, 3, 1, 2},
+                      ConvCase{3, 4, 5, 2, 1, 1, 1},
+                      ConvCase{2, 1, 1, 3, 3, 1, 1},
+                      ConvCase{2, 16, 16, 32, 3, 1, 1}));
+
+// ---------------------------------------------------------------------------
+// Conv2d lowering tier: for stride 1, nn::Conv2d lowers through
+// zero-bordered planes (DESIGN.md §9) instead of im2col. Its forward output,
+// input gradient, weight gradient and bias gradient must be byte-equal to
+// the im2col + sgemm + col2im lowering built here — the same GEMM calls on
+// the [col_rows, oh*ow] column matrix, the same batch chunking and the same
+// reductions. The weight gradient keeps byte identity only while the wgrad
+// GEMM keeps its summation order; every shape in the sweep does (its lowered
+// depth fits one panel of every kernel), and WideDepthCrossingKcPanel covers
+// the one that does not.
+
+struct LoweringCase {
+  int64_t c_in, c_out, groups, h, w, k, pad;
+  bool bias;
+};
+
+std::string describe(const LoweringCase& p) {
+  std::ostringstream os;
+  os << "c_in=" << p.c_in << " c_out=" << p.c_out << " groups=" << p.groups
+     << " h=" << p.h << " w=" << p.w << " k=" << p.k << " pad=" << p.pad
+     << " bias=" << p.bias;
+  return os.str();
+}
+
+struct ConvGrads {
+  Tensor out, grad_in, grad_w, grad_b;
+};
+
+/// The im2col lowering of a stride-1 Conv2d with the given parameters.
+ConvGrads im2col_conv(const LoweringCase& p, const Tensor& x,
+                      const Tensor& weight, const Tensor& bias,
+                      const Tensor& grad_out) {
+  const int64_t b = x.dim(0);
+  const int64_t icg = p.c_in / p.groups, ocg = p.c_out / p.groups;
+  ConvGeom g{icg, p.h, p.w, p.k, p.k, 1, 1, p.pad, p.pad};
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  const int64_t rows = g.col_rows(), cols = g.col_cols();
+  const int64_t in_img = p.c_in * p.h * p.w, out_img = p.c_out * oh * ow;
+  std::vector<float> col(static_cast<size_t>(rows * cols));
+  std::vector<float> dcol(col.size());
+
+  ConvGrads r;
+  r.out = Tensor({b, p.c_out, oh, ow});
+  for (int64_t i = 0; i < b; ++i) {
+    for (int64_t grp = 0; grp < p.groups; ++grp) {
+      im2col(x.data() + i * in_img + grp * icg * p.h * p.w, g, col.data());
+      GemmEpilogue epi;
+      if (p.bias) {
+        epi.bias = bias.data() + grp * ocg;
+        epi.bias_kind = GemmEpilogue::Bias::kPerRow;
+      }
+      sgemm_ex(false, false, ocg, cols, rows, 1.0f,
+               weight.data() + grp * ocg * rows, rows, col.data(), cols, 0.0f,
+               r.out.data() + i * out_img + grp * ocg * oh * ow, cols, epi);
+    }
+  }
+
+  constexpr int64_t kChunk = 8;
+  r.grad_in = Tensor(x.shape());
+  r.grad_w = Tensor(weight.shape());
+  r.grad_b = Tensor({p.c_out});
+  for (int64_t i0 = 0; i0 < b; i0 += kChunk) {
+    Tensor dw(weight.shape());
+    std::vector<float> db(static_cast<size_t>(p.c_out), 0.0f);
+    for (int64_t i = i0; i < std::min(b, i0 + kChunk); ++i) {
+      for (int64_t grp = 0; grp < p.groups; ++grp) {
+        const int64_t in_off = i * in_img + grp * icg * p.h * p.w;
+        const float* go = grad_out.data() + i * out_img + grp * ocg * oh * ow;
+        im2col(x.data() + in_off, g, col.data());
+        sgemm(false, true, ocg, rows, cols, 1.0f, go, cols, col.data(), cols,
+              1.0f, dw.data() + grp * ocg * rows, rows);
+        sgemm(true, false, rows, cols, ocg, 1.0f,
+              weight.data() + grp * ocg * rows, rows, go, cols, 0.0f,
+              dcol.data(), cols);
+        col2im(dcol.data(), g, r.grad_in.data() + in_off);
+      }
+      for (int64_t oc = 0; oc < (p.bias ? p.c_out : 0); ++oc) {
+        double s = 0.0;
+        for (int64_t q = 0; q < oh * ow; ++q) {
+          s += grad_out[i * out_img + oc * oh * ow + q];
+        }
+        db[static_cast<size_t>(oc)] += static_cast<float>(s);
+      }
+    }
+    for (int64_t j = 0; j < dw.numel(); ++j) r.grad_w[j] += dw[j];
+    for (int64_t j = 0; j < p.c_out; ++j) {
+      r.grad_b[j] += db[static_cast<size_t>(j)];
+    }
+  }
+  return r;
+}
+
+/// The same convolution through nn::Conv2d.
+ConvGrads module_conv(const LoweringCase& p, const Tensor& x,
+                      const Tensor& weight, const Tensor& bias,
+                      const Tensor& grad_out) {
+  Rng init(1);
+  nn::Conv2d conv(p.c_in, p.c_out, p.k, /*stride=*/1, p.pad, init, p.bias,
+                  p.groups);
+  std::vector<nn::Param*> params;
+  conv.collect_params(params);
+  params[0]->value = weight.clone();
+  if (p.bias) params[1]->value = bias.clone();
+  ConvGrads r;
+  const Tensor eval_out = conv.forward(x, /*train=*/false);
+  r.out = conv.forward(x, /*train=*/true);
+  EXPECT_EQ(0, std::memcmp(eval_out.data(), r.out.data(),
+                           static_cast<size_t>(r.out.numel()) * sizeof(float)))
+      << "eval and train forward differ: " << describe(p);
+  r.grad_in = conv.backward(grad_out);
+  r.grad_w = params[0]->grad.clone();
+  r.grad_b = p.bias ? params[1]->grad.clone() : Tensor({p.c_out});
+  return r;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+struct LoweringInputs {
+  Tensor x, weight, bias, grad_out;
+};
+
+LoweringInputs lowering_inputs(const LoweringCase& p, int64_t batch,
+                               uint64_t seed) {
+  Rng rng(seed);
+  const int64_t oh = p.h + 2 * p.pad - p.k + 1, ow = p.w + 2 * p.pad - p.k + 1;
+  LoweringInputs in;
+  in.x = Tensor::rand({batch, p.c_in, p.h, p.w}, rng, -1.0f, 1.0f);
+  in.weight = Tensor::rand({p.c_out, p.c_in / p.groups * p.k * p.k}, rng,
+                           -1.0f, 1.0f);
+  in.bias = Tensor::rand({p.c_out}, rng, -1.0f, 1.0f);
+  in.grad_out = Tensor::rand({batch, p.c_out, oh, ow}, rng, -1.0f, 1.0f);
+  return in;
+}
+
+std::vector<LoweringCase> lowering_sweep() {
+  std::vector<LoweringCase> cases;
+  struct Channels {
+    int64_t c_in, c_out, groups;
+  };
+  // 8/16/32/64 output channels per group (one input channel covers the 1x1
+  // conv whose input gradient is a single dgrad row), a grouped conv and a
+  // depthwise conv.
+  const Channels channels[] = {{1, 8, 1},  {3, 16, 1}, {2, 32, 1},
+                               {3, 64, 1}, {4, 16, 2}, {4, 4, 4}};
+  for (int64_t k : {1, 3, 5}) {
+    for (int64_t pad = 0; pad <= k / 2; ++pad) {
+      // H != W, odd and even, and the smallest input with a 1x1 output
+      // (H*W == 1 once pad == k/2).
+      const int64_t m = k - 2 * pad;
+      const int64_t sizes[][2] = {{7, 5}, {6, 9}, {m, m}};
+      for (const auto& hw : sizes) {
+        for (const Channels& ch : channels) {
+          for (bool bias : {false, true}) {
+            cases.push_back(LoweringCase{ch.c_in, ch.c_out, ch.groups, hw[0],
+                                         hw[1], k, pad, bias});
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+TEST(Conv2dLowering, StrideOneByteEqualToIm2colLowering) {
+  const std::vector<LoweringCase> cases = lowering_sweep();
+  ASSERT_EQ(cases.size(), 216u);
+  uint64_t seed = 500;
+  for (const LoweringCase& p : cases) {
+    const LoweringInputs in = lowering_inputs(p, /*batch=*/2, seed++);
+    const ConvGrads ref = im2col_conv(p, in.x, in.weight, in.bias, in.grad_out);
+    const ConvGrads got =
+        module_conv(p, in.x, in.weight, in.bias, in.grad_out);
+    EXPECT_TRUE(same_bytes(got.out, ref.out)) << "forward: " << describe(p);
+    EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in))
+        << "grad_in: " << describe(p);
+    EXPECT_TRUE(same_bytes(got.grad_w, ref.grad_w))
+        << "weight grad: " << describe(p);
+    EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b))
+        << "bias grad: " << describe(p);
+  }
+}
+
+TEST(Conv2dLowering, MultiChunkBatchByteEqualToIm2colLowering) {
+  // Ten images split into two backward chunks, reduced in chunk order.
+  const LoweringCase p{3, 16, 1, 6, 7, 3, 1, true};
+  const LoweringInputs in = lowering_inputs(p, /*batch=*/10, 77);
+  const ConvGrads ref = im2col_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  const ConvGrads got = module_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  EXPECT_TRUE(same_bytes(got.out, ref.out));
+  EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in));
+  EXPECT_TRUE(same_bytes(got.grad_w, ref.grad_w));
+  EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b));
+}
+
+TEST(Conv2dLowering, WideDepthCrossingKcPanel) {
+  // 16x16, k=3, pad 1: oh*ow = 256 fits one 256-deep packed panel, but the
+  // wide depth 15*18 + 16 = 286 does not, and with 32 output channels and
+  // 18 lowered rows the wgrad GEMM takes the general packed path. The panel
+  // boundary moves, so the weight gradient is held to the reassociation
+  // bound 2(k+2)·eps·sum|terms| of test_kernel_parity; everything else is
+  // still byte-equal.
+  const LoweringCase p{2, 32, 1, 16, 16, 3, 1, true};
+  const int64_t batch = 2;
+  const LoweringInputs in = lowering_inputs(p, batch, 91);
+  const ConvGrads ref = im2col_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  const ConvGrads got = module_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  EXPECT_TRUE(same_bytes(got.out, ref.out));
+  EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in));
+  EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b));
+
+  ConvGeom g{p.c_in, p.h, p.w, p.k, p.k, 1, 1, p.pad, p.pad};
+  const int64_t rows = g.col_rows(), cols = g.col_cols();
+  std::vector<double> mag(static_cast<size_t>(p.c_out * rows), 0.0);
+  std::vector<float> col(static_cast<size_t>(rows * cols));
+  for (int64_t i = 0; i < batch; ++i) {
+    im2col(in.x.data() + i * p.c_in * p.h * p.w, g, col.data());
+    const float* go = in.grad_out.data() + i * p.c_out * cols;
+    for (int64_t o = 0; o < p.c_out; ++o) {
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t q = 0; q < cols; ++q) {
+          mag[static_cast<size_t>(o * rows + r)] +=
+              std::abs(static_cast<double>(go[o * cols + q]) *
+                       col[static_cast<size_t>(r * cols + q)]);
+        }
+      }
+    }
+  }
+  constexpr double kFloatEps = 1.1920928955078125e-7;  // 2^-23
+  const double terms = static_cast<double>(batch * (cols + 2) + 2);
+  for (int64_t j = 0; j < ref.grad_w.numel(); ++j) {
+    const double bound =
+        2.0 * terms * kFloatEps * mag[static_cast<size_t>(j)] + 1e-35;
+    ASSERT_LE(std::abs(static_cast<double>(got.grad_w[j]) - ref.grad_w[j]),
+              bound)
+        << "weight grad at " << j;
+  }
+}
 
 }  // namespace
 }  // namespace fca

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/container.hpp"
@@ -349,6 +352,108 @@ TEST(MaxPool2d, AllNegInfPaddedWindowRoutesToFirstTap) {
   }
 }
 
+// MaxPool2d scans interior windows without per-tap bounds checks. Pin it
+// byte-for-byte — values and argmax routing — to the plain bounds-checked
+// scan: the first in-bounds tap seeds each window, and only a strictly
+// greater tap replaces it, so NaN never wins over a seeded value, -inf
+// windows still route to a real tap, and ties keep the earliest tap.
+struct PoolReference {
+  std::vector<float> out;
+  std::vector<int64_t> argmax;
+};
+
+PoolReference reference_max_pool(const Tensor& x, int64_t k, int64_t s,
+                                  int64_t p) {
+  const int64_t planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int64_t oh = (h + 2 * p - k) / s + 1, ow = (w + 2 * p - k) / s + 1;
+  PoolReference r;
+  for (int64_t i = 0; i < planes; ++i) {
+    const float* xi = x.data() + i * h * w;
+    for (int64_t y = 0; y < oh; ++y) {
+      for (int64_t xo = 0; xo < ow; ++xo) {
+        float best = 0.0f;
+        int64_t best_idx = -1;
+        for (int64_t ky = 0; ky < k; ++ky) {
+          for (int64_t kx = 0; kx < k; ++kx) {
+            const int64_t iy = y * s - p + ky, ix = xo * s - p + kx;
+            if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+            if (best_idx < 0 || xi[iy * w + ix] > best) {
+              best = xi[iy * w + ix];
+              best_idx = iy * w + ix;
+            }
+          }
+        }
+        r.out.push_back(best);
+        r.argmax.push_back(i * h * w + best_idx);
+      }
+    }
+  }
+  return r;
+}
+
+TEST(MaxPool2d, ByteEqualToBoundsCheckedScan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  struct Geometry {
+    int64_t k, s, p;
+  };
+  const Geometry geometries[] = {
+      {3, 1, 1}, {2, 2, 0}, {3, 2, 1}, {2, 1, 0}, {3, 3, 0}};
+  const int64_t sizes[][2] = {{7, 7}, {8, 8}, {7, 6}, {6, 9}, {3, 3}};
+  Rng rng(21);
+  for (const Geometry& g : geometries) {
+    for (const auto& hw : sizes) {
+      // Few distinct values, so windows tie, plus NaN and -inf taps.
+      Tensor x({2, 3, hw[0], hw[1]});
+      for (int64_t i = 0; i < x.numel(); ++i) {
+        const double r = rng.uniform(0.0, 1.0);
+        x[i] = r < 0.1   ? nan
+               : r < 0.2 ? ninf
+                         : static_cast<float>(std::floor(rng.uniform(-2, 2)));
+      }
+      const PoolReference ref = reference_max_pool(x, g.k, g.s, g.p);
+      const std::string tag = "k=" + std::to_string(g.k) +
+                              " s=" + std::to_string(g.s) +
+                              " p=" + std::to_string(g.p) +
+                              " h=" + std::to_string(hw[0]) +
+                              " w=" + std::to_string(hw[1]);
+      MaxPool2d pool(g.k, g.s, g.p);
+      const Tensor eval_out = pool.forward(x, /*train=*/false);
+      const Tensor train_out = pool.forward(x, /*train=*/true);
+      const size_t bytes = ref.out.size() * sizeof(float);
+      ASSERT_EQ(eval_out.numel(), static_cast<int64_t>(ref.out.size())) << tag;
+      EXPECT_EQ(0, std::memcmp(eval_out.data(), ref.out.data(), bytes)) << tag;
+      EXPECT_EQ(0, std::memcmp(train_out.data(), ref.out.data(), bytes))
+          << tag;
+      // Powers of two that differ between neighbouring outputs, so each
+      // grad_in element is an exact sum that names the outputs routed to it.
+      Tensor grad_out(train_out.shape());
+      std::vector<float> expected(static_cast<size_t>(x.numel()), 0.0f);
+      for (int64_t j = 0; j < grad_out.numel(); ++j) {
+        grad_out[j] = std::ldexp(1.0f, static_cast<int>(j % 16));
+        expected[static_cast<size_t>(ref.argmax[static_cast<size_t>(j)])] +=
+            grad_out[j];
+      }
+      const Tensor grad_in = pool.backward(grad_out);
+      EXPECT_EQ(0, std::memcmp(grad_in.data(), expected.data(),
+                               expected.size() * sizeof(float)))
+          << tag;
+    }
+  }
+}
+
+TEST(MaxPool2d, BackwardRejectsMisshapenGradOut) {
+  MaxPool2d pool(2, 2);
+  Rng rng(15);
+  pool.forward(Tensor::randn({2, 3, 4, 4}, rng), true);
+  // A larger grad_out would read past the cached argmax and scatter to
+  // garbage indices; a smaller one would leave outputs unrouted.
+  EXPECT_THROW(pool.backward(Tensor({2, 3, 3, 3})), Error);
+  EXPECT_THROW(pool.backward(Tensor({2, 3, 2, 1})), Error);
+  EXPECT_THROW(pool.backward(Tensor({2, 3, 4})), Error);
+  EXPECT_NO_THROW(pool.backward(Tensor({2, 3, 2, 2})));
+}
+
 TEST(AvgPool2d, ForwardAveragesWindow) {
   AvgPool2d pool(2, 2);
   Tensor x({1, 1, 2, 2}, {1, 2, 3, 6});
@@ -363,6 +468,16 @@ TEST(AvgPool2d, GradientsMatchFiniteDifference) {
   check_input_gradient(pool, x);
 }
 
+TEST(AvgPool2d, BackwardRejectsMisshapenGradOut) {
+  AvgPool2d pool(2, 2);
+  Rng rng(16);
+  pool.forward(Tensor::randn({1, 2, 4, 4}, rng), true);
+  EXPECT_THROW(pool.backward(Tensor({1, 2, 3, 3})), Error);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 2, 2})), Error);
+  EXPECT_THROW(pool.backward(Tensor({2, 2})), Error);
+  EXPECT_NO_THROW(pool.backward(Tensor({1, 2, 2, 2})));
+}
+
 TEST(GlobalAvgPool, ForwardAndBackward) {
   GlobalAvgPool gap;
   Tensor x({1, 2, 2, 2}, {1, 2, 3, 4, 10, 10, 10, 10});
@@ -374,6 +489,17 @@ TEST(GlobalAvgPool, ForwardAndBackward) {
   Tensor gx = gap.backward(g);
   EXPECT_FLOAT_EQ(gx[0], 1.0f);
   EXPECT_FLOAT_EQ(gx[4], 2.0f);
+}
+
+TEST(GlobalAvgPool, BackwardRejectsMisshapenGradOut) {
+  GlobalAvgPool gap;
+  Rng rng(17);
+  gap.forward(Tensor::randn({2, 3, 2, 2}, rng), true);
+  // grad_out.numel() * hw floats into a b*c*hw buffer would overrun it.
+  EXPECT_THROW(gap.backward(Tensor({2, 4})), Error);
+  EXPECT_THROW(gap.backward(Tensor({3, 3})), Error);
+  EXPECT_THROW(gap.backward(Tensor({2, 3, 1, 1})), Error);
+  EXPECT_NO_THROW(gap.backward(Tensor({2, 3})));
 }
 
 TEST(Flatten, RoundTripShapes) {

@@ -129,6 +129,36 @@ TEST(ThreadPool, SerialRegionForcesSerialParallelFor) {
   EXPECT_FALSE(ThreadPool::in_task());
 }
 
+// parallel_for_depth() counts loop bodies, not pool tasks: a body sees
+// depth 1 whether its loop ran pooled, inline inside a SerialRegion, or
+// inline because it was one grain. Trace span arming relies on this.
+TEST(ParallelFor, DepthCountsBodiesHoweverScheduled) {
+  EXPECT_EQ(parallel_for_depth(), 0);
+  std::atomic<int> wrong{0};
+  const auto check_body = [&](int64_t) {
+    if (parallel_for_depth() != 1) wrong.fetch_add(1);
+  };
+  parallel_for(0, 64, check_body, /*grain=*/1);  // pooled
+  parallel_for(0, 4, check_body, /*grain=*/16);  // one grain, inline
+  {
+    ThreadPool::SerialRegion region;
+    parallel_for(0, 64, check_body, /*grain=*/1);  // nested, inline
+  }
+  parallel_for(
+      0, 8,
+      [&](int64_t) {
+        parallel_for(
+            0, 8,
+            [&](int64_t) {
+              if (parallel_for_depth() != 2) wrong.fetch_add(1);
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(parallel_for_depth(), 0);
+}
+
 TEST(ThreadPool, DeeplyNestedSubmitsFromWorkersComplete) {
   // Tasks that submit further tasks (fan-out from inside workers) must all
   // run; wait_all() observes in-flight work transitively.
