@@ -1,6 +1,6 @@
 // Kernel regression bench: GFLOP/s per GEMM kernel per shape, written to
-// BENCH_kernels.json so CI can track the packed kernel against the blocked
-// and naive baselines over time (DESIGN.md §9).
+// BENCH_kernels.json so CI can track the packed kernel against the naive
+// baseline over time (DESIGN.md §9).
 //
 // The shape list is not synthetic: each conv entry is the (m, n, k) the
 // im2col lowering actually produces for a layer of the paper's model zoo at
@@ -57,11 +57,6 @@ void run_naive(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
                float* c) {
   fca::sgemm_naive(false, false, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
 }
-void run_blocked(int64_t m, int64_t n, int64_t k, const float* a,
-                 const float* b, float* c) {
-  fca::sgemm_blocked(false, false, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n,
-                     fca::GemmBlocking{});
-}
 void run_packed(int64_t m, int64_t n, int64_t k, const float* a,
                 const float* b, float* c) {
   fca::sgemm_packed(false, false, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
@@ -74,7 +69,6 @@ struct KernelEntry {
 
 const KernelEntry kKernels[] = {
     {"naive", run_naive},
-    {"blocked", run_blocked},
     {"packed", run_packed},
 };
 
@@ -138,13 +132,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Per-shape packed/blocked speedup summary (the regression headline).
-  std::printf("\n%-20s %10s\n", "shape", "packed/blocked");
-  for (size_t i = 0; i + 2 < results.size(); i += 3) {
-    const Measurement& blocked = results[i + 1];
-    const Measurement& packed = results[i + 2];
-    std::printf("%-20s %9.2fx\n", blocked.shape->name,
-                blocked.gflops > 0.0 ? packed.gflops / blocked.gflops : 0.0);
+  // Per-shape packed/naive speedup summary (the regression headline).
+  std::printf("\n%-20s %10s\n", "shape", "packed/naive");
+  for (size_t i = 0; i + 1 < results.size(); i += 2) {
+    const Measurement& naive = results[i];
+    const Measurement& packed = results[i + 1];
+    std::printf("%-20s %9.2fx\n", naive.shape->name,
+                naive.gflops > 0.0 ? packed.gflops / naive.gflops : 0.0);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");

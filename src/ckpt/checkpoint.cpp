@@ -22,11 +22,10 @@ constexpr char kFileSuffix[] = ".fckpt";
 std::string client_section(int k) { return "client/" + std::to_string(k); }
 
 // The per-client payload lives in fl/client_state.hpp (shared with the
-// client store's page files). v4 files carry sections only for the store's
-// checkpoint_clients() set plus a "clients" index listing them; clients not
-// listed were clean (pure factory + bootstrap output) and are re-derived on
-// resume instead of being stored. v1..v3 files carry every client and no
-// index.
+// client store's page files). A checkpoint carries sections only for the
+// store's checkpoint_clients() set plus a "clients" index listing them;
+// clients not listed were clean (pure factory + bootstrap output) and are
+// re-derived on resume instead of being stored.
 std::vector<std::byte> encode_client_index(const std::vector<int>& ids) {
   ByteWriter w;
   w.u32(static_cast<uint32_t>(ids.size()));
@@ -65,8 +64,7 @@ std::vector<std::byte> encode_metrics(
   return w.take();
 }
 
-std::vector<fl::RoundMetrics> decode_metrics(std::span<const std::byte> bytes,
-                                             uint32_t version) {
+std::vector<fl::RoundMetrics> decode_metrics(std::span<const std::byte> bytes) {
   ByteReader r(bytes);
   const uint32_t count = r.u32();
   std::vector<fl::RoundMetrics> curve;
@@ -80,14 +78,10 @@ std::vector<fl::RoundMetrics> decode_metrics(std::span<const std::byte> bytes,
     m.mean_train_loss = r.f64();
     m.wall_seconds = r.f64();
     m.round_bytes = r.u64();
-    if (version >= 2) {
-      // v1 rows predate the fault-tolerance columns; their defaults
-      // (selected = survivors = 0, no fault events) stand in.
-      m.selected_count = static_cast<int>(r.i64());
-      m.survivor_count = static_cast<int>(r.i64());
-      m.fault_events = r.u64();
-    }
-    if (version >= 3) m.real_fault_events = r.u64();
+    m.selected_count = static_cast<int>(r.i64());
+    m.survivor_count = static_cast<int>(r.i64());
+    m.fault_events = r.u64();
+    m.real_fault_events = r.u64();
     const uint32_t n = r.u32();
     m.client_accuracies.resize(n);
     for (uint32_t j = 0; j < n; ++j) m.client_accuracies[j] = r.f64();
@@ -262,34 +256,26 @@ fl::ResumeState CheckpointManager::resume(fl::FederatedRun& run,
       cursor.sampler_state = meta.u64();
       cursor.bytes_marker = meta.u64();
       cursor.participating_rounds_total = static_cast<int>(meta.i64());
-      // v1 predates fault injection: no fault marker in meta, no FaultStats
-      // in the network section. Zeroed fault state is exact for such runs —
-      // a v1 file can only come from a fault-free build.
-      cursor.fault_marker = reader.version() >= 2 ? meta.u64() : 0;
-      cursor.real_fault_marker = reader.version() >= 3 ? meta.u64() : 0;
+      cursor.fault_marker = meta.u64();
+      cursor.real_fault_marker = meta.u64();
       meta.expect_done();
 
       strategy.load_state(reader.section("strategy"));
       fl::ClientStore& store = run.store();
-      // v1..v3 recorded every client and no index.
-      std::vector<int> recorded;
-      if (reader.version() >= 4) {
-        recorded = decode_client_index(reader.section("clients"));
-        FCA_CHECK_MSG(
-            store.rederivable() ||
-                static_cast<int>(recorded.size()) == run.num_clients(),
-            "checkpoint records " << recorded.size() << " of "
-                << run.num_clients() << " clients; the rest were clean and "
-                << "re-derivable, which an all-resident store cannot do");
-      } else {
-        for (int k = 0; k < run.num_clients(); ++k) recorded.push_back(k);
-      }
+      const std::vector<int> recorded =
+          decode_client_index(reader.section("clients"));
+      FCA_CHECK_MSG(
+          store.rederivable() ||
+              static_cast<int>(recorded.size()) == run.num_clients(),
+          "checkpoint records " << recorded.size() << " of "
+              << run.num_clients() << " clients; the rest were clean and "
+              << "re-derivable, which an all-resident store cannot do");
       // Roll the store back to factory state, re-arm the lazy-init
       // bootstrap (clean clients must re-derive exactly as in the original
       // run), then overlay the recorded clients. On a resident store
       // reset() is a no-op and every client is overwritten in place.
       store.reset();
-      if (reader.version() >= 4 && reader.has("bootstrap")) {
+      if (reader.has("bootstrap")) {
         const std::span<const std::byte> boot = reader.section("bootstrap");
         if (store.rederivable()) {
           store.arm_bootstrap(&run, &strategy,
@@ -317,16 +303,14 @@ fl::ResumeState CheckpointManager::resume(fl::FederatedRun& run,
         sent[r].sim_seconds = net.f64();
       }
       comm::FaultStats faults;
-      if (reader.version() >= 2) {
-        faults.dropped_messages = net.u64();
-        faults.dropped_bytes = net.u64();
-        faults.delayed_messages = net.u64();
-        faults.deadline_misses = net.u64();
-        faults.crashed_client_rounds = net.u64();
-        faults.rejoins = net.u64();
-        faults.aborted_rounds = net.u64();
-        if (reader.version() >= 3) faults.real_peer_faults = net.u64();
-      }
+      faults.dropped_messages = net.u64();
+      faults.dropped_bytes = net.u64();
+      faults.delayed_messages = net.u64();
+      faults.deadline_misses = net.u64();
+      faults.crashed_client_rounds = net.u64();
+      faults.rejoins = net.u64();
+      faults.aborted_rounds = net.u64();
+      faults.real_peer_faults = net.u64();
       net.expect_done();
       // All-local hygiene: a recovery replay must restart from an empty
       // fabric. A scoped rank must NOT purge its rings — peers resume at
@@ -337,8 +321,7 @@ fl::ResumeState CheckpointManager::resume(fl::FederatedRun& run,
       run.network().restore_stats(sent);
       run.network().restore_fault_stats(faults);
 
-      cursor.curve = decode_metrics(reader.section("metrics"),
-                                    reader.version());
+      cursor.curve = decode_metrics(reader.section("metrics"));
 
       ++stats_.loads;
       stats_.load_seconds += timer.seconds();
@@ -377,7 +360,7 @@ void CheckpointManager::restore_client(fl::FederatedRun& run, int client_id) {
       if (reader.has(client_section(client_id))) {
         run.store().restore_serialized_state(
             client_id, reader.section(client_section(client_id)));
-      } else if (reader.version() >= 4 && run.store().rederivable()) {
+      } else if (run.store().rederivable()) {
         // Recorded clean: the checkpoint's word is that this client equals
         // factory + bootstrap output, so forgetting its current state IS
         // the restore.

@@ -98,11 +98,11 @@ void SectionWriter::add(const std::string& name,
   sections_.emplace_back(name, std::move(payload));
 }
 
-void SectionWriter::write(const std::string& path, uint32_t version) const {
+void SectionWriter::write(const std::string& path) const {
   // Only the header and each section's name/length/CRC prefix are built
   // here; the file is gathered from them and the payloads as they lie.
   ByteWriter w;
-  w.u32(version);
+  w.u32(kFormatVersion);
   w.u32(static_cast<uint32_t>(sections_.size()));
   std::vector<std::vector<std::byte>> prefixes;
   prefixes.reserve(sections_.size() + 1);
@@ -140,10 +140,10 @@ SectionReader::SectionReader(const std::string& path) {
                     std::memcmp(file_.data(), kMagic, sizeof(kMagic)) == 0,
                 path << " is not an FCA checkpoint file");
   ByteReader r(std::span<const std::byte>(file_).subspan(sizeof(kMagic)));
-  version_ = r.u32();
-  FCA_CHECK_MSG(version_ >= 1 && version_ <= kFormatVersion,
-                path << " has checkpoint format version " << version_
-                     << ", this build reads versions 1.." << kFormatVersion);
+  const uint32_t version = r.u32();
+  FCA_CHECK_MSG(version == kFormatVersion,
+                path << " has checkpoint format version " << version
+                     << ", this build reads only version " << kFormatVersion);
   const uint32_t count = r.u32();
   size_t offset = sizeof(kMagic) + 2 * sizeof(uint32_t);
   for (uint32_t i = 0; i < count; ++i) {

@@ -17,9 +17,8 @@
 // All integers are little-endian (the library already assumes a
 // little-endian host for tensor serialization). Versioning rule: any change
 // to the section layout or to a section's internal encoding bumps
-// kFormatVersion; readers accept versions 1..kFormatVersion (decoders
-// branch on SectionReader::version() to default fields a version predates)
-// and reject newer ones outright rather than guessing. Files are written
+// kFormatVersion, and readers accept exactly kFormatVersion: an older or
+// newer file is rejected outright rather than guessed at. Files are written
 // atomically (temp file + rename), so a crash
 // mid-save can never leave a truncated file under the final name — and if
 // anything else corrupts one, the per-section CRC catches it on load.
@@ -42,8 +41,7 @@ namespace fca::ckpt {
 // v4: O(active-cohort) checkpoints — client sections are written only for
 // the store's dirty set, a "clients" index section lists which ids are
 // present, and lazy-init runs add a "bootstrap" section so re-derived clean
-// clients start from the armed payload. v1..v3 readers treat a missing
-// index as "every client recorded".
+// clients start from the armed payload.
 inline constexpr uint32_t kFormatVersion = 4;
 
 /// CRC32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) of `data`.
@@ -102,12 +100,10 @@ class SectionWriter {
  public:
   /// Adds a section; names must be unique within one file.
   void add(const std::string& name, std::vector<std::byte> payload);
-  /// Writes header + sections and atomically replaces `path`. Payloads are
-  /// written where they lie, never joined into a second file-sized buffer.
-  /// The version override exists for tests that fabricate older-format
-  /// files; production saves always stamp kFormatVersion.
-  void write(const std::string& path,
-             uint32_t version = kFormatVersion) const;
+  /// Writes header + sections, stamped kFormatVersion, and atomically
+  /// replaces `path`. Payloads are written where they lie, never joined into
+  /// a second file-sized buffer.
+  void write(const std::string& path) const;
 
  private:
   std::vector<std::pair<std::string, std::vector<std::byte>>> sections_;
@@ -124,12 +120,9 @@ class SectionReader {
   /// Payload of a section; throws if absent.
   std::span<const std::byte> section(const std::string& name) const;
   size_t file_size() const { return file_.size(); }
-  /// Format version the file was written with (1..kFormatVersion).
-  uint32_t version() const { return version_; }
 
  private:
   std::vector<std::byte> file_;
-  uint32_t version_ = kFormatVersion;
   std::vector<std::pair<std::string, std::span<const std::byte>>> sections_;
 };
 

@@ -10,7 +10,6 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
-#include <new>
 #include <sstream>
 
 #include "comm/transport/error.hpp"
@@ -125,8 +124,11 @@ ShmTransport::ShmTransport(const TransportOptions& options, int world,
                 "agree on");
   if (shm_name_.empty()) {
     // Process-private world (plus fork children): anonymous shared mapping.
+    // MAP_NORESERVE: the region is sized world^2 rings, but only the rings
+    // of edges that carry frames ever become resident, so reserving swap for
+    // all of it would refuse large worlds that need a small fraction of it.
     map_ = mmap(nullptr, map_size_, PROT_READ | PROT_WRITE,
-                MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+                MAP_SHARED | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     FCA_CHECK_MSG(map_ != MAP_FAILED, "mmap of " << map_size_
                                                  << " shm bytes failed: "
                                                  << std::strerror(errno));
@@ -171,18 +173,14 @@ ShmTransport::ShmTransport(const TransportOptions& options, int world,
   auto* header = reinterpret_cast<RegionHeader*>(map_);
   if (created_) {
     // A fresh shm object (O_EXCL + ftruncate) and an anonymous mapping are
-    // already zero-filled by the kernel. Writing only the region header and
-    // the ring headers keeps every unused ring's data pages non-resident:
-    // a ring costs memory only once an edge first carries a frame.
+    // already zero-filled by the kernel, so every ring starts empty (head ==
+    // tail == 0) without a write. Writing only the region header keeps every
+    // unused ring non-resident, header page included: a ring costs memory
+    // only once an edge first carries a frame.
     header->magic = kRegionMagic;
     header->version = kRegionVersion;
     header->world = static_cast<uint32_t>(world);
     header->ring_capacity = ring_capacity_;
-    for (int s = 0; s < world; ++s) {
-      for (int d = 0; d < world; ++d) {
-        new (&ring_header(s, d)) RingHeader{{0}, {0}};
-      }
-    }
     if (handshake != nullptr) {
       const Bytes blob = handshake->serialize();
       FCA_CHECK_MSG(blob.size() <= kMaxHandshakeBytes,

@@ -1,21 +1,12 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <vector>
 
 #include "obs/trace.hpp"
 #include "tensor/kernel.hpp"
-#include "utils/error.hpp"
-#include "utils/logging.hpp"
-#include "utils/threadpool.hpp"
 
 namespace fca {
 namespace {
-
-// Most recent executor per thread (see last_dispatched_kernel()); kAuto
-// doubles as "no dispatch yet".
-thread_local GemmKernel g_last_dispatched = GemmKernel::kAuto;
 
 // Element of op(A) at logical (row, col).
 inline float op_at(const float* a, int64_t lda, bool trans, int64_t row,
@@ -55,69 +46,6 @@ void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 }
 
-void sgemm_blocked(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                   float alpha, const float* a, int64_t lda, const float* b,
-                   int64_t ldb, float beta, float* c, int64_t ldc,
-                   const GemmBlocking& blk) {
-  obs::ProfileSpan span("kernel", "sgemm", 2 * m * n * k);
-  FCA_CHECK(m >= 0 && n >= 0 && k >= 0);
-  if (m == 0 || n == 0) return;
-  scale_c(beta, m, n, c, ldc);
-  if (k == 0 || alpha == 0.0f) return;
-
-  const int64_t mc = std::max<int64_t>(1, blk.mc);
-  const int64_t nc = std::max<int64_t>(1, blk.nc);
-  const int64_t kc = std::max<int64_t>(1, blk.kc);
-
-  // B panels are packed once per (jc, pc) and shared read-only by all row
-  // tasks; each task packs its own A panel into a local buffer.
-  std::vector<float> bp(static_cast<size_t>(kc * nc));
-  for (int64_t jc = 0; jc < n; jc += nc) {
-    const int64_t nb = std::min(nc, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kc) {
-      const int64_t kb = std::min(kc, k - pc);
-      for (int64_t p = 0; p < kb; ++p) {
-        if (!trans_b) {
-          const float* src = b + (pc + p) * ldb + jc;
-          std::copy_n(src, nb, bp.data() + p * nb);
-        } else {
-          for (int64_t j = 0; j < nb; ++j) {
-            bp[static_cast<size_t>(p * nb + j)] = b[(jc + j) * ldb + pc + p];
-          }
-        }
-      }
-      parallel_for_range(
-          0, (m + mc - 1) / mc,
-          [&](int64_t blk_lo, int64_t blk_hi) {
-            std::vector<float> ap(static_cast<size_t>(mc * kb));
-            for (int64_t bi = blk_lo; bi < blk_hi; ++bi) {
-              const int64_t ic = bi * mc;
-              const int64_t mb = std::min(mc, m - ic);
-              for (int64_t i = 0; i < mb; ++i) {
-                for (int64_t p = 0; p < kb; ++p) {
-                  ap[static_cast<size_t>(i * kb + p)] =
-                      op_at(a, lda, trans_a, ic + i, pc + p);
-                }
-              }
-              for (int64_t i = 0; i < mb; ++i) {
-                float* crow = c + (ic + i) * ldc + jc;
-                for (int64_t p = 0; p < kb; ++p) {
-                  // No zero-skip (see sgemm_naive): keeps NaN/Inf from B
-                  // flowing through, so blocked stays parity-comparable
-                  // against the reference on non-finite inputs.
-                  const float av =
-                      alpha * ap[static_cast<size_t>(i * kb + p)];
-                  const float* brow = bp.data() + p * nb;
-                  for (int64_t j = 0; j < nb; ++j) crow[j] += av * brow[j];
-                }
-              }
-            }
-          },
-          /*grain=*/1);
-    }
-  }
-}
-
 void apply_gemm_epilogue(int64_t m, int64_t n, float* c, int64_t ldc,
                          const GemmEpilogue& epi) {
   if (epi.empty() || m == 0 || n == 0) return;
@@ -138,64 +66,21 @@ void apply_gemm_epilogue(int64_t m, int64_t n, float* c, int64_t ldc,
   }
 }
 
-bool sgemm_packed_supported(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                            int64_t k) {
-  (void)k;
-  // A transposed 1x1-result call is a plain dot product: the packed path
-  // would gather k strided elements into a panel just to multiply them once
-  // each, so the gather costs as much as the product. The blocked kernel
-  // handles it in one pass with the same fixed ascending-k order.
-  return !((trans_a || trans_b) && m == 1 && n == 1);
-}
-
-GemmKernel last_dispatched_kernel() { return g_last_dispatched; }
-
 void sgemm_ex(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
               float alpha, const float* a, int64_t lda, const float* b,
               int64_t ldb, float beta, float* c, int64_t ldc,
               const GemmEpilogue& epi) {
-  switch (resolved_gemm_kernel()) {
-    case GemmKernel::kPacked:
-      if (!sgemm_packed_supported(trans_a, trans_b, m, n, k)) {
-        // Fall back to blocked — never naive: blocked keeps the cache-aware
-        // panel walk and the deterministic per-element order, so the only
-        // difference from packed is speed on this degenerate shape.
-        static std::atomic<bool> noted{false};
-        if (!noted.exchange(true, std::memory_order_relaxed)) {
-          FCA_LOG_INFO << "sgemm: transposed 1x1-result call routed to the "
-                          "blocked kernel (packed would spend more on panel "
-                          "gathering than on the product); further "
-                          "occurrences are silent";
-        }
-        g_last_dispatched = GemmKernel::kBlocked;
-        sgemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta,
-                      c, ldc, GemmBlocking{});
-        apply_gemm_epilogue(m, n, c, ldc, epi);
-        return;
-      }
-      g_last_dispatched = GemmKernel::kPacked;
-      sgemm_packed(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                   ldc, epi);
-      return;
-    case GemmKernel::kNaive: {
-      // The reference loop carries no span of its own (it is also the
-      // oracle inside tests); account for it here so a forced-naive run
-      // keeps the same kernel-span names and flop counts in the trace.
-      obs::ProfileSpan span("kernel", "sgemm", 2 * m * n * k);
-      g_last_dispatched = GemmKernel::kNaive;
-      sgemm_naive(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                  ldc);
-      apply_gemm_epilogue(m, n, c, ldc, epi);
-      return;
-    }
-    case GemmKernel::kBlocked:
-    case GemmKernel::kAuto:  // unreachable: resolved_gemm_kernel() never kAuto
-      g_last_dispatched = GemmKernel::kBlocked;
-      sgemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                    ldc, GemmBlocking{});
-      apply_gemm_epilogue(m, n, c, ldc, epi);
-      return;
+  if (resolved_gemm_kernel() == GemmKernel::kPacked) {
+    sgemm_packed(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                 ldc, epi);
+    return;
   }
+  // The reference loop carries no span of its own (it is also the oracle
+  // inside tests); account for it here so a forced-naive run keeps the same
+  // kernel-span names and flop counts in the trace.
+  obs::ProfileSpan span("kernel", "sgemm", 2 * m * n * k);
+  sgemm_naive(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  apply_gemm_epilogue(m, n, c, ldc, epi);
 }
 
 void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

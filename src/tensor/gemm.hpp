@@ -1,12 +1,11 @@
 // Single-precision general matrix multiply.
 //
 // C = alpha * op(A) * op(B) + beta * C, row-major, with optional transposes.
-// sgemm()/sgemm_ex() dispatch at runtime between three implementations (see
-// tensor/kernel.hpp): the IEEE-faithful naive reference, the cache-blocked
-// scalar kernel, and the packed register-tiled micro-kernel (default). All
-// three accumulate each output element in a fixed k-order independent of
-// thread count, so a given selection is bit-identical across reruns and
-// parallelism levels.
+// sgemm()/sgemm_ex() dispatch at runtime between two implementations (see
+// tensor/kernel.hpp): the packed register-tiled micro-kernel (default) and
+// the IEEE-faithful naive reference. Both accumulate each output element in
+// a fixed k-order independent of thread count, so a given selection is
+// bit-identical across reruns and parallelism levels.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +16,7 @@ namespace fca {
 
 /// Optional fused tail applied to C after the product is complete: bias add
 /// (per output row or per output column) followed by an activation. The
-/// packed kernel fuses this into its write-back; the other kernels apply it
+/// packed kernel fuses this into its write-back; the naive path applies it
 /// as a second pass with identical numerics (one rounding per element for
 /// the bias add, exact max for ReLU).
 struct GemmEpilogue {
@@ -46,55 +45,27 @@ void sgemm_ex(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
               int64_t ldb, float beta, float* c, int64_t ldc,
               const GemmEpilogue& epi);
 
-/// Block sizes used by sgemm_blocked; exposed so the micro-bench can sweep
-/// them.
-struct GemmBlocking {
-  int64_t mc = 64;   // rows of A per panel
-  int64_t nc = 256;  // cols of B per panel
-  int64_t kc = 128;  // depth per panel
-};
-
-/// Cache-blocked scalar kernel with explicit blocking parameters.
-void sgemm_blocked(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                   float alpha, const float* a, int64_t lda, const float* b,
-                   int64_t ldb, float beta, float* c, int64_t ldc,
-                   const GemmBlocking& blk);
-
 /// Packed register-tiled micro-kernel (tensor/gemm_packed.cpp): A and B are
 /// packed into per-thread workspace panels (alpha folded into the A pack),
 /// then multiplied by a fixed-size compiler-vectorized tile. `epi` is fused
-/// into the write-back of the last k panel.
+/// into the write-back of the last k panel. A transposed call with a 1x1
+/// result is a bare dot product and skips the panels: it runs the naive
+/// loop's per-element order, so it is byte-identical to sgemm_naive.
 void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                   float alpha, const float* a, int64_t lda, const float* b,
                   int64_t ldb, float beta, float* c, int64_t ldc,
                   const GemmEpilogue& epi = {});
 
 /// Naive triple loop used as the correctness oracle in tests and as the
-/// baseline in the GEMM ablation bench. IEEE-faithful: NaN/Inf in either
+/// baseline in bench_kernels. IEEE-faithful: NaN/Inf in either
 /// operand propagate exactly as the literal sum-of-products would.
 void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float alpha, const float* a, int64_t lda, const float* b,
                  int64_t ldb, float beta, float* c, int64_t ldc);
 
-/// Standalone epilogue pass over C (what the non-fused kernels run after the
+/// Standalone epilogue pass over C (what the non-fused paths run after the
 /// product; exposed for the parity tests).
 void apply_gemm_epilogue(int64_t m, int64_t n, float* c, int64_t ldc,
                          const GemmEpilogue& epi);
-
-/// Whether sgemm_packed's tiled/streaming machinery is the right executor
-/// for this call. The only excluded class is a transposed-operand call with
-/// a 1x1 result: that is a bare k-element dot product, and the packed path
-/// would spend more work gathering the strided operand into a panel than the
-/// product itself costs. Every backward shape (dgrad's (true,false) and
-/// wgrad's (false,true) with real tile extents) is served by the packed
-/// kernel — this predicate must never route those away.
-bool sgemm_packed_supported(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                            int64_t k);
-
-/// The kernel that actually executed this thread's most recent
-/// sgemm()/sgemm_ex() call — differs from resolved_gemm_kernel() only when
-/// the packed selection fell back to blocked on an unsupported shape (see
-/// sgemm_packed_supported). kAuto until the first dispatch on this thread.
-GemmKernel last_dispatched_kernel();
 
 }  // namespace fca

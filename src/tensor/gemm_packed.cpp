@@ -13,7 +13,7 @@
 // whatever SIMD width it targets, while the MR×NR accumulator block stays in
 // registers for the whole kb depth. That register reuse — C is loaded and
 // stored once per k-panel instead of once per k step — is where the speedup
-// over sgemm_blocked comes from; see bench_kernels / BENCH_kernels.json.
+// over sgemm_naive comes from; see bench_kernels / BENCH_kernels.json.
 // The kernel is additionally compiled as GCC function-multiversioning clones
 // (target_clones, still no intrinsics): the dynamic loader picks the
 // x86-64-v3 clone (AVX2 + FMA, 8-wide) on CPUs that have it and the baseline
@@ -524,6 +524,23 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   if (k == 0 || alpha == 0.0f) {
     scale_c(beta, m, n, c, ldc);
     apply_gemm_epilogue(m, n, c, ldc, epi);
+    return;
+  }
+
+  // A transposed call with a 1x1 result is a bare k-element dot product:
+  // gathering the strided operand into a panel would cost as much as the
+  // product itself. It runs sgemm_naive's loop instead — beta first, then
+  // (alpha * a_p) * b_p added in ascending p — so it is byte-identical to
+  // the oracle. It must dispatch before the rank-k path, which would also
+  // take the trans_a case.
+  if ((trans_a || trans_b) && m == 1 && n == 1) {
+    const int64_t a_step = trans_a ? lda : 1;
+    const int64_t b_step = trans_b ? 1 : ldb;
+    scale_c(beta, 1, 1, c, ldc);
+    for (int64_t p = 0; p < k; ++p) {
+      c[0] += (alpha * a[p * a_step]) * b[p * b_step];
+    }
+    apply_gemm_epilogue(1, 1, c, ldc, epi);
     return;
   }
 

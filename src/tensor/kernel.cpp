@@ -19,7 +19,7 @@ GemmKernel from_env() {
   GemmKernel k;
   if (!parse_gemm_kernel(env, &k)) {
     FCA_LOG_WARN << "FCA_GEMM_KERNEL='" << env
-                 << "' is not one of auto|naive|blocked|packed; using auto";
+                 << "' is not one of auto|naive|packed; using auto";
     return GemmKernel::kAuto;
   }
   return k;
@@ -62,8 +62,6 @@ const char* gemm_kernel_name(GemmKernel k) {
       return "auto";
     case GemmKernel::kNaive:
       return "naive";
-    case GemmKernel::kBlocked:
-      return "blocked";
     case GemmKernel::kPacked:
       return "packed";
   }
@@ -75,8 +73,6 @@ bool parse_gemm_kernel(std::string_view name, GemmKernel* out) {
     *out = GemmKernel::kAuto;
   } else if (name == "naive") {
     *out = GemmKernel::kNaive;
-  } else if (name == "blocked") {
-    *out = GemmKernel::kBlocked;
   } else if (name == "packed") {
     *out = GemmKernel::kPacked;
   } else {

@@ -1,17 +1,15 @@
 // Kernel dispatch layer (DESIGN.md §9).
 //
 // Every GEMM in the library funnels through fca::sgemm / fca::sgemm_ex,
-// which select one of three interchangeable implementations at runtime:
+// which select one of two interchangeable implementations at runtime:
 //
 //   naive    — the IEEE-faithful triple loop; correctness oracle.
-//   blocked  — cache-blocked panels, scalar inner loop (the pre-kernel-layer
-//              default, kept as a bisection point and sparse-friendly path).
 //   packed   — BLIS-style register-tiled micro-kernel over packed A/B panels
 //              (compiler-vectorized fixed-size tiles); the default.
 //
 // Selection precedence: set_gemm_kernel() override > FCA_GEMM_KERNEL env
-// (naive|blocked|packed|auto, read once) > kAuto, which resolves to kPacked.
-// All kernels share the determinism contract: for a fixed selection, every
+// (naive|packed|auto, read once) > kAuto, which resolves to kPacked.
+// Both kernels share the determinism contract: for a fixed selection, every
 // output element is accumulated in a fixed k-order independent of thread
 // count, so reruns and any --client-parallelism are bit-identical.
 #pragma once
@@ -21,10 +19,9 @@
 namespace fca {
 
 enum class GemmKernel : int {
-  kAuto = 0,     // resolve to the best available (currently kPacked)
-  kNaive = 1,    // reference triple loop
-  kBlocked = 2,  // cache-blocked scalar kernel
-  kPacked = 3,   // packed register-tiled micro-kernel
+  kAuto = 0,    // resolve to the best available (currently kPacked)
+  kNaive = 1,   // reference triple loop
+  kPacked = 2,  // packed register-tiled micro-kernel
 };
 
 /// Current selection as set (may be kAuto). Thread-safe.
@@ -38,7 +35,7 @@ void set_gemm_kernel(GemmKernel k);
 /// the FCA_GEMM_KERNEL environment variable). Never returns kAuto.
 GemmKernel resolved_gemm_kernel();
 
-/// Stable lower-case name ("auto", "naive", "blocked", "packed").
+/// Stable lower-case name ("auto", "naive", "packed").
 const char* gemm_kernel_name(GemmKernel k);
 
 /// Parses a kernel name; returns false (and leaves *out untouched) on an

@@ -99,25 +99,5 @@ TEST(Gemm, KZeroAppliesBetaOnly) {
   EXPECT_FLOAT_EQ(c[0], 10.0f);
 }
 
-TEST(Gemm, CustomBlockingMatches) {
-  Rng rng(77);
-  const int64_t m = 37, n = 53, k = 29;
-  const std::vector<float> a = random_matrix(m, k, rng);
-  const std::vector<float> b = random_matrix(k, n, rng);
-  std::vector<float> ref(static_cast<size_t>(m * n), 0.0f);
-  sgemm_naive(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-              ref.data(), n);
-  for (const GemmBlocking blk :
-       {GemmBlocking{8, 8, 8}, GemmBlocking{1, 1, 1}, GemmBlocking{16, 512, 4}}) {
-    std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
-    sgemm_blocked(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-                  out.data(), n, blk);
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_NEAR(out[i], ref[i], 1e-4f)
-          << "blocking " << blk.mc << "/" << blk.nc << "/" << blk.kc;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace fca

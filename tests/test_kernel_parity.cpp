@@ -218,7 +218,7 @@ TEST(KernelParity, InfinityTimesZeroIsNanInEveryKernel) {
     return c;
   };
   for (GemmKernel kern :
-       {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kPacked}) {
+       {GemmKernel::kNaive, GemmKernel::kPacked}) {
     const std::vector<float> c = run(kern);
     EXPECT_TRUE(std::isnan(c[0]))
         << gemm_kernel_name(kern) << ": 0 * inf must be NaN";
@@ -415,7 +415,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2),  // kNone/kPerRow/kPerCol
                        ::testing::Values(0, 1),     // kNone/kReLU
                        ::testing::Values(GemmKernel::kNaive,
-                                         GemmKernel::kBlocked,
                                          GemmKernel::kPacked)));
 
 TEST(EpilogueParity, ReluEpilogueZeroesNanDeterministically) {
@@ -441,14 +440,15 @@ TEST(EpilogueParity, ReluEpilogueZeroesNanDeterministically) {
 // Dispatch plumbing.
 
 TEST(KernelDispatch, NamesRoundTripAndEnvOverrideParses) {
-  for (GemmKernel k : {GemmKernel::kAuto, GemmKernel::kNaive,
-                       GemmKernel::kBlocked, GemmKernel::kPacked}) {
+  for (GemmKernel k :
+       {GemmKernel::kAuto, GemmKernel::kNaive, GemmKernel::kPacked}) {
     GemmKernel parsed;
     ASSERT_TRUE(parse_gemm_kernel(gemm_kernel_name(k), &parsed));
     EXPECT_EQ(parsed, k);
   }
   GemmKernel unused = GemmKernel::kAuto;
   EXPECT_FALSE(parse_gemm_kernel("simd4life", &unused));
+  EXPECT_FALSE(parse_gemm_kernel("blocked", &unused));
   EXPECT_EQ(unused, GemmKernel::kAuto);
 }
 
@@ -664,60 +664,49 @@ TEST(BackwardParity, TransposedPathsRerunAndSerialRunsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch fallback: the one transposed shape class the packed kernel does
-// not serve (a 1x1-result dot product) must route to blocked — never naive —
-// and real dgrad/wgrad shapes must stay on packed.
+// Transposed dot products: a transposed call with a 1x1 result skips the
+// panels and runs sgemm_naive's own loop inside sgemm_packed, so the two
+// must agree to the byte — epilogue included — at every depth and scale.
 
-TEST(KernelDispatch, TransposedDotProductFallsBackToBlocked) {
-  EXPECT_FALSE(sgemm_packed_supported(true, false, 1, 1, 33));
-  EXPECT_FALSE(sgemm_packed_supported(false, true, 1, 1, 33));
-  EXPECT_TRUE(sgemm_packed_supported(false, false, 1, 1, 33));
-  // dgrad / wgrad shapes are always served by packed.
-  EXPECT_TRUE(sgemm_packed_supported(true, false, 72, 1024, 8));
-  EXPECT_TRUE(sgemm_packed_supported(false, true, 8, 72, 1024));
-  EXPECT_TRUE(sgemm_packed_supported(true, false, 1, 64, 8));
-  EXPECT_TRUE(sgemm_packed_supported(false, true, 64, 1, 8));
-
+TEST(KernelDispatch, TransposedDotProductMatchesNaiveBytes) {
   ScopedGemmKernel guard(GemmKernel::kPacked);
   Rng rng(77);
-  const int64_t k = 33;
-  const std::vector<float> a = random_matrix(k, 1, 1, rng);  // A is k x 1
-  const std::vector<float> b = random_matrix(k, 1, 1, rng);
-  float c = 0.5f;
-  float ref = 0.5f;
-  sgemm(true, false, 1, 1, k, 1.0f, a.data(), 1, b.data(), 1, 1.0f, &c, 1);
-  EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kBlocked)
-      << "transposed 1x1 result must fall back to the blocked kernel";
-  sgemm_naive(true, false, 1, 1, k, 1.0f, a.data(), 1, b.data(), 1, 1.0f,
-              &ref, 1);
-  expect_gemm_parity(1, 1, k, 1.0f, a.data(), 1, true, b.data(), 1, false,
-                     1.0f, &ref, &c, &ref, 1, "fallback dot");
-
-  // A dgrad-shaped call right after must go back to packed.
-  const std::vector<float> big_a = random_matrix(8, 72, 72, rng);
-  const std::vector<float> big_b = random_matrix(8, 64, 64, rng);
-  std::vector<float> big_c(72 * 64, 0.0f);
-  sgemm(true, false, 72, 64, 8, 1.0f, big_a.data(), 72, big_b.data(), 64,
-        0.0f, big_c.data(), 64);
-  EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kPacked);
-  // wgrad-shaped call too.
-  std::vector<float> wg_c(8 * 72, 0.0f);
-  sgemm(false, true, 8, 72, 64, 1.0f, big_b.data(), 64, big_c.data(), 64,
-        1.0f, wg_c.data(), 72);
-  EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kPacked);
-
-  // Forcing blocked or naive is always honored verbatim.
-  {
-    ScopedGemmKernel blocked(GemmKernel::kBlocked);
-    float c2 = 0.0f;
-    sgemm(true, false, 1, 1, k, 1.0f, a.data(), 1, b.data(), 1, 0.0f, &c2, 1);
-    EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kBlocked);
-  }
-  {
-    ScopedGemmKernel naive(GemmKernel::kNaive);
-    float c2 = 0.0f;
-    sgemm(true, false, 1, 1, k, 1.0f, a.data(), 1, b.data(), 1, 0.0f, &c2, 1);
-    EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kNaive);
+  const float bias = -0.25f;
+  for (const bool trans_a : {true, false}) {
+    const bool trans_b = !trans_a;
+    for (const int64_t k : {1, 7, 33, 300}) {
+      // The transposed operand is read down a strided column (ld 3); the
+      // other one is a contiguous row.
+      const int64_t lda = trans_a ? 3 : k;
+      const int64_t ldb = trans_b ? k : 3;
+      const std::vector<float> a =
+          trans_a ? random_matrix(k, 1, lda, rng) : random_matrix(1, k, k, rng);
+      const std::vector<float> b =
+          trans_b ? random_matrix(1, k, k, rng) : random_matrix(k, 1, ldb, rng);
+      for (const float beta : {0.0f, 1.0f, 0.5f}) {
+        for (const float alpha : {1.0f, -0.75f}) {
+          for (int bias_mode = 0; bias_mode < 3; ++bias_mode) {
+            for (int act_mode = 0; act_mode < 2; ++act_mode) {
+              GemmEpilogue epi;
+              epi.bias_kind = static_cast<GemmEpilogue::Bias>(bias_mode);
+              if (bias_mode != 0) epi.bias = &bias;
+              if (act_mode == 1) epi.act = GemmEpilogue::Act::kReLU;
+              float packed = 0.375f;
+              float ref = 0.375f;
+              sgemm_ex(trans_a, trans_b, 1, 1, k, alpha, a.data(), lda,
+                       b.data(), ldb, beta, &packed, 1, epi);
+              sgemm_naive(trans_a, trans_b, 1, 1, k, alpha, a.data(), lda,
+                          b.data(), ldb, beta, &ref, 1);
+              apply_gemm_epilogue(1, 1, &ref, 1, epi);
+              EXPECT_EQ(0, std::memcmp(&packed, &ref, sizeof(float)))
+                  << "ta=" << trans_a << " k=" << k << " beta=" << beta
+                  << " alpha=" << alpha << " bias=" << bias_mode
+                  << " act=" << act_mode << ": " << packed << " vs " << ref;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -731,7 +720,7 @@ TEST(KernelDispatch, EveryKernelAgreesThroughTheDispatcher) {
   sgemm_naive(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, -1.0f,
               ref.data(), n);
   for (GemmKernel kern :
-       {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kPacked}) {
+       {GemmKernel::kNaive, GemmKernel::kPacked}) {
     ScopedGemmKernel guard(kern);
     std::vector<float> c = init;
     sgemm(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, -1.0f,

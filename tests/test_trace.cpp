@@ -306,16 +306,16 @@ TEST(TraceDeterminism, KernelProfileIsIdenticalAcrossParallelism) {
 TEST(TraceDeterminism, KernelSpansAreStableAcrossKernelSelection) {
   // Every sgemm dispatch path emits the same logical span — cat=kernel,
   // name=sgemm, value=2*m*n*k — so which implementation runs is invisible
-  // to the trace: forced-blocked and forced-packed runs must produce
+  // to the trace: forced-naive and forced-packed runs must produce
   // byte-identical logical captures (golden flop counts included).
   obs::set_kernel_tracing(true);
-  std::string blocked_text, packed_text;
-  uint64_t blocked_digest, packed_digest;
+  std::string naive_text, packed_text;
+  uint64_t naive_digest, packed_digest;
   {
-    ScopedGemmKernel guard(GemmKernel::kBlocked);
+    ScopedGemmKernel guard(GemmKernel::kNaive);
     const auto events = run_traced("fedclassavg", 1);
-    blocked_text = joined_logical(events);
-    blocked_digest = obs::logical_digest(events);
+    naive_text = joined_logical(events);
+    naive_digest = obs::logical_digest(events);
   }
   {
     ScopedGemmKernel guard(GemmKernel::kPacked);
@@ -326,9 +326,9 @@ TEST(TraceDeterminism, KernelSpansAreStableAcrossKernelSelection) {
   obs::set_kernel_tracing(false);
   EXPECT_NE(packed_text.find("cat=kernel name=sgemm"), std::string::npos)
       << "profiled run recorded no sgemm spans";
-  EXPECT_EQ(packed_text, blocked_text)
+  EXPECT_EQ(packed_text, naive_text)
       << "kernel selection leaked into the logical trace";
-  EXPECT_EQ(packed_digest, blocked_digest);
+  EXPECT_EQ(packed_digest, naive_digest);
 }
 
 // ---------------------------------------------------------------------------
