@@ -19,12 +19,18 @@
 // Algorithms: local | fedavg | fedprox | fedproto | ktpfl | ktpfl-weight |
 //             fedclassavg | fedclassavg-weight | fedclassavg-simclr |
 //             fedclassavg-proto
+#include <charconv>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "comm/endpoint.hpp"
 #include "comm/fault.hpp"
@@ -190,20 +196,63 @@ std::string get_flag(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+/// The value of numeric flag --key (or `fallback`), parsed as a whole
+/// string and checked against [lo, hi]. Trailing characters, a non-number,
+/// a non-finite value or one outside the range throw an Error that names
+/// the flag and its value.
+template <class T>
+T number_flag(const std::map<std::string, std::string>& flags,
+              const char* key, const char* fallback, T lo, T hi) {
+  const std::string value = get_flag(flags, key, fallback);
+  const char* end = value.data() + value.size();
+  T v{};
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (value.empty() || ec == std::errc::invalid_argument || ptr != end) {
+    throw Error("--" + std::string(key) + " expects a number, got '" +
+                value + "'");
+  }
+  bool finite = true;
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(v);
+  if (ec == std::errc::result_out_of_range || !finite || v < lo || v > hi) {
+    std::ostringstream os;
+    os << "--" << key << " " << value << " is outside [" << lo << ", " << hi
+       << "]";
+    throw Error(os.str());
+  }
+  return v;
+}
+
+int int_flag(const std::map<std::string, std::string>& flags, const char* key,
+             const char* fallback, int lo, int hi = INT_MAX) {
+  return number_flag<int>(flags, key, fallback, lo, hi);
+}
+
+double double_flag(const std::map<std::string, std::string>& flags,
+                   const char* key, const char* fallback, double lo = 0.0,
+                   double hi = std::numeric_limits<double>::max()) {
+  return number_flag<double>(flags, key, fallback, lo, hi);
+}
+
+uint64_t u64_flag(const std::map<std::string, std::string>& flags,
+                  const char* key, const char* fallback) {
+  return number_flag<uint64_t>(flags, key, fallback, 0,
+                               std::numeric_limits<uint64_t>::max());
+}
+
 comm::FaultConfig fault_config_from_flags(
     const std::map<std::string, std::string>& flags) {
   comm::FaultConfig faults;
-  faults.drop_rate = std::stod(get_flag(flags, "drop-rate", "0"));
-  faults.straggler_rate = std::stod(get_flag(flags, "straggler-rate", "0"));
-  faults.straggler_delay_s =
-      std::stod(get_flag(flags, "straggler-delay", "1"));
-  const std::string deadline = get_flag(flags, "round-deadline", "");
-  if (!deadline.empty()) faults.round_deadline_s = std::stod(deadline);
-  faults.crash_rate = std::stod(get_flag(flags, "crash-rate", "0"));
-  faults.crash_rounds = std::stoi(get_flag(flags, "crash-rounds", "1"));
+  faults.drop_rate = double_flag(flags, "drop-rate", "0", 0.0, 1.0);
+  faults.straggler_rate = double_flag(flags, "straggler-rate", "0", 0.0, 1.0);
+  faults.straggler_delay_s = double_flag(flags, "straggler-delay", "1");
+  if (flags.count("round-deadline") != 0) {
+    faults.round_deadline_s = double_flag(flags, "round-deadline", "");
+  }
+  faults.crash_rate = double_flag(flags, "crash-rate", "0", 0.0, 1.0);
+  faults.crash_rounds = int_flag(flags, "crash-rounds", "1", 1);
   faults.crash_schedule =
       comm::parse_crash_schedule(get_flag(flags, "crash-schedule", ""));
-  faults.fault_seed = std::stoull(get_flag(flags, "fault-seed", "0"));
+  faults.fault_seed = u64_flag(flags, "fault-seed", "0");
   return faults;
 }
 
@@ -212,8 +261,8 @@ comm::FaultConfig fault_config_from_flags(
 comm::RetryPolicy retry_policy_from_flags(
     const std::map<std::string, std::string>& flags) {
   comm::RetryPolicy retry;
-  retry.max_attempts = std::stoi(get_flag(flags, "io-retries", "40"));
-  retry.base_backoff_s = std::stod(get_flag(flags, "io-backoff", "0.02"));
+  retry.max_attempts = int_flag(flags, "io-retries", "40", 1);
+  retry.base_backoff_s = double_flag(flags, "io-backoff", "0.02");
   retry.validate();
   return retry;
 }
@@ -349,8 +398,8 @@ int run_probe(const std::map<std::string, std::string>& flags) {
   FCA_CHECK_MSG(topts.kind != comm::TransportKind::kInproc,
                 "the probe spans processes; use --transport shm or tcp");
   FCA_CHECK_MSG(flags.count("rank") != 0, "probe needs --rank (0 = root)");
-  topts.self_rank = std::stoi(flags.at("rank"));
-  const int world = std::stoi(get_flag(flags, "world-size", "2"));
+  topts.self_rank = int_flag(flags, "rank", "", INT_MIN);
+  const int world = int_flag(flags, "world-size", "2", INT_MIN);
   if (world < 2) {
     // A 1-rank (or smaller) world has no peers: rank 0 would block at
     // rendezvous forever waiting for joiners that cannot exist. Diagnose it
@@ -369,13 +418,13 @@ int run_probe(const std::map<std::string, std::string>& flags) {
   topts.shm_create = topts.self_rank == 0;
   topts.bind_address = get_flag(flags, "bind", "");
   topts.connect_address = get_flag(flags, "connect", "");
-  topts.io_timeout_s = std::stod(get_flag(flags, "io-timeout", "30"));
+  topts.io_timeout_s = double_flag(flags, "io-timeout", "30");
   FCA_CHECK_MSG(topts.io_timeout_s > 0.0 &&
                     std::isfinite(topts.io_timeout_s),
                 "--io-timeout must be a positive finite number of seconds, "
                 "got " << topts.io_timeout_s);
   topts.retry = retry_policy_from_flags(flags);
-  const int messages = std::stoi(get_flag(flags, "probe-messages", "8"));
+  const int messages = int_flag(flags, "probe-messages", "8", 1);
   FCA_CHECK_MSG(messages >= 1, "--probe-messages must be >= 1, got "
                                    << messages);
   const int rank = topts.self_rank;
@@ -383,7 +432,7 @@ int run_probe(const std::map<std::string, std::string>& flags) {
   // The root publishes the run context; joiners have theirs overwritten by
   // the handshake, exactly as a resumed multi-process run would.
   comm::Handshake hs;
-  hs.seed = std::stoull(get_flag(flags, "seed", "42"));
+  hs.seed = u64_flag(flags, "seed", "42");
   hs.faults = fault_config_from_flags(flags);
 
   try {
@@ -455,25 +504,25 @@ int main(int argc, char** argv) {
 
     core::ExperimentConfig config;
     config.dataset = get("dataset", "synth-fmnist");
-    config.num_clients = std::stoi(get("clients", "10"));
-    config.rounds = std::stoi(get("rounds", "20"));
-    config.dirichlet_alpha = std::stod(get("alpha", "0.5"));
-    config.sample_rate = std::stod(get("sample-rate", "1.0"));
-    config.train_per_class = std::stoi(get("train-per-class", "25"));
-    config.seed = std::stoull(get("seed", "42"));
-    config.client_parallelism = std::stoi(get("client-parallelism", "1"));
+    config.num_clients = int_flag(flags, "clients", "10", 1);
+    config.rounds = int_flag(flags, "rounds", "20", 1);
+    config.dirichlet_alpha = double_flag(flags, "alpha", "0.5");
+    config.sample_rate = double_flag(flags, "sample-rate", "1.0", 0.0, 1.0);
+    config.train_per_class = int_flag(flags, "train-per-class", "25", 1);
+    config.seed = u64_flag(flags, "seed", "42");
+    config.client_parallelism = int_flag(flags, "client-parallelism", "1", 0);
     config.max_resident_clients =
-        std::stoi(get("max-resident-clients", "0"));
+        int_flag(flags, "max-resident-clients", "0", 0);
     config.page_dir = get("page-dir", "");
     config.lazy_init = flags.count("lazy-init") != 0;
-    config.eval_clients = std::stoi(get("eval-clients", "0"));
+    config.eval_clients = int_flag(flags, "eval-clients", "0", 0);
     config.faults = fault_config_from_flags(flags);
-    config.quorum = std::stoi(get("quorum", "1"));
+    config.quorum = int_flag(flags, "quorum", "1", 0);
     config.transport.kind =
         comm::parse_transport_kind(get("transport", "inproc"));
     config.transport.shm_name = get("shm-name", "");
     config.transport.retry = retry_policy_from_flags(flags);
-    config.transport.io_timeout_s = std::stod(get("io-timeout", "30"));
+    config.transport.io_timeout_s = double_flag(flags, "io-timeout", "30");
     FCA_CHECK_MSG(
         config.transport.io_timeout_s > 0.0 &&
             std::isfinite(config.transport.io_timeout_s),
@@ -485,9 +534,11 @@ int main(int argc, char** argv) {
     // rank k+1 = client k), checked here so a typo fails before rendezvous.
     const bool scoped_run = flags.count("rank") != 0;
     if (scoped_run) {
-      config.transport.self_rank = std::stoi(flags.at("rank"));
-      const int world = std::stoi(
-          get("world-size", std::to_string(config.num_clients + 1)));
+      config.transport.self_rank = int_flag(flags, "rank", "", INT_MIN);
+      const int world =
+          flags.count("world-size") != 0
+              ? int_flag(flags, "world-size", "", INT_MIN)
+              : config.num_clients + 1;
       FCA_CHECK_MSG(world == config.num_clients + 1,
                     "--world-size " << world << " must equal --clients + 1 = "
                                     << config.num_clients + 1
@@ -568,8 +619,8 @@ int main(int argc, char** argv) {
     if (!ckpt_dir.empty()) {
       ckpt::Options opts;
       opts.dir = ckpt_dir;
-      opts.every = std::stoi(get("checkpoint-every", "1"));
-      opts.keep_last = std::stoi(get("checkpoint-keep", "2"));
+      opts.every = int_flag(flags, "checkpoint-every", "1", 1);
+      opts.keep_last = int_flag(flags, "checkpoint-keep", "2", 1);
       done = resume ? experiment.execute_or_resume(*strategy, opts)
                     : experiment.execute(*strategy, opts);
       if (done.run->is_root()) {

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "nn/init.hpp"
+#include "nn/phase_planes.hpp"
 #include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
 #include "utils/error.hpp"
 #include "utils/threadpool.hpp"
@@ -14,104 +15,97 @@
 namespace fca::nn {
 namespace {
 
-/// Lowers one group's convolution to GEMM operands and folds the input
-/// gradient back (DESIGN.md §9). Every (image, group) a lane processes
-/// shares the same geometry, so one lowering and its scratch — all from the
-/// lane's Workspace frame — serve the whole lane.
+/// One group's input planes, zero-bordered and split into stride phases
+/// (nn/phase_planes.hpp), and the GEMM operands built from them (DESIGN.md
+/// §9). Every (image, group) a lane processes shares the same geometry, so
+/// one lowering and its scratch — all from the lane's Workspace frame —
+/// serve the whole lane.
 ///
-/// Strided convs unfold through im2col/col2im: the lowered matrix is
-/// [col_rows, oh*ow] and the forward GEMM writes the output planes directly.
-///
-/// Stride-1 convs lower through zero-bordered planes instead. In a padded
-/// plane of width wp = w + 2p, tap (ky, kx) of output (y, x) is element
-/// (y + ky)*wp + x + kx, so once every output row is widened to wp columns,
-/// lowered row (c, ky, kx) is the one contiguous window of
-/// n = (oh-1)*wp + ow floats at c*hp*wp + ky*wp + kx: a single memcpy per
-/// row. The k-1 gap columns after each output row are computed and dropped
-/// on write-out; in backward grad_out carries zeros there, so they add
-/// nothing to any gradient sum. A 1x1 kernel has no gap columns (wp == ow)
-/// and its planes are already the lowered matrix.
+/// Lowered row (c, ky, kx) is the window of n wide output positions of its
+/// phase plane, copied with a single memcpy. The gap columns after each
+/// output row are computed and dropped on write-out; in backward grad_out
+/// carries zeros there, so they add nothing to any gradient sum. A 1x1
+/// kernel has no gap columns and its phase planes are already the lowered
+/// matrix (its input planes, at stride 1 without padding).
 class GroupLowering {
  public:
+  /// `direct`: the depthwise kernels read the planes themselves, so there is
+  /// no lowered matrix and no dgrad GEMM output.
   GroupLowering(const ConvGeom& g, int64_t ocg, Workspace::Frame& frame,
-                bool backward)
+                bool backward, bool direct)
       : g_(g),
         ocg_(ocg),
-        wide_(g.stride_h == 1),
-        gaps_(wide_ && g.kernel_h > 1),
-        hp_(g.height + 2 * g.pad_h),
-        wp_(g.width + 2 * g.pad_w),
-        oh_(g.out_h()),
-        ow_(g.out_w()),
-        n_(wide_ ? (oh_ - 1) * wp_ + ow_ : oh_ * ow_),
-        ld_(gaps_ ? (n_ + 7) / 8 * 8 : n_) {
-    const int64_t planes = g.channels * hp_ * wp_;
-    const bool padded = wide_ && g.pad_h > 0;
-    if (!wide_ || gaps_) col_ = frame.alloc(g.col_rows() * ld_);
-    if (gaps_) {
-      // lower() writes n columns per row, so the row tails stay zero.
-      for (int64_t r = 0; r < g.col_rows(); ++r) {
-        std::fill(col_ + r * ld_ + n_, col_ + (r + 1) * ld_, 0.0f);
+        pp_(g.height, g.width, g.kernel_h, g.stride_h, g.pad_h),
+        ld_(pp_.wq != pp_.ow ? (pp_.n + 7) / 8 * 8 : pp_.n),
+        windows_(static_cast<size_t>(g.col_rows())) {
+    int64_t r = 0;
+    for (int64_t c = 0; c < g.channels; ++c) {
+      for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+        for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
+          windows_[r++] = pp_.window(c, ky, kx);
+        }
       }
     }
-    if (padded) {
-      // lower() writes interiors only, so the borders stay zero.
-      padded_ = frame.alloc(planes);
-      std::fill_n(padded_, planes, 0.0f);
+    const bool gaps = pp_.wq != pp_.ow;
+    const int64_t phases = g.channels * pp_.channel_size();
+    if (pp_.s > 1 || pp_.p > 0) {
+      // planes() writes interiors only, so the borders stay zero.
+      phases_ = frame.alloc(phases);
+      std::fill_n(phases_, phases, 0.0f);
+    }
+    if (!direct && g.kernel_h > 1) {
+      col_ = frame.alloc(g.col_rows() * ld_);
+      // lower() writes n columns per row, so the row tails stay zero.
+      for (int64_t r = 0; r < g.col_rows(); ++r) {
+        std::fill(col_ + r * ld_ + pp_.n, col_ + (r + 1) * ld_, 0.0f);
+      }
     }
     if (!backward) {
-      if (gaps_) out_wide_ = frame.alloc(ocg * ld_);
+      if (gaps) out_wide_ = frame.alloc(ocg * ld_);
       return;
     }
-    dcol_ = frame.alloc(g.col_rows() * ld_);
-    if (gaps_) {
+    if (!direct) dcol_ = frame.alloc(g.col_rows() * ld_);
+    if (gaps) {
       // widen() writes the live columns only, so the gaps and row tails stay
       // zero.
       go_wide_ = frame.alloc(ocg * ld_);
       std::fill_n(go_wide_, ocg * ld_, 0.0f);
     }
-    if (padded) grad_padded_ = frame.alloc(planes);
+    if (phases_ != nullptr) grad_phases_ = frame.alloc(phases);
   }
 
-  /// Live columns of the lowered matrix: wgrad's depth.
-  int64_t n() const { return n_; }
+  /// Live columns of the lowered matrix: the wide output positions.
+  int64_t n() const { return pp_.n; }
   /// Row stride of the lowered matrix and the wide buffers, and the width
   /// the forward and dgrad GEMMs compute: n rounded up to a multiple of 8
-  /// when rows are widened, so those GEMMs run whole vectors (the extra
+  /// when rows carry gaps, so those GEMMs run whole vectors (the extra
   /// columns are zero in and dropped out).
   int64_t ld() const { return ld_; }
+  /// Width of a phase plane: the row stride of every window.
+  int64_t wq() const { return pp_.wq; }
+
+  /// Offset of lowered row r = (c, ky, kx)'s window in the phase planes.
+  int64_t window(int64_t r) const { return windows_[static_cast<size_t>(r)]; }
+
+  /// One group's phase planes, built from its CHW input planes `im`.
+  const float* planes(const float* im) {
+    if (phases_ == nullptr) return im;
+    pp_.gather(im, g_.channels, phases_);
+    return phases_;
+  }
 
   /// The [col_rows, ld] lowered matrix of one group's planes.
   const float* lower(const float* im) {
-    if (!wide_) {
-      im2col(im, g_, col_);
-      return col_;
-    }
-    const float* planes = im;
-    if (padded_ != nullptr) {
-      for (int64_t c = 0; c < g_.channels; ++c) {
-        for (int64_t y = 0; y < g_.height; ++y) {
-          std::memcpy(padded_ + (c * hp_ + y + g_.pad_h) * wp_ + g_.pad_w,
-                      im + (c * g_.height + y) * g_.width,
-                      static_cast<size_t>(g_.width) * sizeof(float));
-        }
-      }
-      planes = padded_;
-    }
-    if (!gaps_) return planes;
-    float* row = col_;
-    for (int64_t c = 0; c < g_.channels; ++c) {
-      for (int64_t ky = 0; ky < g_.kernel_h; ++ky) {
-        for (int64_t kx = 0; kx < g_.kernel_w; ++kx, row += ld_) {
-          std::memcpy(row, planes + (c * hp_ + ky) * wp_ + kx,
-                      static_cast<size_t>(n_) * sizeof(float));
-        }
-      }
+    const float* ph = planes(im);
+    if (col_ == nullptr) return ph;
+    for (int64_t r = 0; r < g_.col_rows(); ++r) {
+      std::memcpy(col_ + r * ld_, ph + window(r),
+                  static_cast<size_t>(pp_.n) * sizeof(float));
     }
     return col_;
   }
 
-  /// Where the forward GEMM writes its [ocg, ld] result for
+  /// Where the forward pass writes its [ocg, ld] result for
   /// the output planes `out`.
   float* gemm_out(float* out) { return out_wide_ != nullptr ? out_wide_ : out; }
 
@@ -119,9 +113,10 @@ class GroupLowering {
   void crop_out(float* out) const {
     if (out_wide_ == nullptr) return;
     for (int64_t o = 0; o < ocg_; ++o) {
-      for (int64_t y = 0; y < oh_; ++y) {
-        std::memcpy(out + (o * oh_ + y) * ow_, out_wide_ + o * ld_ + y * wp_,
-                    static_cast<size_t>(ow_) * sizeof(float));
+      for (int64_t y = 0; y < pp_.oh; ++y) {
+        std::memcpy(out + (o * pp_.oh + y) * pp_.ow,
+                    out_wide_ + o * ld_ + y * pp_.wq,
+                    static_cast<size_t>(pp_.ow) * sizeof(float));
       }
     }
   }
@@ -131,9 +126,10 @@ class GroupLowering {
   const float* widen(const float* go) {
     if (go_wide_ == nullptr) return go;
     for (int64_t o = 0; o < ocg_; ++o) {
-      for (int64_t y = 0; y < oh_; ++y) {
-        std::memcpy(go_wide_ + o * ld_ + y * wp_, go + (o * oh_ + y) * ow_,
-                    static_cast<size_t>(ow_) * sizeof(float));
+      for (int64_t y = 0; y < pp_.oh; ++y) {
+        std::memcpy(go_wide_ + o * ld_ + y * pp_.wq,
+                    go + (o * pp_.oh + y) * pp_.ow,
+                    static_cast<size_t>(pp_.ow) * sizeof(float));
       }
     }
     return go_wide_;
@@ -142,51 +138,136 @@ class GroupLowering {
   /// [col_rows, ld] buffer for the dgrad GEMM.
   float* dcol() { return dcol_; }
 
+  /// Zeroed accumulator planes, laid out like planes(), for one group's
+  /// zero-initialized input gradient `grad_in`: the gradient planes
+  /// themselves when there is one unpadded phase.
+  float* grad_planes(float* grad_in) {
+    if (grad_phases_ == nullptr) return grad_in;
+    std::fill_n(grad_phases_, g_.channels * pp_.channel_size(), 0.0f);
+    return grad_phases_;
+  }
+
+  /// Moves grad_planes()' interiors into `grad_in`: the adjoint of planes().
+  /// Input elements no phase reads (stride > kernel) keep their zero.
+  void unphase(float* grad_in) const {
+    if (grad_phases_ == nullptr) return;
+    pp_.scatter(grad_phases_, g_.channels, grad_in);
+  }
+
   /// Accumulates dcol() into one group's zero-initialized input-gradient
   /// planes: the adjoint of lower(). Each image element receives its taps
-  /// in the same ascending (c, ky, kx) order col2im uses.
+  /// in ascending (c, ky, kx) order, the order col2im uses.
   void fold(float* grad_in) {
-    if (!wide_) {
-      col2im(dcol_, g_, grad_in);
-      return;
-    }
-    float* acc = grad_padded_ != nullptr ? grad_padded_ : grad_in;
-    if (grad_padded_ != nullptr) {
-      std::fill_n(grad_padded_, g_.channels * hp_ * wp_, 0.0f);
-    }
-    const float* src = dcol_;
-    for (int64_t c = 0; c < g_.channels; ++c) {
-      for (int64_t ky = 0; ky < g_.kernel_h; ++ky) {
-        for (int64_t kx = 0; kx < g_.kernel_w; ++kx, src += ld_) {
-          float* dst = acc + (c * hp_ + ky) * wp_ + kx;
+    float* acc = grad_planes(grad_in);
+    for (int64_t r = 0; r < g_.col_rows(); ++r) {
+      float* dst = acc + window(r);
+      const float* src = dcol_ + r * ld_;
 #pragma omp simd
-          for (int64_t j = 0; j < n_; ++j) dst[j] += src[j];
-        }
-      }
+      for (int64_t j = 0; j < pp_.n; ++j) dst[j] += src[j];
     }
-    if (grad_padded_ == nullptr) return;
-    for (int64_t c = 0; c < g_.channels; ++c) {
-      for (int64_t y = 0; y < g_.height; ++y) {
-        std::memcpy(grad_in + (c * g_.height + y) * g_.width,
-                    grad_padded_ + (c * hp_ + y + g_.pad_h) * wp_ + g_.pad_w,
-                    static_cast<size_t>(g_.width) * sizeof(float));
-      }
-    }
+    unphase(grad_in);
   }
 
  private:
   const ConvGeom g_;
   const int64_t ocg_;
-  const bool wide_;  // stride 1: lowered through padded planes
-  const bool gaps_;  // wide rows carry k-1 gap columns (k > 1)
-  const int64_t hp_, wp_, oh_, ow_, n_, ld_;
+  const PhasePlanes pp_;
+  const int64_t ld_;
+  std::vector<int64_t> windows_;  // window offset of each lowered row
+  float* phases_ = nullptr;       // phase planes, unless the input is them
   float* col_ = nullptr;          // lowered matrix, unless the planes are it
-  float* padded_ = nullptr;       // zero-bordered input planes (pad > 0)
-  float* out_wide_ = nullptr;     // forward GEMM output with gap columns
+  float* out_wide_ = nullptr;     // forward output with gap columns
   float* go_wide_ = nullptr;      // grad_out with zeroed gap columns
   float* dcol_ = nullptr;         // dgrad GEMM output
-  float* grad_padded_ = nullptr;  // input-gradient accumulator (pad > 0)
+  float* grad_phases_ = nullptr;  // input-gradient phase accumulator
 };
+
+// Direct depthwise kernels. Each reproduces, per output element, the
+// operation sequence of the GEMM call it replaces (DESIGN.md §9); they are
+// cloned like the GEMM micro-kernels so that each ISA clone contracts
+// multiply-adds exactly where the clone it replaces does.
+
+/// dgrad: acc_rows[t][j] += round(w[t] * go[j]) for each tap t in ascending
+/// order. The GEMM path rounds its rank-1 product into dcol and the fold adds
+/// it, so the product must not be contracted into the add.
+FCA_MICROKERNEL_CLONES __attribute__((optimize("fp-contract=off")))
+void depthwise_dgrad(int64_t n, int64_t taps, const float* w, const float* go,
+                     float* const* acc_rows) {
+  for (int64_t t = 0; t < taps; ++t) {
+    float* dst = acc_rows[t];
+    const float wt = w[t];
+#pragma omp simd
+    for (int64_t j = 0; j < n; ++j) dst[j] += wt * go[j];
+  }
+}
+
+/// wgrad over taps 3x3 and 4x4: the wgrad GEMM's 16-wide streaming tile,
+/// one accumulator per tap over the whole depth in ascending order, then
+/// added to the chunk partial dw.
+template <int64_t T>
+__attribute__((always_inline)) inline void wgrad_one_acc(
+    int64_t oh, int64_t ow, int64_t ws, const float* go,
+    const float* const* win, float* dw) {
+  float acc[T] = {};
+  for (int64_t y = 0; y < oh; ++y) {
+    const float* g = go + y * ow;
+    const int64_t row = y * ws;
+    for (int64_t x = 0; x < ow; ++x) {
+      const float gv = g[x];
+      for (int64_t t = 0; t < T; ++t) acc[t] += gv * win[t][row + x];
+    }
+  }
+  for (int64_t t = 0; t < T; ++t) dw[t] += acc[t];
+}
+
+/// wgrad over 2x2 taps: the wgrad GEMM's paired-depth 8-wide tile. Terms at
+/// even and odd depth index d = y*ds + x go to separate accumulators, which
+/// are summed; an odd depth's last term is added after that, and the result
+/// goes into the chunk partial dw.
+template <int64_t T>
+__attribute__((always_inline)) inline void wgrad_pair_acc(
+    int64_t oh, int64_t ow, int64_t ws, int64_t ds, const float* go,
+    const float* const* win, float* dw) {
+  float even[T] = {}, odd[T] = {};
+  const int64_t depth = (oh - 1) * ds + ow;
+  const int64_t tail = depth % 2 == 1 ? depth - 1 : -1;
+  for (int64_t y = 0; y < oh; ++y) {
+    for (int64_t x = 0; x < ow; ++x) {
+      const int64_t d = y * ds + x;
+      if (d == tail) continue;
+      float* acc = d % 2 == 0 ? even : odd;
+      const float gv = go[y * ow + x];
+      for (int64_t t = 0; t < T; ++t) acc[t] += gv * win[t][y * ws + x];
+    }
+  }
+  float out[T];
+  for (int64_t t = 0; t < T; ++t) out[t] = even[t] + odd[t];
+  if (tail >= 0) {
+    const float gv = go[oh * ow - 1];
+    const int64_t at = (oh - 1) * ws + ow - 1;
+    for (int64_t t = 0; t < T; ++t) out[t] += gv * win[t][at];
+  }
+  for (int64_t t = 0; t < T; ++t) dw[t] += out[t];
+}
+
+/// wgrad of one channel: dw[t] += sum over live output positions (y, x) of
+/// go[y*ow + x] * win[t][y*ws + x]. `ds` is the depth stride the GEMM path
+/// summed over (the wide row at stride 1, ow otherwise); it fixes the
+/// paired-depth parity. The gap terms that path added are zero and are
+/// skipped. Each tap's sum is a serial chain (the taps run side by side), so
+/// vectorization is off: the vectorizer would turn each chain into an
+/// in-order reduction of rounded products, dropping the contraction the
+/// GEMM tile applies.
+FCA_MICROKERNEL_CLONES __attribute__((optimize("no-tree-vectorize")))
+void depthwise_wgrad(int64_t taps, int64_t oh, int64_t ow, int64_t ws,
+                     int64_t ds, const float* go, const float* const* win,
+                     float* dw) {
+  switch (taps) {  // 2x2, 3x3 or 4x4
+    case 4: wgrad_pair_acc<4>(oh, ow, ws, ds, go, win, dw); break;
+    case 9: wgrad_one_acc<9>(oh, ow, ws, go, win, dw); break;
+    default: wgrad_one_acc<16>(oh, ow, ws, go, win, dw); break;
+  }
+}
 
 }  // namespace
 
@@ -215,6 +296,13 @@ ConvGeom Conv2d::group_geom(int64_t h, int64_t w) const {
                   stride_,         stride_, padding_, padding_};
 }
 
+bool Conv2d::direct_depthwise() const {
+  // A 1x1 depthwise conv is a per-channel scale; its GEMM calls take the
+  // dot-product path, so it stays on them.
+  return groups_ == in_c_ && in_c_ == out_c_ && kernel_ > 1 &&
+         kernel_ * kernel_ <= kGemmRowUpdateMaxK;
+}
+
 Tensor Conv2d::forward(const Tensor& x, bool train) {
   FCA_CHECK_MSG(x.ndim() == 4 && x.dim(1) == in_c_,
                 "Conv2d expects [B, " << in_c_ << ", H, W], got "
@@ -232,6 +320,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const int64_t col_rows = g.col_rows();
   const int64_t in_img = in_c_ * g.height * g.width;
   const int64_t out_img = out_c_ * oh * ow;
+  const bool direct = direct_depthwise();
 
   Tensor out = Tensor::uninit({b, out_c_, oh, ow});
   parallel_for_range(
@@ -240,23 +329,36 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
         // Lowering scratch comes from the lane's workspace arena: pool
         // workers are long-lived, so after warm-up this allocates nothing.
         Workspace::Frame frame(Workspace::tls());
-        GroupLowering low(g, ocg, frame, /*backward=*/false);
+        GroupLowering low(g, ocg, frame, /*backward=*/false, direct);
         const int64_t ld = low.ld();
         for (int64_t i = lo; i < hi; ++i) {
           for (int64_t grp = 0; grp < groups_; ++grp) {
-            const float* cols = low.lower(x.data() + i * in_img +
-                                          grp * icg * g.height * g.width);
+            const float* im =
+                x.data() + i * in_img + grp * icg * g.height * g.width;
             float* o = out.data() + i * out_img + grp * ocg * oh * ow;
-            // out_group = W_group [ocg, icg*k*k] * cols [icg*k*k, ld], with
-            // the per-channel bias fused into the GEMM write-back.
+            const float* w = weight_.value.data() + grp * ocg * col_rows;
+            // The per-channel bias is fused into the write-back.
             GemmEpilogue epi;
             if (has_bias_) {
               epi.bias = bias_.value.data() + grp * ocg;
               epi.bias_kind = GemmEpilogue::Bias::kPerRow;
             }
-            sgemm_ex(false, false, ocg, ld, col_rows, 1.0f,
-                     weight_.value.data() + grp * ocg * col_rows, col_rows,
-                     cols, ld, 0.0f, low.gemm_out(o), ld, epi);
+            if (direct) {
+              // The depthwise GEMM is an m = 1 call with k = taps, which the
+              // packed kernel serves with this row update and epilogue.
+              const float* ph = low.planes(im);
+              const float* rows[kGemmRowUpdateMaxK];
+              for (int64_t t = 0; t < col_rows; ++t) {
+                rows[t] = ph + low.window(t);
+              }
+              float* dst = low.gemm_out(o);
+              sgemm_row_update(low.n(), col_rows, w, rows, 0.0f, dst);
+              apply_gemm_epilogue(1, low.n(), dst, low.n(), epi);
+            } else {
+              // out_group = W_group [ocg, icg*k*k] * cols [icg*k*k, ld].
+              sgemm_ex(false, false, ocg, ld, col_rows, 1.0f, w, col_rows,
+                       low.lower(im), ld, 0.0f, low.gemm_out(o), ld, epi);
+            }
             low.crop_out(o);
           }
         }
@@ -282,6 +384,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const int64_t col_rows = g.col_rows();
   const int64_t in_img = in_c_ * g.height * g.width;
   const int64_t out_img = out_c_ * oh * ow;
+  const bool direct = direct_depthwise();
 
   Tensor grad_in(x.shape());
   // Backward mirrors forward's batch parallelism, but dW/db are shared
@@ -305,7 +408,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       0, chunks,
       [&](int64_t chunk_lo, int64_t chunk_hi) {
         Workspace::Frame lane_frame(Workspace::tls());
-        GroupLowering low(g, ocg, lane_frame, /*backward=*/true);
+        GroupLowering low(g, ocg, lane_frame, /*backward=*/true, direct);
         const int64_t n = low.n(), ld = low.ld();
         for (int64_t ci = chunk_lo; ci < chunk_hi; ++ci) {
           float* dw = dw_parts + ci * w_numel;
@@ -314,16 +417,38 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
             for (int64_t grp = 0; grp < groups_; ++grp) {
               const int64_t in_off =
                   i * in_img + grp * icg * g.height * g.width;
+              const float* go_planes =
+                  grad_out.data() + i * out_img + grp * ocg * oh * ow;
+              const float* w = weight_.value.data() + grp * ocg * col_rows;
+              float* dw_grp = dw + grp * ocg * col_rows;
+              if (direct) {
+                // wgrad is the GEMM's dot product of grad_out with each
+                // tap's window; dgrad adds each tap's rank-1 product into
+                // the gradient planes, as the dgrad GEMM and fold did.
+                const float* ph = low.planes(x.data() + in_off);
+                float* acc = low.grad_planes(grad_in.data() + in_off);
+                const float* win[kGemmRowUpdateMaxK];
+                float* acc_rows[kGemmRowUpdateMaxK];
+                for (int64_t t = 0; t < col_rows; ++t) {
+                  win[t] = ph + low.window(t);
+                  acc_rows[t] = acc + low.window(t);
+                }
+                depthwise_wgrad(col_rows, oh, ow, low.wq(),
+                                stride_ == 1 ? low.wq() : ow, go_planes, win,
+                                dw_grp);
+                depthwise_dgrad(n, col_rows, w, low.widen(go_planes),
+                                acc_rows);
+                low.unphase(grad_in.data() + in_off);
+                continue;
+              }
               const float* cols = low.lower(x.data() + in_off);
-              const float* go = low.widen(grad_out.data() + i * out_img +
-                                          grp * ocg * oh * ow);
+              const float* go = low.widen(go_planes);
               // dW_group += g_out [ocg, n] * cols^T [n, icg*k*k]
               sgemm(false, true, ocg, col_rows, n, 1.0f, go, ld, cols, ld,
-                    1.0f, dw + grp * ocg * col_rows, col_rows);
+                    1.0f, dw_grp, col_rows);
               // dcol = W_group^T [icg*k*k, ocg] * g_out [ocg, ld]
-              sgemm(true, false, col_rows, ld, ocg, 1.0f,
-                    weight_.value.data() + grp * ocg * col_rows, col_rows, go,
-                    ld, 0.0f, low.dcol(), ld);
+              sgemm(true, false, col_rows, ld, ocg, 1.0f, w, col_rows, go, ld,
+                    0.0f, low.dcol(), ld);
               low.fold(grad_in.data() + in_off);
             }
             if (has_bias_) {

@@ -1,15 +1,38 @@
-// 2-D convolution (NCHW) lowered to GEMM, with grouped / depthwise support
-// (groups == in_channels == out_channels). Stride-1 convs lower through
-// zero-bordered input planes, one contiguous window per lowered row; strided
-// convs unfold through im2col/col2im (DESIGN.md §9).
+// 2-D convolution (NCHW) with grouped / depthwise support (groups ==
+// in_channels == out_channels). Dense and grouped convs lower to GEMM
+// through zero-bordered, phase-split input planes: at every stride each
+// lowered row is one contiguous window of one phase plane. Depthwise convs
+// with 2x2 to 4x4 kernels skip the lowered matrix and run direct kernels
+// over the same planes, reproducing the GEMM path's per-element operation
+// sequences (DESIGN.md §9).
 #pragma once
 
+#include <cstdint>
+
 #include "nn/module.hpp"
-#include "tensor/im2col.hpp"
 
 namespace fca {
 class Rng;
-}
+
+/// Geometry of one convolution group: input planes, kernel, stride, padding.
+struct ConvGeom {
+  int64_t channels, height, width;
+  int64_t kernel_h, kernel_w;
+  int64_t stride_h, stride_w;
+  int64_t pad_h, pad_w;
+
+  int64_t out_h() const {
+    return (height + 2 * pad_h - kernel_h) / stride_h + 1;
+  }
+  int64_t out_w() const {
+    return (width + 2 * pad_w - kernel_w) / stride_w + 1;
+  }
+  /// Rows of the lowered matrix: channels * kernel_h * kernel_w.
+  int64_t col_rows() const { return channels * kernel_h * kernel_w; }
+  /// Output positions per channel: out_h * out_w.
+  int64_t col_cols() const { return out_h() * out_w(); }
+};
+}  // namespace fca
 
 namespace fca::nn {
 
@@ -36,6 +59,8 @@ class Conv2d : public Module {
  private:
   /// Geometry of one group's convolution.
   ConvGeom group_geom(int64_t h, int64_t w) const;
+  /// Depthwise with a 2x2 to 4x4 kernel: runs the direct kernels.
+  bool direct_depthwise() const;
 
   int64_t in_c_, out_c_, kernel_, stride_, padding_, groups_;
   bool has_bias_;

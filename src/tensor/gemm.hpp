@@ -56,6 +56,19 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                   int64_t ldb, float beta, float* c, int64_t ldc,
                   const GemmEpilogue& epi = {});
 
+/// Deepest k that sgemm_packed serves with the rank-k row update below
+/// (B untransposed).
+constexpr int64_t kGemmRowUpdateMaxK = 16;
+
+/// The row kernel of sgemm_packed's small-depth path, for 1 <= k <=
+/// kGemmRowUpdateMaxK: crow[j] = beta*crow[j] + sum_p av[p] * rows[p][j]
+/// over j < n, the terms added in ascending p; with beta == 0 the p = 0
+/// product seeds the sum and crow is not read. `av` already carries alpha.
+/// Exposed so that direct kernels (the depthwise Conv2d forward) run the
+/// GEMM path's per-element sequence through the same machine code.
+void sgemm_row_update(int64_t n, int64_t k, const float* av,
+                      const float* const* rows, float beta, float* crow);
+
 /// Naive triple loop used as the correctness oracle in tests and as the
 /// baseline in bench_kernels. IEEE-faithful: NaN/Inf in either
 /// operand propagate exactly as the literal sum-of-products would.

@@ -15,9 +15,10 @@
 // stored once per k-panel instead of once per k step — is where the speedup
 // over sgemm_naive comes from; see bench_kernels / BENCH_kernels.json.
 // The kernel is additionally compiled as GCC function-multiversioning clones
-// (target_clones, still no intrinsics): the dynamic loader picks the
-// x86-64-v3 clone (AVX2 + FMA, 8-wide) on CPUs that have it and the baseline
-// SSE2 clone elsewhere.
+// (FCA_MICROKERNEL_CLONES in tensor/kernel.hpp, still no intrinsics): the
+// dynamic loader picks the x86-64-v4 clone (AVX-512) or the x86-64-v3 clone
+// (AVX2 + FMA) on CPUs that have them and the baseline SSE2 clone elsewhere.
+// v3 and v4 contract the same multiply-adds and give the same bytes.
 //
 // Determinism: each output element is owned by exactly one row-block task,
 // and its k contributions are accumulated in ascending panel order, ascending
@@ -38,16 +39,6 @@
 #include "utils/error.hpp"
 #include "utils/threadpool.hpp"
 
-// GCC-style function multiversioning for the hot micro-kernel: one binary
-// carries a baseline and an x86-64-v3 (AVX2+FMA) clone, resolved via IFUNC
-// at load time. Compilers/arches without the attribute just build baseline.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
-#define FCA_MICROKERNEL_CLONES \
-  __attribute__((target_clones("default", "arch=x86-64-v3")))
-#else
-#define FCA_MICROKERNEL_CLONES
-#endif
-
 namespace fca {
 namespace {
 
@@ -67,24 +58,20 @@ inline int64_t round_up(int64_t v, int64_t to) {
   return (v + to - 1) / to * to;
 }
 
-// Depth at or below which the packed tiling is the wrong tool: with kb this
-// small a micro-tile does too few flops to amortize packing and C-tile
-// traffic (dgrad's k is out_channels_per_group, often just 8, and measured
-// ~15 GFLOP/s against the kernel's ~50 peak). Such calls take the rank-k
-// row-update path below instead.
-constexpr int64_t kSmallKMax = 16;
+}  // namespace
 
-/// Rank-k update for k <= kSmallKMax and row-major op(B) (trans_b == false):
-/// each C row is computed as beta*c (p == 0 stores over it when beta == 0)
-/// plus k j-contiguous axpy sweeps in ascending p order — the same
-/// per-element accumulation order class as the micro-kernel, so determinism
-/// and the parity bound are unchanged. The row stays L1-hot across the k
-/// sweeps and B is streamed, which beats the packed path ~2x on dgrad
-/// shapes. Parallelism is over rows; per-element order does not depend on
-/// the split.
+/// Rank-k update for k <= kGemmRowUpdateMaxK. Depth that small is the wrong
+/// tool for the packed tiling: a micro-tile does too few flops to amortize
+/// packing and C-tile traffic (dgrad's k is out_channels_per_group, often
+/// just 8, and measured ~15 GFLOP/s against the kernel's ~50 peak). Each C
+/// row is computed as beta*c (p == 0 stores over it when beta == 0) plus k
+/// j-contiguous axpy sweeps in ascending p order — the same per-element
+/// accumulation order class as the micro-kernel, so determinism and the
+/// parity bound are unchanged. The row stays L1-hot across the k sweeps and
+/// B is streamed, which beats the packed path ~2x on dgrad shapes.
 FCA_MICROKERNEL_CLONES
-void smallk_row_update(int64_t n, int64_t k, const float* av, const float* b,
-                       int64_t ldb, float beta, float* crow) {
+void sgemm_row_update(int64_t n, int64_t k, const float* av,
+                      const float* const* rows, float beta, float* crow) {
   // First sweep covers p = 0..k0 and the beta term; later sweeps add four
   // (then one) p rows at a time with the row element held in a register, so
   // the per-element add sequence is exactly the ascending-p order of the
@@ -93,10 +80,10 @@ void smallk_row_update(int64_t n, int64_t k, const float* av, const float* b,
   const float a0 = av[0];
   const float a1 = k0 > 1 ? av[1] : 0.0f;
   const float a2 = k0 > 2 ? av[2] : 0.0f;
-  const float* b0 = b;
-  const float* b1 = b + (k0 > 1 ? 1 : 0) * ldb;
-  const float* b2 = b + (k0 > 2 ? 2 : 0) * ldb;
-  const float* b3 = b + (k0 > 3 ? 3 : 0) * ldb;
+  const float* b0 = rows[0];
+  const float* b1 = rows[k0 > 1 ? 1 : 0];
+  const float* b2 = rows[k0 > 2 ? 2 : 0];
+  const float* b3 = rows[k0 > 3 ? 3 : 0];
   if (beta == 0.0f) {
     switch (k0) {
       case 1:
@@ -171,10 +158,10 @@ void smallk_row_update(int64_t n, int64_t k, const float* av, const float* b,
   int64_t p = k0;
   for (; p + 4 <= k; p += 4) {
     const float c0 = av[p], c1 = av[p + 1], c2 = av[p + 2], c3 = av[p + 3];
-    const float* r0 = b + p * ldb;
-    const float* r1 = b + (p + 1) * ldb;
-    const float* r2 = b + (p + 2) * ldb;
-    const float* r3 = b + (p + 3) * ldb;
+    const float* r0 = rows[p];
+    const float* r1 = rows[p + 1];
+    const float* r2 = rows[p + 2];
+    const float* r3 = rows[p + 3];
 #pragma omp simd
     for (int64_t j = 0; j < n; ++j) {
       float v = crow[j];
@@ -187,11 +174,13 @@ void smallk_row_update(int64_t n, int64_t k, const float* av, const float* b,
   }
   for (; p < k; ++p) {
     const float cp = av[p];
-    const float* rp = b + p * ldb;
+    const float* rp = rows[p];
 #pragma omp simd
     for (int64_t j = 0; j < n; ++j) crow[j] += cp * rp[j];
   }
 }
+
+namespace {
 
 // Width at or below which the packed tiling wastes its packing work: with n
 // this small every packed A element is used at most 16 times, so pack_a's
@@ -546,12 +535,14 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
   // The rank-k row-update path folds beta in itself; it must dispatch before
   // the general path's upfront C scaling.
-  if (k <= kSmallKMax && !trans_b) {
+  if (k <= kGemmRowUpdateMaxK && !trans_b) {
+    const float* b_rows[kGemmRowUpdateMaxK];
+    for (int64_t p = 0; p < k; ++p) b_rows[p] = b + p * ldb;
     parallel_for_range(
         0, m,
         [&](int64_t i_lo, int64_t i_hi) {
           for (int64_t i = i_lo; i < i_hi; ++i) {
-            float av[kSmallKMax];
+            float av[kGemmRowUpdateMaxK];
             if (!trans_a) {
               const float* src = a + i * lda;
               for (int64_t p = 0; p < k; ++p) av[p] = alpha * src[p];
@@ -559,7 +550,7 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
               for (int64_t p = 0; p < k; ++p) av[p] = alpha * a[p * lda + i];
             }
             float* crow = c + i * ldc;
-            smallk_row_update(n, k, av, b, ldb, beta, crow);
+            sgemm_row_update(n, k, av, b_rows, beta, crow);
             if (!epi.empty()) {
               // Single-row epilogue: a per-row bias must be re-anchored to
               // this row, since apply_gemm_epilogue sees a 1-row matrix.

@@ -1,8 +1,8 @@
 // Per-thread workspace arena for kernel scratch memory (DESIGN.md §9).
 //
 // The packed GEMM packs A/B panels and Conv2d lowers its input (padded
-// planes and wide rows at stride 1, im2col columns otherwise) into
-// short-lived float buffers on every call. Allocating those with
+// phase planes and wide rows) into short-lived float buffers on every
+// call. Allocating those with
 // std::vector made every layer forward/backward pay a heap round-trip;
 // the arena instead grows to the high-water mark once and then serves every
 // subsequent request by bumping a pointer into retained chunks.

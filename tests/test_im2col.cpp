@@ -1,5 +1,11 @@
-#include "tensor/im2col.hpp"
-
+// Lowering oracles and the Conv2d lowering tier (DESIGN.md §9).
+//
+// im2col / col2im unfold a CHW image into the [C*KH*KW, OH*OW] column matrix
+// of a GEMM-lowered convolution and fold it back. nn::Conv2d no longer uses
+// them: it lowers through zero-bordered phase planes, and runs depthwise
+// convs directly. They live here as the reference that lowering is
+// memcmp'd against, next to the scalar col2im_reference and the direct
+// (double-accumulating) convolution that check them in turn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +22,166 @@
 
 namespace fca {
 namespace {
+
+/// [x0, x1): output columns whose input tap ix = x*stride - pad + kw lands
+/// inside [0, width). Everything outside is implicit zero padding.
+inline void valid_x_range(int64_t ow, int64_t width, int64_t stride,
+                          int64_t pad, int64_t kw, int64_t* x0, int64_t* x1) {
+  // First x with ix >= 0: ceil((pad - kw) / stride), clamped into [0, ow].
+  int64_t lo = pad - kw;
+  lo = lo <= 0 ? 0 : (lo + stride - 1) / stride;
+  // Last x with ix <= width - 1 is floor((width - 1 + pad - kw) / stride).
+  const int64_t hi_num = width - 1 + pad - kw;
+  int64_t hi = hi_num < 0 ? 0 : hi_num / stride + 1;  // exclusive
+  *x0 = std::min(lo, ow);
+  *x1 = std::max(std::min(hi, ow), *x0);
+}
+
+/// Unfolds one CHW image `im` into `col` with layout [col_rows, col_cols].
+/// Out-of-image taps read zero (implicit padding).
+void im2col(const float* im, const ConvGeom& g, float* col) {
+  const int64_t oh = g.out_h();
+  const int64_t ow = g.out_w();
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.channels; ++c) {
+    const float* imc = im + c * g.height * g.width;
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        float* dst = col + row * oh * ow;
+        // The in-image x span is the same for every output row; computing
+        // it once hoists all horizontal bounds checks out of the copy loop,
+        // which becomes a memcpy at stride 1 and a branch-free strided
+        // gather otherwise.
+        int64_t x0, x1;
+        valid_x_range(ow, g.width, g.stride_w, g.pad_w, kw, &x0, &x1);
+        for (int64_t y = 0; y < oh; ++y) {
+          float* out = dst + y * ow;
+          const int64_t iy = y * g.stride_h - g.pad_h + kh;
+          if (iy < 0 || iy >= g.height) {
+            std::memset(out, 0, static_cast<size_t>(ow) * sizeof(float));
+            continue;
+          }
+          if (x0 > 0) {
+            std::memset(out, 0, static_cast<size_t>(x0) * sizeof(float));
+          }
+          const float* src = imc + iy * g.width;
+          if (g.stride_w == 1) {
+            const int64_t off = x0 * g.stride_w - g.pad_w + kw;
+            std::memcpy(out + x0, src + off,
+                        static_cast<size_t>(x1 - x0) * sizeof(float));
+          } else {
+            int64_t ix = x0 * g.stride_w - g.pad_w + kw;
+            for (int64_t x = x0; x < x1; ++x, ix += g.stride_w) {
+              out[x] = src[ix];
+            }
+          }
+          if (x1 < ow) {
+            std::memset(out + x1, 0,
+                        static_cast<size_t>(ow - x1) * sizeof(float));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Adjoint of im2col: accumulates `col` back into `im`, with hoisted
+/// horizontal bounds like im2col.
+void col2im(const float* col, const ConvGeom& g, float* im) {
+  const int64_t oh = g.out_h();
+  const int64_t ow = g.out_w();
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.channels; ++c) {
+    float* imc = im + c * g.height * g.width;
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        const float* src_row = col + row * oh * ow;
+        // Same hoisting as im2col: the valid x span is y-invariant, so the
+        // horizontal bounds checks leave the inner loop entirely. Within one
+        // (c, kh, kw, y) row the map x -> ix is a bijection, so the per-image-
+        // element accumulation order matches the scalar reference exactly and
+        // the result stays byte-equal (overlapping windows only meet across
+        // kh/kw iterations, whose order is unchanged).
+        int64_t x0, x1;
+        valid_x_range(ow, g.width, g.stride_w, g.pad_w, kw, &x0, &x1);
+        for (int64_t y = 0; y < oh; ++y) {
+          const int64_t iy = y * g.stride_h - g.pad_h + kh;
+          if (iy < 0 || iy >= g.height) continue;
+          const float* src = src_row + y * ow;
+          float* dst_row = imc + iy * g.width;
+          if (g.stride_w == 1) {
+            float* dst = dst_row + (x0 - g.pad_w + kw);
+            const float* s = src + x0;
+            const int64_t n = x1 - x0;
+#pragma omp simd
+            for (int64_t i = 0; i < n; ++i) dst[i] += s[i];
+          } else {
+            int64_t ix = x0 * g.stride_w - g.pad_w + kw;
+            for (int64_t x = x0; x < x1; ++x, ix += g.stride_w) {
+              dst_row[ix] += src[x];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Scalar per-element-bounds-checked col2im: the oracle for col2im.
+void col2im_reference(const float* col, const ConvGeom& g, float* im) {
+  const int64_t oh = g.out_h();
+  const int64_t ow = g.out_w();
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.channels; ++c) {
+    float* imc = im + c * g.height * g.width;
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        const float* src = col + row * oh * ow;
+        for (int64_t y = 0; y < oh; ++y) {
+          const int64_t iy = y * g.stride_h - g.pad_h + kh;
+          if (iy < 0 || iy >= g.height) continue;
+          for (int64_t x = 0; x < ow; ++x) {
+            const int64_t ix = x * g.stride_w - g.pad_w + kw;
+            if (ix >= 0 && ix < g.width) {
+              imc[iy * g.width + ix] += src[y * ow + x];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Direct convolution of one image, accumulated in double. weight layout
+/// [oc, c, kh, kw]; out layout [oc, out_h, out_w].
+void conv2d_direct(const float* im, const float* weight, int64_t out_channels,
+                   const ConvGeom& g, float* out) {
+  const int64_t oh = g.out_h();
+  const int64_t ow = g.out_w();
+  for (int64_t oc = 0; oc < out_channels; ++oc) {
+    for (int64_t y = 0; y < oh; ++y) {
+      for (int64_t x = 0; x < ow; ++x) {
+        double acc = 0.0;
+        for (int64_t c = 0; c < g.channels; ++c) {
+          for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+            const int64_t iy = y * g.stride_h - g.pad_h + kh;
+            if (iy < 0 || iy >= g.height) continue;
+            for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+              const int64_t ix = x * g.stride_w - g.pad_w + kw;
+              if (ix < 0 || ix >= g.width) continue;
+              acc += static_cast<double>(
+                         im[(c * g.height + iy) * g.width + ix]) *
+                     weight[((oc * g.channels + c) * g.kernel_h + kh) *
+                                g.kernel_w +
+                            kw];
+            }
+          }
+        }
+        out[(oc * oh + y) * ow + x] = static_cast<float>(acc);
+      }
+    }
+  }
+}
 
 std::vector<float> random_vec(size_t n, Rng& rng) {
   std::vector<float> v(n);
@@ -205,8 +371,8 @@ TEST_P(ConvLoweringTest, GemmLoweringMatchesDirectConvolution) {
   }
 }
 
-// nn::Conv2d lowers stride-1 convs through padded planes and strided ones
-// through im2col; both must match the direct convolution too.
+// nn::Conv2d lowers through phase planes at every stride; it must match the
+// direct convolution too.
 TEST_P(ConvLoweringTest, Conv2dModuleMatchesDirectConvolution) {
   const ConvCase p = GetParam();
   ConvGeom g{p.c, p.h, p.w, p.k, p.k, p.stride, p.stride, p.pad, p.pad};
@@ -249,26 +415,35 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 16, 16, 32, 3, 1, 1}));
 
 // ---------------------------------------------------------------------------
-// Conv2d lowering tier: for stride 1, nn::Conv2d lowers through
-// zero-bordered planes (DESIGN.md §9) instead of im2col. Its forward output,
-// input gradient, weight gradient and bias gradient must be byte-equal to
-// the im2col + sgemm + col2im lowering built here — the same GEMM calls on
-// the [col_rows, oh*ow] column matrix, the same batch chunking and the same
-// reductions. The weight gradient keeps byte identity only while the wgrad
-// GEMM keeps its summation order; every shape in the sweep does (its lowered
-// depth fits one panel of every kernel), and WideDepthCrossingKcPanel covers
-// the one that does not.
+// Conv2d lowering tier: nn::Conv2d lowers dense and grouped convs through
+// zero-bordered phase planes and runs depthwise convs through direct kernels
+// (DESIGN.md §9). Its forward output, input gradient, weight gradient and
+// bias gradient must be byte-equal to the im2col + sgemm + col2im lowering
+// built here — the same GEMM calls on the [col_rows, oh*ow] column matrix,
+// the same batch chunking and the same reductions. The weight gradient keeps
+// byte identity only while the wgrad GEMM keeps its summation order over the
+// deeper, gapped depth; every shape in the sweeps does (one accumulator sums
+// the depth, or the gaps keep each term's pair-depth parity), and
+// WideDepthCrossingKcPanel and StridedPairDepthParityMoves cover two that
+// do not.
 
 struct LoweringCase {
   int64_t c_in, c_out, groups, h, w, k, pad;
   bool bias;
+  int64_t stride = 1;
 };
+
+/// Conv2d's direct depthwise kernels serve 2x2 to 4x4 taps.
+bool direct_depthwise(const LoweringCase& p) {
+  return p.groups == p.c_in && p.c_in == p.c_out && p.k > 1 &&
+         p.k * p.k <= kGemmRowUpdateMaxK;
+}
 
 std::string describe(const LoweringCase& p) {
   std::ostringstream os;
   os << "c_in=" << p.c_in << " c_out=" << p.c_out << " groups=" << p.groups
      << " h=" << p.h << " w=" << p.w << " k=" << p.k << " pad=" << p.pad
-     << " bias=" << p.bias;
+     << " stride=" << p.stride << " bias=" << p.bias;
   return os.str();
 }
 
@@ -276,13 +451,18 @@ struct ConvGrads {
   Tensor out, grad_in, grad_w, grad_b;
 };
 
-/// The im2col lowering of a stride-1 Conv2d with the given parameters.
+/// The im2col lowering of a Conv2d with the given parameters. Conv2d runs
+/// 2x2 to 4x4 depthwise convs through direct kernels that reproduce the
+/// packed GEMM's per-element sequences, so their reference runs the packed
+/// kernel whatever FCA_GEMM_KERNEL selects.
 ConvGrads im2col_conv(const LoweringCase& p, const Tensor& x,
                       const Tensor& weight, const Tensor& bias,
                       const Tensor& grad_out) {
+  const ScopedGemmKernel kernel(direct_depthwise(p) ? GemmKernel::kPacked
+                                                    : gemm_kernel());
   const int64_t b = x.dim(0);
   const int64_t icg = p.c_in / p.groups, ocg = p.c_out / p.groups;
-  ConvGeom g{icg, p.h, p.w, p.k, p.k, 1, 1, p.pad, p.pad};
+  ConvGeom g{icg, p.h, p.w, p.k, p.k, p.stride, p.stride, p.pad, p.pad};
   const int64_t oh = g.out_h(), ow = g.out_w();
   const int64_t rows = g.col_rows(), cols = g.col_cols();
   const int64_t in_img = p.c_in * p.h * p.w, out_img = p.c_out * oh * ow;
@@ -345,7 +525,7 @@ ConvGrads module_conv(const LoweringCase& p, const Tensor& x,
                       const Tensor& weight, const Tensor& bias,
                       const Tensor& grad_out) {
   Rng init(1);
-  nn::Conv2d conv(p.c_in, p.c_out, p.k, /*stride=*/1, p.pad, init, p.bias,
+  nn::Conv2d conv(p.c_in, p.c_out, p.k, p.stride, p.pad, init, p.bias,
                   p.groups);
   std::vector<nn::Param*> params;
   conv.collect_params(params);
@@ -376,7 +556,8 @@ struct LoweringInputs {
 LoweringInputs lowering_inputs(const LoweringCase& p, int64_t batch,
                                uint64_t seed) {
   Rng rng(seed);
-  const int64_t oh = p.h + 2 * p.pad - p.k + 1, ow = p.w + 2 * p.pad - p.k + 1;
+  const int64_t oh = (p.h + 2 * p.pad - p.k) / p.stride + 1;
+  const int64_t ow = (p.w + 2 * p.pad - p.k) / p.stride + 1;
   LoweringInputs in;
   in.x = Tensor::rand({batch, p.c_in, p.h, p.w}, rng, -1.0f, 1.0f);
   in.weight = Tensor::rand({p.c_out, p.c_in / p.groups * p.k * p.k}, rng,
@@ -446,48 +627,175 @@ TEST(Conv2dLowering, MultiChunkBatchByteEqualToIm2colLowering) {
   EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b));
 }
 
-TEST(Conv2dLowering, WideDepthCrossingKcPanel) {
-  // 16x16, k=3, pad 1: oh*ow = 256 fits one 256-deep packed panel, but the
-  // wide depth 15*18 + 16 = 286 does not, and with 32 output channels and
-  // 18 lowered rows the wgrad GEMM takes the general packed path. The panel
-  // boundary moves, so the weight gradient is held to the reassociation
-  // bound 2(k+2)·eps·sum|terms| of test_kernel_parity; everything else is
-  // still byte-equal.
-  const LoweringCase p{2, 32, 1, 16, 16, 3, 1, true};
-  const int64_t batch = 2;
-  const LoweringInputs in = lowering_inputs(p, batch, 91);
-  const ConvGrads ref = im2col_conv(p, in.x, in.weight, in.bias, in.grad_out);
-  const ConvGrads got = module_conv(p, in.x, in.weight, in.bias, in.grad_out);
-  EXPECT_TRUE(same_bytes(got.out, ref.out));
-  EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in));
-  EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b));
-
-  ConvGeom g{p.c_in, p.h, p.w, p.k, p.k, 1, 1, p.pad, p.pad};
+/// Holds a weight gradient to the reassociation bound 2(k+2)·eps·sum|terms|
+/// of test_kernel_parity, k being the terms each element sums over the
+/// batch.
+void expect_weight_grad_within_bound(const LoweringCase& p,
+                                     const LoweringInputs& in,
+                                     const Tensor& got, const Tensor& ref) {
+  const int64_t batch = in.x.dim(0);
+  const int64_t icg = p.c_in / p.groups, ocg = p.c_out / p.groups;
+  ConvGeom g{icg, p.h, p.w, p.k, p.k, p.stride, p.stride, p.pad, p.pad};
   const int64_t rows = g.col_rows(), cols = g.col_cols();
   std::vector<double> mag(static_cast<size_t>(p.c_out * rows), 0.0);
   std::vector<float> col(static_cast<size_t>(rows * cols));
   for (int64_t i = 0; i < batch; ++i) {
-    im2col(in.x.data() + i * p.c_in * p.h * p.w, g, col.data());
-    const float* go = in.grad_out.data() + i * p.c_out * cols;
-    for (int64_t o = 0; o < p.c_out; ++o) {
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t q = 0; q < cols; ++q) {
-          mag[static_cast<size_t>(o * rows + r)] +=
-              std::abs(static_cast<double>(go[o * cols + q]) *
-                       col[static_cast<size_t>(r * cols + q)]);
+    for (int64_t grp = 0; grp < p.groups; ++grp) {
+      im2col(in.x.data() + (i * p.c_in + grp * icg) * p.h * p.w, g,
+             col.data());
+      for (int64_t o = grp * ocg; o < (grp + 1) * ocg; ++o) {
+        const float* go = in.grad_out.data() + (i * p.c_out + o) * cols;
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t q = 0; q < cols; ++q) {
+            mag[static_cast<size_t>(o * rows + r)] +=
+                std::abs(static_cast<double>(go[q]) *
+                         col[static_cast<size_t>(r * cols + q)]);
+          }
         }
       }
     }
   }
   constexpr double kFloatEps = 1.1920928955078125e-7;  // 2^-23
   const double terms = static_cast<double>(batch * (cols + 2) + 2);
-  for (int64_t j = 0; j < ref.grad_w.numel(); ++j) {
+  for (int64_t j = 0; j < ref.numel(); ++j) {
     const double bound =
         2.0 * terms * kFloatEps * mag[static_cast<size_t>(j)] + 1e-35;
-    ASSERT_LE(std::abs(static_cast<double>(got.grad_w[j]) - ref.grad_w[j]),
-              bound)
-        << "weight grad at " << j;
+    ASSERT_LE(std::abs(static_cast<double>(got[j]) - ref[j]), bound)
+        << "weight grad at " << j << ": " << describe(p);
   }
+}
+
+TEST(Conv2dLowering, WideDepthCrossingKcPanel) {
+  // 16x16, k=3, pad 1: oh*ow = 256 fits one 256-deep packed panel, but the
+  // wide depth 15*18 + 16 = 286 does not, and with 32 output channels and
+  // 18 lowered rows the wgrad GEMM takes the general packed path. The panel
+  // boundary moves, so the weight gradient is held to the reassociation
+  // bound; everything else is still byte-equal.
+  const LoweringCase p{2, 32, 1, 16, 16, 3, 1, true};
+  const LoweringInputs in = lowering_inputs(p, /*batch=*/2, 91);
+  const ConvGrads ref = im2col_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  const ConvGrads got = module_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  EXPECT_TRUE(same_bytes(got.out, ref.out));
+  EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in));
+  EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b));
+  expect_weight_grad_within_bound(p, in, got.grad_w, ref.grad_w);
+}
+
+/// Dense, grouped and depthwise convs at strides 2 and 3 over k in
+/// {1, 2, 3, 4, 5}, every padding up to k/2, H != W and 1x1 outputs. The
+/// dense and grouped channel counts keep the wgrad GEMM on one-accumulator
+/// tiles (or, at k = 1, on a gap-free depth). A 5x5 depthwise conv stays on
+/// the GEMM path, whose paired-depth wgrad tile the gaps reorder, so it is
+/// left to the bound test below.
+std::vector<LoweringCase> strided_sweep() {
+  std::vector<LoweringCase> cases;
+  struct Channels {
+    int64_t c_in, c_out, groups;
+  };
+  const Channels channels[] = {{3, 16, 1}, {4, 32, 1}, {6, 32, 2}, {6, 6, 6}};
+  for (int64_t stride : {2, 3}) {
+    for (int64_t k : {1, 2, 3, 4, 5}) {
+      for (int64_t pad = 0; pad <= k / 2; ++pad) {
+        const int64_t m = std::max<int64_t>(1, k - 2 * pad);
+        const int64_t sizes[][2] = {{7, 5}, {6, 9}, {m, m}};
+        for (const auto& hw : sizes) {
+          for (const Channels& ch : channels) {
+            if (ch.groups == ch.c_in && k == 5) continue;
+            for (bool bias : {false, true}) {
+              cases.push_back(LoweringCase{ch.c_in, ch.c_out, ch.groups, hw[0],
+                                           hw[1], k, pad, bias, stride});
+            }
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+void expect_byte_equal(const LoweringCase& p, const LoweringInputs& in) {
+  const ConvGrads ref = im2col_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  const ConvGrads got = module_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  EXPECT_TRUE(same_bytes(got.out, ref.out)) << "forward: " << describe(p);
+  EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in))
+      << "grad_in: " << describe(p);
+  EXPECT_TRUE(same_bytes(got.grad_w, ref.grad_w))
+      << "weight grad: " << describe(p);
+  EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b))
+      << "bias grad: " << describe(p);
+}
+
+TEST(Conv2dLowering, StridedByteEqualToIm2colLowering) {
+  const std::vector<LoweringCase> cases = strided_sweep();
+  ASSERT_EQ(cases.size(), 492u);
+  uint64_t seed = 900;
+  for (const LoweringCase& p : cases) {
+    expect_byte_equal(p, lowering_inputs(p, /*batch=*/2, seed++));
+  }
+}
+
+TEST(Conv2dLowering, EvenKernelDepthwiseAtStrideOne) {
+  // The stride-1 sweep has odd kernels only. A 4x4 depthwise wgrad takes
+  // the one-accumulator tile and stays byte-equal. A 2x2 one takes the
+  // paired-depth tile over the wide depth, as the GEMM path did: the single
+  // gap column per output row moves every other row's terms to the other
+  // parity class, so its weight gradient is held to the bound.
+  uint64_t seed = 1200;
+  for (int64_t k : {2, 4}) {
+    for (int64_t pad = 0; pad <= k / 2; ++pad) {
+      const int64_t sizes[][2] = {{7, 5}, {6, 9}};
+      for (const auto& hw : sizes) {
+        for (bool bias : {false, true}) {
+          const LoweringCase p{6, 6, 6, hw[0], hw[1], k, pad, bias};
+          const LoweringInputs in = lowering_inputs(p, /*batch=*/2, seed++);
+          if (k == 4) {
+            expect_byte_equal(p, in);
+            continue;
+          }
+          const ConvGrads ref =
+              im2col_conv(p, in.x, in.weight, in.bias, in.grad_out);
+          const ConvGrads got =
+              module_conv(p, in.x, in.weight, in.bias, in.grad_out);
+          EXPECT_TRUE(same_bytes(got.out, ref.out)) << describe(p);
+          EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in)) << describe(p);
+          EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b)) << describe(p);
+          expect_weight_grad_within_bound(p, in, got.grad_w, ref.grad_w);
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv2dLowering, ShuffleNetDepthwiseShapesByteEqual) {
+  // ShuffleNet's depthwise 3x3 convs at batch 32 — four backward chunks —
+  // at the three stage widths and resolutions, stride 1 and 2.
+  const int64_t shapes[][2] = {{8, 16}, {16, 8}, {32, 4}};
+  uint64_t seed = 1300;
+  for (const auto& cs : shapes) {
+    for (int64_t stride : {1, 2}) {
+      for (bool bias : {false, true}) {
+        const LoweringCase p{cs[0], cs[0], cs[0], cs[1], cs[1], 3, 1,
+                             bias,  stride};
+        expect_byte_equal(p, lowering_inputs(p, /*batch=*/32, seed++));
+      }
+    }
+  }
+}
+
+TEST(Conv2dLowering, StridedPairDepthParityMoves) {
+  // 3x3 stride 2 on 16x16 with 8 output channels: the wgrad GEMM takes the
+  // paired-depth 8-wide tile, and the phase planes' one gap column per
+  // output row shifts every other row's terms to the other parity class.
+  // The weight gradient is held to the reassociation bound; forward, input
+  // and bias gradients stay byte-equal.
+  const LoweringCase p{3, 8, 1, 16, 16, 3, 1, true, 2};
+  const LoweringInputs in = lowering_inputs(p, /*batch=*/2, 93);
+  const ConvGrads ref = im2col_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  const ConvGrads got = module_conv(p, in.x, in.weight, in.bias, in.grad_out);
+  EXPECT_TRUE(same_bytes(got.out, ref.out));
+  EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in));
+  EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b));
+  expect_weight_grad_within_bound(p, in, got.grad_w, ref.grad_w);
 }
 
 }  // namespace

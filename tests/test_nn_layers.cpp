@@ -442,6 +442,70 @@ TEST(MaxPool2d, ByteEqualToBoundsCheckedScan) {
   }
 }
 
+// The forward pass scans kPoolLanes output columns at a time over -inf
+// bordered phase planes and rescans the top/left clipped windows. Sweep the
+// output widths around the block and vector sizes, every kernel/stride/
+// padding combination the constructor accepts up to k = 5, and inputs full
+// of NaN, -inf, -0, +0 and ties: values, eval-vs-train bytes and argmax
+// routing must all match the bounds-checked scan.
+TEST(MaxPool2d, VectorSweepByteEqualToScalarScan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  Rng rng(22);
+  int cases = 0;
+  for (int64_t k : {2, 3, 5}) {
+    for (int64_t s = 1; s <= 3; ++s) {
+      for (int64_t p = 0; p < k; ++p) {
+        for (int64_t ow : {1, 3, 7, 8, 9, 15, 16, 17, 33}) {
+          // The widest input with this output width, and three output rows.
+          const int64_t w = (ow - 1) * s + k - 2 * p + s - 1;
+          const int64_t h = 2 * s + k - 2 * p + s - 1;
+          if (w < 1 || h < 1) continue;
+          Tensor x({1, 2, h, w});
+          for (int64_t i = 0; i < x.numel(); ++i) {
+            const double r = rng.uniform(0.0, 1.0);
+            x[i] = r < 0.08   ? nan
+                   : r < 0.16 ? ninf
+                   : r < 0.24 ? -0.0f
+                   : r < 0.32 ? 0.0f
+                              : static_cast<float>(
+                                    std::floor(rng.uniform(-2, 2)));
+          }
+          const std::string tag =
+              "k=" + std::to_string(k) + " s=" + std::to_string(s) +
+              " p=" + std::to_string(p) + " h=" + std::to_string(h) +
+              " w=" + std::to_string(w);
+          const PoolReference ref = reference_max_pool(x, k, s, p);
+          MaxPool2d pool(k, s, p);
+          const Tensor eval_out = pool.forward(x, /*train=*/false);
+          const Tensor train_out = pool.forward(x, /*train=*/true);
+          ASSERT_EQ(train_out.dim(3), ow) << tag;
+          ASSERT_EQ(eval_out.numel(), static_cast<int64_t>(ref.out.size()))
+              << tag;
+          const size_t bytes = ref.out.size() * sizeof(float);
+          EXPECT_EQ(0, std::memcmp(eval_out.data(), train_out.data(), bytes))
+              << tag;
+          EXPECT_EQ(0, std::memcmp(train_out.data(), ref.out.data(), bytes))
+              << tag;
+          Tensor grad_out(train_out.shape());
+          std::vector<float> expected(static_cast<size_t>(x.numel()), 0.0f);
+          for (int64_t j = 0; j < grad_out.numel(); ++j) {
+            grad_out[j] = std::ldexp(1.0f, static_cast<int>(j % 16));
+            expected[static_cast<size_t>(
+                ref.argmax[static_cast<size_t>(j)])] += grad_out[j];
+          }
+          const Tensor grad_in = pool.backward(grad_out);
+          EXPECT_EQ(0, std::memcmp(grad_in.data(), expected.data(),
+                                   expected.size() * sizeof(float)))
+              << tag;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 254);
+}
+
 TEST(MaxPool2d, BackwardRejectsMisshapenGradOut) {
   MaxPool2d pool(2, 2);
   Rng rng(15);
