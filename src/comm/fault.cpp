@@ -1,7 +1,9 @@
 #include "comm/fault.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <system_error>
 
 #include "comm/transport/framing.hpp"
 #include "utils/error.hpp"
@@ -114,20 +116,27 @@ std::vector<CrashWindow> parse_crash_schedule(const std::string& spec) {
     FCA_CHECK_MSG(at != std::string::npos && at > 0 && at + 1 < entry.size(),
                   "crash schedule entry '" << entry
                                            << "' is not rank@round[xK]");
-    CrashWindow w;
-    try {
-      w.rank = std::stoi(entry.substr(0, at));
-      const std::string rest = entry.substr(at + 1);
-      const size_t x = rest.find('x');
-      if (x == std::string::npos) {
-        w.first_round = std::stoi(rest);
-      } else {
-        w.first_round = std::stoi(rest.substr(0, x));
-        w.rounds = std::stoi(rest.substr(x + 1));
+    // Each field must be a whole decimal int: "3abc" or "3x2y" is an error,
+    // as for every numeric CLI flag.
+    const auto field = [&](size_t from, size_t to) {
+      int v = 0;
+      const char* first = entry.data() + from;
+      const char* last = entry.data() + to;
+      const auto [ptr, ec] = std::from_chars(first, last, v);
+      if (from == to || ec != std::errc() || ptr != last) {
+        throw Error("crash schedule entry '" + entry +
+                    "' has a field that is not an int (want rank@round[xK])");
       }
-    } catch (const std::exception&) {
-      throw Error("crash schedule entry '" + entry +
-                  "' has a non-numeric field (want rank@round[xK])");
+      return v;
+    };
+    CrashWindow w;
+    w.rank = field(0, at);
+    const size_t x = entry.find('x', at + 1);
+    if (x == std::string::npos) {
+      w.first_round = field(at + 1, entry.size());
+    } else {
+      w.first_round = field(at + 1, x);
+      w.rounds = field(x + 1, entry.size());
     }
     FCA_CHECK_MSG(w.first_round >= 1 && w.rounds >= 1,
                   "crash schedule entry '"
@@ -187,8 +196,10 @@ double FaultPlan::draw(std::string_view kind, uint64_t a, uint64_t b,
 bool FaultPlan::crashed(int round, int rank) const {
   if (!enabled_ || rank == 0 || round < 1) return false;
   for (const CrashWindow& w : config_.crash_schedule) {
+    // round - first_round cannot overflow (first_round >= 1), unlike
+    // first_round + rounds.
     if (w.rank == rank && round >= w.first_round &&
-        round < w.first_round + w.rounds) {
+        round - w.first_round < w.rounds) {
       return true;
     }
   }

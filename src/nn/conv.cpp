@@ -16,28 +16,30 @@ namespace fca::nn {
 namespace {
 
 /// One group's input planes, zero-bordered and split into stride phases
-/// (nn/phase_planes.hpp), and the GEMM operands built from them (DESIGN.md
+/// (nn/phase_planes.hpp), and the GEMM operands read from them (DESIGN.md
 /// §9). Every (image, group) a lane processes shares the same geometry, so
 /// one lowering and its scratch — all from the lane's Workspace frame —
 /// serve the whole lane.
 ///
-/// Lowered row (c, ky, kx) is the window of n wide output positions of its
-/// phase plane, copied with a single memcpy. The gap columns after each
-/// output row are computed and dropped on write-out; in backward grad_out
-/// carries zeros there, so they add nothing to any gradient sum. A 1x1
-/// kernel has no gap columns and its phase planes are already the lowered
-/// matrix (its input planes, at stride 1 without padding).
+/// Row r = (c, ky, kx) of the GEMM's B operand is the window of n wide
+/// output positions of its phase plane, read in place through a row
+/// pointer: no lowered matrix is built. The gap columns after each output
+/// row are computed and dropped on write-out; in backward grad_out carries
+/// zeros there, so they add nothing to any gradient sum. A 1x1 kernel has
+/// no gap columns and its rows are its phase planes (its input planes, at
+/// stride 1 without padding).
 class GroupLowering {
  public:
   /// `direct`: the depthwise kernels read the planes themselves, so there is
-  /// no lowered matrix and no dgrad GEMM output.
+  /// no dgrad GEMM output.
   GroupLowering(const ConvGeom& g, int64_t ocg, Workspace::Frame& frame,
                 bool backward, bool direct)
       : g_(g),
         ocg_(ocg),
         pp_(g.height, g.width, g.kernel_h, g.stride_h, g.pad_h),
-        ld_(pp_.wq != pp_.ow ? (pp_.n + 7) / 8 * 8 : pp_.n),
-        windows_(static_cast<size_t>(g.col_rows())) {
+        windows_(static_cast<size_t>(g.col_rows())),
+        rows_(windows_.size()),
+        go_rows_(static_cast<size_t>(ocg)) {
     int64_t r = 0;
     for (int64_t c = 0; c < g.channels; ++c) {
       for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
@@ -53,38 +55,26 @@ class GroupLowering {
       phases_ = frame.alloc(phases);
       std::fill_n(phases_, phases, 0.0f);
     }
-    if (!direct && g.kernel_h > 1) {
-      col_ = frame.alloc(g.col_rows() * ld_);
-      // lower() writes n columns per row, so the row tails stay zero.
-      for (int64_t r = 0; r < g.col_rows(); ++r) {
-        std::fill(col_ + r * ld_ + pp_.n, col_ + (r + 1) * ld_, 0.0f);
-      }
-    }
     if (!backward) {
-      if (gaps) out_wide_ = frame.alloc(ocg * ld_);
+      if (gaps) out_wide_ = frame.alloc(ocg * pp_.n);
       return;
     }
-    if (!direct) dcol_ = frame.alloc(g.col_rows() * ld_);
+    if (!direct) dcol_ = frame.alloc(g.col_rows() * pp_.n);
     if (gaps) {
-      // widen() writes the live columns only, so the gaps and row tails stay
-      // zero.
-      go_wide_ = frame.alloc(ocg * ld_);
-      std::fill_n(go_wide_, ocg * ld_, 0.0f);
+      // widen() writes the live columns only, so the gaps stay zero.
+      go_wide_ = frame.alloc(ocg * pp_.n);
+      std::fill_n(go_wide_, ocg * pp_.n, 0.0f);
     }
     if (phases_ != nullptr) grad_phases_ = frame.alloc(phases);
   }
 
-  /// Live columns of the lowered matrix: the wide output positions.
+  /// Wide output positions: the width of every GEMM row and the row stride
+  /// of the wide buffers.
   int64_t n() const { return pp_.n; }
-  /// Row stride of the lowered matrix and the wide buffers, and the width
-  /// the forward and dgrad GEMMs compute: n rounded up to a multiple of 8
-  /// when rows carry gaps, so those GEMMs run whole vectors (the extra
-  /// columns are zero in and dropped out).
-  int64_t ld() const { return ld_; }
   /// Width of a phase plane: the row stride of every window.
   int64_t wq() const { return pp_.wq; }
 
-  /// Offset of lowered row r = (c, ky, kx)'s window in the phase planes.
+  /// Offset of row r = (c, ky, kx)'s window in the phase planes.
   int64_t window(int64_t r) const { return windows_[static_cast<size_t>(r)]; }
 
   /// One group's phase planes, built from its CHW input planes `im`.
@@ -94,19 +84,16 @@ class GroupLowering {
     return phases_;
   }
 
-  /// The [col_rows, ld] lowered matrix of one group's planes.
-  const float* lower(const float* im) {
+  /// The [col_rows] row pointers of one group's B operand: each row's window
+  /// in the phase planes built from `im`.
+  const float* const* rows(const float* im) {
     const float* ph = planes(im);
-    if (col_ == nullptr) return ph;
-    for (int64_t r = 0; r < g_.col_rows(); ++r) {
-      std::memcpy(col_ + r * ld_, ph + window(r),
-                  static_cast<size_t>(pp_.n) * sizeof(float));
-    }
-    return col_;
+    for (size_t r = 0; r < rows_.size(); ++r) rows_[r] = ph + windows_[r];
+    return rows_.data();
   }
 
-  /// Where the forward pass writes its [ocg, ld] result for
-  /// the output planes `out`.
+  /// Where the forward pass writes its [ocg, n] result for the output planes
+  /// `out`.
   float* gemm_out(float* out) { return out_wide_ != nullptr ? out_wide_ : out; }
 
   /// Moves a gemm_out() result into `out`, dropping the gap columns.
@@ -115,19 +102,19 @@ class GroupLowering {
     for (int64_t o = 0; o < ocg_; ++o) {
       for (int64_t y = 0; y < pp_.oh; ++y) {
         std::memcpy(out + (o * pp_.oh + y) * pp_.ow,
-                    out_wide_ + o * ld_ + y * pp_.wq,
+                    out_wide_ + o * pp_.n + y * pp_.wq,
                     static_cast<size_t>(pp_.ow) * sizeof(float));
       }
     }
   }
 
-  /// One group's grad_out planes as the [ocg, ld] operand
-  /// that lines up with lower()'s columns.
+  /// One group's grad_out planes as the [ocg, n] wide rows that line up
+  /// with the windows' columns.
   const float* widen(const float* go) {
     if (go_wide_ == nullptr) return go;
     for (int64_t o = 0; o < ocg_; ++o) {
       for (int64_t y = 0; y < pp_.oh; ++y) {
-        std::memcpy(go_wide_ + o * ld_ + y * pp_.wq,
+        std::memcpy(go_wide_ + o * pp_.n + y * pp_.wq,
                     go + (o * pp_.oh + y) * pp_.ow,
                     static_cast<size_t>(pp_.ow) * sizeof(float));
       }
@@ -135,7 +122,15 @@ class GroupLowering {
     return go_wide_;
   }
 
-  /// [col_rows, ld] buffer for the dgrad GEMM.
+  /// The rows of a widen() result, the dgrad GEMM's B operand.
+  const float* const* wide_rows(const float* go) {
+    for (size_t o = 0; o < go_rows_.size(); ++o) {
+      go_rows_[o] = go + static_cast<int64_t>(o) * pp_.n;
+    }
+    return go_rows_.data();
+  }
+
+  /// [col_rows, n] buffer for the dgrad GEMM.
   float* dcol() { return dcol_; }
 
   /// Zeroed accumulator planes, laid out like planes(), for one group's
@@ -155,13 +150,14 @@ class GroupLowering {
   }
 
   /// Accumulates dcol() into one group's zero-initialized input-gradient
-  /// planes: the adjoint of lower(). Each image element receives its taps
-  /// in ascending (c, ky, kx) order, the order col2im uses.
+  /// planes: the adjoint of reading the windows. Each image element
+  /// receives its taps in ascending (c, ky, kx) order, the order col2im
+  /// uses.
   void fold(float* grad_in) {
     float* acc = grad_planes(grad_in);
     for (int64_t r = 0; r < g_.col_rows(); ++r) {
       float* dst = acc + window(r);
-      const float* src = dcol_ + r * ld_;
+      const float* src = dcol_ + r * pp_.n;
 #pragma omp simd
       for (int64_t j = 0; j < pp_.n; ++j) dst[j] += src[j];
     }
@@ -172,14 +168,14 @@ class GroupLowering {
   const ConvGeom g_;
   const int64_t ocg_;
   const PhasePlanes pp_;
-  const int64_t ld_;
-  std::vector<int64_t> windows_;  // window offset of each lowered row
-  float* phases_ = nullptr;       // phase planes, unless the input is them
-  float* col_ = nullptr;          // lowered matrix, unless the planes are it
-  float* out_wide_ = nullptr;     // forward output with gap columns
-  float* go_wide_ = nullptr;      // grad_out with zeroed gap columns
-  float* dcol_ = nullptr;         // dgrad GEMM output
-  float* grad_phases_ = nullptr;  // input-gradient phase accumulator
+  std::vector<int64_t> windows_;      // window offset of each B row
+  std::vector<const float*> rows_;    // B row pointers, rebuilt per group
+  std::vector<const float*> go_rows_; // wide grad_out row pointers
+  float* phases_ = nullptr;           // phase planes, unless the input is them
+  float* out_wide_ = nullptr;         // forward output with gap columns
+  float* go_wide_ = nullptr;          // grad_out with zeroed gap columns
+  float* dcol_ = nullptr;             // dgrad GEMM output
+  float* grad_phases_ = nullptr;      // input-gradient phase accumulator
 };
 
 // Direct depthwise kernels. Each reproduces, per output element, the
@@ -330,7 +326,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
         // workers are long-lived, so after warm-up this allocates nothing.
         Workspace::Frame frame(Workspace::tls());
         GroupLowering low(g, ocg, frame, /*backward=*/false, direct);
-        const int64_t ld = low.ld();
+        const int64_t n = low.n();
         for (int64_t i = lo; i < hi; ++i) {
           for (int64_t grp = 0; grp < groups_; ++grp) {
             const float* im =
@@ -346,18 +342,14 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
             if (direct) {
               // The depthwise GEMM is an m = 1 call with k = taps, which the
               // packed kernel serves with this row update and epilogue.
-              const float* ph = low.planes(im);
-              const float* rows[kGemmRowUpdateMaxK];
-              for (int64_t t = 0; t < col_rows; ++t) {
-                rows[t] = ph + low.window(t);
-              }
               float* dst = low.gemm_out(o);
-              sgemm_row_update(low.n(), col_rows, w, rows, 0.0f, dst);
-              apply_gemm_epilogue(1, low.n(), dst, low.n(), epi);
+              sgemm_row_update(n, col_rows, w, low.rows(im), 0.0f, dst);
+              apply_gemm_epilogue(1, n, dst, n, epi);
             } else {
-              // out_group = W_group [ocg, icg*k*k] * cols [icg*k*k, ld].
-              sgemm_ex(false, false, ocg, ld, col_rows, 1.0f, w, col_rows,
-                       low.lower(im), ld, 0.0f, low.gemm_out(o), ld, epi);
+              // out_group = W_group [ocg, icg*k*k] * B [icg*k*k, n], B's
+              // rows read in place from the phase planes.
+              sgemm_rows(false, false, ocg, n, col_rows, 1.0f, w, col_rows,
+                         low.rows(im), 0.0f, low.gemm_out(o), n, epi);
             }
             low.crop_out(o);
           }
@@ -393,9 +385,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // disjoint grad_in slice directly and accumulates weight/bias partials
   // into its own arena slot; the partials are then reduced in ascending
   // chunk order on the calling thread. Any pool size — including serial —
-  // produces bit-identical gradients. The lowered matrix is recomputed per
+  // produces bit-identical gradients. The phase planes are rebuilt per
   // sample instead of being cached across the whole batch, which keeps peak
-  // memory O(chunks * weights + one image's columns) rather than O(batch).
+  // memory O(chunks * weights + one image's planes) rather than O(batch).
   constexpr int64_t kChunk = 8;
   const int64_t chunks = (b + kChunk - 1) / kChunk;
   const int64_t w_numel = weight_.grad.numel();
@@ -409,7 +401,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       [&](int64_t chunk_lo, int64_t chunk_hi) {
         Workspace::Frame lane_frame(Workspace::tls());
         GroupLowering low(g, ocg, lane_frame, /*backward=*/true, direct);
-        const int64_t n = low.n(), ld = low.ld();
+        const int64_t n = low.n();
         for (int64_t ci = chunk_lo; ci < chunk_hi; ++ci) {
           float* dw = dw_parts + ci * w_numel;
           const int64_t i_end = std::min(b, (ci + 1) * kChunk);
@@ -425,12 +417,10 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                 // wgrad is the GEMM's dot product of grad_out with each
                 // tap's window; dgrad adds each tap's rank-1 product into
                 // the gradient planes, as the dgrad GEMM and fold did.
-                const float* ph = low.planes(x.data() + in_off);
+                const float* const* win = low.rows(x.data() + in_off);
                 float* acc = low.grad_planes(grad_in.data() + in_off);
-                const float* win[kGemmRowUpdateMaxK];
                 float* acc_rows[kGemmRowUpdateMaxK];
                 for (int64_t t = 0; t < col_rows; ++t) {
-                  win[t] = ph + low.window(t);
                   acc_rows[t] = acc + low.window(t);
                 }
                 depthwise_wgrad(col_rows, oh, ow, low.wq(),
@@ -441,14 +431,14 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                 low.unphase(grad_in.data() + in_off);
                 continue;
               }
-              const float* cols = low.lower(x.data() + in_off);
               const float* go = low.widen(go_planes);
-              // dW_group += g_out [ocg, n] * cols^T [n, icg*k*k]
-              sgemm(false, true, ocg, col_rows, n, 1.0f, go, ld, cols, ld,
-                    1.0f, dw_grp, col_rows);
-              // dcol = W_group^T [icg*k*k, ocg] * g_out [ocg, ld]
-              sgemm(true, false, col_rows, ld, ocg, 1.0f, w, col_rows, go, ld,
-                    0.0f, low.dcol(), ld);
+              // dW_group += g_out [ocg, n] * B^T [n, icg*k*k]: B's rows are
+              // the windows, each n floats long.
+              sgemm_rows(false, true, ocg, col_rows, n, 1.0f, go, n,
+                         low.rows(x.data() + in_off), 1.0f, dw_grp, col_rows);
+              // dcol = W_group^T [icg*k*k, ocg] * g_out [ocg, n]
+              sgemm_rows(true, false, col_rows, n, ocg, 1.0f, w, col_rows,
+                         low.wide_rows(go), 0.0f, low.dcol(), n);
               low.fold(grad_in.data() + in_off);
             }
             if (has_bias_) {

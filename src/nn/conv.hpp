@@ -1,10 +1,12 @@
 // 2-D convolution (NCHW) with grouped / depthwise support (groups ==
-// in_channels == out_channels). Dense and grouped convs lower to GEMM
-// through zero-bordered, phase-split input planes: at every stride each
-// lowered row is one contiguous window of one phase plane. Depthwise convs
-// with 2x2 to 4x4 kernels skip the lowered matrix and run direct kernels
-// over the same planes, reproducing the GEMM path's per-element operation
-// sequences (DESIGN.md §9).
+// in_channels == out_channels). Dense and grouped convs run their forward,
+// wgrad and dgrad GEMMs through sgemm_rows over zero-bordered, phase-split
+// input planes: at every stride each row of im2col's lowered matrix is one
+// contiguous window of one phase plane, which the GEMM reads in place
+// through a row pointer, so no lowered matrix is built. Depthwise convs
+// with 2x2 to 4x4 kernels skip the GEMMs and run direct kernels over the
+// same planes, reproducing the GEMM path's per-element operation sequences
+// (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,8 @@ struct ConvGeom {
   int64_t out_w() const {
     return (width + 2 * pad_w - kernel_w) / stride_w + 1;
   }
-  /// Rows of the lowered matrix: channels * kernel_h * kernel_w.
+  /// Rows of im2col's lowered matrix (the depth of the forward GEMM):
+  /// channels * kernel_h * kernel_w.
   int64_t col_rows() const { return channels * kernel_h * kernel_w; }
   /// Output positions per channel: out_h * out_w.
   int64_t col_cols() const { return out_h() * out_w(); }

@@ -26,11 +26,11 @@ inline void scale_c(float beta, int64_t m, int64_t n, float* c, int64_t ldc) {
   }
 }
 
-}  // namespace
-
-void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                 float alpha, const float* a, int64_t lda, const float* b,
-                 int64_t ldb, float beta, float* c, int64_t ldc) {
+/// sgemm_naive's loop with op(B)(p, j) read through `b_at`.
+template <class BAt>
+void naive_loop(bool trans_a, int64_t m, int64_t n, int64_t k, float alpha,
+                const float* a, int64_t lda, const BAt& b_at, float beta,
+                float* c, int64_t ldc) {
   scale_c(beta, m, n, c, ldc);
   if (alpha == 0.0f) return;  // by convention alpha==0 never touches A*B
   for (int64_t i = 0; i < m; ++i) {
@@ -40,10 +40,21 @@ void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       // (this kernel is the parity oracle for the vectorized paths).
       const float av = alpha * op_at(a, lda, trans_a, i, p);
       for (int64_t j = 0; j < n; ++j) {
-        c[i * ldc + j] += av * op_at(b, ldb, trans_b, p, j);
+        c[i * ldc + j] += av * b_at(p, j);
       }
     }
   }
+}
+
+}  // namespace
+
+void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                 float alpha, const float* a, int64_t lda, const float* b,
+                 int64_t ldb, float beta, float* c, int64_t ldc) {
+  naive_loop(
+      trans_a, m, n, k, alpha, a, lda,
+      [&](int64_t p, int64_t j) { return op_at(b, ldb, trans_b, p, j); },
+      beta, c, ldc);
 }
 
 void apply_gemm_epilogue(int64_t m, int64_t n, float* c, int64_t ldc,
@@ -80,6 +91,25 @@ void sgemm_ex(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // kernel-span names and flop counts in the trace.
   obs::ProfileSpan span("kernel", "sgemm", 2 * m * n * k);
   sgemm_naive(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  apply_gemm_epilogue(m, n, c, ldc, epi);
+}
+
+void sgemm_rows(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                float alpha, const float* a, int64_t lda,
+                const float* const* b_rows, float beta, float* c,
+                int64_t ldc, const GemmEpilogue& epi) {
+  if (resolved_gemm_kernel() == GemmKernel::kPacked) {
+    sgemm_packed_rows(trans_a, trans_b, m, n, k, alpha, a, lda, b_rows, beta,
+                      c, ldc, epi);
+    return;
+  }
+  obs::ProfileSpan span("kernel", "sgemm", 2 * m * n * k);
+  naive_loop(
+      trans_a, m, n, k, alpha, a, lda,
+      [&](int64_t p, int64_t j) {
+        return trans_b ? b_rows[j][p] : b_rows[p][j];
+      },
+      beta, c, ldc);
   apply_gemm_epilogue(m, n, c, ldc, epi);
 }
 

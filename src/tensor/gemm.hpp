@@ -5,7 +5,9 @@
 // tensor/kernel.hpp): the packed register-tiled micro-kernel (default) and
 // the IEEE-faithful naive reference. Both accumulate each output element in
 // a fixed k-order independent of thread count, so a given selection is
-// bit-identical across reruns and parallelism levels.
+// bit-identical across reruns and parallelism levels. sgemm_rows() is the
+// same product with B handed over as a list of row pointers, which lets
+// Conv2d multiply straight out of its input planes (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,17 @@ void sgemm_ex(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
               int64_t ldb, float beta, float* c, int64_t ldc,
               const GemmEpilogue& epi);
 
+/// sgemm_ex with B given as row pointers instead of a strided matrix: with
+/// B untransposed, b_rows[p] is row p of op(B), n floats long; transposed,
+/// b_rows[j] is stored row j of B, k floats long. The rows may overlap.
+/// Dispatches like sgemm_ex, with the same profile span; for every shape
+/// the result is byte-identical to the selected kernel's sgemm_ex on the
+/// same operand stored with a stride.
+void sgemm_rows(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                float alpha, const float* a, int64_t lda,
+                const float* const* b_rows, float beta, float* c,
+                int64_t ldc, const GemmEpilogue& epi = {});
+
 /// Packed register-tiled micro-kernel (tensor/gemm_packed.cpp): A and B are
 /// packed into per-thread workspace panels (alpha folded into the A pack),
 /// then multiplied by a fixed-size compiler-vectorized tile. `epi` is fused
@@ -55,6 +68,18 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                   float alpha, const float* a, int64_t lda, const float* b,
                   int64_t ldb, float beta, float* c, int64_t ldc,
                   const GemmEpilogue& epi = {});
+
+/// The packed form of sgemm_rows. For every shape it runs the operation
+/// sequence sgemm_packed runs for each output element. With B untransposed
+/// it packs nothing: a register tile reads A and the rows in place, seeded
+/// as the packed path seeds (a zero accumulator per KC-deep panel, or the
+/// row update's first step) and written back from registers, or the row
+/// update reads the rows. Transposed B rows are gathered or streamed as
+/// sgemm_packed's narrow and general paths do.
+void sgemm_packed_rows(bool trans_a, bool trans_b, int64_t m, int64_t n,
+                       int64_t k, float alpha, const float* a, int64_t lda,
+                       const float* const* b_rows, float beta, float* c,
+                       int64_t ldc, const GemmEpilogue& epi = {});
 
 /// Deepest k that sgemm_packed serves with the rank-k row update below
 /// (B untransposed).

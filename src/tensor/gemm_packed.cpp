@@ -30,8 +30,14 @@
 // Packing buffers come from the per-thread Workspace arena: the B panel from
 // a frame on the caller's thread, each A panel from a frame on the worker
 // that owns the row block. Steady-state calls therefore do not allocate.
+//
+// sgemm_packed_rows takes B as row pointers and runs the same dispatch and
+// per-element sequences over them (packed_impl); only with B untransposed
+// does it read differently, streaming A and the rows in place through a
+// register tile instead of packing them (stream_tile below).
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
@@ -194,17 +200,18 @@ namespace {
 constexpr int64_t kSmallNMax = 16;
 
 /// One register-tile block of the small-n path: acc rows over the whole
-/// depth k. op(A)(i, p) is read directly from A via (row, depth) strides —
-/// no packing — and bt is the pre-transposed alpha*op(B) panel, padded to
-/// width W. Per-element accumulation is ascending k, as everywhere else.
+/// depth k. Streamed row i's depth step p is rows[i][p * depth_stride],
+/// read in place — no packing — and bt is the pre-transposed alpha*op(B)
+/// panel, padded to width W. Per-element accumulation is ascending k, as
+/// everywhere else.
 // always_inline: the body must be inlined into each target_clones wrapper
 // below so the j loops vectorize at that clone's ISA — left out-of-line it
 // would be compiled once for the baseline target and both clones would just
 // tail-call it.
 template <int64_t W, int64_t MRB>
 __attribute__((always_inline)) inline void smalln_block(
-    int64_t k, int64_t mr, const float* a, int64_t row_stride,
-    int64_t depth_stride, const float* bt, float acc_out[MRB * W]) {
+    int64_t k, int64_t mr, const float* const* rows, int64_t depth_stride,
+    const float* bt, float acc_out[MRB * W]) {
   float acc[MRB][W] = {};
   if (mr == MRB) {
     // Fixed trip count: the i loop fully unrolls and the whole tile lives
@@ -212,9 +219,9 @@ __attribute__((always_inline)) inline void smalln_block(
     // acc in memory — fine for the final partial block only).
     for (int64_t p = 0; p < k; ++p) {
       const float* bv = bt + p * W;
-      const float* ap = a + p * depth_stride;
+      const int64_t d = p * depth_stride;
       for (int64_t i = 0; i < MRB; ++i) {
-        const float ai = ap[i * row_stride];
+        const float ai = rows[i][d];
 #pragma omp simd
         for (int64_t j = 0; j < W; ++j) acc[i][j] += ai * bv[j];
       }
@@ -222,9 +229,9 @@ __attribute__((always_inline)) inline void smalln_block(
   } else {
     for (int64_t p = 0; p < k; ++p) {
       const float* bv = bt + p * W;
-      const float* ap = a + p * depth_stride;
+      const int64_t d = p * depth_stride;
       for (int64_t i = 0; i < mr; ++i) {
-        const float ai = ap[i * row_stride];
+        const float ai = rows[i][d];
 #pragma omp simd
         for (int64_t j = 0; j < W; ++j) acc[i][j] += ai * bv[j];
       }
@@ -233,30 +240,29 @@ __attribute__((always_inline)) inline void smalln_block(
   std::memcpy(acc_out, acc, sizeof(float) * static_cast<size_t>(mr) * W);
 }
 
-/// Paired-depth variant of the 8-wide block, used when the streamed
-/// operand's depth stride is 1 (its rows are contiguous in k — the wgrad
-/// layout). Two consecutive depth steps occupy the 16 vector lanes at once:
-/// lanes 0..7 accumulate even-k products, lanes 8..15 odd-k products, and
-/// the two partial sums are folded into the 8-wide result at the end. The
-/// bt panel needs no re-layout — rows p and p+1 of the 8-wide panel read as
-/// one 16-float vector. Halves the loads per multiply-add of the plain 12x8
-/// tile (the strided broadcast streams were its bottleneck). Per-element
-/// summation order: ascending k within each parity class, one even+odd fold,
-/// then the odd-k tail element — fixed per shape, so still rerun- and
+/// Paired-depth variant of the 8-wide block, used when the streamed rows
+/// are contiguous in k (depth stride 1 — the wgrad layout). Two consecutive
+/// depth steps occupy the 16 vector lanes at once: lanes 0..7 accumulate
+/// even-k products, lanes 8..15 odd-k products, and the two partial sums
+/// are folded into the 8-wide result at the end. The bt panel needs no
+/// re-layout — rows p and p+1 of the 8-wide panel read as one 16-float
+/// vector. Halves the loads per multiply-add of the plain 12x8 tile (the
+/// strided broadcast streams were its bottleneck). Per-element summation
+/// order: ascending k within each parity class, one even+odd fold, then the
+/// odd-k tail element — fixed per shape, so still rerun- and
 /// pool-size-invariant, and covered by the order-agnostic parity bound.
 template <int64_t MRB>
 __attribute__((always_inline)) inline void smalln_block_pairk(
-    int64_t k, int64_t mr, const float* a, int64_t row_stride,
-    const float* bt, float acc_out[MRB * 8]) {
+    int64_t k, int64_t mr, const float* const* rows, const float* bt,
+    float acc_out[MRB * 8]) {
   float acc[MRB][16] = {};
   const int64_t kp = k / 2;
   if (mr == MRB) {
     for (int64_t q = 0; q < kp; ++q) {
       const float* bv = bt + q * 16;
-      const float* ap = a + 2 * q;
       for (int64_t i = 0; i < MRB; ++i) {
-        const float a0 = ap[i * row_stride];
-        const float a1 = ap[i * row_stride + 1];
+        const float a0 = rows[i][2 * q];
+        const float a1 = rows[i][2 * q + 1];
 #pragma omp simd
         for (int64_t j = 0; j < 8; ++j) acc[i][j] += a0 * bv[j];
 #pragma omp simd
@@ -266,10 +272,9 @@ __attribute__((always_inline)) inline void smalln_block_pairk(
   } else {
     for (int64_t q = 0; q < kp; ++q) {
       const float* bv = bt + q * 16;
-      const float* ap = a + 2 * q;
       for (int64_t i = 0; i < mr; ++i) {
-        const float a0 = ap[i * row_stride];
-        const float a1 = ap[i * row_stride + 1];
+        const float a0 = rows[i][2 * q];
+        const float a1 = rows[i][2 * q + 1];
 #pragma omp simd
         for (int64_t j = 0; j < 8; ++j) acc[i][j] += a0 * bv[j];
 #pragma omp simd
@@ -284,9 +289,8 @@ __attribute__((always_inline)) inline void smalln_block_pairk(
   }
   if (k & 1) {
     const float* bv = bt + (k - 1) * 8;
-    const float* ap = a + (k - 1);
     for (int64_t i = 0; i < mr; ++i) {
-      const float ai = ap[i * row_stride];
+      const float ai = rows[i][k - 1];
       float* out = acc_out + i * 8;
 #pragma omp simd
       for (int64_t j = 0; j < 8; ++j) out[j] += ai * bv[j];
@@ -296,21 +300,21 @@ __attribute__((always_inline)) inline void smalln_block_pairk(
 
 // target_clones dispatch wrappers (the attribute cannot go on a template).
 FCA_MICROKERNEL_CLONES
-void smalln_block8(int64_t k, int64_t mr, const float* a, int64_t row_stride,
+void smalln_block8(int64_t k, int64_t mr, const float* const* rows,
                    int64_t depth_stride, const float* bt, float* acc_out) {
-  smalln_block<8, 12>(k, mr, a, row_stride, depth_stride, bt, acc_out);
+  smalln_block<8, 12>(k, mr, rows, depth_stride, bt, acc_out);
 }
 
 FCA_MICROKERNEL_CLONES
-void smalln_block8_pairk(int64_t k, int64_t mr, const float* a,
-                         int64_t row_stride, const float* bt, float* acc_out) {
-  smalln_block_pairk<6>(k, mr, a, row_stride, bt, acc_out);
+void smalln_block8_pairk(int64_t k, int64_t mr, const float* const* rows,
+                         const float* bt, float* acc_out) {
+  smalln_block_pairk<6>(k, mr, rows, bt, acc_out);
 }
 
 FCA_MICROKERNEL_CLONES
-void smalln_block16(int64_t k, int64_t mr, const float* a, int64_t row_stride,
+void smalln_block16(int64_t k, int64_t mr, const float* const* rows,
                     int64_t depth_stride, const float* bt, float* acc_out) {
-  smalln_block<16, 6>(k, mr, a, row_stride, depth_stride, bt, acc_out);
+  smalln_block<16, 6>(k, mr, rows, depth_stride, bt, acc_out);
 }
 
 inline void scale_c(float beta, int64_t m, int64_t n, float* c, int64_t ldc) {
@@ -362,24 +366,38 @@ inline int64_t panel_width(int64_t nb, int64_t jr) {
   return nb - jr <= NR / 2 ? NR / 2 : NR;
 }
 
+/// Stored rows of a B operand: row r of a strided matrix is b + r * ldb...
+struct StridedRows {
+  const float* b;
+  int64_t ldb;
+  const float* operator()(int64_t r) const { return b + r * ldb; }
+};
+
+/// ...and of a row-pointer operand (sgemm_rows) it is rows[r].
+struct RowPointers {
+  const float* const* rows;
+  const float* operator()(int64_t r) const { return rows[r]; }
+};
+
 /// Packs op(B)[pc:pc+kb, jc:jc+nb] into column-panels of width panel_width
 /// (NR, with an NR/2 tail): panel[p * w + j] = op(B)(pc + p, jc + jr + j),
-/// zero-padded in j up to the panel width.
-void pack_b(const float* b, int64_t ldb, bool trans, int64_t pc, int64_t jc,
-            int64_t kb, int64_t nb, float* bp) {
+/// zero-padded in j up to the panel width. `b(r)` is stored row r of B.
+template <class Rows>
+void pack_b(const Rows& b, bool trans, int64_t pc, int64_t jc, int64_t kb,
+            int64_t nb, float* bp) {
   float* panel = bp;
   for (int64_t jr = 0; jr < nb; jr += NR) {
     const int64_t w = panel_width(nb, jr);
     const int64_t nr = std::min(w, nb - jr);
     if (!trans) {
       for (int64_t p = 0; p < kb; ++p) {
-        const float* src = b + (pc + p) * ldb + jc + jr;
+        const float* src = b(pc + p) + jc + jr;
         for (int64_t j = 0; j < nr; ++j) panel[p * w + j] = src[j];
       }
     } else {
       // op(B)(p, j) = B[j][p]: strided gather per column.
       for (int64_t j = 0; j < nr; ++j) {
-        const float* src = b + (jc + jr + j) * ldb + pc;
+        const float* src = b(jc + jr + j) + pc;
         for (int64_t p = 0; p < kb; ++p) panel[p * w + j] = src[p];
       }
     }
@@ -501,13 +519,250 @@ inline void write_back(const float* acc, int64_t acc_stride, float* c,
   }
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Streamed tile of sgemm_packed_rows (B untransposed). A tile of C is
+// accumulated straight from op(A) and the B rows — neither is packed — and
+// written back from registers. Each element runs the sequence of the path
+// sgemm_packed takes for the shape:
+//   - k > kGemmRowUpdateMaxK, the general path: a zero-seeded accumulator
+//     per KC-deep panel taking one multiply-add per p in ascending order,
+//     stored or added into C, the epilogue fused on the last panel;
+//   - k <= kGemmRowUpdateMaxK with beta == 0, the rank-k row update: seeded
+//     with sgemm_row_update's first step, then one multiply-add per p, then
+//     the epilogue.
+// The bytes depend only on that sequence, so the tile shape is free: 8x32
+// fills half of the v4 clone's 32 vector registers; 4x24 (12 accumulators)
+// measured fastest in the 16 of the v3 clone, where the row update itself
+// beats a tile at k <= kGemmRowUpdateMaxK.
 
-void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                  float alpha, const float* a, int64_t lda, const float* b,
-                  int64_t ldb, float beta, float* c, int64_t ldc,
-                  const GemmEpilogue& epi) {
-  obs::ProfileSpan span("kernel", "sgemm", 2 * m * n * k);
+/// Where a streamed tile goes: C rows row0.., columns col0..col0+nr, added
+/// to C when `accumulate`, through `epi` when it is not null (last panel).
+struct TileOut {
+  float* c;
+  int64_t ldc, row0, col0, nr;
+  bool accumulate;
+  const GemmEpilogue* epi;
+};
+
+template <int64_t MRT, int64_t W, class Cols>
+__attribute__((always_inline)) inline void store_tile(
+    const float (&acc)[MRT][W], Cols cols, const TileOut& out) {
+  for (int64_t i = 0; i < MRT; ++i) {
+    float* crow = out.c + (out.row0 + i) * out.ldc + out.col0;
+    if (out.epi == nullptr) {
+      if (out.accumulate) {
+#pragma omp simd
+        for (int64_t j = 0; j < cols; ++j) crow[j] += acc[i][j];
+      } else {
+#pragma omp simd
+        for (int64_t j = 0; j < cols; ++j) crow[j] = acc[i][j];
+      }
+      continue;
+    }
+    // Same operations as write_back's fused epilogue.
+    const GemmEpilogue& e = *out.epi;
+    const bool per_row = e.bias_kind == GemmEpilogue::Bias::kPerRow;
+    const bool per_col = e.bias_kind == GemmEpilogue::Bias::kPerCol;
+    const bool relu = e.act == GemmEpilogue::Act::kReLU;
+    const float row_bias = per_row ? e.bias[out.row0 + i] : 0.0f;
+    const float* col_bias = per_col ? e.bias + out.col0 : nullptr;
+#pragma omp simd
+    for (int64_t j = 0; j < cols; ++j) {
+      float v = out.accumulate ? crow[j] + acc[i][j] : acc[i][j];
+      if (per_col) {
+        v += col_bias[j];
+      } else if (per_row) {
+        v += row_bias;
+      }
+      if (relu && !(v > 0.0f)) v = 0.0f;
+      crow[j] = v;
+    }
+  }
+}
+
+/// One MRT x W tile over kb depth steps: op(A)(i, p) is a[i*rs + p*ds] and
+/// op(B)(p, j) is brows[p][bj + j]. The 2-D accumulator and the fixed trip
+/// counts keep the tile in registers, as in micro_tile. `RowUpdateSeed`
+/// starts each element as sgemm_row_update does instead of from zero.
+template <int64_t MRT, int64_t W, bool RowUpdateSeed>
+__attribute__((always_inline)) inline void stream_tile(
+    int64_t kb, const float* a, int64_t rs, int64_t ds,
+    const float* const* brows, int64_t bj, const TileOut& out) {
+  float acc[MRT][W] = {};
+  int64_t p0 = 0;
+  if constexpr (RowUpdateSeed) {
+    // sgemm_row_update's first step in its own source form: a product for
+    // k == 1, else `v = a0*b0; v += a1*b1;`, which GCC contracts to
+    // fma(a0, b0, round(a1*b1)). Seeding a zero accumulator instead rounds
+    // a0*b0 first and gives other bytes.
+    const float* b0 = brows[0] + bj;
+    if (kb == 1) {
+      for (int64_t i = 0; i < MRT; ++i) {
+        const float a0 = a[i * rs];
+#pragma omp simd
+        for (int64_t j = 0; j < W; ++j) acc[i][j] = a0 * b0[j];
+      }
+      p0 = 1;
+    } else {
+      const float* b1 = brows[1] + bj;
+      for (int64_t i = 0; i < MRT; ++i) {
+        const float a0 = a[i * rs];
+        const float a1 = a[i * rs + ds];
+#pragma omp simd
+        for (int64_t j = 0; j < W; ++j) {
+          float v = a0 * b0[j];
+          v += a1 * b1[j];
+          acc[i][j] = v;
+        }
+      }
+      p0 = 2;
+    }
+  }
+  for (int64_t p = p0; p < kb; ++p) {
+    const float* bv = brows[p] + bj;
+    const float* ap = a + p * ds;
+    for (int64_t i = 0; i < MRT; ++i) {
+      const float ai = ap[i * rs];
+#pragma omp simd
+      for (int64_t j = 0; j < W; ++j) acc[i][j] += ai * bv[j];
+    }
+  }
+  if (out.nr == W) {
+    store_tile<MRT, W>(acc, std::integral_constant<int64_t, W>{}, out);
+  } else {
+    store_tile<MRT, W>(acc, out.nr, out);
+  }
+}
+
+/// stream_tile for mr <= MRT rows, through a fixed-trip instantiation.
+template <int64_t MRT, int64_t W, bool RowUpdateSeed>
+__attribute__((always_inline)) inline void stream_rows(
+    int64_t mr, int64_t kb, const float* a, int64_t rs, int64_t ds,
+    const float* const* brows, int64_t bj, const TileOut& out) {
+  if (mr == MRT) {
+    stream_tile<MRT, W, RowUpdateSeed>(kb, a, rs, ds, brows, bj, out);
+  } else if constexpr (MRT > 1) {
+    stream_rows<MRT - 1, W, RowUpdateSeed>(mr, kb, a, rs, ds, brows, bj, out);
+  }
+}
+
+using StreamTileFn = void (*)(bool, int64_t, int64_t, const float*, int64_t,
+                              int64_t, const float* const*, int64_t,
+                              const TileOut&);
+
+FCA_MICROKERNEL_CLONES
+void stream_tile_8x32(bool row_update_seed, int64_t mr, int64_t kb,
+                      const float* a, int64_t rs, int64_t ds,
+                      const float* const* brows, int64_t bj,
+                      const TileOut& out) {
+  if (row_update_seed) {
+    stream_rows<8, 32, true>(mr, kb, a, rs, ds, brows, bj, out);
+  } else {
+    stream_rows<8, 32, false>(mr, kb, a, rs, ds, brows, bj, out);
+  }
+}
+
+FCA_MICROKERNEL_CLONES
+void stream_tile_4x24(bool row_update_seed, int64_t mr, int64_t kb,
+                      const float* a, int64_t rs, int64_t ds,
+                      const float* const* brows, int64_t bj,
+                      const TileOut& out) {
+  if (row_update_seed) {
+    stream_rows<4, 24, true>(mr, kb, a, rs, ds, brows, bj, out);
+  } else {
+    stream_rows<4, 24, false>(mr, kb, a, rs, ds, brows, bj, out);
+  }
+}
+
+/// True when the loader picks the x86-64-v4 clone (the same CPUID test
+/// target_clones resolves with): that clone runs the 8x32 tile, the others
+/// the 4x24 one.
+bool wide_stream_tile() {
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+  static const bool wide = __builtin_cpu_supports("x86-64-v4");
+  return wide;
+#else
+  return false;
+#endif
+}
+
+/// sgemm_packed_rows for untransposed B: column strips of width W, each
+/// over KC-deep panels, each over tiles of MRT rows; with k <= the row
+/// update's depth and beta == 0 the tiles take the row-update seed. A strip
+/// past the rows' last column is read through a zero-padded copy, so no
+/// row is read past its n floats.
+template <int64_t MRT, int64_t W>
+void stream_rows_gemm(StreamTileFn tile, bool trans_a, int64_t m, int64_t n,
+                      int64_t k, float alpha, const float* a, int64_t lda,
+                      const float* const* b_rows, float beta, float* c,
+                      int64_t ldc, const GemmEpilogue& epi) {
+  Workspace::Frame frame(Workspace::tls());
+  int64_t rs = trans_a ? 1 : lda;
+  int64_t ds = trans_a ? lda : 1;
+  if (alpha != 1.0f) {
+    // pack_a's single rounding of alpha * op(A)(i, p).
+    float* scaled = frame.alloc(m * k);
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t p = 0; p < k; ++p) {
+        scaled[i * k + p] = alpha * a[i * rs + p * ds];
+      }
+    }
+    a = scaled;
+    rs = k;
+    ds = 1;
+  }
+  const bool store_first_panel = beta == 0.0f;
+  if (!store_first_panel) scale_c(beta, m, n, c, ldc);
+  const bool row_update_seed = k <= kGemmRowUpdateMaxK;
+  FCA_CHECK(!row_update_seed || store_first_panel);
+  const GemmEpilogue* fused = epi.empty() ? nullptr : &epi;
+  parallel_for_range(
+      0, (n + W - 1) / W,
+      [&](int64_t s_lo, int64_t s_hi) {
+        Workspace::Frame strip_frame(Workspace::tls());
+        float* pad = nullptr;
+        const float* pad_rows[KC];
+        for (int64_t s = s_lo; s < s_hi; ++s) {
+          const int64_t j0 = s * W;
+          const int64_t nr = std::min(W, n - j0);
+          for (int64_t pc = 0; pc < k; pc += KC) {
+            const int64_t kb = std::min(KC, k - pc);
+            const float* const* brows = b_rows + pc;
+            int64_t bj = j0;
+            if (nr < W) {
+              if (pad == nullptr) pad = strip_frame.alloc(KC * W);
+              for (int64_t p = 0; p < kb; ++p) {
+                float* dst = pad + p * W;
+                std::memcpy(dst, b_rows[pc + p] + j0,
+                            static_cast<size_t>(nr) * sizeof(float));
+                std::fill(dst + nr, dst + W, 0.0f);
+                pad_rows[p] = dst;
+              }
+              brows = pad_rows;
+              bj = 0;
+            }
+            const bool last = pc + kb == k;
+            for (int64_t i0 = 0; i0 < m; i0 += MRT) {
+              const TileOut out{c,  ldc, i0, j0, nr,
+                                !store_first_panel || pc > 0,
+                                last ? fused : nullptr};
+              tile(row_update_seed, std::min(MRT, m - i0), kb,
+                   a + i0 * rs + pc * ds, rs, ds, brows, bj, out);
+            }
+          }
+        }
+      },
+      /*grain=*/4);
+}
+
+/// sgemm_packed over any stored-row source of B (StridedRows for
+/// sgemm_packed, RowPointers for sgemm_packed_rows): one dispatch, one
+/// sequence per shape. Only the general path differs by source — a
+/// row-pointer B untransposed is streamed in place instead of packed.
+template <class Rows>
+void packed_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                 float alpha, const float* a, int64_t lda, const Rows& b,
+                 float beta, float* c, int64_t ldc, const GemmEpilogue& epi) {
   FCA_CHECK(m >= 0 && n >= 0 && k >= 0);
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) {
@@ -524,20 +779,37 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // take the trans_a case.
   if ((trans_a || trans_b) && m == 1 && n == 1) {
     const int64_t a_step = trans_a ? lda : 1;
-    const int64_t b_step = trans_b ? 1 : ldb;
     scale_c(beta, 1, 1, c, ldc);
     for (int64_t p = 0; p < k; ++p) {
-      c[0] += (alpha * a[p * a_step]) * b[p * b_step];
+      const float bp = trans_b ? b(0)[p] : b(p)[0];
+      c[0] += (alpha * a[p * a_step]) * bp;
     }
     apply_gemm_epilogue(1, 1, c, ldc, epi);
     return;
+  }
+
+  // A row-pointer B untransposed is streamed in place (see stream_tile):
+  // at every depth above the row update's, and on the v4 clone also at the
+  // row update's with beta == 0, the only beta Conv2d passes.
+  if constexpr (std::is_same_v<Rows, RowPointers>) {
+    const bool wide = wide_stream_tile();
+    if (!trans_b && (k > kGemmRowUpdateMaxK || (wide && beta == 0.0f))) {
+      if (wide) {
+        stream_rows_gemm<8, 32>(stream_tile_8x32, trans_a, m, n, k, alpha, a,
+                                lda, b.rows, beta, c, ldc, epi);
+      } else {
+        stream_rows_gemm<4, 24>(stream_tile_4x24, trans_a, m, n, k, alpha, a,
+                                lda, b.rows, beta, c, ldc, epi);
+      }
+      return;
+    }
   }
 
   // The rank-k row-update path folds beta in itself; it must dispatch before
   // the general path's upfront C scaling.
   if (k <= kGemmRowUpdateMaxK && !trans_b) {
     const float* b_rows[kGemmRowUpdateMaxK];
-    for (int64_t p = 0; p < k; ++p) b_rows[p] = b + p * ldb;
+    for (int64_t p = 0; p < k; ++p) b_rows[p] = b(p);
     parallel_for_range(
         0, m,
         [&](int64_t i_lo, int64_t i_hi) {
@@ -583,7 +855,7 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     // into the B side (the A side elsewhere) changes product rounding but
     // stays within the parity bound; the accumulation order is untouched.
     for (int64_t j = 0; j < n; ++j) {
-      const float* src = b + j * ldb;
+      const float* src = b(j);
       for (int64_t p = 0; p < k; ++p) bt[p * w + j] = alpha * src[p];
     }
     if (n < w) {
@@ -591,23 +863,25 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
         for (int64_t j = n; j < w; ++j) bt[p * w + j] = 0.0f;
       }
     }
-    const int64_t row_stride = trans_a ? 1 : lda;
     const int64_t depth_stride = trans_a ? lda : 1;
     parallel_for_range(
         0, m,
         [&](int64_t lo, int64_t hi) {
           float acc[12 * 8];  // max(12*8, 6*16)
+          const float* rows[12];
           for (int64_t i0 = lo; i0 < hi; i0 += mrb) {
             const int64_t mr = std::min(mrb, hi - i0);
-            const float* abase = a + (trans_a ? i0 : i0 * lda);
+            for (int64_t i = 0; i < mr; ++i) {
+              rows[i] = a + (trans_a ? i0 + i : (i0 + i) * lda);
+            }
             if (w == 8) {
               if (pairk) {
-                smalln_block8_pairk(k, mr, abase, row_stride, bt, acc);
+                smalln_block8_pairk(k, mr, rows, bt, acc);
               } else {
-                smalln_block8(k, mr, abase, row_stride, depth_stride, bt, acc);
+                smalln_block8(k, mr, rows, depth_stride, bt, acc);
               }
             } else {
-              smalln_block16(k, mr, abase, row_stride, depth_stride, bt, acc);
+              smalln_block16(k, mr, rows, depth_stride, bt, acc);
             }
             for (int64_t i = 0; i < mr; ++i) {
               float* crow = c + (i0 + i) * ldc;
@@ -637,7 +911,7 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
   // Symmetric narrow-C path for small m: compute C^T block-row-wise with the
   // same kernels — at[p*w + i] = alpha*op(A)(i, p) is the transposed panel,
-  // op(B)^T's rows are streamed unpacked via strides, and each finished tile
+  // B's rows (op(B)^T's rows) are streamed unpacked, and each finished tile
   // of C^T rows (= C columns) is scattered into C, every element written
   // exactly once. This is the wgrad shape: m = out_channels_per_group (8 or
   // 16) with n = col_rows and k = oh*ow — the packed path would pack the
@@ -647,8 +921,8 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // throughput is already good and the stream here would be ldb-strided.
   if (m <= kSmallNMax && trans_b) {
     const int64_t w = m <= 8 ? 8 : 16;
-    // trans_b means the streamed op(B)^T rows are contiguous in k, so the
-    // 8-wide case always uses the paired-depth kernel (6-row blocks).
+    // The streamed rows are contiguous in k, so the 8-wide case always uses
+    // the paired-depth kernel (6-row blocks).
     const int64_t mrb = 6;
     Workspace::Frame at_frame(Workspace::tls());
     float* at = at_frame.alloc(k * w);
@@ -668,20 +942,18 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
         for (int64_t i = m; i < w; ++i) at[p * w + i] = 0.0f;
       }
     }
-    // Streamed side: row j of op(B)^T has elements op(B)(p, j).
-    const int64_t row_stride = trans_b ? ldb : 1;
-    const int64_t depth_stride = trans_b ? 1 : ldb;
     parallel_for_range(
         0, n,
         [&](int64_t lo, int64_t hi) {
           float acc[12 * 8];  // max(12*8, 6*16)
+          const float* rows[6];
           for (int64_t j0 = lo; j0 < hi; j0 += mrb) {
             const int64_t jr = std::min(mrb, hi - j0);
-            const float* bbase = b + (trans_b ? j0 * ldb : j0);
+            for (int64_t jj = 0; jj < jr; ++jj) rows[jj] = b(j0 + jj);
             if (w == 8) {
-              smalln_block8_pairk(k, jr, bbase, row_stride, at, acc);
+              smalln_block8_pairk(k, jr, rows, at, acc);
             } else {
-              smalln_block16(k, jr, bbase, row_stride, depth_stride, at, acc);
+              smalln_block16(k, jr, rows, 1, at, acc);
             }
             for (int64_t jj = 0; jj < jr; ++jj) {
               const float* arow = acc + jj * w;
@@ -723,7 +995,7 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       const bool last_panel = pc + kb == k;
       const bool fuse_epi = last_panel && !epi.empty();
       const bool accumulate = !store_first_panel || pc > 0;
-      pack_b(b, ldb, trans_b, pc, jc, kb, nb, bp);
+      pack_b(b, trans_b, pc, jc, kb, nb, bp);
       parallel_for_range(
           0, row_blocks,
           [&](int64_t blk_lo, int64_t blk_hi) {
@@ -764,6 +1036,26 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           /*grain=*/1);
     }
   }
+}
+
+}  // namespace
+
+void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                  float alpha, const float* a, int64_t lda, const float* b,
+                  int64_t ldb, float beta, float* c, int64_t ldc,
+                  const GemmEpilogue& epi) {
+  obs::ProfileSpan span("kernel", "sgemm", 2 * m * n * k);
+  packed_impl(trans_a, trans_b, m, n, k, alpha, a, lda, StridedRows{b, ldb},
+              beta, c, ldc, epi);
+}
+
+void sgemm_packed_rows(bool trans_a, bool trans_b, int64_t m, int64_t n,
+                       int64_t k, float alpha, const float* a, int64_t lda,
+                       const float* const* b_rows, float beta, float* c,
+                       int64_t ldc, const GemmEpilogue& epi) {
+  obs::ProfileSpan span("kernel", "sgemm", 2 * m * n * k);
+  packed_impl(trans_a, trans_b, m, n, k, alpha, a, lda, RowPointers{b_rows},
+              beta, c, ldc, epi);
 }
 
 }  // namespace fca

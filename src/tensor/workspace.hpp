@@ -1,8 +1,7 @@
 // Per-thread workspace arena for kernel scratch memory (DESIGN.md §9).
 //
-// The packed GEMM packs A/B panels and Conv2d lowers its input (padded
-// phase planes and wide rows) into short-lived float buffers on every
-// call. Allocating those with
+// The packed GEMM packs A/B panels and Conv2d builds its padded phase
+// planes and wide rows in short-lived float buffers on every call. Allocating those with
 // std::vector made every layer forward/backward pay a heap round-trip;
 // the arena instead grows to the high-water mark once and then serves every
 // subsequent request by bumping a pointer into retained chunks.
@@ -17,7 +16,7 @@
 //   // any enclosing frame is alive).
 //
 // Frames nest: an inner frame (e.g. sgemm packing inside a Conv2d forward
-// that already holds its lowering buffers) allocates past the outer frame's
+// that already holds its phase planes) allocates past the outer frame's
 // marks and rewinds without disturbing them. Chunks are never freed or
 // reallocated while in use, so outstanding pointers remain valid even when
 // a nested alloc() forces the arena to grow a fresh chunk.

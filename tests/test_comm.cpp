@@ -266,6 +266,33 @@ TEST(FaultPlan, CrashScheduleParsing) {
   EXPECT_THROW(parse_crash_schedule("a@b"), Error);
   EXPECT_THROW(parse_crash_schedule("2@0"), Error);   // rounds are 1-based
   EXPECT_THROW(parse_crash_schedule("2@3x0"), Error);  // empty window
+  // Every field is parsed whole: trailing characters, signs other than a
+  // leading minus, blanks and out-of-range values are errors.
+  EXPECT_THROW(parse_crash_schedule("2@3abc"), Error);
+  EXPECT_THROW(parse_crash_schedule("2@3x2y"), Error);
+  EXPECT_THROW(parse_crash_schedule("2x@3"), Error);
+  EXPECT_THROW(parse_crash_schedule("2@x2"), Error);
+  EXPECT_THROW(parse_crash_schedule("2@3x"), Error);
+  EXPECT_THROW(parse_crash_schedule("+2@3"), Error);
+  EXPECT_THROW(parse_crash_schedule(" 2@3"), Error);
+  EXPECT_THROW(parse_crash_schedule("2@3x2147483648"), Error);
+  EXPECT_THROW(parse_crash_schedule("2@3x2x2"), Error);
+  const std::vector<CrashWindow> longest =
+      parse_crash_schedule("2@1x2147483647");
+  ASSERT_EQ(longest.size(), 1u);
+  EXPECT_EQ(longest[0].rounds, 2147483647);
+}
+
+TEST(FaultPlan, CrashWindowReachingIntMaxDoesNotOverflow) {
+  // first_round + rounds would overflow int here.
+  FaultConfig cfg;
+  cfg.crash_schedule = parse_crash_schedule("2@2x2147483647");
+  FaultPlan plan(cfg, 4);
+  EXPECT_FALSE(plan.crashed(1, 2));
+  EXPECT_TRUE(plan.crashed(2, 2));
+  EXPECT_TRUE(plan.crashed(1000000, 2));
+  EXPECT_TRUE(plan.crashed(2147483647, 2));
+  EXPECT_FALSE(plan.crashed(2147483647, 3));
 }
 
 TEST(FaultPlan, ConfigValidation) {

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/conv.hpp"
@@ -731,6 +732,37 @@ TEST(Conv2dLowering, StridedByteEqualToIm2colLowering) {
   uint64_t seed = 900;
   for (const LoweringCase& p : cases) {
     expect_byte_equal(p, lowering_inputs(p, /*batch=*/2, seed++));
+  }
+}
+
+TEST(Conv2dLowering, RowOperandShapesByteEqual) {
+  // Shapes whose GEMMs read their row operands at the edges the sweeps do
+  // not reach. Forward depth past one 256-deep panel: 32 -> 32 3x3 (288
+  // rows, ResNet's stage 3) and 12 -> 16 5x5 (300 rows). 1x1 convs on
+  // unpadded input, whose rows are the input planes themselves, at n =
+  // 1, 4, 9, 17 and 33 positions: every column strip is partial, so a read
+  // past a row leaves the input tensor. 8 to 64 output channels at batch
+  // 10, which splits backward into two chunks.
+  std::vector<std::pair<LoweringCase, int64_t>> cases = {
+      {{32, 32, 1, 8, 8, 3, 1, true}, 2},
+      {{32, 32, 1, 5, 7, 3, 1, false}, 2},
+      {{12, 16, 1, 9, 9, 5, 2, true}, 2},
+      {{12, 16, 1, 6, 5, 5, 2, false}, 2},
+  };
+  const int64_t hw[][2] = {{1, 1}, {2, 2}, {3, 3}, {1, 17}, {3, 11}};
+  for (const auto& s : hw) {
+    for (const int64_t c_in : {8, 24}) {
+      cases.push_back({{c_in, 16, 1, s[0], s[1], 1, 0, true}, 2});
+      cases.push_back({{c_in, 32, 1, s[0], s[1], 1, 0, false}, 2});
+    }
+  }
+  for (const int64_t c_out : {8, 16, 32, 64}) {
+    cases.push_back({{3, c_out, 1, 6, 7, 3, 1, true}, 10});
+    cases.push_back({{c_out, c_out, 1, 5, 5, 3, 1, false}, 10});
+  }
+  uint64_t seed = 1400;
+  for (const auto& [p, batch] : cases) {
+    expect_byte_equal(p, lowering_inputs(p, batch, seed++));
   }
 }
 

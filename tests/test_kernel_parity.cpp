@@ -14,7 +14,10 @@
 //     IEEE-faithful (no zero-skip — the historical sgemm_naive divergence);
 //   * bit-exact rerun determinism of the packed kernel, serial vs pooled;
 //   * workspace-arena reuse and aliasing behavior;
-//   * the fused epilogue against its standalone two-pass equivalent.
+//   * the fused epilogue against its standalone two-pass equivalent;
+//   * sgemm_rows, whose B operand is a list of row pointers, memcmp-equal
+//     to sgemm_packed (and, forced naive, to sgemm_naive) on the same
+//     operand stored with a stride.
 //
 // CI runs this binary once per FCA_GEMM_KERNEL value under ASan/UBSan.
 #include "tensor/gemm.hpp"
@@ -27,6 +30,8 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "tensor/kernel.hpp"
@@ -729,6 +734,246 @@ TEST(KernelDispatch, EveryKernelAgreesThroughTheDispatcher) {
                        -1.0f, init.data(), c.data(), ref.data(), n,
                        gemm_kernel_name(kern));
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row operands: sgemm_rows reads B through row pointers — windows into one
+// buffer that may overlap, as Conv2d's phase-plane windows do — and must give
+// the bytes the selected kernel gives for the same rows copied into a
+// strided matrix.
+
+/// A B operand as `rows` windows of `len` floats into one buffer, and the
+/// same rows copied into a strided matrix with leading dimension ldb. The
+/// buffer ends where the last window ends, so reading past a row's `len`
+/// floats leaves it (ASan reports the read).
+struct RowOperand {
+  std::vector<float> buf;
+  std::vector<const float*> ptrs;
+  std::vector<float> strided;
+  int64_t ldb = 0;
+};
+
+RowOperand row_operand(int64_t rows, int64_t len, int64_t step,
+                       int64_t slack, Rng& rng) {
+  RowOperand op;
+  op.buf.resize(static_cast<size_t>((rows - 1) * step + len));
+  for (auto& x : op.buf) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+  op.ldb = len + slack;
+  op.strided.assign(static_cast<size_t>(rows * op.ldb), 7.0f);
+  for (int64_t r = 0; r < rows; ++r) {
+    op.ptrs.push_back(op.buf.data() + r * step);
+    std::memcpy(op.strided.data() + r * op.ldb, op.ptrs.back(),
+                static_cast<size_t>(len) * sizeof(float));
+  }
+  return op;
+}
+
+struct RowsCase {
+  int64_t m, n, k;
+  bool ta, tb;
+  float beta;
+  int bias_mode, act_mode;  // GemmEpilogue::Bias and Act as ints
+  int64_t step;             // window step; < row length overlaps
+  float alpha = 1.0f;       // Conv2d passes 1
+};
+
+std::string describe(const RowsCase& rc) {
+  std::ostringstream os;
+  os << "m=" << rc.m << " n=" << rc.n << " k=" << rc.k << " ta=" << rc.ta
+     << " tb=" << rc.tb << " beta=" << rc.beta << " bias=" << rc.bias_mode
+     << " act=" << rc.act_mode << " step=" << rc.step
+     << " alpha=" << rc.alpha;
+  return os.str();
+}
+
+/// Byte equality, except that two NaNs of different payloads also agree:
+/// which NaN operand an instruction propagates depends on operand order.
+bool same_bits_or_both_nan(const std::vector<float>& x,
+                           const std::vector<float>& y) {
+  if (x.size() != y.size()) return false;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i]) && std::isnan(y[i])) continue;
+    if (std::memcmp(&x[i], &y[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+/// Runs `rc` through sgemm_rows and through its strided oracle under the
+/// packed kernel, then under the naive one; with `poison` the operands
+/// carry NaN and infinities.
+void run_rows_case(const RowsCase& rc, uint64_t seed, bool poison = false) {
+  Rng rng(seed);
+  const int64_t rows = rc.tb ? rc.n : rc.k;
+  const int64_t len = rc.tb ? rc.k : rc.n;
+  RowOperand b = row_operand(rows, len, rc.step, /*slack=*/rows % 3, rng);
+  const int64_t lda = (rc.ta ? rc.m : rc.k) + 2;
+  std::vector<float> a = random_matrix(rc.ta ? rc.k : rc.m, 0, lda, rng);
+  std::vector<float> bias(static_cast<size_t>(std::max(rc.m, rc.n)));
+  for (auto& x : bias) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const int64_t ldc = rc.n + 1;
+  std::vector<float> c_init(static_cast<size_t>(rc.m * ldc));
+  for (auto& x : c_init) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  if (poison) {
+    const float qnan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    a[a.size() / 3] = qnan;
+    a[a.size() / 2] = 0.0f;
+    b.buf[b.buf.size() / 4] = inf;
+    b.buf[b.buf.size() / 2] = -inf;
+    for (int64_t r = 0; r < rows; ++r) {
+      std::memcpy(b.strided.data() + r * b.ldb, b.ptrs[r],
+                  static_cast<size_t>(len) * sizeof(float));
+    }
+  }
+  GemmEpilogue epi;
+  epi.bias_kind = static_cast<GemmEpilogue::Bias>(rc.bias_mode);
+  if (rc.bias_mode != 0) epi.bias = bias.data();
+  if (rc.act_mode != 0) epi.act = GemmEpilogue::Act::kReLU;
+  const auto equal = [&](const std::vector<float>& x,
+                         const std::vector<float>& y) {
+    return poison ? same_bits_or_both_nan(x, y)
+                  : std::memcmp(x.data(), y.data(),
+                                x.size() * sizeof(float)) == 0;
+  };
+  {
+    const ScopedGemmKernel packed(GemmKernel::kPacked);
+    std::vector<float> got = c_init, ref = c_init;
+    sgemm_rows(rc.ta, rc.tb, rc.m, rc.n, rc.k, rc.alpha, a.data(), lda,
+               b.ptrs.data(), rc.beta, got.data(), ldc, epi);
+    sgemm_packed(rc.ta, rc.tb, rc.m, rc.n, rc.k, rc.alpha, a.data(), lda,
+                 b.strided.data(), b.ldb, rc.beta, ref.data(), ldc, epi);
+    ASSERT_TRUE(equal(got, ref)) << "packed: " << describe(rc);
+  }
+  {
+    const ScopedGemmKernel naive(GemmKernel::kNaive);
+    std::vector<float> got = c_init, ref = c_init;
+    sgemm_rows(rc.ta, rc.tb, rc.m, rc.n, rc.k, rc.alpha, a.data(), lda,
+               b.ptrs.data(), rc.beta, got.data(), ldc, epi);
+    sgemm_naive(rc.ta, rc.tb, rc.m, rc.n, rc.k, rc.alpha, a.data(), lda,
+                b.strided.data(), b.ldb, rc.beta, ref.data(), ldc);
+    apply_gemm_epilogue(rc.m, rc.n, ref.data(), ldc, epi);
+    ASSERT_TRUE(equal(got, ref)) << "naive: " << describe(rc);
+  }
+}
+
+// Every path boundary: the rank-k row update (k <= 16), the dot product,
+// the narrow-n and narrow-m streaming paths (their 8- and 16-wide tiles and
+// 6- and 12-row blocks), the streamed tile (its row and column tails, one
+// and two KC panels) and the general path's transposed-B pack.
+constexpr int64_t kRowsK[] = {1, 4, 9, 16, 17, 72, 256, 257, 300};
+constexpr int64_t kRowsM[] = {1, 6, 7, 8, 9, 16, 17, 32, 64};
+constexpr int64_t kRowsN[] = {1, 7, 8, 9, 24, 33, 288};
+
+RowsCase random_rows_case(Rng& pick) {
+  RowsCase rc;
+  rc.m = kRowsM[pick.uniform_int(std::size(kRowsM))];
+  rc.n = kRowsN[pick.uniform_int(std::size(kRowsN))];
+  rc.k = kRowsK[pick.uniform_int(std::size(kRowsK))];
+  rc.ta = pick.uniform_int(2) == 1;
+  rc.tb = pick.uniform_int(2) == 1;
+  rc.beta = pick.uniform_int(2) == 1 ? 1.0f : 0.0f;
+  rc.bias_mode = static_cast<int>(pick.uniform_int(3));
+  rc.act_mode = static_cast<int>(pick.uniform_int(2));
+  // Overlapping windows (step 1 and 3), abutting rows and gapped rows.
+  const int64_t len = rc.tb ? rc.k : rc.n;
+  const int64_t steps[] = {1, 3, len, len + 5};
+  rc.step = steps[pick.uniform_int(std::size(steps))];
+  // Other alphas are rounded into A once, as pack_a does.
+  if (pick.uniform_int(4) == 0) rc.alpha = -0.7f;
+  return rc;
+}
+
+TEST(RowOperandParity, RandomShapesMatchStridedKernelsBytes) {
+  Rng pick(20261018);
+  for (int iter = 0; iter < 600; ++iter) {
+    run_rows_case(random_rows_case(pick), 40000 + static_cast<uint64_t>(iter));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(RowOperandParity, EveryDepthAndWidthUntransposed) {
+  // The forward and dgrad layout (B untransposed) over the full k x n grid
+  // at the row counts that bracket each tile height, epilogue included.
+  int ix = 0;
+  for (int64_t k : kRowsK) {
+    for (int64_t n : kRowsN) {
+      for (int64_t m : {1, 7, 8, 9, 17}) {
+        const float beta = ix % 3 == 0 ? 1.0f : 0.0f;
+        const RowsCase rc{m,      n,           k, ix % 2 == 1, false, beta,
+                          ix % 3, (ix / 3) % 2, ix % 4 == 0 ? n : 1};
+        ++ix;
+        run_rows_case(rc, 50000 + static_cast<uint64_t>(ix));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(RowOperandParity, ConvShapesMatchStridedKernelsBytes) {
+  // Conv2d's three calls at ResNet, AlexNet and GoogLeNet shapes: forward
+  // (ocg, n, col_rows) with a per-row bias, wgrad (ocg, col_rows, n) with
+  // beta 1, dgrad (col_rows, n, ocg) transposed-A; the windows overlap as
+  // 3x3 taps of an 18-wide padded plane do.
+  const int64_t shapes[][3] = {{8, 286, 72},   {16, 286, 144}, {32, 78, 288},
+                               {64, 78, 288},  {16, 286, 27},  {32, 24, 300},
+                               {24, 33, 216}};
+  uint64_t seed = 60000;
+  for (const auto& s : shapes) {
+    const int64_t ocg = s[0], n = s[1], col_rows = s[2];
+    run_rows_case({ocg, n, col_rows, false, false, 0.0f, 1, 1, 1}, seed++);
+    if (::testing::Test::HasFatalFailure()) return;
+    run_rows_case({ocg, col_rows, n, false, true, 1.0f, 0, 0, 18}, seed++);
+    if (::testing::Test::HasFatalFailure()) return;
+    run_rows_case({col_rows, n, ocg, true, false, 0.0f, 0, 0, n}, seed++);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(RowOperandParity, NonFiniteInputsPropagateAsInTheStridedKernels) {
+  Rng pick(77);
+  for (int iter = 0; iter < 120; ++iter) {
+    run_rows_case(random_rows_case(pick), 70000 + static_cast<uint64_t>(iter),
+                  /*poison=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(RowOperandParity, RerunAndSerialRunsAreBitIdentical) {
+  const ScopedGemmKernel packed(GemmKernel::kPacked);
+  const RowsCase cases[] = {{32, 288, 300, false, false, 0.0f, 1, 1, 1},
+                            {64, 288, 72, true, false, 1.0f, 0, 0, 288},
+                            {32, 72, 288, false, true, 1.0f, 0, 0, 3},
+                            {8, 288, 16, false, false, 0.0f, 2, 0, 1}};
+  uint64_t seed = 80000;
+  for (const RowsCase& rc : cases) {
+    Rng rng(seed++);
+    const int64_t rows = rc.tb ? rc.n : rc.k;
+    const int64_t len = rc.tb ? rc.k : rc.n;
+    const RowOperand b = row_operand(rows, len, rc.step, 0, rng);
+    const int64_t lda = rc.ta ? rc.m : rc.k;
+    const std::vector<float> a =
+        random_matrix(rc.ta ? rc.k : rc.m, 0, lda, rng);
+    std::vector<float> bias(static_cast<size_t>(std::max(rc.m, rc.n)), 0.5f);
+    GemmEpilogue epi;
+    epi.bias_kind = static_cast<GemmEpilogue::Bias>(rc.bias_mode);
+    if (rc.bias_mode != 0) epi.bias = bias.data();
+    if (rc.act_mode != 0) epi.act = GemmEpilogue::Act::kReLU;
+    std::vector<float> c1(static_cast<size_t>(rc.m * rc.n), 0.25f);
+    std::vector<float> c2 = c1, c3 = c1;
+    sgemm_rows(rc.ta, rc.tb, rc.m, rc.n, rc.k, 1.0f, a.data(), lda,
+               b.ptrs.data(), rc.beta, c1.data(), rc.n, epi);
+    sgemm_rows(rc.ta, rc.tb, rc.m, rc.n, rc.k, 1.0f, a.data(), lda,
+               b.ptrs.data(), rc.beta, c2.data(), rc.n, epi);
+    {
+      ThreadPool::SerialRegion no_threads;
+      sgemm_rows(rc.ta, rc.tb, rc.m, rc.n, rc.k, 1.0f, a.data(), lda,
+                 b.ptrs.data(), rc.beta, c3.data(), rc.n, epi);
+    }
+    EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)))
+        << "rerun drifted: " << describe(rc);
+    EXPECT_EQ(0, std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(float)))
+        << "serial drifted: " << describe(rc);
   }
 }
 
