@@ -37,9 +37,9 @@ class GroupLowering {
       : g_(g),
         ocg_(ocg),
         pp_(g.height, g.width, g.kernel_h, g.stride_h, g.pad_h),
+        ld_(pp_.wq != pp_.ow ? (pp_.n + 7) / 8 * 8 : pp_.n),
         windows_(static_cast<size_t>(g.col_rows())),
-        rows_(windows_.size()),
-        go_rows_(static_cast<size_t>(ocg)) {
+        rows_(frame.alloc_rows(g.col_rows())) {
     int64_t r = 0;
     for (int64_t c = 0; c < g.channels; ++c) {
       for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
@@ -59,18 +59,25 @@ class GroupLowering {
       if (gaps) out_wide_ = frame.alloc(ocg * pp_.n);
       return;
     }
-    if (!direct) dcol_ = frame.alloc(g.col_rows() * pp_.n);
+    if (!direct) {
+      dcol_ = frame.alloc(g.col_rows() * ld_);
+      go_rows_ = frame.alloc_rows(ocg);
+    }
     if (gaps) {
       // widen() writes the live columns only, so the gaps stay zero.
-      go_wide_ = frame.alloc(ocg * pp_.n);
-      std::fill_n(go_wide_, ocg * pp_.n, 0.0f);
+      go_wide_ = frame.alloc(ocg * ld_);
+      std::fill_n(go_wide_, ocg * ld_, 0.0f);
     }
     if (phases_ != nullptr) grad_phases_ = frame.alloc(phases);
   }
 
-  /// Wide output positions: the width of every GEMM row and the row stride
-  /// of the wide buffers.
+  /// Wide output positions: the width of every window.
   int64_t n() const { return pp_.n; }
+  /// Row stride of the backward wide buffers and the width the dgrad GEMM
+  /// computes: n rounded up to a multiple of 8 when rows carry gaps, so the
+  /// row update runs whole vectors (the extra columns are zero in and
+  /// dropped out).
+  int64_t ld() const { return ld_; }
   /// Width of a phase plane: the row stride of every window.
   int64_t wq() const { return pp_.wq; }
 
@@ -88,8 +95,8 @@ class GroupLowering {
   /// in the phase planes built from `im`.
   const float* const* rows(const float* im) {
     const float* ph = planes(im);
-    for (size_t r = 0; r < rows_.size(); ++r) rows_[r] = ph + windows_[r];
-    return rows_.data();
+    for (size_t r = 0; r < windows_.size(); ++r) rows_[r] = ph + windows_[r];
+    return rows_;
   }
 
   /// Where the forward pass writes its [ocg, n] result for the output planes
@@ -108,13 +115,13 @@ class GroupLowering {
     }
   }
 
-  /// One group's grad_out planes as the [ocg, n] wide rows that line up
+  /// One group's grad_out planes as the [ocg, ld] wide rows that line up
   /// with the windows' columns.
   const float* widen(const float* go) {
     if (go_wide_ == nullptr) return go;
     for (int64_t o = 0; o < ocg_; ++o) {
       for (int64_t y = 0; y < pp_.oh; ++y) {
-        std::memcpy(go_wide_ + o * pp_.n + y * pp_.wq,
+        std::memcpy(go_wide_ + o * ld_ + y * pp_.wq,
                     go + (o * pp_.oh + y) * pp_.ow,
                     static_cast<size_t>(pp_.ow) * sizeof(float));
       }
@@ -124,13 +131,11 @@ class GroupLowering {
 
   /// The rows of a widen() result, the dgrad GEMM's B operand.
   const float* const* wide_rows(const float* go) {
-    for (size_t o = 0; o < go_rows_.size(); ++o) {
-      go_rows_[o] = go + static_cast<int64_t>(o) * pp_.n;
-    }
-    return go_rows_.data();
+    for (int64_t o = 0; o < ocg_; ++o) go_rows_[o] = go + o * ld_;
+    return go_rows_;
   }
 
-  /// [col_rows, n] buffer for the dgrad GEMM.
+  /// [col_rows, ld] buffer for the dgrad GEMM.
   float* dcol() { return dcol_; }
 
   /// Zeroed accumulator planes, laid out like planes(), for one group's
@@ -157,7 +162,7 @@ class GroupLowering {
     float* acc = grad_planes(grad_in);
     for (int64_t r = 0; r < g_.col_rows(); ++r) {
       float* dst = acc + window(r);
-      const float* src = dcol_ + r * pp_.n;
+      const float* src = dcol_ + r * ld_;
 #pragma omp simd
       for (int64_t j = 0; j < pp_.n; ++j) dst[j] += src[j];
     }
@@ -168,9 +173,10 @@ class GroupLowering {
   const ConvGeom g_;
   const int64_t ocg_;
   const PhasePlanes pp_;
+  const int64_t ld_;
   std::vector<int64_t> windows_;      // window offset of each B row
-  std::vector<const float*> rows_;    // B row pointers, rebuilt per group
-  std::vector<const float*> go_rows_; // wide grad_out row pointers
+  const float** rows_;                // B row pointers, rebuilt per group
+  const float** go_rows_ = nullptr;   // wide grad_out row pointers (dgrad)
   float* phases_ = nullptr;           // phase planes, unless the input is them
   float* out_wide_ = nullptr;         // forward output with gap columns
   float* go_wide_ = nullptr;          // grad_out with zeroed gap columns
@@ -432,13 +438,14 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                 continue;
               }
               const float* go = low.widen(go_planes);
+              const int64_t ld = low.ld();
               // dW_group += g_out [ocg, n] * B^T [n, icg*k*k]: B's rows are
               // the windows, each n floats long.
-              sgemm_rows(false, true, ocg, col_rows, n, 1.0f, go, n,
+              sgemm_rows(false, true, ocg, col_rows, n, 1.0f, go, ld,
                          low.rows(x.data() + in_off), 1.0f, dw_grp, col_rows);
-              // dcol = W_group^T [icg*k*k, ocg] * g_out [ocg, n]
-              sgemm_rows(true, false, col_rows, n, ocg, 1.0f, w, col_rows,
-                         low.wide_rows(go), 0.0f, low.dcol(), n);
+              // dcol = W_group^T [icg*k*k, ocg] * g_out [ocg, ld]
+              sgemm_rows(true, false, col_rows, ld, ocg, 1.0f, w, col_rows,
+                         low.wide_rows(go), 0.0f, low.dcol(), ld);
               low.fold(grad_in.data() + in_off);
             }
             if (has_bias_) {

@@ -71,11 +71,11 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 /// The packed form of sgemm_rows. For every shape it runs the operation
 /// sequence sgemm_packed runs for each output element. With B untransposed
-/// it packs nothing: a register tile reads A and the rows in place, seeded
-/// as the packed path seeds (a zero accumulator per KC-deep panel, or the
-/// row update's first step) and written back from registers, or the row
-/// update reads the rows. Transposed B rows are gathered or streamed as
-/// sgemm_packed's narrow and general paths do.
+/// and k > kGemmRowUpdateMaxK it packs nothing: a register tile reads A and
+/// the rows in place, zero-seeded per KC-deep panel as the packed path is,
+/// and writes back from registers; shallower depths take the row update.
+/// Transposed B rows are gathered or streamed as sgemm_packed's narrow and
+/// general paths do.
 void sgemm_packed_rows(bool trans_a, bool trans_b, int64_t m, int64_t n,
                        int64_t k, float alpha, const float* a, int64_t lda,
                        const float* const* b_rows, float beta, float* c,

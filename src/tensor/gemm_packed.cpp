@@ -520,20 +520,15 @@ inline void write_back(const float* acc, int64_t acc_stride, float* c,
 }
 
 // ---------------------------------------------------------------------------
-// Streamed tile of sgemm_packed_rows (B untransposed). A tile of C is
-// accumulated straight from op(A) and the B rows — neither is packed — and
-// written back from registers. Each element runs the sequence of the path
-// sgemm_packed takes for the shape:
-//   - k > kGemmRowUpdateMaxK, the general path: a zero-seeded accumulator
-//     per KC-deep panel taking one multiply-add per p in ascending order,
-//     stored or added into C, the epilogue fused on the last panel;
-//   - k <= kGemmRowUpdateMaxK with beta == 0, the rank-k row update: seeded
-//     with sgemm_row_update's first step, then one multiply-add per p, then
-//     the epilogue.
-// The bytes depend only on that sequence, so the tile shape is free: 8x32
-// fills half of the v4 clone's 32 vector registers; 4x24 (12 accumulators)
-// measured fastest in the 16 of the v3 clone, where the row update itself
-// beats a tile at k <= kGemmRowUpdateMaxK.
+// Streamed tile of sgemm_packed_rows (B untransposed, k > kGemmRowUpdateMaxK;
+// shallower depths take the rank-k row update). A tile of C is accumulated
+// straight from op(A) and the B rows — neither is packed — and written back
+// from registers. Each element runs the general path's sequence: a
+// zero-seeded accumulator per KC-deep panel taking one multiply-add per p in
+// ascending order, stored or added into C, the epilogue fused on the last
+// panel. The bytes depend only on that sequence, so the tile shape is free:
+// 8x32 fills half of the v4 clone's 32 vector registers; 4x24 (12
+// accumulators) measured fastest in the 16 of the v3 clone.
 
 /// Where a streamed tile goes: C rows row0.., columns col0..col0+nr, added
 /// to C when `accumulate`, through `epi` when it is not null (last panel).
@@ -582,43 +577,13 @@ __attribute__((always_inline)) inline void store_tile(
 
 /// One MRT x W tile over kb depth steps: op(A)(i, p) is a[i*rs + p*ds] and
 /// op(B)(p, j) is brows[p][bj + j]. The 2-D accumulator and the fixed trip
-/// counts keep the tile in registers, as in micro_tile. `RowUpdateSeed`
-/// starts each element as sgemm_row_update does instead of from zero.
-template <int64_t MRT, int64_t W, bool RowUpdateSeed>
+/// counts keep the tile in registers, as in micro_tile.
+template <int64_t MRT, int64_t W>
 __attribute__((always_inline)) inline void stream_tile(
     int64_t kb, const float* a, int64_t rs, int64_t ds,
     const float* const* brows, int64_t bj, const TileOut& out) {
   float acc[MRT][W] = {};
-  int64_t p0 = 0;
-  if constexpr (RowUpdateSeed) {
-    // sgemm_row_update's first step in its own source form: a product for
-    // k == 1, else `v = a0*b0; v += a1*b1;`, which GCC contracts to
-    // fma(a0, b0, round(a1*b1)). Seeding a zero accumulator instead rounds
-    // a0*b0 first and gives other bytes.
-    const float* b0 = brows[0] + bj;
-    if (kb == 1) {
-      for (int64_t i = 0; i < MRT; ++i) {
-        const float a0 = a[i * rs];
-#pragma omp simd
-        for (int64_t j = 0; j < W; ++j) acc[i][j] = a0 * b0[j];
-      }
-      p0 = 1;
-    } else {
-      const float* b1 = brows[1] + bj;
-      for (int64_t i = 0; i < MRT; ++i) {
-        const float a0 = a[i * rs];
-        const float a1 = a[i * rs + ds];
-#pragma omp simd
-        for (int64_t j = 0; j < W; ++j) {
-          float v = a0 * b0[j];
-          v += a1 * b1[j];
-          acc[i][j] = v;
-        }
-      }
-      p0 = 2;
-    }
-  }
-  for (int64_t p = p0; p < kb; ++p) {
+  for (int64_t p = 0; p < kb; ++p) {
     const float* bv = brows[p] + bj;
     const float* ap = a + p * ds;
     for (int64_t i = 0; i < MRT; ++i) {
@@ -635,43 +600,29 @@ __attribute__((always_inline)) inline void stream_tile(
 }
 
 /// stream_tile for mr <= MRT rows, through a fixed-trip instantiation.
-template <int64_t MRT, int64_t W, bool RowUpdateSeed>
+template <int64_t MRT, int64_t W>
 __attribute__((always_inline)) inline void stream_rows(
     int64_t mr, int64_t kb, const float* a, int64_t rs, int64_t ds,
     const float* const* brows, int64_t bj, const TileOut& out) {
   if (mr == MRT) {
-    stream_tile<MRT, W, RowUpdateSeed>(kb, a, rs, ds, brows, bj, out);
+    stream_tile<MRT, W>(kb, a, rs, ds, brows, bj, out);
   } else if constexpr (MRT > 1) {
-    stream_rows<MRT - 1, W, RowUpdateSeed>(mr, kb, a, rs, ds, brows, bj, out);
-  }
-}
-
-using StreamTileFn = void (*)(bool, int64_t, int64_t, const float*, int64_t,
-                              int64_t, const float* const*, int64_t,
-                              const TileOut&);
-
-FCA_MICROKERNEL_CLONES
-void stream_tile_8x32(bool row_update_seed, int64_t mr, int64_t kb,
-                      const float* a, int64_t rs, int64_t ds,
-                      const float* const* brows, int64_t bj,
-                      const TileOut& out) {
-  if (row_update_seed) {
-    stream_rows<8, 32, true>(mr, kb, a, rs, ds, brows, bj, out);
-  } else {
-    stream_rows<8, 32, false>(mr, kb, a, rs, ds, brows, bj, out);
+    stream_rows<MRT - 1, W>(mr, kb, a, rs, ds, brows, bj, out);
   }
 }
 
 FCA_MICROKERNEL_CLONES
-void stream_tile_4x24(bool row_update_seed, int64_t mr, int64_t kb,
-                      const float* a, int64_t rs, int64_t ds,
-                      const float* const* brows, int64_t bj,
+void stream_tile_8x32(int64_t mr, int64_t kb, const float* a, int64_t rs,
+                      int64_t ds, const float* const* brows, int64_t bj,
                       const TileOut& out) {
-  if (row_update_seed) {
-    stream_rows<4, 24, true>(mr, kb, a, rs, ds, brows, bj, out);
-  } else {
-    stream_rows<4, 24, false>(mr, kb, a, rs, ds, brows, bj, out);
-  }
+  stream_rows<8, 32>(mr, kb, a, rs, ds, brows, bj, out);
+}
+
+FCA_MICROKERNEL_CLONES
+void stream_tile_4x24(int64_t mr, int64_t kb, const float* a, int64_t rs,
+                      int64_t ds, const float* const* brows, int64_t bj,
+                      const TileOut& out) {
+  stream_rows<4, 24>(mr, kb, a, rs, ds, brows, bj, out);
 }
 
 /// True when the loader picks the x86-64-v4 clone (the same CPUID test
@@ -687,15 +638,15 @@ bool wide_stream_tile() {
 }
 
 /// sgemm_packed_rows for untransposed B: column strips of width W, each
-/// over KC-deep panels, each over tiles of MRT rows; with k <= the row
-/// update's depth and beta == 0 the tiles take the row-update seed. A strip
-/// past the rows' last column is read through a zero-padded copy, so no
-/// row is read past its n floats.
+/// over KC-deep panels, each over tiles of MRT rows. A strip past the rows'
+/// last column is read through a zero-padded copy, so no row is read past
+/// its n floats.
 template <int64_t MRT, int64_t W>
-void stream_rows_gemm(StreamTileFn tile, bool trans_a, int64_t m, int64_t n,
-                      int64_t k, float alpha, const float* a, int64_t lda,
+void stream_rows_gemm(bool trans_a, int64_t m, int64_t n, int64_t k,
+                      float alpha, const float* a, int64_t lda,
                       const float* const* b_rows, float beta, float* c,
                       int64_t ldc, const GemmEpilogue& epi) {
+  static_assert((MRT == 8 && W == 32) || (MRT == 4 && W == 24));
   Workspace::Frame frame(Workspace::tls());
   int64_t rs = trans_a ? 1 : lda;
   int64_t ds = trans_a ? lda : 1;
@@ -713,8 +664,6 @@ void stream_rows_gemm(StreamTileFn tile, bool trans_a, int64_t m, int64_t n,
   }
   const bool store_first_panel = beta == 0.0f;
   if (!store_first_panel) scale_c(beta, m, n, c, ldc);
-  const bool row_update_seed = k <= kGemmRowUpdateMaxK;
-  FCA_CHECK(!row_update_seed || store_first_panel);
   const GemmEpilogue* fused = epi.empty() ? nullptr : &epi;
   parallel_for_range(
       0, (n + W - 1) / W,
@@ -746,8 +695,13 @@ void stream_rows_gemm(StreamTileFn tile, bool trans_a, int64_t m, int64_t n,
               const TileOut out{c,  ldc, i0, j0, nr,
                                 !store_first_panel || pc > 0,
                                 last ? fused : nullptr};
-              tile(row_update_seed, std::min(MRT, m - i0), kb,
-                   a + i0 * rs + pc * ds, rs, ds, brows, bj, out);
+              const int64_t mr = std::min(MRT, m - i0);
+              const float* ai = a + i0 * rs + pc * ds;
+              if constexpr (W == 32) {
+                stream_tile_8x32(mr, kb, ai, rs, ds, brows, bj, out);
+              } else {
+                stream_tile_4x24(mr, kb, ai, rs, ds, brows, bj, out);
+              }
             }
           }
         }
@@ -788,18 +742,16 @@ void packed_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     return;
   }
 
-  // A row-pointer B untransposed is streamed in place (see stream_tile):
-  // at every depth above the row update's, and on the v4 clone also at the
-  // row update's with beta == 0, the only beta Conv2d passes.
+  // A row-pointer B untransposed is streamed in place (see stream_tile) at
+  // every depth above the row update's.
   if constexpr (std::is_same_v<Rows, RowPointers>) {
-    const bool wide = wide_stream_tile();
-    if (!trans_b && (k > kGemmRowUpdateMaxK || (wide && beta == 0.0f))) {
-      if (wide) {
-        stream_rows_gemm<8, 32>(stream_tile_8x32, trans_a, m, n, k, alpha, a,
-                                lda, b.rows, beta, c, ldc, epi);
+    if (!trans_b && k > kGemmRowUpdateMaxK) {
+      if (wide_stream_tile()) {
+        stream_rows_gemm<8, 32>(trans_a, m, n, k, alpha, a, lda, b.rows, beta,
+                                c, ldc, epi);
       } else {
-        stream_rows_gemm<4, 24>(stream_tile_4x24, trans_a, m, n, k, alpha, a,
-                                lda, b.rows, beta, c, ldc, epi);
+        stream_rows_gemm<4, 24>(trans_a, m, n, k, alpha, a, lda, b.rows, beta,
+                                c, ldc, epi);
       }
       return;
     }

@@ -56,6 +56,14 @@ class Workspace {
     /// (dereferenceable-for-zero-elements) pointer.
     float* alloc(int64_t n) { return ws_.alloc(n); }
 
+    /// n row pointers (the B operand of sgemm_rows), uninitialized, from the
+    /// same untyped storage as alloc().
+    const float** alloc_rows(int64_t n) {
+      static_assert(sizeof(const float*) % sizeof(float) == 0);
+      constexpr int64_t kFloatsPerPtr = sizeof(const float*) / sizeof(float);
+      return reinterpret_cast<const float**>(ws_.alloc(n * kFloatsPerPtr));
+    }
+
    private:
     struct Mark {
       size_t chunk;
