@@ -384,8 +384,9 @@ Variable supervised_contrastive(const Variable& embeddings,
   const int64_t d = embeddings.value().dim(1);
   FCA_CHECK(static_cast<int64_t>(labels.size()) == n);
 
-  // Fused evaluation (see supervised_contrastive_reference for the op-by-op
-  // graph form this replaces, kept as the agreement oracle). Forward: one
+  // Fused evaluation (tests/test_autograd.cpp keeps the op-by-op graph form
+  // this replaces, supervised_contrastive_reference, as the agreement
+  // oracle). Forward: one
   // n×n GEMM for every pairwise similarity, then a single row pass doing
   // shift/exp/denominator/loss. Backward is closed-form — for the shifted
   // logits G = dL/dS = -(1/A)(P - rowsum(P) ⊙ E/denom) and, since
@@ -489,71 +490,6 @@ Variable supervised_contrastive(const Variable& embeddings,
         }
         n_.parents[0]->accumulate(dx);
       });
-}
-
-Variable supervised_contrastive_reference(const Variable& embeddings,
-                                          const std::vector<int>& labels,
-                                          float temperature) {
-  obs::ProfileSpan span("kernel", "supcon", embeddings.value().dim(0));
-  FCA_CHECK(embeddings.value().ndim() == 2);
-  FCA_CHECK(temperature > 0.0f);
-  const int64_t n = embeddings.value().dim(0);
-  FCA_CHECK(static_cast<int64_t>(labels.size()) == n);
-
-  Variable z = l2_normalize_rows(embeddings);
-  // Pairwise cosine similarities / temperature.
-  Variable sim = mul_scalar(matmul(z, z, false, true), 1.0f / temperature);
-
-  // Subtract the detached row max for numerical stability (standard SupCon
-  // trick; since each row contains the self-similarity 1/tau this is also
-  // the global max, and detaching keeps the gradient exact because
-  // log-sum-exp is shift invariant).
-  Tensor rowmax({n});
-  for (int64_t i = 0; i < n; ++i) {
-    const float* row = sim.value().data() + i * n;
-    rowmax[i] = *std::max_element(row, row + n);
-  }
-  Variable shifted = add_colwise_const(sim, fca::neg(rowmax));
-
-  // Mask removing self-pairs from the denominator.
-  Tensor not_self({n, n}, 1.0f);
-  for (int64_t i = 0; i < n; ++i) not_self[i * n + i] = 0.0f;
-
-  Variable exp_sim = mul_const(exp(shifted), not_self);
-  Variable denom = sum_cols(exp_sim);           // [n]
-  Variable log_denom = log(denom);              // [n]
-  Variable log_prob = sub_colwise(shifted, log_denom);
-
-  // Positive mask: same label, not self; each anchor's positive terms are
-  // weighted by 1/|P(i)| and anchors with no positives contribute zero.
-  Tensor pos_weight({n, n});
-  int64_t active_anchors = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t pos = 0;
-    for (int64_t j = 0; j < n; ++j) {
-      if (j != i && labels[static_cast<size_t>(j)] ==
-                        labels[static_cast<size_t>(i)]) {
-        ++pos;
-      }
-    }
-    if (pos == 0) continue;
-    ++active_anchors;
-    const float w = 1.0f / static_cast<float>(pos);
-    for (int64_t j = 0; j < n; ++j) {
-      if (j != i && labels[static_cast<size_t>(j)] ==
-                        labels[static_cast<size_t>(i)]) {
-        pos_weight[i * n + j] = w;
-      }
-    }
-  }
-  if (active_anchors == 0) {
-    // No positive pairs in the batch: loss is identically zero but must stay
-    // connected to the graph so callers can still call backward().
-    return mul_scalar(sum(mul_const(log_prob, Tensor({n, n}))), 0.0f);
-  }
-  Variable weighted = mul_const(log_prob, pos_weight);
-  return mul_scalar(sum(weighted),
-                    -1.0f / static_cast<float>(active_anchors));
 }
 
 Variable nt_xent(const Variable& embeddings, float temperature) {

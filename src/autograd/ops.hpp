@@ -72,14 +72,6 @@ Variable soft_cross_entropy(const Variable& logits, const Tensor& target_probs);
 Variable supervised_contrastive(const Variable& embeddings,
                                 const std::vector<int>& labels,
                                 float temperature = 0.07f);
-/// Op-by-op tape implementation of the same loss (one node per elementwise
-/// step, each materializing an n×n intermediate). Kept as the agreement
-/// oracle for the fused supervised_contrastive, which computes the identical
-/// math with one forward GEMM + a closed-form backward; tests check the two
-/// agree on value and gradient.
-Variable supervised_contrastive_reference(const Variable& embeddings,
-                                          const std::vector<int>& labels,
-                                          float temperature = 0.07f);
 /// Self-supervised NT-Xent / SimCLR loss over a two-view embedding batch
 /// [2B, D] where rows i and i+B are views of the same sample: the only
 /// positive of an anchor is its paired view. This is the label-free

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 
 #include "fl/obs_hook.hpp"
 #include "obs/metrics.hpp"
@@ -146,7 +147,9 @@ std::unique_ptr<fl::ClientStore> Experiment::build_store() const {
   }
   if (budget <= 0 && !config_.lazy_init) {
     // Historical behavior: the whole population resident for the run.
-    return std::make_unique<fl::ClientStore>(build_clients());
+    auto store = std::make_unique<fl::ClientStore>(build_clients());
+    store->set_costs(client_costs());
+    return store;
   }
   std::vector<int64_t> sizes;
   sizes.reserve(static_cast<size_t>(config_.num_clients));
@@ -170,9 +173,31 @@ std::unique_ptr<fl::ClientStore> Experiment::build_store() const {
               .string();
     }
   }
-  return std::make_unique<fl::ClientStore>(
+  auto store = std::make_unique<fl::ClientStore>(
       config_.num_clients, [this](int k) { return build_client(k); },
       std::move(sizes), std::move(opts));
+  store->set_costs(client_costs());
+  return store;
+}
+
+std::vector<fl::ClientStore::Cost> Experiment::client_costs() const {
+  std::map<models::ModelConfig, double> macs;
+  std::vector<fl::ClientStore::Cost> costs;
+  costs.reserve(static_cast<size_t>(config_.num_clients));
+  for (int k = 0; k < config_.num_clients; ++k) {
+    const models::ModelConfig mc = model_config(k);
+    auto it = macs.find(mc);
+    if (it == macs.end()) {
+      it = macs.emplace(mc, static_cast<double>(models::forward_macs(mc)))
+               .first;
+    }
+    const auto i = static_cast<size_t>(k);
+    costs.push_back(
+        {it->second * static_cast<double>(partition_.client_indices[i].size()) *
+             config_.local_epochs,
+         it->second * static_cast<double>(test_split_[i].size())});
+  }
+  return costs;
 }
 
 fl::FLConfig Experiment::fl_config() const {

@@ -178,6 +178,11 @@ class Experiment {
 
  private:
   models::ModelConfig model_config(int client_id) const;
+  /// Each client's static work estimate for the executor's claim order:
+  /// forward multiply-adds per sample (once per distinct model config)
+  /// times local samples times local epochs, and times test samples for
+  /// evaluation.
+  std::vector<fl::ClientStore::Cost> client_costs() const;
 
   ExperimentConfig config_;
   data::SynthSpec spec_;

@@ -115,6 +115,25 @@ int64_t ClientStore::train_size(int k) const {
   return train_sizes_[static_cast<size_t>(k)];
 }
 
+void ClientStore::set_costs(std::vector<Cost> costs) {
+  FCA_CHECK_MSG(costs.size() == static_cast<size_t>(population_),
+                "costs has " << costs.size() << " entries for " << population_
+                             << " clients");
+  costs_ = std::move(costs);
+}
+
+std::vector<double> ClientStore::costs(const std::vector<int>& clients,
+                                       double Cost::*which) const {
+  std::vector<double> out;
+  if (costs_.empty()) return out;
+  out.reserve(clients.size());
+  for (int k : clients) {
+    check_id(k);
+    out.push_back(costs_[static_cast<size_t>(k)].*which);
+  }
+  return out;
+}
+
 std::string ClientStore::page_path(int k) const {
   return (std::filesystem::path(options_.page_dir) /
           ("client_" + std::to_string(k) + ".fpage"))

@@ -118,6 +118,21 @@ class ClientStore {
   int max_resident() const { return options_.max_resident; }
   int64_t train_size(int k) const;
 
+  /// Static per-client work estimates, set by whoever builds the store from
+  /// the clients' model configs and shard sizes: forward multiply-adds over
+  /// the local epochs (train) and over the test shard (eval). They only
+  /// order the executor's claims (RoundExecutor::map), so reading them never
+  /// materializes a client. Unset, every client costs the same.
+  struct Cost {
+    double train = 0.0;
+    double eval = 0.0;
+  };
+  void set_costs(std::vector<Cost> costs);
+  /// Per-position costs of `clients` (`which` = &Cost::train or
+  /// &Cost::eval); empty when no costs are set.
+  std::vector<double> costs(const std::vector<int>& clients,
+                            double Cost::*which) const;
+
   /// RAII pin on one materialized client: the client cannot be evicted while
   /// any lease on it is alive. Executor bodies hold one for the body's
   /// duration.
@@ -242,6 +257,7 @@ class ClientStore {
   ClientFactory factory_;                 // null for resident backing
   std::vector<ClientPtr> resident_all_;   // resident backing storage
   std::vector<int64_t> train_sizes_;
+  std::vector<Cost> costs_;               // empty = unset
   ClientStoreOptions options_;
 
   mutable std::mutex mu_;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 
 #include "obs/trace.hpp"
 #include "utils/error.hpp"
@@ -21,6 +22,8 @@ namespace {
 struct MapState {
   std::vector<int> clients;
   std::function<double(int)> body;
+  /// Position of each claim; empty = cohort order.
+  std::vector<size_t> order;
   std::atomic<size_t> next{0};
   std::vector<double> results;
   std::vector<std::exception_ptr> errors;
@@ -39,8 +42,9 @@ void run_lane(const std::shared_ptr<MapState>& st) {
   ThreadPool::SerialRegion serial;
   const size_t n = st->clients.size();
   for (;;) {
-    const size_t i = st->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) break;
+    const size_t claim = st->next.fetch_add(1, std::memory_order_relaxed);
+    if (claim >= n) break;
+    const size_t i = st->order.empty() ? claim : st->order[claim];
     if (!st->skip.empty() && st->skip[i] != 0) {
       std::lock_guard lk(st->mu);
       if (++st->done == n) st->cv.notify_all();
@@ -67,10 +71,21 @@ RoundExecutor::RoundExecutor(int parallelism, ThreadPool* pool)
                 "client parallelism must be >= 0, got " << parallelism);
 }
 
+std::vector<size_t> RoundExecutor::claim_order(
+    const std::vector<double>& costs) {
+  std::vector<size_t> order(costs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&costs](size_t a, size_t b) {
+    return costs[a] > costs[b];
+  });
+  return order;
+}
+
 std::vector<double> RoundExecutor::map(
-    const std::vector<int>& clients,
-    const std::function<double(int)>& body) const {
+    const std::vector<int>& clients, const std::function<double(int)>& body,
+    const std::vector<double>& costs) const {
   const size_t n = clients.size();
+  FCA_CHECK(costs.empty() || costs.size() == n);
   const bool scoped = scope_armed();
   ThreadPool& pool = pool_ != nullptr ? *pool_ : global_pool();
   size_t lanes = parallelism_ == 0 ? static_cast<size_t>(pool.size()) + 1
@@ -97,6 +112,7 @@ std::vector<double> RoundExecutor::map(
   auto st = std::make_shared<MapState>();
   st->clients = clients;
   st->body = body;
+  if (!costs.empty()) st->order = claim_order(costs);
   st->results.assign(n, 0.0);
   st->errors.assign(n, nullptr);
   if (scoped) {

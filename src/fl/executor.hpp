@@ -20,6 +20,12 @@
 //      rethrown after all lanes drain — the same error a serial sweep that
 //      got that far would report.
 //
+// Given a static cost per position, lanes claim positions costliest first
+// (ties in cohort order), so the longest bodies do not start last and run
+// alone at the end of the sweep. Only which lane runs a body, and when,
+// depends on the order; slots, reduction, exception selection and trace
+// coordinates stay in cohort order.
+//
 // parallelism semantics: 1 (default) is a plain serial loop on the calling
 // thread with kernel parallelism left enabled — the historical behavior;
 // N > 1 runs at most N client bodies concurrently; 0 means auto (one lane
@@ -63,9 +69,15 @@ class RoundExecutor {
 
   /// Runs body(clients[i]) for every position i and returns the results in
   /// cohort order. Bodies may run concurrently (see class comment); the
-  /// returned vector is always positionally deterministic.
+  /// returned vector is always positionally deterministic. `costs`, when
+  /// given, holds one static work estimate per position and sets the order
+  /// in which lanes claim positions (claim_order); a serial sweep ignores it.
   std::vector<double> map(const std::vector<int>& clients,
-                          const std::function<double(int)>& body) const;
+                          const std::function<double(int)>& body,
+                          const std::vector<double>& costs = {}) const;
+
+  /// Positions sorted by descending cost, ties by ascending position.
+  static std::vector<size_t> claim_order(const std::vector<double>& costs);
 
   /// map() reduced with += in cohort order on the calling thread.
   double sum(const std::vector<int>& clients,

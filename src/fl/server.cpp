@@ -326,7 +326,7 @@ float FederatedRun::run_pipeline(PipelineStrategy& strategy, int round,
                          : std::span<const std::byte>());
     if (tag != kTagNone) ep.send(0, tag, update.upload);
     return update.loss;
-  });
+  }, store_->costs(live, &ClientStore::Cost::train));
 
   // The server step over the survivors; below quorum the round aborts and
   // the strategy's state carries over unchanged.
@@ -376,9 +376,12 @@ std::vector<double> FederatedRun::evaluate_all() {
   // into page traffic.
   std::vector<int> cohort(static_cast<size_t>(num_eval_clients()));
   std::iota(cohort.begin(), cohort.end(), 0);
-  return executor_.map(cohort, [this](int k) {
-    return static_cast<double>(lease_client_readonly(k)->evaluate());
-  });
+  return executor_.map(
+      cohort,
+      [this](int k) {
+        return static_cast<double>(lease_client_readonly(k)->evaluate());
+      },
+      store_->costs(cohort, &ClientStore::Cost::eval));
 }
 
 RunResult FederatedRun::execute(RoundStrategy& strategy, RoundHook* hook,

@@ -33,6 +33,16 @@ std::unique_ptr<SplitModel> build_model(const ModelConfig& config, Rng& rng) {
                                       std::move(classifier));
 }
 
+int64_t forward_macs(const ModelConfig& config) {
+  Rng rng(0);
+  const std::unique_ptr<SplitModel> model = build_model(config, rng);
+  nn::MacCounter macs;
+  model->forward(
+      Tensor({1, config.in_channels, config.image_size, config.image_size}),
+      /*train=*/false);
+  return macs.count();
+}
+
 Arch heterogeneous_arch_for_client(int client_id) {
   // Matches the paper's assignment: clients 0,4,8,... ResNet; 1,5,9,...
   // ShuffleNetV2; 2,6,10,... GoogLeNet; 3,7,11,... AlexNet.

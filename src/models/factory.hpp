@@ -8,6 +8,7 @@
 // prescribes.
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <string>
 
@@ -36,10 +37,17 @@ struct ModelConfig {
   /// Per-arch variation knob: CNN2 output channels / ResNet stride scheme,
   /// mirroring the FedProto heterogeneity setup.
   int variant = 0;
+
+  auto operator<=>(const ModelConfig&) const = default;
 };
 
 /// Builds a randomly initialized model; all parameters draw from `rng`.
 std::unique_ptr<SplitModel> build_model(const ModelConfig& config, Rng& rng);
+
+/// Multiply-adds of one sample's forward pass (the Conv2d and Linear
+/// layers), from the model's structure: builds the model and runs one eval
+/// forward of a zero image. A static per-sample cost, not a timing.
+int64_t forward_macs(const ModelConfig& config);
 
 /// The paper's client->architecture assignment: the four backbones are
 /// distributed round-robin over client ids.

@@ -14,7 +14,9 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   FCA_CHECK_MSG(!cached_input_.empty(),
                 "ReLU::backward without a training forward");
   FCA_CHECK(grad_out.same_shape(cached_input_));
-  return relu_backward(cached_input_, grad_out);
+  Tensor grad_in = relu_backward(cached_input_, grad_out);
+  cached_input_ = Tensor();
+  return grad_in;
 }
 
 Tensor LeakyReLU::forward(const Tensor& x, bool train) {

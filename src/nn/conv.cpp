@@ -320,6 +320,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const int64_t icg = in_c_ / groups_;   // in channels per group
   const int64_t ocg = out_c_ / groups_;  // out channels per group
   const int64_t col_rows = g.col_rows();
+  MacCounter::add(b * out_c_ * oh * ow * col_rows);
   const int64_t in_img = in_c_ * g.height * g.width;
   const int64_t out_img = out_c_ * oh * ow;
   const bool direct = direct_depthwise();
@@ -461,6 +462,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         }
       },
       /*grain=*/1);
+  cached_input_ = Tensor();
   float* wg = weight_.grad.data();
   for (int64_t ci = 0; ci < chunks; ++ci) {
     const float* dw = dw_parts + ci * w_numel;

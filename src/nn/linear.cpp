@@ -19,6 +19,7 @@ Tensor Linear::forward(const Tensor& x, bool train) {
                 "Linear expects [B, " << in_ << "], got "
                                       << shape_to_string(x.shape()));
   if (train) cached_input_ = x;
+  MacCounter::add(x.dim(0) * in_ * out_);
   // y = x W^T with the bias fused into the GEMM write-back (the bias is per
   // output feature, i.e. per column of y).
   Tensor y = Tensor::uninit({x.dim(0), out_});
@@ -39,6 +40,7 @@ Tensor Linear::backward(const Tensor& grad_out) {
             grad_out.dim(0) == cached_input_.dim(0));
   // dW += g^T x ; db += colsum(g) ; dx = g W
   Tensor dw = matmul(grad_out, cached_input_, true, false);
+  cached_input_ = Tensor();
   add_(weight_.grad, dw);
   if (has_bias_) add_(bias_.grad, sum_rows(grad_out));
   return matmul(grad_out, weight_.value, false, false);

@@ -5,6 +5,17 @@
 #include "utils/error.hpp"
 
 namespace fca::nn {
+namespace {
+thread_local MacCounter* tl_mac_counter = nullptr;
+}  // namespace
+
+MacCounter::MacCounter() : outer_(tl_mac_counter) { tl_mac_counter = this; }
+
+MacCounter::~MacCounter() { tl_mac_counter = outer_; }
+
+void MacCounter::add(int64_t macs) {
+  if (tl_mac_counter != nullptr) tl_mac_counter->count_ += macs;
+}
 
 std::vector<Param*> Module::parameters() {
   std::vector<Param*> out;

@@ -9,7 +9,11 @@
 // Conventions:
 //  * Activations are NCHW ([batch, channels, height, width]) or [batch, dim].
 //  * forward(x, train) must be called before backward(g); backward consumes
-//    the cached state of exactly that forward call.
+//    the cached state of exactly that forward call. Every module a backbone
+//    uses frees its cached activations when backward returns, so between
+//    steps it holds only its parameters, their gradients and its buffers,
+//    and a second backward throws until a new training forward. (Dropout,
+//    LeakyReLU and AvgPool2d, which no backbone uses, keep their caches.)
 //  * Parameter gradients are *accumulated*; call Optimizer::zero_grad()
 //    (or Param::zero_grad) between steps.
 #pragma once
@@ -78,6 +82,25 @@ class Module {
 };
 
 using ModulePtr = std::unique_ptr<Module>;
+
+/// Counts the multiply-adds of the Conv2d and Linear forward passes that
+/// this thread runs while the counter is alive. For static cost estimates
+/// (models::forward_macs); nested counters count into the innermost.
+class MacCounter {
+ public:
+  MacCounter();
+  ~MacCounter();
+  MacCounter(const MacCounter&) = delete;
+  MacCounter& operator=(const MacCounter&) = delete;
+
+  int64_t count() const { return count_; }
+  /// Adds to this thread's innermost live counter, if any.
+  static void add(int64_t macs);
+
+ private:
+  int64_t count_ = 0;
+  MacCounter* outer_;
+};
 
 // -- NCHW channel helpers (used by ShuffleNet / GoogLeNet style blocks) ----
 /// Slices channels [from, to) of a [B, C, H, W] tensor.

@@ -1,4 +1,6 @@
-// Batch normalization over NCHW activations.
+// Batch normalization over NCHW activations. The per-channel sums run in
+// one pinned lane order and the elementwise passes without contraction, so
+// every ISA clone and build gives the same bytes (DESIGN.md §9).
 #pragma once
 
 #include "nn/module.hpp"

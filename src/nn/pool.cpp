@@ -197,6 +197,8 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
     const int32_t* ai = cached_argmax_.data() + i * oh * ow;
     for (int64_t p = 0; p < oh * ow; ++p) gi[ai[p]] += go[p];
   }
+  // Swapped, not cleared, so the capacity goes too.
+  std::vector<int32_t>().swap(cached_argmax_);
   return grad_in;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.hpp"
+#include "data/loader.hpp"
 #include "fl_fixtures.hpp"
 #include "models/serialize.hpp"
 #include "tensor/ops.hpp"
@@ -108,6 +109,26 @@ TEST(FedClassAvg, TrainEpochReducesObjective) {
   float last = first;
   for (int e = 0; e < 4; ++e) last = strat.train_epoch(c, gw, gb);
   EXPECT_LT(last, first);
+}
+
+TEST(FedClassAvg, TrainEpochLeavesNoActivationCache) {
+  // Every local step's backward frees what its forward cached, so after an
+  // epoch the extractor holds no activations and cannot backprop again.
+  core::Experiment exp(tiny_experiment_config());
+  auto clients = exp.build_clients();
+  FedClassAvg strat(exp.fedclassavg_config());
+  fl::Client& c = *clients[0];
+  const Tensor gw = c.model().classifier().weight().value.clone();
+  const Tensor gb = c.model().classifier().bias().value.clone();
+  strat.train_epoch(c, gw, gb);
+  // The shape the last step backpropagated: both views of its batch.
+  Rng shuffle(1);
+  const auto batches = data::BatchLoader(c.train_data(), {},
+                                         c.config().batch_size)
+                           .epoch(shuffle);
+  const auto rows = static_cast<int64_t>(2 * batches.back().size());
+  const Tensor g({rows, c.model().feature_dim()});
+  EXPECT_THROW(c.model().backward_features(g), Error);
 }
 
 TEST(FedClassAvg, ProximalTermLimitsClassifierDrift) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -284,6 +285,161 @@ TEST(BatchNorm2d, GradientsMatchFiniteDifference) {
   check_param_gradients(bn, x, 1e-2f, 4e-2f);
 }
 
+/// One channel's Σa and Σa·b in BatchNorm2d's pinned order (DESIGN.md §9):
+/// per image, lane p mod 4 takes position p below hw & ~3 in ascending p,
+/// the tail adds into lane 0, and the running sum adds lanes 0-3, image
+/// after image.
+void bn_channel_sums_ref(const float* a, const float* b, int64_t stride,
+                         int64_t images, int64_t hw, double& sa,
+                         double& sab) {
+  sa = sab = 0.0;
+  const int64_t body = hw & ~int64_t{3};
+  for (int64_t i = 0; i < images; ++i) {
+    const float* ai = a + i * stride;
+    const float* bi = b + i * stride;
+    double la[4] = {}, lab[4] = {};
+    for (int64_t p = 0; p < hw; ++p) {
+      const int64_t lane = p < body ? p % 4 : 0;
+      la[lane] += ai[p];
+      lab[lane] += static_cast<double>(ai[p]) * bi[p];
+    }
+    for (int l = 0; l < 4; ++l) {
+      sa += la[l];
+      sab += lab[l];
+    }
+  }
+}
+
+/// Scalar BatchNorm2d: a training forward, its backward of `g`, then an eval
+/// forward with the updated running stats, each element computed with the
+/// layer's expression and rounding.
+struct BnReference {
+  Tensor out, grad_in, eval_out, gamma_grad, beta_grad, mean, var;
+};
+
+BnReference bn_reference(const Tensor& x, const Tensor& g, const Tensor& gamma,
+                         const Tensor& beta, float eps, float momentum) {
+  const int64_t b = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
+  const int64_t n = b * hw, stride = c * hw;
+  BnReference r{Tensor(x.shape()), Tensor(x.shape()), Tensor(x.shape()),
+                Tensor({c}),       Tensor({c}),       Tensor({c}),
+                Tensor::ones({c})};
+  Tensor xhat(x.shape());
+  for (int64_t ch = 0; ch < c; ++ch) {
+    double s, ss;
+    bn_channel_sums_ref(x.data() + ch * hw, x.data() + ch * hw, stride, b, hw,
+                        s, ss);
+    const double mu = s / n;
+    const double var = std::max(0.0, ss / n - mu * mu);
+    const auto inv = static_cast<float>(1.0 / std::sqrt(var + eps));
+    const auto muf = static_cast<float>(mu);
+    for (int64_t i = 0; i < b; ++i) {
+      for (int64_t p = 0; p < hw; ++p) {
+        const int64_t at = i * stride + ch * hw + p;
+        xhat[at] = (x[at] - muf) * inv;
+        const float scaled = gamma[ch] * xhat[at];
+        r.out[at] = scaled + beta[ch];
+      }
+    }
+    const double unbiased = var * n / (n - 1);
+    r.mean[ch] = (1.0f - momentum) * r.mean[ch] +
+                 momentum * static_cast<float>(mu);
+    r.var[ch] = (1.0f - momentum) * r.var[ch] +
+                momentum * static_cast<float>(unbiased);
+
+    double sg, sgx;
+    bn_channel_sums_ref(g.data() + ch * hw, xhat.data() + ch * hw, stride, b,
+                        hw, sg, sgx);
+    r.gamma_grad[ch] = static_cast<float>(sgx);
+    r.beta_grad[ch] = static_cast<float>(sg);
+    const double mean_g = sg / n, mean_gx = sgx / n;
+    const double scale = static_cast<double>(gamma[ch]) * inv;
+    const float eval_inv = 1.0f / std::sqrt(r.var[ch] + eps);
+    for (int64_t i = 0; i < b; ++i) {
+      for (int64_t p = 0; p < hw; ++p) {
+        const int64_t at = i * stride + ch * hw + p;
+        const double gx = static_cast<double>(xhat[at]) * mean_gx;
+        const double centered = (g[at] - mean_g) - gx;
+        r.grad_in[at] = static_cast<float>(scale * centered);
+        const float shifted = gamma[ch] * (x[at] - r.mean[ch]);
+        const float normed = shifted * eval_inv;
+        r.eval_out[at] = normed + beta[ch];
+      }
+    }
+  }
+  return r;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(BatchNorm2d, ByteEqualToPinnedOrderReference) {
+  // Each channel holds pairs +H, -H with H up to 2^60 among values near 1:
+  // the pairs cancel exactly, but which small values a partial sum absorbs
+  // first depends on the order, so any other order moves the sums (and
+  // beta's gradient) by whole units. Batches 1-32 cover full and partial
+  // four-image chains, and planes 1x1-16x16 every hw mod 4 (hw < 4 has no
+  // lane body at all).
+  constexpr int64_t kChannels = 3;
+  constexpr float kEps = 1e-5f, kMomentum = 0.1f;
+  Rng rng(51);
+  auto cancelling = [&rng](const Shape& shape) {
+    Tensor t = Tensor::randn(shape, rng);
+    const int64_t hw = shape[2] * shape[3];
+    for (int64_t i = 0; i < t.numel(); ++i) {
+      if (rng.uniform_int(8) != 0) continue;
+      const auto image = static_cast<int64_t>(rng.uniform_int(
+          static_cast<uint64_t>(shape[0])));
+      const int64_t j = (image * kChannels + (i / hw) % kChannels) * hw +
+                        static_cast<int64_t>(rng.uniform_int(
+                            static_cast<uint64_t>(hw)));
+      if (j == i) continue;
+      const float big = std::ldexp(1.0f, 40 + static_cast<int>(
+                                                 rng.uniform_int(21)));
+      t[i] = big;
+      t[j] = -big;
+    }
+    return t;
+  };
+  int cases = 0;
+  for (int64_t b = 1; b <= 32; ++b) {
+    for (int64_t h = 1; h <= 16; ++h) {
+      for (int64_t w = 1; w <= 16; ++w) {
+        if (b * h * w < 2) continue;  // training needs two values
+        // Planes above 8 values run at every fourth batch size (by
+        // b + h + w), so every batch and every plane size still appear.
+        if ((b + h + w) % 4 != 0 && h * w > 8) continue;
+        BatchNorm2d bn(kChannels, kEps, kMomentum);
+        std::vector<Param*> params;
+        bn.collect_params(params);
+        params[0]->value = Tensor::randn({kChannels}, rng, 1.0f, 0.5f);
+        params[1]->value = Tensor::randn({kChannels}, rng);
+        const Tensor x = cancelling({b, kChannels, h, w});
+        const Tensor g = cancelling({b, kChannels, h, w});
+        const BnReference ref = bn_reference(x, g, params[0]->value,
+                                             params[1]->value, kEps,
+                                             kMomentum);
+        const std::string at = "b=" + std::to_string(b) +
+                               " h=" + std::to_string(h) +
+                               " w=" + std::to_string(w);
+        EXPECT_TRUE(same_bytes(bn.forward(x, /*train=*/true), ref.out)) << at;
+        EXPECT_TRUE(same_bytes(bn.backward(g), ref.grad_in)) << at;
+        EXPECT_TRUE(same_bytes(params[0]->grad, ref.gamma_grad)) << at;
+        EXPECT_TRUE(same_bytes(params[1]->grad, ref.beta_grad)) << at;
+        EXPECT_TRUE(same_bytes(bn.running_mean(), ref.mean)) << at;
+        EXPECT_TRUE(same_bytes(bn.running_var(), ref.var)) << at;
+        EXPECT_TRUE(same_bytes(bn.forward(x, /*train=*/false), ref.eval_out))
+            << at;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GT(cases, 1500);
+}
+
 TEST(MaxPool2d, ForwardPicksMaxima) {
   MaxPool2d pool(2, 2);
   Tensor x({1, 1, 2, 2}, {1, 5, 3, 2});
@@ -506,6 +662,53 @@ TEST(MaxPool2d, VectorSweepByteEqualToScalarScan) {
   EXPECT_EQ(cases, 254);
 }
 
+/// Backward frees the training forward's cache: a second backward throws,
+/// and a new training forward makes backward give the same bytes again.
+void expect_backward_consumes_cache(Module& m, const Tensor& x) {
+  Rng rng(42);
+  const Tensor g = Tensor::randn(m.forward(x, /*train=*/true).shape(), rng);
+  const Tensor first = m.backward(g);
+  EXPECT_THROW(m.backward(g), Error);
+  m.forward(x, /*train=*/false);  // an eval forward caches nothing
+  EXPECT_THROW(m.backward(g), Error);
+  m.forward(x, /*train=*/true);
+  const Tensor again = m.backward(g);
+  ASSERT_TRUE(again.same_shape(first));
+  EXPECT_EQ(std::memcmp(again.data(), first.data(),
+                        static_cast<size_t>(first.numel()) * sizeof(float)),
+            0);
+}
+
+TEST(Conv2d, SecondBackwardNeedsATrainingForward) {
+  Rng rng(43);
+  Conv2d conv(4, 6, 3, 1, 1, rng);
+  expect_backward_consumes_cache(conv, Tensor::randn({3, 4, 6, 6}, rng));
+}
+
+TEST(BatchNorm2d, SecondBackwardNeedsATrainingForward) {
+  Rng rng(44);
+  BatchNorm2d bn(4);
+  expect_backward_consumes_cache(bn, Tensor::randn({3, 4, 5, 5}, rng));
+}
+
+TEST(ReLU, SecondBackwardNeedsATrainingForward) {
+  Rng rng(45);
+  ReLU relu;
+  expect_backward_consumes_cache(relu, Tensor::randn({3, 4, 5, 5}, rng));
+}
+
+TEST(MaxPool2d, SecondBackwardNeedsATrainingForward) {
+  Rng rng(46);
+  MaxPool2d pool(3, 2, 1);
+  expect_backward_consumes_cache(pool, Tensor::randn({3, 4, 7, 7}, rng));
+}
+
+TEST(Linear, SecondBackwardNeedsATrainingForward) {
+  Rng rng(47);
+  Linear lin(5, 3, rng);
+  expect_backward_consumes_cache(lin, Tensor::randn({4, 5}, rng));
+}
+
 TEST(MaxPool2d, BackwardRejectsMisshapenGradOut) {
   MaxPool2d pool(2, 2);
   Rng rng(15);
@@ -662,6 +865,21 @@ TEST(Init, XavierUniformBounds) {
   const float bound = std::sqrt(6.0f / 100.0f);
   EXPECT_LE(max_value(w), bound);
   EXPECT_GE(min_value(w), -bound);
+}
+
+TEST(MacCounter, CountsConvAndLinearForwardMultiplyAdds) {
+  Rng rng(48);
+  Conv2d conv(3, 4, 3, 1, 1, rng);
+  Linear lin(5, 3, rng);
+  MacCounter macs;
+  conv.forward(Tensor::randn({2, 3, 5, 5}, rng), /*train=*/false);
+  EXPECT_EQ(macs.count(), 2 * 4 * 5 * 5 * (3 * 3 * 3));
+  {
+    MacCounter inner;  // nested: counts into the innermost only
+    lin.forward(Tensor::randn({4, 5}, rng), /*train=*/true);
+    EXPECT_EQ(inner.count(), 4 * 5 * 3);
+  }
+  EXPECT_EQ(macs.count(), 2 * 4 * 5 * 5 * (3 * 3 * 3));
 }
 
 TEST(Module, ParameterCount) {

@@ -7,9 +7,15 @@
 // results, deterministic error selection, degenerate pools) live here too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -102,6 +108,50 @@ TEST(RoundExecutor, LowestCohortPositionErrorWins) {
       EXPECT_STREQ(e.what(), "2");
     }
   }
+}
+
+TEST(RoundExecutor, ClaimOrderIsDescendingCostThenPosition) {
+  EXPECT_EQ(RoundExecutor::claim_order({1, 5, 2, 9, 9, 0, 3, 5}),
+            (std::vector<size_t>{3, 4, 1, 7, 6, 2, 0, 5}));
+  EXPECT_EQ(RoundExecutor::claim_order({2, 2, 2}),
+            (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(RoundExecutor, LanesClaimTheCostliestPositionFirst) {
+  // The costliest body sits last in cohort order. Every other body waits
+  // until it has started before recording itself, so the recorded sequence
+  // starts with the first claim; in cohort order the waits would time out
+  // and position 0 would be recorded first.
+  ThreadPool pool(1);
+  RoundExecutor lanes(2, &pool);
+  const std::vector<int> clients = iota_clients(8);
+  const std::vector<double> costs{1, 2, 3, 4, 5, 6, 7, 8};
+  auto value = [](int k) { return std::sin(k * 0.7) * 1e3 + k; };
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> started;
+  const std::vector<double> got = lanes.map(
+      clients,
+      [&](int k) {
+        std::unique_lock lk(mu);
+        if (k != 7) {
+          cv.wait_for(lk, std::chrono::seconds(10), [&] {
+            return std::find(started.begin(), started.end(), 7) !=
+                   started.end();
+          });
+        }
+        started.push_back(k);
+        cv.notify_all();
+        return value(k);
+      },
+      costs);
+  ASSERT_EQ(started.size(), clients.size());
+  EXPECT_EQ(started.front(), 7);
+  const std::vector<double> serial = RoundExecutor(1).map(clients, value);
+  ASSERT_EQ(got.size(), serial.size());
+  EXPECT_EQ(std::memcmp(got.data(), serial.data(),
+                        serial.size() * sizeof(double)),
+            0);
 }
 
 TEST(RoundExecutor, ZeroWorkerPoolFallsBackToSerial) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "fl_fixtures.hpp"
 #include "fl/local_only.hpp"
 #include "tensor/ops.hpp"
@@ -68,6 +71,37 @@ TEST(Experiment, HeterogeneousSchemeAssignsFourArchitectures) {
   EXPECT_EQ(clients[1]->model().arch_name(), "MiniShuffleNet");
   EXPECT_EQ(clients[2]->model().arch_name(), "MiniGoogLeNet");
   EXPECT_EQ(clients[3]->model().arch_name(), "MiniAlexNet");
+}
+
+TEST(Experiment, StoreCostsAreForwardMacsTimesLocalWork) {
+  // The executor's claim-order costs: each client's per-sample forward
+  // multiply-adds times its local samples and epochs (train) or its test
+  // samples (eval), the same in a resident and a lazy store.
+  ExperimentConfig cfg = tiny_experiment_config(8);
+  cfg.local_epochs = 2;
+  const Experiment exp(cfg);
+  ExperimentConfig lazy_cfg = cfg;
+  lazy_cfg.lazy_init = true;
+  const Experiment lazy_exp(lazy_cfg);
+  std::vector<int> all(8);
+  std::iota(all.begin(), all.end(), 0);
+  for (const auto& store : {exp.build_store(), lazy_exp.build_store()}) {
+    const auto train = store->costs(all, &fl::ClientStore::Cost::train);
+    const auto eval = store->costs(all, &fl::ClientStore::Cost::eval);
+    ASSERT_EQ(train.size(), all.size());
+    ASSERT_EQ(eval.size(), all.size());
+    for (int k : all) {
+      nn::MacCounter macs;
+      exp.build_model(k)->forward(
+          Tensor({1, exp.spec().channels, cfg.image_size, cfg.image_size}),
+          false);
+      const auto per_sample = static_cast<double>(macs.count());
+      const auto i = static_cast<size_t>(k);
+      EXPECT_GT(per_sample, 0.0);
+      EXPECT_EQ(train[i], per_sample * store->train_size(k) * 2) << k;
+      EXPECT_EQ(eval[i], per_sample * exp.test_split()[i].size()) << k;
+    }
+  }
 }
 
 TEST(Experiment, HomogeneousSchemeUsesResNetEverywhere) {
