@@ -88,9 +88,8 @@ void FedClassAvg::initialize(fl::FederatedRun& run) {
     // A client cut off during initialization keeps its local init weights;
     // it is already condemned, so later rounds exclude it anyway.
     if (!down.has_value()) return;
-    models::restore_values(
-        models::deserialize_tensors(*down),
-        shared_params(*lease, config_.share_all_weights));
+    models::restore_values(*down,
+                           shared_params(*lease, config_.share_all_weights));
   });
 }
 
@@ -119,7 +118,7 @@ comm::Bytes FedClassAvg::initialize_lazy(fl::FederatedRun& run) {
 void FedClassAvg::bootstrap_client(fl::FederatedRun& run, fl::Client& client,
                                    const comm::Bytes& payload) {
   (void)run;
-  models::restore_values(models::deserialize_tensors(payload),
+  models::restore_values(payload,
                          shared_params(client, config_.share_all_weights));
 }
 

@@ -19,10 +19,6 @@ Client::Client(int id, std::unique_ptr<models::SplitModel> model,
   FCA_CHECK_MSG(train_.size() > 0, "client " << id << " has no train data");
   loader_ = std::make_unique<data::BatchLoader>(train_, std::vector<int>{},
                                                 config_.batch_size);
-  reset_optimizer();
-}
-
-void Client::reset_optimizer() {
   if (config_.use_adam) {
     optimizer_ =
         std::make_unique<nn::Adam>(model_->parameters(), config_.lr);
@@ -31,6 +27,8 @@ void Client::reset_optimizer() {
                                            /*momentum=*/0.9f);
   }
 }
+
+void Client::reset_optimizer() { optimizer_->reset(); }
 
 float Client::train_epoch_supervised(const std::vector<Tensor>* prox_anchor,
                                      float prox_mu) {

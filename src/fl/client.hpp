@@ -38,8 +38,10 @@ class Client {
   const data::Augmentor& augmentor() const { return augmentor_; }
   Rng& rng() { return rng_; }
 
-  /// Rebuilds the optimizer state (used after strategies overwrite weights
-  /// wholesale, where stale Adam moments would be misleading).
+  /// Returns the optimizer to its freshly constructed state in place (used
+  /// after strategies overwrite weights wholesale, where stale Adam moments
+  /// would be misleading). The optimizer and its slot tensors live as long
+  /// as the client; a reset zeroes them and allocates nothing.
   void reset_optimizer();
 
   /// One epoch of plain supervised training (CE, single augmented view).

@@ -16,8 +16,7 @@ void FedAvg::initialize(FederatedRun& run) {
   run.executor().for_each(all, [&run](int k) {
     const ClientStore::Lease lease = run.lease_client(k);
     const comm::Bytes down = run.client_endpoint(k).recv(0, kTagModelDown);
-    models::restore_values(models::deserialize_tensors(down),
-                           lease->model().parameters());
+    models::restore_values(down, lease->model().parameters());
     lease->reset_optimizer();
   });
 }
@@ -31,8 +30,7 @@ comm::Bytes FedAvg::initialize_lazy(FederatedRun& run) {
 void FedAvg::bootstrap_client(FederatedRun& run, Client& client,
                               const comm::Bytes& payload) {
   (void)run;
-  models::restore_values(models::deserialize_tensors(payload),
-                         client.model().parameters());
+  models::restore_values(payload, client.model().parameters());
   client.reset_optimizer();
 }
 
@@ -53,12 +51,14 @@ comm::Bytes FedAvg::downlink(FederatedRun& run) {
 ClientUpdate FedAvg::update(FederatedRun& run, int round, Client& client,
                             std::span<const std::byte> down) {
   (void)round;
-  const std::vector<Tensor> global = models::deserialize_tensors(down);
-  models::restore_values(global, client.model().parameters());
+  models::restore_values(down, client.model().parameters());
   client.reset_optimizer();
   const float mu = prox_mu();
+  // FedProx's proximal anchor is the received model itself.
+  const std::vector<Tensor> anchor =
+      mu > 0.0f ? models::deserialize_tensors(down) : std::vector<Tensor>{};
   const double loss = run.local_train([&] {
-    return client.train_epoch_supervised(mu > 0.0f ? &global : nullptr, mu);
+    return client.train_epoch_supervised(mu > 0.0f ? &anchor : nullptr, mu);
   });
   return {loss, models::serialize_values(client.model().parameters())};
 }

@@ -245,8 +245,7 @@ void KTpFL::reduce(FederatedRun& run,
     const std::optional<comm::Bytes> down =
         run.client_endpoint(k).try_recv(0, kTagModelDown);
     if (!down.has_value()) return;
-    models::restore_values(models::deserialize_tensors(*down),
-                           c.model().parameters());
+    models::restore_values(*down, c.model().parameters());
   });
 }
 

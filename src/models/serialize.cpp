@@ -279,20 +279,26 @@ std::vector<TensorView> view_tensors(std::span<const std::byte> bytes) {
     v.shape.reserve(ndim);
     for (uint32_t d = 0; d < ndim; ++d) v.shape.push_back(r.i64());
     // Checked product: numel * 4 must fit in what is left, so no dim can
-    // overflow it or make a caller allocate past the input.
+    // overflow it or make a caller allocate past the input. The messages
+    // name the offending dim, not the shape, which a corrupt ndim can make
+    // as long as the input.
     const size_t max_floats = r.remaining() / sizeof(float);
     size_t numel = 1;
-    for (int64_t dim : v.shape) {
+    for (uint32_t k = 0; k < ndim; ++k) {
+      const int64_t dim = v.shape[k];
       FCA_CHECK_MSG(dim >= 0, "tensor " << i << " has negative dim " << dim);
       const auto d = static_cast<size_t>(dim);
       FCA_CHECK_MSG(d == 0 || numel <= max_floats / d,
-                    "tensor " << i << " of shape " << shape_to_string(v.shape)
-                              << " overruns the " << r.remaining()
-                              << " byte(s) left");
+                    "tensor " << i << " of rank " << ndim << " overruns the "
+                              << r.remaining() << " byte(s) left at dim "
+                              << k << " (" << dim << ")");
       numel *= d;
     }
-    v.numel = static_cast<int64_t>(numel);
-    v.data = r.skip(numel * sizeof(float));
+    // A rank-0 shape holds no floats, as shape_numel and the serializer
+    // count it; reading it as one float would hand deserialize_tensors a
+    // 4-byte copy into an empty tensor.
+    v.numel = ndim == 0 ? 0 : static_cast<int64_t>(numel);
+    v.data = r.skip(static_cast<size_t>(v.numel) * sizeof(float));
     out.push_back(std::move(v));
   }
   FCA_CHECK_MSG(r.done(), "trailing bytes after tensor deserialization");
@@ -365,6 +371,27 @@ void restore_values(const std::vector<Tensor>& snapshot,
     FCA_CHECK(snapshot[i].same_shape(params[i]->value));
     std::copy_n(snapshot[i].data(), snapshot[i].numel(),
                 params[i]->value.data());
+  }
+}
+
+void restore_values(std::span<const std::byte> payload,
+                    const std::vector<nn::Param*>& params) {
+  const std::vector<TensorView> views = view_tensors(payload);
+  FCA_CHECK_MSG(views.size() == params.size(),
+                "tensor count mismatch: payload has " << views.size()
+                                                       << ", target has "
+                                                       << params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    FCA_CHECK_MSG(views[i].shape == params[i]->value.shape(),
+                  "shape mismatch at tensor "
+                      << i << ": payload " << shape_to_string(views[i].shape)
+                      << ", parameter "
+                      << shape_to_string(params[i]->value.shape()));
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (views[i].numel == 0) continue;
+    std::memcpy(params[i]->value.data(), views[i].data,
+                static_cast<size_t>(views[i].numel) * sizeof(float));
   }
 }
 

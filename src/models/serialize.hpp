@@ -76,7 +76,8 @@ struct TensorView {
 /// Parses a serialize_tensors buffer without copying a float. The parse is
 /// bounded: the tensor count, every ndim and every numel * 4 are checked
 /// against the bytes left before they size anything, so a corrupt header
-/// throws fca::Error instead of allocating. Trailing bytes are rejected.
+/// throws fca::Error instead of allocating. Trailing bytes are rejected. A
+/// rank-0 record holds no floats, as shape_numel counts it.
 std::vector<TensorView> view_tensors(std::span<const std::byte> bytes);
 /// Inverse of serialize_tensors; shapes are carried in the buffer. Bounded
 /// like view_tensors.
@@ -101,6 +102,14 @@ void copy_param_values(const std::vector<nn::Param*>& src,
 std::vector<Tensor> snapshot_values(const std::vector<nn::Param*>& params);
 /// Writes snapshot tensors back into parameters.
 void restore_values(const std::vector<Tensor>& snapshot,
+                    const std::vector<nn::Param*>& params);
+/// Writes a serialize_tensors payload straight into the parameters' values:
+/// the same result as restore_values(deserialize_tensors(payload), params)
+/// with no tensor of its own. The payload is parsed like view_tensors, and
+/// its tensor count and every shape are checked before the first write, so
+/// a rejected payload throws fca::Error and leaves every parameter as it
+/// was.
+void restore_values(std::span<const std::byte> payload,
                     const std::vector<nn::Param*>& params);
 
 }  // namespace fca::models

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/kernel.hpp"
 #include "tensor/ops.hpp"
 #include "utils/error.hpp"
 
@@ -17,28 +18,15 @@ void Optimizer::restore_scalar_state(const std::vector<int64_t>& state) {
   FCA_CHECK_MSG(state.empty(), "optimizer has no scalar state to restore");
 }
 
-float Optimizer::clip_grad_norm(float max_norm) {
-  FCA_CHECK(max_norm > 0.0f);
-  double total = 0.0;
-  for (const Param* p : params_) total += sum_squares(p->grad);
-  const auto norm = static_cast<float>(std::sqrt(total));
-  if (norm > max_norm) {
-    const float scale = max_norm / (norm + 1e-12f);
-    for (Param* p : params_) mul_scalar_(p->grad, scale);
-  }
-  return norm;
-}
-
 SGD::SGD(std::vector<Param*> params, float lr, float momentum,
          float weight_decay, bool nesterov)
-    : Optimizer(std::move(params)),
+    : Optimizer(std::move(params), lr),
       momentum_(momentum),
       weight_decay_(weight_decay),
       nesterov_(nesterov) {
   FCA_CHECK(lr > 0.0f && momentum >= 0.0f && weight_decay >= 0.0f);
   FCA_CHECK_MSG(!nesterov || momentum > 0.0f,
                 "Nesterov momentum requires momentum > 0");
-  lr_ = lr;
   velocity_.reserve(params_.size());
   for (const Param* p : params_) velocity_.emplace_back(p->value.shape());
 }
@@ -52,6 +40,38 @@ obs::Histogram* step_histogram() {
   static obs::Histogram* h =
       &obs::MetricsRegistry::instance().histogram("nn.optim.step_seconds");
   return h;
+}
+
+/// One parameter's Adam update over `n` elements, in the scalar expression
+/// order: g = grad (+ wd * value), m = b1 * m + (1 - b1) * g,
+/// v = b2 * v + ((1 - b2) * g) * g, value -= (lr * (m / bc1)) /
+/// (sqrt(v / bc2) + eps). Built without contraction, so the FMA clones give
+/// the baseline clone's bytes; the sqrt vectorizes because optim.cpp is
+/// compiled with -fno-math-errno (src/CMakeLists.txt).
+FCA_MICROKERNEL_CLONES __attribute__((optimize("fp-contract=off")))
+void adam_update(float* __restrict value, const float* __restrict grad,
+                 float* __restrict m, float* __restrict v, int64_t n,
+                 float b1, float b2, float lr, float bc1, float bc2,
+                 float eps, float wd) {
+  const float c1 = 1.0f - b1;
+  const float c2 = 1.0f - b2;
+  if (wd > 0.0f) {
+#pragma omp simd
+    for (int64_t j = 0; j < n; ++j) {
+      const float g = grad[j] + wd * value[j];
+      m[j] = b1 * m[j] + c1 * g;
+      v[j] = b2 * v[j] + c2 * g * g;
+      value[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + eps);
+    }
+  } else {
+#pragma omp simd
+    for (int64_t j = 0; j < n; ++j) {
+      const float g = grad[j];
+      m[j] = b1 * m[j] + c1 * g;
+      v[j] = b2 * v[j] + c2 * g * g;
+      value[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + eps);
+    }
+  }
 }
 
 }  // namespace
@@ -78,6 +98,11 @@ void SGD::step() {
   }
 }
 
+void SGD::reset() {
+  Optimizer::reset();
+  for (Tensor& v : velocity_) v.fill(0.0f);
+}
+
 std::vector<Tensor*> SGD::state_tensors() {
   std::vector<Tensor*> out;
   out.reserve(velocity_.size());
@@ -87,14 +112,13 @@ std::vector<Tensor*> SGD::state_tensors() {
 
 Adam::Adam(std::vector<Param*> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : Optimizer(std::move(params), lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
   FCA_CHECK(lr > 0.0f && beta1 >= 0.0f && beta1 < 1.0f && beta2 >= 0.0f &&
             beta2 < 1.0f && eps > 0.0f && weight_decay >= 0.0f);
-  lr_ = lr;
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Param* p : params_) {
@@ -112,19 +136,18 @@ void Adam::step() {
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     Param& p = *params_[i];
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    const int64_t n = p.value.numel();
-    for (int64_t j = 0; j < n; ++j) {
-      float g = p.grad[j];
-      if (weight_decay_ > 0.0f) g += weight_decay_ * p.value[j];
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g * g;
-      const float mhat = m[j] / bc1;
-      const float vhat = v[j] / bc2;
-      p.value[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    FCA_CHECK(p.grad.same_shape(p.value));
+    adam_update(p.value.data(), p.grad.data(), m_[i].data(), v_[i].data(),
+                p.value.numel(), beta1_, beta2_, lr_, bc1, bc2, eps_,
+                weight_decay_);
   }
+}
+
+void Adam::reset() {
+  Optimizer::reset();
+  for (Tensor& m : m_) m.fill(0.0f);
+  for (Tensor& v : v_) v.fill(0.0f);
+  t_ = 0;
 }
 
 std::vector<Tensor*> Adam::state_tensors() {

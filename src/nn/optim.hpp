@@ -9,7 +9,8 @@ namespace fca::nn {
 
 class Optimizer {
  public:
-  explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
+  Optimizer(std::vector<Param*> params, float lr)
+      : params_(std::move(params)), lr_(lr), initial_lr_(lr) {}
   virtual ~Optimizer() = default;
 
   /// Applies one update using the gradients currently accumulated in the
@@ -17,8 +18,11 @@ class Optimizer {
   virtual void step() = 0;
   /// Clears every parameter gradient.
   void zero_grad();
-  /// In-place global-norm gradient clipping; returns the pre-clip norm.
-  float clip_grad_norm(float max_norm);
+  /// Returns the optimizer to its freshly constructed state in place: the
+  /// slot tensors are zero-filled (their storage, and so every
+  /// state_tensors() pointer, stays the same), the scalar state restarts
+  /// and the learning rate goes back to its constructor value.
+  virtual void reset() { lr_ = initial_lr_; }
 
   // -- checkpoint support ----------------------------------------------------
   /// Mutable views of the optimizer's slot tensors (momentum buffers, moment
@@ -36,7 +40,10 @@ class Optimizer {
 
  protected:
   std::vector<Param*> params_;
-  float lr_ = 1e-3f;
+  float lr_;
+
+ private:
+  float initial_lr_;
 };
 
 /// SGD with optional momentum, Nesterov, and decoupled L2 weight decay.
@@ -45,6 +52,7 @@ class SGD : public Optimizer {
   SGD(std::vector<Param*> params, float lr, float momentum = 0.0f,
       float weight_decay = 0.0f, bool nesterov = false);
   void step() override;
+  void reset() override;
   std::vector<Tensor*> state_tensors() override;
 
  private:
@@ -54,12 +62,15 @@ class SGD : public Optimizer {
 };
 
 /// Adam (Kingma & Ba) with bias correction; the paper's local client update
-/// uses Adam with the Table-1 learning rates.
+/// uses Adam with the Table-1 learning rates. The per-element update is a
+/// cloned, vectorized kernel (DESIGN.md §9) whose bytes equal the scalar
+/// expression order on every clone.
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Param*> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
   void step() override;
+  void reset() override;
   std::vector<Tensor*> state_tensors() override;
   std::vector<int64_t> scalar_state() const override;
   void restore_scalar_state(const std::vector<int64_t>& state) override;

@@ -18,14 +18,15 @@
 
 // GCC function multiversioning for the hot vector loops (the GEMM
 // micro-kernels, the direct depthwise Conv2d kernels, MaxPool2d's window
-// scan, BatchNorm2d's passes): one binary carries a baseline SSE2 clone, an
-// x86-64-v3 (AVX2 + FMA) clone and an x86-64-v4 (AVX-512) clone, resolved
-// through IFUNC at load time. Each GEMM lane is an independent output
+// scan, BatchNorm2d's passes, Adam's update): one binary carries a baseline
+// SSE2 clone, an x86-64-v3 (AVX2 + FMA) clone and an x86-64-v4 (AVX-512)
+// clone, resolved through IFUNC at load time. Each GEMM lane is an independent output
 // element and no cloned GEMM loop reduces horizontally, so v3 and v4 run the
 // same per-element sequence and give the same bytes; the baseline clone has
 // no FMA, so its multiply-adds round twice and its bytes differ.
 // BatchNorm2d's sums reduce in an explicit lane order and its elementwise
-// passes are built without contraction, so all three of its clones agree.
+// passes, like Adam's update, are built without contraction, so all three
+// of their clones agree.
 // Compilers or targets without the attribute build the baseline only.
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
 #define FCA_MICROKERNEL_CLONES \

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
-#include "tensor/ops.hpp"
 #include "utils/error.hpp"
+#include "utils/rng.hpp"
 
 namespace fca::nn {
 namespace {
@@ -103,23 +105,6 @@ TEST(Optimizer, ZeroGradClearsAll) {
   EXPECT_FLOAT_EQ(b.grad[1], 0.0f);
 }
 
-TEST(Optimizer, ClipGradNormScalesDown) {
-  Param p = make_param({0.0f, 0.0f}, {3.0f, 4.0f});  // norm 5
-  SGD sgd({&p}, 0.1f);
-  const float norm = sgd.clip_grad_norm(1.0f);
-  EXPECT_NEAR(norm, 5.0f, 1e-5);
-  EXPECT_NEAR(l2_norm(p.grad), 1.0f, 1e-4);
-  // Direction preserved.
-  EXPECT_NEAR(p.grad[0] / p.grad[1], 0.75f, 1e-4);
-}
-
-TEST(Optimizer, ClipGradNormNoopBelowThreshold) {
-  Param p = make_param({0.0f}, {0.5f});
-  SGD sgd({&p}, 0.1f);
-  sgd.clip_grad_norm(1.0f);
-  EXPECT_FLOAT_EQ(p.grad[0], 0.5f);
-}
-
 TEST(Optimizer, SetLrTakesEffect) {
   Param p = make_param({0.0f}, {1.0f});
   SGD sgd({&p}, 0.1f);
@@ -147,6 +132,157 @@ TEST(SGD, MomentumConvergesOnQuadratic) {
     sgd.step();
   }
   EXPECT_NEAR(p.value[0], 3.0f, 0.05f);
+}
+
+bool bytes_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Adam's update in the library's scalar expression order, one element at
+/// a time: the reference the vectorized kernel must match byte for byte.
+struct ScalarAdam {
+  float lr, b1, b2, eps, wd;
+
+  /// Step `t` (1-based) of one parameter.
+  void step(int t, std::vector<float>& w, const std::vector<float>& g,
+            std::vector<float>& m, std::vector<float>& v) const {
+    // The betas go through volatile so the bias corrections come from the
+    // same runtime powf the optimizer calls, not a compile-time fold.
+    volatile float vb1 = b1, vb2 = b2;
+    const float bc1 = 1.0f - std::pow(vb1, static_cast<float>(t));
+    const float bc2 = 1.0f - std::pow(vb2, static_cast<float>(t));
+    for (size_t j = 0; j < w.size(); ++j) {
+      float gj = g[j];
+      if (wd > 0.0f) gj = gj + wd * w[j];
+      m[j] = b1 * m[j] + (1.0f - b1) * gj;
+      v[j] = b2 * v[j] + ((1.0f - b2) * gj) * gj;
+      w[j] -= (lr * (m[j] / bc1)) / (std::sqrt(v[j] / bc2) + eps);
+    }
+  }
+};
+
+TEST(Adam, ByteEqualToScalarReference) {
+  std::vector<int64_t> sizes;
+  for (int64_t n = 1; n <= 70; ++n) sizes.push_back(n);
+  for (int64_t n : {127, 128, 129, 1000, 4097, 65537}) sizes.push_back(n);
+  for (const float wd : {0.0f, 1e-4f, 0.5f}) {
+    Rng rng(static_cast<uint64_t>(wd * 1e6f) + 17);
+    std::vector<std::unique_ptr<Param>> params;
+    std::vector<Param*> ptrs;
+    std::vector<std::vector<float>> w, m, v;
+    for (const int64_t n : sizes) {
+      auto p = std::make_unique<Param>("p", Tensor::randn({n}, rng));
+      p->grad = Tensor({n});
+      w.emplace_back(p->value.data(), p->value.data() + n);
+      m.emplace_back(static_cast<size_t>(n), 0.0f);
+      v.emplace_back(static_cast<size_t>(n), 0.0f);
+      ptrs.push_back(p.get());
+      params.push_back(std::move(p));
+    }
+    Adam adam(ptrs, 3e-3f, 0.9f, 0.999f, 1e-8f, wd);
+    const ScalarAdam ref{3e-3f, 0.9f, 0.999f, 1e-8f, wd};
+    for (int t = 1; t <= 5; ++t) {
+      for (size_t i = 0; i < params.size(); ++i) {
+        Tensor& g = params[i]->grad;
+        for (int64_t j = 0; j < g.numel(); ++j) {
+          // Every tenth gradient is exactly zero (v / bc2 can be 0).
+          g[j] = rng.uniform_int(10) == 0 ? 0.0f
+                                          : static_cast<float>(rng.normal());
+        }
+        const std::vector<float> gv(g.data(), g.data() + g.numel());
+        ref.step(t, w[i], gv, m[i], v[i]);
+      }
+      adam.step();
+      const std::vector<Tensor*> slots = adam.state_tensors();
+      for (size_t i = 0; i < params.size(); ++i) {
+        const auto n = static_cast<size_t>(params[i]->value.numel());
+        const size_t bytes = n * sizeof(float);
+        ASSERT_EQ(std::memcmp(params[i]->value.data(), w[i].data(), bytes), 0)
+            << "value, n=" << n << " wd=" << wd << " t=" << t;
+        ASSERT_EQ(std::memcmp(slots[i]->data(), m[i].data(), bytes), 0)
+            << "m, n=" << n << " wd=" << wd << " t=" << t;
+        ASSERT_EQ(
+            std::memcmp(slots[params.size() + i]->data(), v[i].data(), bytes),
+            0)
+            << "v, n=" << n << " wd=" << wd << " t=" << t;
+      }
+    }
+  }
+}
+
+/// Steps `opt` k times on fresh gradients, resets it, then takes one more
+/// step; the parameter and every slot must equal what a newly built
+/// optimizer gives from the same starting point, and the slots must keep
+/// their storage.
+template <typename MakeOpt>
+void expect_reset_equals_fresh(MakeOpt make) {
+  Rng rng(5);
+  Param a("a", Tensor::randn({37}, rng));
+  Param b("b", Tensor::randn({4, 9}, rng));
+  a.grad = Tensor({37});
+  b.grad = Tensor({4, 9});
+  const auto fill_grads = [&rng](Param& p) {
+    for (int64_t j = 0; j < p.grad.numel(); ++j) {
+      p.grad[j] = static_cast<float>(rng.normal());
+    }
+  };
+  std::unique_ptr<Optimizer> opt = make(std::vector<Param*>{&a, &b});
+  std::vector<const float*> storage;
+  for (const Tensor* s : opt->state_tensors()) storage.push_back(s->data());
+  const float lr0 = opt->lr();
+  for (int k = 0; k < 3; ++k) {
+    fill_grads(a);
+    fill_grads(b);
+    opt->step();
+  }
+  opt->set_lr(lr0 * 7.0f);
+  opt->reset();
+  EXPECT_EQ(opt->lr(), lr0);
+
+  fill_grads(a);
+  fill_grads(b);
+  Param fa("a", a.value.clone());
+  Param fb("b", b.value.clone());
+  fa.grad = a.grad.clone();
+  fb.grad = b.grad.clone();
+  std::unique_ptr<Optimizer> fresh = make(std::vector<Param*>{&fa, &fb});
+  opt->step();
+  fresh->step();
+
+  EXPECT_TRUE(bytes_equal(a.value, fa.value));
+  EXPECT_TRUE(bytes_equal(b.value, fb.value));
+  const std::vector<Tensor*> slots = opt->state_tensors();
+  const std::vector<Tensor*> fresh_slots = fresh->state_tensors();
+  ASSERT_EQ(slots.size(), storage.size());
+  ASSERT_EQ(slots.size(), fresh_slots.size());
+  for (size_t s = 0; s < slots.size(); ++s) {
+    EXPECT_EQ(slots[s]->data(), storage[s]) << "slot " << s << " moved";
+    EXPECT_TRUE(bytes_equal(*slots[s], *fresh_slots[s])) << "slot " << s;
+  }
+  EXPECT_EQ(opt->scalar_state(), fresh->scalar_state());
+}
+
+TEST(SGD, ResetEqualsFreshConstruction) {
+  expect_reset_equals_fresh([](std::vector<Param*> ps) {
+    return std::make_unique<SGD>(std::move(ps), 0.05f, /*momentum=*/0.9f,
+                                 /*weight_decay=*/1e-3f);
+  });
+  expect_reset_equals_fresh([](std::vector<Param*> ps) {
+    return std::make_unique<SGD>(std::move(ps), 0.05f, 0.9f, 0.0f,
+                                 /*nesterov=*/true);
+  });
+}
+
+TEST(Adam, ResetEqualsFreshConstruction) {
+  expect_reset_equals_fresh([](std::vector<Param*> ps) {
+    return std::make_unique<Adam>(std::move(ps), 3e-3f);
+  });
+  expect_reset_equals_fresh([](std::vector<Param*> ps) {
+    return std::make_unique<Adam>(std::move(ps), 1e-2f, 0.8f, 0.99f, 1e-6f,
+                                  /*weight_decay=*/1e-4f);
+  });
 }
 
 }  // namespace

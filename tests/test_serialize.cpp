@@ -240,5 +240,21 @@ TEST(Serialize, DeserializeBoundsCorruptHeaders) {
   EXPECT_EQ(deserialize_tensors(good).size(), 1u);
 }
 
+TEST(Serialize, RankZeroTensorHoldsNoFloats) {
+  // Tensor(Shape{}) has numel 0, and the serializer writes no floats for
+  // it; the parser must count it the same way.
+  const std::vector<std::byte> bytes = serialize_tensors({Tensor(Shape{})});
+  const std::vector<Tensor> back = deserialize_tensors(bytes);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].ndim(), 0);
+  EXPECT_EQ(back[0].numel(), 0);
+  // The same record followed by one float's worth of bytes is a trailing
+  // remainder, not a float to copy into the empty tensor.
+  std::vector<std::byte> padded = bytes;
+  padded.resize(bytes.size() + sizeof(float), std::byte{0x3f});
+  EXPECT_THROW(deserialize_tensors(padded), Error);
+  EXPECT_THROW(view_tensors(padded), Error);
+}
+
 }  // namespace
 }  // namespace fca::models

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/fedclassavg_proto.hpp"
 #include "fl_fixtures.hpp"
 #include "fl/fedavg.hpp"
@@ -98,6 +100,65 @@ TEST(FedAvg, RoundKeepsClientsSynchronizedAtDownload) {
   EXPECT_GT(done.result.final_mean_accuracy, 0.2);
   // Full-model exchange: traffic far exceeds classifier-only methods.
   EXPECT_GT(done.result.total_traffic.payload_bytes, 100000u);
+}
+
+bool tensor_bytes_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(FedAvg, ClientKeepsOptimizerSlotsAcrossRounds) {
+  core::Experiment exp(homogeneous_config());
+  auto run = test::resident_run(exp);
+  FedAvg strat;
+  strat.initialize(*run);
+  const comm::Bytes down = strat.downlink(*run);
+  Client& kept = run->client(0);
+  std::vector<const float*> storage;
+  for (const Tensor* s : kept.optimizer().state_tensors()) {
+    storage.push_back(s->data());
+  }
+  const auto slots_stay = [&] {
+    const std::vector<Tensor*> slots = kept.optimizer().state_tensors();
+    ASSERT_EQ(slots.size(), storage.size());
+    for (size_t s = 0; s < slots.size(); ++s) {
+      EXPECT_EQ(slots[s]->data(), storage[s]) << "slot " << s << " moved";
+    }
+  };
+  strat.update(*run, 1, kept, down);
+  slots_stay();
+
+  // A client built now has never stepped its optimizer. Given the kept
+  // client's RNG stream and BatchNorm buffers, its update must equal the
+  // kept client's second one byte for byte.
+  auto fresh_run = test::resident_run(exp);
+  Client& fresh = fresh_run->client(0);
+  fresh.rng() = kept.rng();
+  const std::vector<nn::BufferRef> kept_bufs = kept.model().buffers();
+  const std::vector<nn::BufferRef> fresh_bufs = fresh.model().buffers();
+  ASSERT_EQ(kept_bufs.size(), fresh_bufs.size());
+  for (size_t b = 0; b < kept_bufs.size(); ++b) {
+    ASSERT_TRUE(fresh_bufs[b].tensor->same_shape(*kept_bufs[b].tensor));
+    std::memcpy(fresh_bufs[b].tensor->data(), kept_bufs[b].tensor->data(),
+                static_cast<size_t>(kept_bufs[b].tensor->numel()) *
+                    sizeof(float));
+  }
+
+  const ClientUpdate second = strat.update(*run, 2, kept, down);
+  slots_stay();
+  const ClientUpdate first_of_fresh = strat.update(*fresh_run, 2, fresh, down);
+  EXPECT_EQ(second.upload, first_of_fresh.upload);
+  EXPECT_EQ(second.loss, first_of_fresh.loss);
+  const std::vector<Tensor*> kept_slots = kept.optimizer().state_tensors();
+  const std::vector<Tensor*> fresh_slots = fresh.optimizer().state_tensors();
+  ASSERT_EQ(kept_slots.size(), fresh_slots.size());
+  for (size_t s = 0; s < kept_slots.size(); ++s) {
+    EXPECT_TRUE(tensor_bytes_equal(*kept_slots[s], *fresh_slots[s]))
+        << "slot " << s;
+  }
+  EXPECT_EQ(kept.optimizer().scalar_state(),
+            fresh.optimizer().scalar_state());
 }
 
 TEST(FedProx, RunsAndReportsName) {
