@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "ckpt/format.hpp"
 #include "fl/client_state.hpp"
 #include "models/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 #include "utils/logging.hpp"
 #include "utils/timer.hpp"
@@ -27,24 +29,23 @@ std::string client_section(int k) { return "client/" + std::to_string(k); }
 // clients not listed were clean (pure factory + bootstrap output) and are
 // re-derived on resume instead of being stored.
 std::vector<std::byte> encode_client_index(const std::vector<int>& ids) {
-  ByteWriter w;
+  utils::ByteWriter w;
   w.u32(static_cast<uint32_t>(ids.size()));
   for (int k : ids) w.u32(static_cast<uint32_t>(k));
   return w.take();
 }
 
 std::vector<int> decode_client_index(std::span<const std::byte> bytes) {
-  ByteReader r(bytes);
-  const uint32_t count = r.u32();
-  std::vector<int> ids(count);
-  for (uint32_t i = 0; i < count; ++i) ids[i] = static_cast<int>(r.u32());
+  utils::ByteReader r(bytes);
+  std::vector<int> ids(r.count(sizeof(uint32_t)));
+  for (int& k : ids) k = r.i32();
   r.expect_done();
   return ids;
 }
 
 std::vector<std::byte> encode_metrics(
     const std::vector<fl::RoundMetrics>& curve) {
-  ByteWriter w;
+  utils::ByteWriter w;
   w.u32(static_cast<uint32_t>(curve.size()));
   for (const fl::RoundMetrics& m : curve) {
     w.i64(m.round);
@@ -65,8 +66,9 @@ std::vector<std::byte> encode_metrics(
 }
 
 std::vector<fl::RoundMetrics> decode_metrics(std::span<const std::byte> bytes) {
-  ByteReader r(bytes);
-  const uint32_t count = r.u32();
+  utils::ByteReader r(bytes);
+  // A row is 11 eight-byte fields and its accuracy count.
+  const uint32_t count = r.count(11 * sizeof(uint64_t) + sizeof(uint32_t));
   std::vector<fl::RoundMetrics> curve;
   curve.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -82,9 +84,8 @@ std::vector<fl::RoundMetrics> decode_metrics(std::span<const std::byte> bytes) {
     m.survivor_count = static_cast<int>(r.i64());
     m.fault_events = r.u64();
     m.real_fault_events = r.u64();
-    const uint32_t n = r.u32();
-    m.client_accuracies.resize(n);
-    for (uint32_t j = 0; j < n; ++j) m.client_accuracies[j] = r.f64();
+    m.client_accuracies.resize(r.count(sizeof(double)));
+    for (double& a : m.client_accuracies) a = r.f64();
     curve.push_back(std::move(m));
   }
   r.expect_done();
@@ -153,7 +154,7 @@ void CheckpointManager::save(fl::FederatedRun& run,
   std::filesystem::create_directories(options_.dir);
 
   SectionWriter w;
-  ByteWriter meta;
+  utils::ByteWriter meta;
   meta.u32(static_cast<uint32_t>(run.num_clients()));
   meta.u32(static_cast<uint32_t>(round));
   meta.str(strategy.name());
@@ -179,7 +180,7 @@ void CheckpointManager::save(fl::FederatedRun& run,
     const comm::Bytes& boot = run.store().bootstrap_payload();
     w.add("bootstrap", std::vector<std::byte>(boot.begin(), boot.end()));
   }
-  ByteWriter net;
+  utils::ByteWriter net;
   const int ranks = run.network().size();
   net.u32(static_cast<uint32_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
@@ -240,10 +241,10 @@ fl::ResumeState CheckpointManager::resume(fl::FederatedRun& run,
     try {
       SectionReader reader(path);
 
-      ByteReader meta(reader.section("meta"));
+      utils::ByteReader meta(reader.section("meta"));
       const uint32_t num_clients = meta.u32();
       const uint32_t round = meta.u32();
-      const std::string strategy_name = meta.str();
+      const std::string strategy_name(meta.str());
       FCA_CHECK_MSG(static_cast<int>(num_clients) == run.num_clients(),
                     "checkpoint has " << num_clients << " clients, run has "
                                       << run.num_clients());
@@ -251,6 +252,9 @@ fl::ResumeState CheckpointManager::resume(fl::FederatedRun& run,
                     "checkpoint was taken with strategy '"
                         << strategy_name << "', resuming with '"
                         << strategy.name() << "'");
+      FCA_CHECK_MSG(round < static_cast<uint32_t>(
+                                std::numeric_limits<int>::max()),
+                    "checkpoint round " << round << " is out of range");
       fl::ResumeState cursor;
       cursor.next_round = static_cast<int>(round) + 1;
       cursor.sampler_state = meta.u64();
@@ -291,7 +295,7 @@ fl::ResumeState CheckpointManager::resume(fl::FederatedRun& run,
         store.restore_serialized_state(k, reader.section(client_section(k)));
       }
 
-      ByteReader net(reader.section("network"));
+      utils::ByteReader net(reader.section("network"));
       const uint32_t ranks = net.u32();
       FCA_CHECK_MSG(static_cast<int>(ranks) == run.network().size(),
                     "checkpoint network has " << ranks << " ranks, run has "

@@ -14,12 +14,15 @@
 //           4     u32 CRC32 (IEEE) of the payload
 //           m     payload bytes
 //
-// All integers are little-endian (the library already assumes a
-// little-endian host for tensor serialization). Versioning rule: any change
-// to the section layout or to a section's internal encoding bumps
-// kFormatVersion, and readers accept exactly kFormatVersion: an older or
-// newer file is rejected outright rather than guessed at. Files are written
-// atomically (temp file + rename), so a crash
+// All integers are little-endian, written and read through the shared byte
+// cursor (utils/bytes.hpp): the section count and every name and payload
+// length are checked against the bytes left in the file before they are
+// used, so a truncated or corrupt container throws fca::Error instead of
+// reading past its end. The CRC32 is the shared one (utils/crc32.hpp).
+// Versioning rule: any change to the section layout or to a section's
+// internal encoding bumps kFormatVersion, and readers accept exactly
+// kFormatVersion: an older or newer file is rejected outright rather than
+// guessed at. Files are written atomically (temp file + rename), so a crash
 // mid-save can never leave a truncated file under the final name — and if
 // anything else corrupts one, the per-section CRC catches it on load.
 #pragma once
@@ -43,57 +46,6 @@ namespace fca::ckpt {
 // present, and lazy-init runs add a "bootstrap" section so re-derived clean
 // clients start from the armed payload.
 inline constexpr uint32_t kFormatVersion = 4;
-
-/// CRC32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) of `data`.
-uint32_t crc32(std::span<const std::byte> data);
-
-/// Little-endian scalar/byte-string encoder for section payloads.
-class ByteWriter {
- public:
-  void u32(uint32_t v);
-  void u64(uint64_t v);
-  void i64(int64_t v);
-  void f64(double v);
-  void str(const std::string& s);            // u32 length + bytes
-  void blob(std::span<const std::byte> b);   // u64 length + bytes
-  /// Reserves room for `n` more bytes: a writer sized up front builds its
-  /// payload in one allocation.
-  void reserve(size_t n) { out_.reserve(out_.size() + n); }
-  /// The payload built so far, for serializers that append in place
-  /// (models::append_state) instead of handing over a finished blob.
-  std::vector<std::byte>& buffer() { return out_; }
-  /// Returns the accumulated bytes and resets the writer.
-  std::vector<std::byte> take() {
-    std::vector<std::byte> v = std::move(out_);
-    out_.clear();
-    return v;
-  }
-
- private:
-  std::vector<std::byte> out_;
-};
-
-/// Strict decoder matching ByteWriter; throws fca::Error on truncation.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
-  uint32_t u32();
-  uint64_t u64();
-  int64_t i64();
-  double f64();
-  std::string str();
-  /// A u64-length-prefixed byte string, viewed in place (valid while the
-  /// reader's bytes live).
-  std::span<const std::byte> blob();
-  bool done() const { return pos_ == bytes_.size(); }
-  /// Asserts the payload was consumed exactly.
-  void expect_done() const;
-
- private:
-  void read(void* dst, size_t n);
-  std::span<const std::byte> bytes_;
-  size_t pos_ = 0;
-};
 
 /// Accumulates named sections and writes the container atomically.
 class SectionWriter {

@@ -1,7 +1,6 @@
 #include "comm/endpoint.hpp"
 
 #include <cmath>
-#include <cstring>
 
 #include "utils/error.hpp"
 
@@ -58,43 +57,6 @@ void Endpoint::scatter(const std::vector<int>& dsts, int tag,
                 "scatter arity mismatch: " << dsts.size() << " dsts, "
                                            << payloads.size() << " payloads");
   for (size_t i = 0; i < dsts.size(); ++i) send(dsts[i], tag, payloads[i]);
-}
-
-Bytes Endpoint::pack_floats(std::span<const float> values) {
-  const auto* p = reinterpret_cast<const std::byte*>(values.data());
-  return Bytes(p, p + values.size() * sizeof(float));
-}
-
-std::vector<float> Endpoint::unpack_floats(std::span<const std::byte> bytes) {
-  FCA_CHECK_MSG(bytes.size() % sizeof(float) == 0,
-                "payload size not a multiple of sizeof(float)");
-  std::vector<float> out(bytes.size() / sizeof(float));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
-  return out;
-}
-
-std::vector<float> Endpoint::reduce_sum(const std::vector<int>& srcs,
-                                        int tag) {
-  FCA_CHECK(!srcs.empty());
-  std::vector<float> acc;
-  for (int src : srcs) {
-    const std::vector<float> part = unpack_floats(recv(src, tag));
-    if (acc.empty()) {
-      acc = part;
-    } else {
-      FCA_CHECK_MSG(acc.size() == part.size(),
-                    "reduce contributions differ in length");
-      for (size_t i = 0; i < acc.size(); ++i) acc[i] += part[i];
-    }
-  }
-  return acc;
-}
-
-std::vector<float> Endpoint::allreduce_sum(const std::vector<int>& ranks,
-                                           int tag) {
-  std::vector<float> reduced = reduce_sum(ranks, tag);
-  bcast_send(ranks, tag, pack_floats(reduced));
-  return reduced;
 }
 
 }  // namespace fca::comm

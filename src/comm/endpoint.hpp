@@ -50,20 +50,6 @@ class Endpoint {
   void scatter(const std::vector<int>& dsts, int tag,
                const std::vector<Bytes>& payloads);
 
-  /// Root-side float reduction: receives one float vector (as raw bytes)
-  /// from each source and returns the elementwise sum. All contributions
-  /// must have identical length.
-  std::vector<float> reduce_sum(const std::vector<int>& srcs, int tag);
-
-  /// Root-side allreduce: reduce_sum over srcs, then broadcast the result
-  /// back to them; returns the reduced vector. This is the star-topology
-  /// composition an FL parameter server performs.
-  std::vector<float> allreduce_sum(const std::vector<int>& ranks, int tag);
-
-  /// Helpers for float-vector payloads on the wire.
-  static Bytes pack_floats(std::span<const float> values);
-  static std::vector<float> unpack_floats(std::span<const std::byte> bytes);
-
   Network& network() { return *net_; }
 
  private:

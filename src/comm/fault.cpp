@@ -5,7 +5,7 @@
 #include <cmath>
 #include <system_error>
 
-#include "comm/transport/framing.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 #include "utils/rng.hpp"
 
@@ -20,7 +20,7 @@ constexpr uint32_t kFaultStatsVersion = 2;
 }  // namespace
 
 std::vector<std::byte> serialize_fault_config(const FaultConfig& config) {
-  framing::Writer w;
+  utils::ByteWriter w;
   w.u32(kFaultConfigVersion);
   w.f64(config.drop_rate);
   w.f64(config.straggler_rate);
@@ -39,7 +39,7 @@ std::vector<std::byte> serialize_fault_config(const FaultConfig& config) {
 }
 
 FaultConfig parse_fault_config(std::span<const std::byte> blob) {
-  framing::Reader r(blob);
+  utils::ByteReader r(blob);
   const uint32_t version = r.u32();
   FCA_CHECK_MSG(version == kFaultConfigVersion,
                 "fault config wire version " << version << ", expected "
@@ -51,15 +51,9 @@ FaultConfig parse_fault_config(std::span<const std::byte> blob) {
   config.round_deadline_s = r.f64();
   config.crash_rate = r.f64();
   config.crash_rounds = r.i32();
-  const uint32_t windows = r.u32();
-  // Each window is three i32s plus the trailing seed; bound the count by the
-  // bytes actually present before sizing the vector, so a corrupted count
-  // from the wire is a parse error — not a multi-gigabyte allocation.
-  FCA_CHECK_MSG(static_cast<uint64_t>(windows) * 12 + 8 <= r.remaining(),
-                "fault config claims " << windows
-                                       << " crash windows but only "
-                                       << r.remaining()
-                                       << " payload bytes remain");
+  // Three i32s per window: a corrupted count is a parse error, not a
+  // multi-gigabyte allocation.
+  const uint32_t windows = r.count(3 * sizeof(int32_t));
   config.crash_schedule.resize(windows);
   for (uint32_t i = 0; i < windows; ++i) {
     config.crash_schedule[i].rank = r.i32();
@@ -67,11 +61,12 @@ FaultConfig parse_fault_config(std::span<const std::byte> blob) {
     config.crash_schedule[i].rounds = r.i32();
   }
   config.fault_seed = r.u64();
+  r.expect_done();
   return config;
 }
 
 std::vector<std::byte> serialize_fault_stats(const FaultStats& stats) {
-  framing::Writer w;
+  utils::ByteWriter w;
   w.u32(kFaultStatsVersion);
   w.u64(stats.dropped_messages);
   w.u64(stats.dropped_bytes);
@@ -85,7 +80,7 @@ std::vector<std::byte> serialize_fault_stats(const FaultStats& stats) {
 }
 
 FaultStats parse_fault_stats(std::span<const std::byte> blob) {
-  framing::Reader r(blob);
+  utils::ByteReader r(blob);
   const uint32_t version = r.u32();
   FCA_CHECK_MSG(version >= 1 && version <= kFaultStatsVersion,
                 "fault stats wire version " << version << ", expected <= "
@@ -100,6 +95,7 @@ FaultStats parse_fault_stats(std::span<const std::byte> blob) {
   stats.aborted_rounds = r.u64();
   // v1 writers predate real transport faults; the count is necessarily 0.
   if (version >= 2) stats.real_peer_faults = r.u64();
+  r.expect_done();
   return stats;
 }
 

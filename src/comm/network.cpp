@@ -1,12 +1,11 @@
 #include "comm/network.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
 
-#include "comm/transport/framing.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 #include "utils/logging.hpp"
 
@@ -34,13 +33,33 @@ constexpr size_t kEnvHeaderBytes = 28;
 
 Bytes envelope_wrap(uint32_t flags, uint64_t orig_size, double base_s,
                     double extra_s, std::span<const std::byte> payload) {
-  Bytes out(kEnvHeaderBytes + payload.size());
-  framing::put_u32(out.data(), flags);
-  framing::put_u64(out.data() + 4, orig_size);
-  framing::put_u64(out.data() + 12, std::bit_cast<uint64_t>(base_s));
-  framing::put_u64(out.data() + 20, std::bit_cast<uint64_t>(extra_s));
-  std::copy(payload.begin(), payload.end(), out.begin() + kEnvHeaderBytes);
-  return out;
+  utils::ByteWriter w;
+  w.reserve(kEnvHeaderBytes + payload.size());
+  w.u32(flags);
+  w.u64(orig_size);
+  w.f64(base_s);
+  w.f64(extra_s);
+  w.raw(payload);
+  return w.take();
+}
+
+struct Envelope {
+  uint32_t flags = 0;
+  uint64_t orig_size = 0;
+  double base_s = 0.0;
+  double extra_s = 0.0;
+};
+
+/// The envelope header at the front of `env`; throws fca::Error if `env`
+/// is shorter than kEnvHeaderBytes.
+Envelope envelope_read(std::span<const std::byte> env) {
+  utils::ByteReader r(env);
+  Envelope e;
+  e.flags = r.u32();
+  e.orig_size = r.u64();
+  e.base_s = r.f64();
+  e.extra_s = r.f64();
+  return e;
 }
 
 }  // namespace
@@ -256,16 +275,7 @@ void Network::send(int src, int dst, int tag,
 }
 
 std::optional<Bytes> Network::consume_wire_locked(int src, WireMessage msg) {
-  const Bytes& env = msg.payload;
-  FCA_CHECK_MSG(env.size() >= kEnvHeaderBytes,
-                "scoped envelope from rank " << src << " truncated: "
-                                             << env.size() << " bytes");
-  const uint32_t flags = framing::get_u32(env.data());
-  const uint64_t orig_size = framing::get_u64(env.data() + 4);
-  const double base_s =
-      std::bit_cast<double>(framing::get_u64(env.data() + 12));
-  const double extra_s =
-      std::bit_cast<double>(framing::get_u64(env.data() + 20));
+  const auto [flags, orig_size, base_s, extra_s] = envelope_read(msg.payload);
   // Replay the sender's metering into this rank's ledger so rank 0's totals
   // (own sends + consumed envelopes — the star topology routes every uplink
   // here) equal the all-local oracle's. Registry counters are per-process
@@ -403,15 +413,11 @@ std::optional<Bytes> Network::recv_within(int dst, int src, int tag,
       return std::nullopt;
     }
     if (!msg.has_value()) return std::nullopt;
-    const Bytes& env = msg->payload;
-    FCA_CHECK_MSG(env.size() >= kEnvHeaderBytes, "scoped envelope truncated");
-    const uint32_t flags = framing::get_u32(env.data());
-    const double total_s =
-        std::bit_cast<double>(framing::get_u64(env.data() + 12)) +
-        std::bit_cast<double>(framing::get_u64(env.data() + 20));
+    const Envelope env = envelope_read(msg->payload);
     std::optional<Bytes> payload = consume_wire_locked(src, std::move(*msg));
     if (!payload.has_value()) return std::nullopt;  // tombstone, not a miss
-    if ((flags & kEnvTombstone) == 0 && total_s > deadline_s) {
+    if ((env.flags & kEnvTombstone) == 0 &&
+        env.base_s + env.extra_s > deadline_s) {
       add_checked(faults_.deadline_misses, 1, "deadline misses");
       return std::nullopt;
     }

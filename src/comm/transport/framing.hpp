@@ -13,10 +13,11 @@
 //       32     4  CRC32 over header bytes [0, 32) + the payload
 //       36     n  payload
 //
-// All integers are little-endian and written byte-by-byte, so the format is
-// identical across compilers and both ends of a cross-machine tcp link. The
-// in-process backend never materializes frames but accounts wire bytes with
-// the same frame_size() formula, keeping byte accounting backend-invariant.
+// All integers are little-endian, written and read through the shared byte
+// cursor (utils/bytes.hpp), so the format is identical across compilers and
+// both ends of a cross-machine tcp link. The in-process backend never
+// materializes frames but accounts wire bytes with the same frame_size()
+// formula, keeping byte accounting backend-invariant.
 //
 // Integrity (DESIGN.md §12): the CRC32 (shared slice-by-8 kernel,
 // utils/crc32.hpp — same polynomial as the checkpoint container) covers the
@@ -25,23 +26,19 @@
 // *detected and reported* as TransportError{kFrameCorrupt} instead of being
 // parsed as garbage. Version 1 frames (no version/CRC fields) are rejected
 // the same way; cross-version worlds are refused at handshake time.
-//
-// Writer/Reader below are the minimal codec the rendezvous handshake and the
-// FaultConfig/FaultStats serializers build on (ckpt's SectionWriter lives
-// above comm in the dependency order and cannot be used here).
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "comm/transport/error.hpp"
+#include "utils/bytes.hpp"
 #include "utils/crc32.hpp"
-#include "utils/error.hpp"
 
 namespace fca::comm::framing {
 
@@ -63,49 +60,37 @@ struct FrameHeader {
   uint32_t crc = 0;
 };
 
-inline void put_u32(std::byte* p, uint32_t v) {
-  p[0] = static_cast<std::byte>(v & 0xFF);
-  p[1] = static_cast<std::byte>((v >> 8) & 0xFF);
-  p[2] = static_cast<std::byte>((v >> 16) & 0xFF);
-  p[3] = static_cast<std::byte>((v >> 24) & 0xFF);
-}
-
-inline uint32_t get_u32(const std::byte* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-inline void put_u64(std::byte* p, uint64_t v) {
-  put_u32(p, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  put_u32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-inline uint64_t get_u64(const std::byte* p) {
-  return static_cast<uint64_t>(get_u32(p)) |
-         (static_cast<uint64_t>(get_u32(p + 4)) << 32);
-}
-
 /// Total wire footprint of a message with `payload_len` payload bytes.
 inline constexpr uint64_t frame_size(size_t payload_len) {
   return static_cast<uint64_t>(kHeaderBytes) + payload_len;
 }
 
-/// Encodes the header *and* stamps the CRC over [0, kCrcOffset) + payload.
-/// `out` must hold kHeaderBytes; h.payload_len must equal payload.size().
+/// Appends the header for `h` to `out` and stamps the CRC over its first
+/// kCrcOffset bytes + payload. h.payload_len must equal payload.size().
+inline void append_header(const FrameHeader& h, std::vector<std::byte>& out,
+                          std::span<const std::byte> payload) {
+  const size_t at = out.size();
+  utils::ByteWriter w(out);
+  w.u32(kFrameMagic);
+  w.u32(kFrameVersion);
+  w.i32(h.src);
+  w.i32(h.dst);
+  w.i32(h.tag);
+  w.u32(h.payload_len);
+  w.f64(h.transfer_s);
+  uint32_t c = crc32_init();
+  c = crc32_update(c, std::span<const std::byte>(out).subspan(at, kCrcOffset));
+  c = crc32_update(c, payload);
+  w.u32(crc32_final(c));
+}
+
+/// append_header into `out`, which must hold kHeaderBytes.
 inline void encode_header(const FrameHeader& h, std::byte* out,
                           std::span<const std::byte> payload) {
-  put_u32(out, kFrameMagic);
-  put_u32(out + 4, kFrameVersion);
-  put_u32(out + 8, static_cast<uint32_t>(h.src));
-  put_u32(out + 12, static_cast<uint32_t>(h.dst));
-  put_u32(out + 16, static_cast<uint32_t>(h.tag));
-  put_u32(out + 20, h.payload_len);
-  put_u64(out + 24, std::bit_cast<uint64_t>(h.transfer_s));
-  uint32_t c = crc32_init();
-  c = crc32_update(c, std::span<const std::byte>(out, kCrcOffset));
-  c = crc32_update(c, payload);
-  put_u32(out + kCrcOffset, crc32_final(c));
+  std::vector<std::byte> header;
+  header.reserve(kHeaderBytes);
+  append_header(h, header, payload);
+  std::memcpy(out, header.data(), kHeaderBytes);
 }
 
 [[noreturn]] inline void fail_corrupt(const std::string& what) {
@@ -118,25 +103,26 @@ inline void encode_header(const FrameHeader& h, std::byte* out,
 /// on a bad magic or an unknown format version (stream desync, a foreign or
 /// cross-version writer, corruption landing in the first 8 bytes).
 inline FrameHeader decode_header(const std::byte* p) {
-  const uint32_t magic = get_u32(p);
+  utils::ByteReader r(std::span<const std::byte>(p, kHeaderBytes));
+  const uint32_t magic = r.u32();
   if (magic != kFrameMagic) {
     std::ostringstream os;
     os << "bad frame magic 0x" << std::hex << magic;
     fail_corrupt(os.str());
   }
-  const uint32_t version = get_u32(p + 4);
+  const uint32_t version = r.u32();
   if (version != kFrameVersion) {
     std::ostringstream os;
     os << "frame format version " << version << ", expected " << kFrameVersion;
     fail_corrupt(os.str());
   }
   FrameHeader h;
-  h.src = static_cast<int>(get_u32(p + 8));
-  h.dst = static_cast<int>(get_u32(p + 12));
-  h.tag = static_cast<int>(get_u32(p + 16));
-  h.payload_len = get_u32(p + 20);
-  h.transfer_s = std::bit_cast<double>(get_u64(p + 24));
-  h.crc = get_u32(p + kCrcOffset);
+  h.src = r.i32();
+  h.dst = r.i32();
+  h.tag = r.i32();
+  h.payload_len = r.u32();
+  h.transfer_s = r.f64();
+  h.crc = r.u32();
   return h;
 }
 
@@ -164,76 +150,10 @@ inline void verify_frame(const FrameHeader& h, const std::byte* header_raw,
 inline void append_frame(std::vector<std::byte>& out, int src, int dst,
                          int tag, double transfer_s,
                          std::span<const std::byte> payload) {
-  const size_t at = out.size();
-  out.resize(at + kHeaderBytes);
-  encode_header({src, dst, tag, static_cast<uint32_t>(payload.size()),
+  append_header({src, dst, tag, static_cast<uint32_t>(payload.size()),
                  transfer_s, 0},
-                out.data() + at, payload);
+                out, payload);
   out.insert(out.end(), payload.begin(), payload.end());
 }
-
-/// Append-only little-endian writer for handshake/control payloads.
-class Writer {
- public:
-  void u32(uint32_t v) {
-    const size_t n = buf_.size();
-    buf_.resize(n + 4);
-    put_u32(buf_.data() + n, v);
-  }
-  void u64(uint64_t v) {
-    const size_t n = buf_.size();
-    buf_.resize(n + 8);
-    put_u64(buf_.data() + n, v);
-  }
-  void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<uint64_t>(v)); }
-  void bytes(std::span<const std::byte> b) {
-    u32(static_cast<uint32_t>(b.size()));
-    buf_.insert(buf_.end(), b.begin(), b.end());
-  }
-  void str(const std::string& s) {
-    bytes(std::span<const std::byte>(
-        reinterpret_cast<const std::byte*>(s.data()), s.size()));
-  }
-  const std::vector<std::byte>& data() const { return buf_; }
-  std::vector<std::byte> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::byte> buf_;
-};
-
-/// Bounds-checked reader over a Writer-produced buffer.
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> data) : data_(data) {}
-  uint32_t u32() { return get_u32(need(4)); }
-  uint64_t u64() { return get_u64(need(8)); }
-  int32_t i32() { return static_cast<int32_t>(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::vector<std::byte> bytes() {
-    const uint32_t n = u32();
-    const std::byte* p = need(n);
-    return std::vector<std::byte>(p, p + n);
-  }
-  std::string str() {
-    const uint32_t n = u32();
-    const std::byte* p = need(n);
-    return std::string(reinterpret_cast<const char*>(p), n);
-  }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  const std::byte* need(size_t n) {
-    FCA_CHECK_MSG(pos_ + n <= data_.size(),
-                  "truncated control payload: need " << n << " bytes at offset "
-                                                     << pos_ << " of "
-                                                     << data_.size());
-    const std::byte* p = data_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-  std::span<const std::byte> data_;
-  size_t pos_ = 0;
-};
 
 }  // namespace fca::comm::framing

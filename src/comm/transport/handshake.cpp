@@ -3,7 +3,8 @@
 #include <sstream>
 #include <string>
 
-#include "comm/transport/framing.hpp"
+#include "comm/transport/error.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 
 namespace fca::comm {
@@ -19,7 +20,7 @@ constexpr uint32_t kHandshakeVersion = 2;
 }  // namespace
 
 Bytes Handshake::serialize() const {
-  framing::Writer w;
+  utils::ByteWriter w;
   w.u32(kHandshakeMagic);
   w.u32(kHandshakeVersion);
   w.u64(seed);
@@ -39,7 +40,7 @@ Handshake Handshake::parse(std::span<const std::byte> blob) {
   // "the peer speaks a different protocol" from transport-layer faults, and
   // so no malformed blob ever decays into silently-adopted defaults.
   try {
-    framing::Reader r(blob);
+    utils::ByteReader r(blob);
     const uint32_t magic = r.u32();
     if (magic != kHandshakeMagic) {
       std::ostringstream os;
@@ -55,14 +56,13 @@ Handshake Handshake::parse(std::span<const std::byte> blob) {
     Handshake hs;
     hs.seed = r.u64();
     hs.next_round = r.i32();
-    const Bytes faults = r.bytes();
-    hs.faults = parse_fault_config(faults);
-    const Bytes stats = r.bytes();
-    hs.fault_stats = parse_fault_stats(stats);
+    hs.faults = parse_fault_config(r.bytes());
+    hs.fault_stats = parse_fault_stats(r.bytes());
     hs.world_size = r.u32();
     hs.population = r.u32();
     hs.config_digest = r.u64();
     hs.flags = r.u32();
+    r.expect_done();
     return hs;
   } catch (const TransportError&) {
     throw;

@@ -11,7 +11,7 @@
 // joiner can refuse to enter a world whose run parameters diverge from its
 // own instead of silently training a different experiment.
 //
-// The blob is versioned and little-endian (framing.hpp); the tcp backend
+// The blob is versioned and little-endian (utils/bytes.hpp); the tcp backend
 // carries it in the WELCOME control message, the shm backend embeds it in
 // the region header. Any malformed blob — truncation, version skew,
 // corrupted FaultConfig — surfaces as TransportError(kHandshakeRejected),

@@ -225,6 +225,12 @@ ShmTransport::ShmTransport(const TransportOptions& options, int world,
          << " — both sides must agree on FCA_SHM_RING_CAPACITY";
       reject(os.str());
     }
+    if (header->handshake_len > kMaxHandshakeBytes) {
+      std::ostringstream os;
+      os << "shm region handshake claims " << header->handshake_len
+         << " bytes; its slot holds " << kMaxHandshakeBytes;
+      reject(os.str());
+    }
     if (handshake != nullptr && header->handshake_len > 0) {
       *handshake = Handshake::parse(std::span<const std::byte>(
           header->handshake, header->handshake_len));

@@ -19,6 +19,7 @@
 #include "comm/transport/error.hpp"
 #include "comm/transport/framing.hpp"
 #include "comm/transport/handshake.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 
 namespace fca::comm {
@@ -31,6 +32,7 @@ constexpr uint32_t kConnectMagic = 0x4643434Eu;  // "FCCN"
 // v2: frames carry a format version + CRC32 (framing.hpp). The rendezvous
 // version gate below rejects cross-version worlds up front.
 constexpr uint32_t kProtocolVersion = 2;
+constexpr size_t kHelloBytes = 16;    // magic + version + rank + port
 constexpr size_t kGreetingBytes = 8;  // magic + rank
 constexpr size_t kReadChunk = 64u << 10;
 constexpr uint32_t kMaxFramePayload = 1u << 30;
@@ -327,14 +329,15 @@ void TcpTransport::setup_root(const TransportOptions& options,
       continue;
     }
     set_nonblocking(fd);
-    std::byte hello[16];
+    std::byte hello[kHelloBytes];
     read_exact(fd, hello, sizeof(hello), deadline, "rendezvous HELLO");
-    if (framing::get_u32(hello) != kHelloMagic) {
+    utils::ByteReader r(hello);
+    if (r.u32() != kHelloMagic) {
       throw_typed(TransportErrc::kHandshakeRejected, TransportError::kNoPeer,
                   "rendezvous peer sent a non-HELLO greeting (foreign "
                   "client or corrupted stream)");
     }
-    const uint32_t peer_version = framing::get_u32(hello + 4);
+    const uint32_t peer_version = r.u32();
     if (peer_version != kProtocolVersion) {
       std::ostringstream os;
       os << "rendezvous peer speaks protocol version " << peer_version
@@ -343,8 +346,8 @@ void TcpTransport::setup_root(const TransportOptions& options,
       throw_typed(TransportErrc::kHandshakeRejected, TransportError::kNoPeer,
                   os.str());
     }
-    const int rank = static_cast<int>(framing::get_u32(hello + 8));
-    const int p2p_port = static_cast<int>(framing::get_u32(hello + 12));
+    const int rank = r.i32();
+    const int p2p_port = r.i32();
     if (rank < 1 || rank >= world_) {
       std::ostringstream os;
       os << "rendezvous peer claims rank " << rank << " outside [1, "
@@ -370,7 +373,7 @@ void TcpTransport::setup_root(const TransportOptions& options,
       handshake != nullptr ? handshake->serialize() : Handshake{}.serialize();
   for (const auto& [edge, index] : edge_conn_) {
     if (edge.first != 0) continue;
-    framing::Writer w;
+    utils::ByteWriter w;
     w.u32(kWelcomeMagic);
     w.u32(kProtocolVersion);
     w.u32(static_cast<uint32_t>(edge.second));
@@ -380,12 +383,10 @@ void TcpTransport::setup_root(const TransportOptions& options,
       w.str(peer_host);
       w.u32(static_cast<uint32_t>(peer_port));
     }
-    framing::Writer framed;
-    framed.u32(static_cast<uint32_t>(w.data().size()));
-    write_all(conns_[index].fd, framed.data().data(), 4, deadline,
-              "rendezvous WELCOME");
-    write_all(conns_[index].fd, w.data().data(), w.data().size(), deadline,
-              "rendezvous WELCOME");
+    utils::ByteWriter framed;
+    framed.bytes(w.buffer());
+    write_all(conns_[index].fd, framed.buffer().data(),
+              framed.buffer().size(), deadline, "rendezvous WELCOME");
   }
 }
 
@@ -398,16 +399,17 @@ void TcpTransport::setup_peer(const TransportOptions& options,
   const auto [root_host, root_port] = parse_host_port(options.connect_address);
   const int fd = dial(root_host, root_port, deadline, "rendezvous",
                       static_cast<uint64_t>(self_rank_));
-  std::byte hello[16];
-  framing::put_u32(hello, kHelloMagic);
-  framing::put_u32(hello + 4, kProtocolVersion);
-  framing::put_u32(hello + 8, static_cast<uint32_t>(self_rank_));
-  framing::put_u32(hello + 12, static_cast<uint32_t>(listen_port_));
-  write_all(fd, hello, sizeof(hello), deadline, "rendezvous HELLO");
+  utils::ByteWriter hello;
+  hello.u32(kHelloMagic);
+  hello.u32(kProtocolVersion);
+  hello.i32(self_rank_);
+  hello.i32(listen_port_);
+  write_all(fd, hello.buffer().data(), kHelloBytes, deadline,
+            "rendezvous HELLO");
 
   std::byte lenbuf[4];
   read_exact(fd, lenbuf, 4, deadline, "rendezvous WELCOME");
-  const uint32_t body_len = framing::get_u32(lenbuf);
+  const uint32_t body_len = utils::ByteReader(lenbuf).u32();
   if (body_len < 16 || body_len > (1u << 20)) {
     std::ostringstream os;
     os << "rendezvous WELCOME has implausible length " << body_len;
@@ -416,7 +418,7 @@ void TcpTransport::setup_peer(const TransportOptions& options,
   }
   Bytes body(body_len);
   read_exact(fd, body.data(), body_len, deadline, "rendezvous WELCOME");
-  framing::Reader r(body);
+  utils::ByteReader r(body);
   if (r.u32() != kWelcomeMagic) {
     throw_typed(TransportErrc::kHandshakeRejected, TransportError::kNoPeer,
                 "expected a WELCOME from rank 0 (is --connect pointing at "
@@ -431,7 +433,7 @@ void TcpTransport::setup_peer(const TransportOptions& options,
     throw_typed(TransportErrc::kHandshakeRejected, TransportError::kNoPeer,
                 os.str());
   }
-  const int rank = static_cast<int>(r.u32());
+  const int rank = r.i32();
   if (rank != self_rank_) {
     std::ostringstream os;
     os << "root assigned rank " << rank << ", we are configured as "
@@ -439,19 +441,19 @@ void TcpTransport::setup_peer(const TransportOptions& options,
     throw_typed(TransportErrc::kHandshakeRejected, TransportError::kNoPeer,
                 os.str());
   }
-  const int world = static_cast<int>(r.u32());
+  const int world = r.i32();
   if (world != world_) {
     std::ostringstream os;
     os << "root runs a world of " << world << ", we expect " << world_;
     throw_typed(TransportErrc::kHandshakeRejected, TransportError::kNoPeer,
                 os.str());
   }
-  const Bytes blob = r.bytes();
+  const std::span<const std::byte> blob = r.bytes();
   if (handshake != nullptr) *handshake = Handshake::parse(blob);
   peer_addrs_.assign(static_cast<size_t>(world_), {"", 0});
   for (int i = 0; i < world_; ++i) {
-    std::string host = r.str();
-    const int port = static_cast<int>(r.u32());
+    std::string host(r.str());
+    const int port = r.i32();
     peer_addrs_[static_cast<size_t>(i)] = {std::move(host), port};
   }
   // Rank 0 as seen from here is whatever --connect pointed at.
@@ -506,10 +508,11 @@ void TcpTransport::ensure_peer_stream(int peer) {
       // Attribute the failure to the rank we were dialing.
       throw TransportError(e, peer);
     }
-    std::byte greeting[kGreetingBytes];
-    framing::put_u32(greeting, kConnectMagic);
-    framing::put_u32(greeting + 4, static_cast<uint32_t>(self_rank_));
-    write_all(fd, greeting, sizeof(greeting), deadline, "peer CONNECT");
+    utils::ByteWriter greeting;
+    greeting.u32(kConnectMagic);
+    greeting.i32(self_rank_);
+    write_all(fd, greeting.buffer().data(), kGreetingBytes, deadline,
+              "peer CONNECT");
     edge_conn_[{self_rank_, peer}] = conns_.size();
     edge_conn_[{peer, self_rank_}] = conns_.size();
     register_conn(fd).peer = peer;
@@ -548,10 +551,11 @@ void TcpTransport::parse_frames(Conn& conn) {
     const size_t avail = conn.inbuf.size() - conn.inpos;
     if (conn.awaiting_greeting) {
       if (avail < kGreetingBytes) break;
-      const std::byte* p = conn.inbuf.data() + conn.inpos;
-      FCA_CHECK_MSG(framing::get_u32(p) == kConnectMagic,
+      utils::ByteReader r(std::span<const std::byte>(
+          conn.inbuf.data() + conn.inpos, kGreetingBytes));
+      FCA_CHECK_MSG(r.u32() == kConnectMagic,
                     "accepted stream did not start with CONNECT");
-      const int peer = static_cast<int>(framing::get_u32(p + 4));
+      const int peer = r.i32();
       FCA_CHECK_MSG(peer >= 0 && peer < world_ && peer != self_rank_,
                     "CONNECT greeting claims invalid rank " << peer);
       conn.inpos += kGreetingBytes;

@@ -2,8 +2,8 @@
 
 #include <cstring>
 
-#include "ckpt/format.hpp"
 #include "models/serialize.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 
 namespace fca::fl {
@@ -17,7 +17,7 @@ std::vector<std::byte> encode_client_state(Client& client) {
   const size_t slot_bytes = models::serialized_tensors_size(slots);
   // One exactly sized buffer: the model and the slots serialize straight
   // into it, read in place (no clones, no intermediate blobs).
-  ckpt::ByteWriter w;
+  utils::ByteWriter w;
   w.reserve(sizeof(uint64_t) + model_bytes + sizeof(uint32_t) +
             scalars.size() * sizeof(int64_t) + sizeof(uint64_t) +
             slot_bytes + sizeof(uint64_t));
@@ -33,14 +33,10 @@ std::vector<std::byte> encode_client_state(Client& client) {
 
 void decode_client_state(std::span<const std::byte> bytes, Client& client) {
   // Parsed in place: the model and slot blobs are views into `bytes`.
-  ckpt::ByteReader r(bytes);
+  utils::ByteReader r(bytes);
   models::deserialize_state(r.blob(), client.model());
-  const uint32_t scalar_count = r.u32();
-  FCA_CHECK_MSG(scalar_count <= bytes.size() / sizeof(int64_t),
-                "optimizer scalar count " << scalar_count
-                                          << " overruns the client state");
-  std::vector<int64_t> scalars(scalar_count);
-  for (uint32_t i = 0; i < scalar_count; ++i) scalars[i] = r.i64();
+  std::vector<int64_t> scalars(r.count(sizeof(int64_t)));
+  for (int64_t& v : scalars) v = r.i64();
   client.optimizer().restore_scalar_state(scalars);
   const std::vector<models::TensorView> slots = models::view_tensors(r.blob());
   const std::vector<Tensor*> targets = client.optimizer().state_tensors();

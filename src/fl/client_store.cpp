@@ -9,6 +9,7 @@
 #include "ckpt/format.hpp"
 #include "fl/client_state.hpp"
 #include "fl/server.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 #include "utils/logging.hpp"
 
@@ -315,7 +316,7 @@ void ClientStore::load_page(int k, Client& client) const {
   const std::string path = page_path(k);
   try {
     ckpt::SectionReader reader(path);
-    ckpt::ByteReader meta(reader.section("meta"));
+    utils::ByteReader meta(reader.section("meta"));
     const uint32_t id = meta.u32();
     meta.expect_done();
     FCA_CHECK_MSG(static_cast<int>(id) == k,
@@ -328,7 +329,7 @@ void ClientStore::load_page(int k, Client& client) const {
 
 void ClientStore::write_page(int k, std::vector<std::byte> state) const {
   ckpt::SectionWriter w;
-  ckpt::ByteWriter meta;
+  utils::ByteWriter meta;
   meta.u32(static_cast<uint32_t>(k));
   w.add("meta", meta.take());
   w.add("state", std::move(state));

@@ -8,13 +8,20 @@
 #include <utility>
 #include <vector>
 
-#include "comm/transport/framing.hpp"
 #include "obs/trace.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 
 namespace fca::fl {
 
 namespace {
+
+// Smallest encodings the out-of-band decoders bound their counts by: a
+// gather/collect entry is an i32 rank + a u32-prefixed payload; a trace
+// event two i32s, two u64s and two u32-prefixed strings.
+constexpr size_t kMinUploadBytes = 2 * sizeof(uint32_t);
+constexpr size_t kMinTraceEventBytes =
+    4 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
 
 void fnv_mix(uint64_t& h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -106,7 +113,7 @@ void FederatedRun::scoped_reconcile(const std::vector<int>& clients,
   if (!is_root()) {
     for (size_t i = 0; i < clients.size(); ++i) {
       if (!owns_client(clients[i])) continue;
-      comm::framing::Writer w;
+      utils::ByteWriter w;
       w.f64(results[i]);
       network_->oob_send(0, kOobMapValue, w.take());
     }
@@ -128,13 +135,13 @@ void FederatedRun::scoped_reconcile(const std::vector<int>& clients,
       results[i] = std::numeric_limits<double>::quiet_NaN();
       continue;
     }
-    comm::framing::Reader r(*blob);
+    utils::ByteReader r(*blob);
     results[i] = r.f64();
   }
 }
 
 void FederatedRun::scoped_publish_gather(const SurvivorGather& g) {
-  comm::framing::Writer w;
+  utils::ByteWriter w;
   w.u32(static_cast<uint32_t>(g.survivors.size()));
   for (size_t i = 0; i < g.survivors.size(); ++i) {
     w.i32(g.survivors[i]);
@@ -159,13 +166,14 @@ FederatedRun::SurvivorGather FederatedRun::scoped_consume_gather(
   FCA_CHECK_MSG(blob.has_value(),
                 "root rank died: no gather mirror on the control channel");
   SurvivorGather g;
-  comm::framing::Reader r(*blob);
-  const uint32_t n = r.u32();
+  utils::ByteReader r(*blob);
+  const uint32_t n = r.count(kMinUploadBytes);
   g.survivors.reserve(n);
   g.payloads.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     g.survivors.push_back(r.i32());
-    g.payloads.push_back(r.bytes());
+    const std::span<const std::byte> payload = r.bytes();
+    g.payloads.emplace_back(payload.begin(), payload.end());
   }
   g.quorum_met = r.u32() != 0;
   // Replay the root's round-report bookkeeping so SPMD code downstream
@@ -182,7 +190,7 @@ FederatedRun::SurvivorGather FederatedRun::scoped_consume_gather(
 }
 
 void FederatedRun::scoped_publish_collect(const CollectedUploads& c) {
-  comm::framing::Writer w;
+  utils::ByteWriter w;
   w.u32(static_cast<uint32_t>(c.contributors.size()));
   for (size_t i = 0; i < c.contributors.size(); ++i) {
     w.i32(c.contributors[i]);
@@ -202,13 +210,14 @@ FederatedRun::CollectedUploads FederatedRun::scoped_consume_collect() {
   FCA_CHECK_MSG(blob.has_value(),
                 "root rank died: no collect mirror on the control channel");
   CollectedUploads c;
-  comm::framing::Reader r(*blob);
-  const uint32_t n = r.u32();
+  utils::ByteReader r(*blob);
+  const uint32_t n = r.count(kMinUploadBytes);
   c.contributors.reserve(n);
   c.uploads.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     c.contributors.push_back(r.i32());
-    c.uploads.push_back(r.bytes());
+    const std::span<const std::byte> upload = r.bytes();
+    c.uploads.emplace_back(upload.begin(), upload.end());
   }
   return c;
 }
@@ -237,7 +246,7 @@ void FederatedRun::scoped_sync_trace() {
     // events: SPMD means joiners also emit the driver's rank-0 spans, which
     // the root already produces itself.
     const std::vector<obs::TraceEvent> events = tracer.drain();
-    comm::framing::Writer w;
+    utils::ByteWriter w;
     uint32_t count = 0;
     for (const obs::TraceEvent& e : events) {
       if (e.rank == self_rank()) ++count;
@@ -259,15 +268,15 @@ void FederatedRun::scoped_sync_trace() {
     if (!network_->peer_alive(k + 1)) continue;
     std::optional<comm::Bytes> blob = network_->oob_recv(k + 1, kOobTrace);
     if (!blob.has_value()) continue;
-    comm::framing::Reader r(*blob);
-    const uint32_t n = r.u32();
+    utils::ByteReader r(*blob);
+    const uint32_t n = r.count(kMinTraceEventBytes);
     for (uint32_t i = 0; i < n; ++i) {
       obs::TraceEvent e;
       e.round = r.i32();
       e.rank = r.i32();
       e.seq = r.u64();
-      const std::string cat = r.str();
-      const std::string name = r.str();
+      const std::string cat(r.str());
+      const std::string name(r.str());
       e.value = static_cast<int64_t>(r.u64());
       tracer.inject(e, cat, name);
     }

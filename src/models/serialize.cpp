@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
-#include "utils/atomic_io.hpp"
+#include "utils/bytes.hpp"
 #include "utils/error.hpp"
 
 namespace fca::models {
@@ -13,59 +12,6 @@ namespace {
 // Buffer format, little-endian:
 //   u32 tensor_count
 //   per tensor: u32 name_len, name bytes, u32 ndim, i64 dims..., f32 data...
-
-// resize + memcpy rather than insert: GCC 12 reports a false
-// -Wstringop-overflow for an insert into a reserved, still empty vector.
-template <typename T>
-void put(std::vector<std::byte>& out, T v) {
-  const size_t at = out.size();
-  out.resize(at + sizeof(v));
-  std::memcpy(out.data() + at, &v, sizeof(v));
-}
-
-void put_u32(std::vector<std::byte>& out, uint32_t v) { put(out, v); }
-void put_i64(std::vector<std::byte>& out, int64_t v) { put(out, v); }
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
-
-  uint32_t u32() {
-    uint32_t v;
-    read(&v, sizeof(v));
-    return v;
-  }
-  int64_t i64() {
-    int64_t v;
-    read(&v, sizeof(v));
-    return v;
-  }
-  std::string str(size_t len) {
-    FCA_CHECK_MSG(pos_ + len <= bytes_.size(), "truncated buffer");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-  void floats(float* dst, size_t count) { read(dst, count * sizeof(float)); }
-  /// Skips `n` bytes and returns where they start.
-  const std::byte* skip(size_t n) {
-    FCA_CHECK_MSG(n <= remaining(), "truncated buffer");
-    const std::byte* p = bytes_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-  size_t remaining() const { return bytes_.size() - pos_; }
-  bool done() const { return pos_ == bytes_.size(); }
-
- private:
-  void read(void* dst, size_t n) {
-    FCA_CHECK_MSG(pos_ + n <= bytes_.size(), "truncated buffer");
-    std::memcpy(dst, bytes_.data() + pos_, n);
-    pos_ += n;
-  }
-  std::span<const std::byte> bytes_;
-  size_t pos_ = 0;
-};
 
 struct NamedTensor {
   std::string name;
@@ -85,16 +31,14 @@ size_t serialized_named_size(const std::vector<NamedTensor>& items) {
 
 void append_named(const std::vector<NamedTensor>& items,
                   std::vector<std::byte>& out) {
-  put_u32(out, static_cast<uint32_t>(items.size()));
+  utils::ByteWriter w(out);
+  w.u32(static_cast<uint32_t>(items.size()));
   for (const auto& it : items) {
-    put_u32(out, static_cast<uint32_t>(it.name.size()));
-    const auto* np = reinterpret_cast<const std::byte*>(it.name.data());
-    out.insert(out.end(), np, np + it.name.size());
-    put_u32(out, static_cast<uint32_t>(it.tensor->ndim()));
-    for (int64_t d : it.tensor->shape()) put_i64(out, d);
-    const auto* dp = reinterpret_cast<const std::byte*>(it.tensor->data());
-    out.insert(out.end(), dp,
-               dp + static_cast<size_t>(it.tensor->numel()) * sizeof(float));
+    w.str(it.name);
+    w.u32(static_cast<uint32_t>(it.tensor->ndim()));
+    for (int64_t d : it.tensor->shape()) w.i64(d);
+    w.raw(std::as_bytes(std::span<const float>(
+        it.tensor->data(), static_cast<size_t>(it.tensor->numel()))));
   }
 }
 
@@ -107,14 +51,13 @@ std::vector<std::byte> serialize_named(const std::vector<NamedTensor>& items) {
 
 void deserialize_named(std::span<const std::byte> bytes,
                        const std::vector<NamedTensor>& items) {
-  Reader r(bytes);
+  utils::ByteReader r(bytes);
   const uint32_t count = r.u32();
   FCA_CHECK_MSG(count == items.size(), "tensor count mismatch: buffer has "
                                            << count << ", target has "
                                            << items.size());
   for (const auto& it : items) {
-    const uint32_t name_len = r.u32();
-    const std::string name = r.str(name_len);
+    const std::string_view name = r.str();
     FCA_CHECK_MSG(name == it.name,
                   "tensor name mismatch: '" << name << "' vs '" << it.name
                                             << "'");
@@ -125,9 +68,11 @@ void deserialize_named(std::span<const std::byte> bytes,
       FCA_CHECK_MSG(r.i64() == it.tensor->dim(d), "shape mismatch for "
                                                       << name);
     }
-    r.floats(it.tensor->data(), static_cast<size_t>(it.tensor->numel()));
+    const size_t n = static_cast<size_t>(it.tensor->numel()) * sizeof(float);
+    const std::span<const std::byte> data = r.need(n);
+    if (n > 0) std::memcpy(it.tensor->data(), data.data(), n);
   }
-  FCA_CHECK_MSG(r.done(), "trailing bytes after deserialization");
+  r.expect_done();
 }
 
 std::vector<NamedTensor> param_tensors(const std::vector<nn::Param*>& params) {
@@ -200,40 +145,6 @@ void append_tensors(const std::vector<Tensor*>& tensors,
   append_named(indexed_tensors(tensors), out);
 }
 
-namespace {
-constexpr char kStateMagic[8] = {'F', 'C', 'A', 'S', 'T', 'A', 'T', '1'};
-}  // namespace
-
-void save_state_file(SplitModel& model, const std::string& path) {
-  const std::vector<std::byte> body = serialize_state(model);
-  std::vector<std::byte> file(sizeof(kStateMagic) + sizeof(uint64_t) +
-                              body.size());
-  std::memcpy(file.data(), kStateMagic, sizeof(kStateMagic));
-  const auto size = static_cast<uint64_t>(body.size());
-  std::memcpy(file.data() + sizeof(kStateMagic), &size, sizeof(size));
-  std::memcpy(file.data() + sizeof(kStateMagic) + sizeof(size), body.data(),
-              body.size());
-  atomic_write_file(path, std::span<const std::byte>(file));
-}
-
-void load_state_file(SplitModel& model, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FCA_CHECK_MSG(in.good(), "cannot open " << path);
-  char magic[sizeof(kStateMagic)] = {};
-  in.read(magic, sizeof(magic));
-  FCA_CHECK_MSG(in.good() && std::memcmp(magic, kStateMagic,
-                                         sizeof(kStateMagic)) == 0,
-                path << " is not an FCA state file");
-  uint64_t size = 0;
-  in.read(reinterpret_cast<char*>(&size), sizeof(size));
-  FCA_CHECK_MSG(in.good(), "truncated state file " << path);
-  std::vector<std::byte> body(size);
-  in.read(reinterpret_cast<char*>(body.data()),
-          static_cast<std::streamsize>(size));
-  FCA_CHECK_MSG(in.good(), "truncated state file " << path);
-  deserialize_state(body, model);
-}
-
 std::vector<std::byte> serialize_tensors(const std::vector<Tensor>& tensors) {
   std::vector<NamedTensor> items;
   items.reserve(tensors.size());
@@ -257,24 +168,16 @@ std::vector<std::byte> serialize_values(const std::vector<nn::Param*>& params) {
 }
 
 std::vector<TensorView> view_tensors(std::span<const std::byte> bytes) {
-  // Every length field is checked against the bytes still unread before it
-  // sizes anything, so a corrupt header costs O(input) memory, never more.
+  // Every count is checked against the bytes still unread before it sizes
+  // anything, so a corrupt header costs O(input) memory, never more.
   constexpr size_t kMinRecordBytes = 2 * sizeof(uint32_t);  // name_len, ndim
-  Reader r(bytes);
-  const uint32_t count = r.u32();
-  FCA_CHECK_MSG(count <= r.remaining() / kMinRecordBytes,
-                "tensor count " << count << " cannot fit in the "
-                                << r.remaining() << " byte(s) left");
+  utils::ByteReader r(bytes);
+  const uint32_t count = r.count(kMinRecordBytes);
   std::vector<TensorView> out;
   out.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t name_len = r.u32();
-    r.skip(name_len);
-    const uint32_t ndim = r.u32();
-    FCA_CHECK_MSG(ndim <= r.remaining() / sizeof(int64_t),
-                  "tensor " << i << " claims " << ndim
-                            << " dims; only " << r.remaining()
-                            << " byte(s) left");
+    r.str();  // the name: serialize_tensors' names are positions
+    const uint32_t ndim = r.count(sizeof(int64_t));
     TensorView v;
     v.shape.reserve(ndim);
     for (uint32_t d = 0; d < ndim; ++d) v.shape.push_back(r.i64());
@@ -298,10 +201,10 @@ std::vector<TensorView> view_tensors(std::span<const std::byte> bytes) {
     // count it; reading it as one float would hand deserialize_tensors a
     // 4-byte copy into an empty tensor.
     v.numel = ndim == 0 ? 0 : static_cast<int64_t>(numel);
-    v.data = r.skip(static_cast<size_t>(v.numel) * sizeof(float));
+    v.data = r.need(static_cast<size_t>(v.numel) * sizeof(float)).data();
     out.push_back(std::move(v));
   }
-  FCA_CHECK_MSG(r.done(), "trailing bytes after tensor deserialization");
+  r.expect_done();
   return out;
 }
 
@@ -366,9 +269,20 @@ std::vector<Tensor> snapshot_values(const std::vector<nn::Param*>& params) {
 
 void restore_values(const std::vector<Tensor>& snapshot,
                     const std::vector<nn::Param*>& params) {
-  FCA_CHECK(snapshot.size() == params.size());
+  FCA_CHECK_MSG(snapshot.size() == params.size(),
+                "tensor count mismatch: snapshot has " << snapshot.size()
+                                                        << ", target has "
+                                                        << params.size());
+  // Every shape is checked before the first write, so a rejected snapshot
+  // leaves every parameter as it was.
   for (size_t i = 0; i < params.size(); ++i) {
-    FCA_CHECK(snapshot[i].same_shape(params[i]->value));
+    FCA_CHECK_MSG(snapshot[i].same_shape(params[i]->value),
+                  "shape mismatch at tensor "
+                      << i << ": snapshot "
+                      << shape_to_string(snapshot[i].shape()) << ", parameter "
+                      << shape_to_string(params[i]->value.shape()));
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
     std::copy_n(snapshot[i].data(), snapshot[i].numel(),
                 params[i]->value.data());
   }

@@ -38,14 +38,6 @@ size_t serialized_state_size(SplitModel& model);
 /// their own (reserve serialized_state_size first to avoid regrowth).
 void append_state(SplitModel& model, std::vector<std::byte>& out);
 
-/// Writes the full model state to a file (the equivalent of
-/// torch.save(state_dict)): a small magic/version header followed by the
-/// serialize_state buffer. Throws on I/O failure.
-void save_state_file(SplitModel& model, const std::string& path);
-/// Loads a state file produced by save_state_file into an identically
-/// structured model. Throws on I/O failure, bad magic, or shape mismatch.
-void load_state_file(SplitModel& model, const std::string& path);
-
 /// Serializes an anonymous tensor list (used for prototypes, soft
 /// predictions and other non-parameter payloads on the wire).
 std::vector<std::byte> serialize_tensors(const std::vector<Tensor>& tensors);
@@ -100,7 +92,9 @@ void copy_param_values(const std::vector<nn::Param*>& src,
 
 /// Snapshots parameter values into plain tensors (deep copies).
 std::vector<Tensor> snapshot_values(const std::vector<nn::Param*>& params);
-/// Writes snapshot tensors back into parameters.
+/// Writes snapshot tensors back into parameters. The count and every shape
+/// are checked before the first write, so a rejected snapshot throws
+/// fca::Error and leaves every parameter as it was.
 void restore_values(const std::vector<Tensor>& snapshot,
                     const std::vector<nn::Param*>& params);
 /// Writes a serialize_tensors payload straight into the parameters' values:

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "ckpt/format.hpp"
 #include "core/trainer.hpp"
 
 namespace fca::test {
@@ -35,6 +37,26 @@ inline core::ExperimentConfig tiny_experiment_config(int num_clients = 4) {
   cfg.local_epochs = 1;
   cfg.seed = 123;
   return cfg;
+}
+
+/// The 46 bytes of a container whose one section ("meta") claims 2^64 - 31
+/// payload bytes: its payload offset (36) plus that length wraps to 5,
+/// inside the file, so only a check against the bytes left rejects it.
+inline std::string wrapping_section_container() {
+  std::string f("FCACKPT", 8);  // the magic, with its terminating NUL
+  const auto put = [&f](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      f.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put(ckpt::kFormatVersion, 4);
+  put(1, 4);  // section count
+  put(4, 4);
+  f += "meta";
+  put(~uint64_t{0} - 30, 8);  // payload length 2^64 - 31
+  put(0, 4);                  // CRC
+  f.append(10, '\0');
+  return f;
 }
 
 /// A run over `exp`'s freshly built clients in an all-resident store.

@@ -16,6 +16,7 @@
 #include "fl_fixtures.hpp"
 #include "models/serialize.hpp"
 #include "utils/atomic_io.hpp"
+#include "utils/bytes.hpp"
 #include "utils/crc32.hpp"
 #include "utils/error.hpp"
 
@@ -82,10 +83,10 @@ TEST(AtomicIo, MissingParentDirectoryThrows) {
 TEST(CkptFormat, Crc32MatchesKnownVector) {
   // The standard IEEE CRC32 check value for "123456789".
   const char* s = "123456789";
-  EXPECT_EQ(ckpt::crc32(std::span<const std::byte>(
+  EXPECT_EQ(fca::crc32(std::span<const std::byte>(
                 reinterpret_cast<const std::byte*>(s), 9)),
             0xCBF43926u);
-  EXPECT_EQ(ckpt::crc32({}), 0u);
+  EXPECT_EQ(fca::crc32({}), 0u);
 }
 
 TEST(CkptFormat, Crc32AcceleratedPathMatchesPortable) {
@@ -180,6 +181,14 @@ TEST(CkptFormat, TruncationRejected) {
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size() - 5));
   out.close();
+  EXPECT_THROW(ckpt::SectionReader{path}, Error);
+}
+
+TEST(CkptFormat, WrappingSectionLengthRejected) {
+  const std::string path = scratch_dir("wrap") + "/file.fckpt";
+  const std::string file = test::wrapping_section_container();
+  ASSERT_EQ(file.size(), 46u);
+  atomic_write_file(path, std::string_view(file));
   EXPECT_THROW(ckpt::SectionReader{path}, Error);
 }
 
@@ -437,7 +446,7 @@ TEST(CheckpointResume, V4CheckpointRecordsSparseClientSetAndBootstrap) {
   // The index lists exactly the dirty set — with sample_rate 0.5 and one
   // round, that is the 3 selected clients, not the population of 6 — and a
   // client section exists iff the index lists it.
-  ckpt::ByteReader index(reader.section("clients"));
+  utils::ByteReader index(reader.section("clients"));
   const uint32_t count = index.u32();
   EXPECT_EQ(count, 3u);
   std::vector<int> recorded;

@@ -31,6 +31,7 @@
 #include "fl/fedproto.hpp"
 #include "fl/ktpfl.hpp"
 #include "fl/local_only.hpp"
+#include "utils/atomic_io.hpp"
 
 namespace fca {
 namespace {
@@ -384,6 +385,23 @@ TEST(ClientStore, CorruptedPageSurfacesTypedError) {
   try {
     (void)f.store->touch(0, false);
     FAIL() << "corrupted page was accepted";
+  } catch (const fl::PageError& e) {
+    EXPECT_EQ(e.client_id(), 0);
+    EXPECT_EQ(e.path(), path);
+  }
+}
+
+TEST(ClientStore, WrappingSectionLengthSurfacesPageError) {
+  StoreFixture f(4, 2);
+  (void)f.store->lease(0, true);
+  (void)f.store->touch(1, true);
+  (void)f.store->touch(2, true);
+  ASSERT_FALSE(f.store->resident(0));
+  const std::string path = f.store->page_path(0);
+  atomic_write_file(path, std::string_view(test::wrapping_section_container()));
+  try {
+    (void)f.store->touch(0, false);
+    FAIL() << "page with a wrapping section length was accepted";
   } catch (const fl::PageError& e) {
     EXPECT_EQ(e.client_id(), 0);
     EXPECT_EQ(e.path(), path);

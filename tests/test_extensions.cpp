@@ -1,15 +1,12 @@
 // Tests for the optional/extension features: NT-Xent contrastive mode,
 // the FedClassAvg+Proto hybrid (the paper's future-work direction),
-// state-dict file I/O, and the comm collectives.
+// and the comm collectives.
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "autograd/ops.hpp"
 #include "comm/endpoint.hpp"
 #include "core/fedclassavg_proto.hpp"
 #include "fl_fixtures.hpp"
-#include "models/serialize.hpp"
 #include "tensor/ops.hpp"
 #include "utils/error.hpp"
 
@@ -117,111 +114,15 @@ TEST(FedClassAvgProto, SynchronizesClassifiersLikeBase) {
   }
 }
 
-// -- state-dict file I/O -----------------------------------------------------
-
-class StateFileTest : public ::testing::Test {
- protected:
-  std::string path_ = ::testing::TempDir() + "/fca_state_test.bin";
-  void TearDown() override { std::remove(path_.c_str()); }
-};
-
-TEST_F(StateFileTest, RoundTripsThroughDisk) {
-  models::ModelConfig mc;
-  mc.arch = models::Arch::kMiniResNet;
-  mc.in_channels = 1;
-  mc.image_size = 8;
-  mc.feature_dim = 8;
-  mc.num_classes = 3;
-  mc.width = 4;
-  Rng rng(1);
-  auto src = models::build_model(mc, rng);
-  auto dst = models::build_model(mc, rng);
-  dst->classifier().weight().value.fill(0.0f);
-  models::save_state_file(*src, path_);
-  models::load_state_file(*dst, path_);
-  EXPECT_TRUE(allclose(src->classifier().weight().value,
-                       dst->classifier().weight().value, 0.0f, 0.0f));
-  // Eval outputs identical after the round trip.
-  Tensor x = Tensor::randn({2, 1, 8, 8}, rng);
-  EXPECT_TRUE(allclose(src->forward(x, false), dst->forward(x, false),
-                       1e-6f));
-}
-
-TEST_F(StateFileTest, RejectsGarbageFile) {
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    std::fputs("not a state file at all", f);
-    std::fclose(f);
-  }
-  models::ModelConfig mc;
-  mc.arch = models::Arch::kMiniAlexNet;
-  mc.in_channels = 1;
-  mc.image_size = 8;
-  mc.feature_dim = 8;
-  mc.num_classes = 3;
-  mc.width = 4;
-  Rng rng(2);
-  auto model = models::build_model(mc, rng);
-  EXPECT_THROW(models::load_state_file(*model, path_), Error);
-  EXPECT_THROW(models::load_state_file(*model, "/nonexistent/nope.bin"),
-               Error);
-}
-
 // -- comm collectives ----------------------------------------------------
-
-TEST(CommCollectives, PackUnpackFloats) {
-  const std::vector<float> v{1.5f, -2.0f, 3.25f};
-  const comm::Bytes b = comm::Endpoint::pack_floats(v);
-  EXPECT_EQ(b.size(), 12u);
-  EXPECT_EQ(comm::Endpoint::unpack_floats(b), v);
-  comm::Bytes bad(5);
-  EXPECT_THROW(comm::Endpoint::unpack_floats(bad), Error);
-}
-
-TEST(CommCollectives, ReduceSumAddsContributions) {
-  comm::Network net(4);
-  comm::Endpoint root(net, 0);
-  for (int r = 1; r <= 3; ++r) {
-    comm::Endpoint c(net, r);
-    c.send(0, 1, comm::Endpoint::pack_floats(
-                     std::vector<float>{static_cast<float>(r), 1.0f}));
-  }
-  const std::vector<float> sum = root.reduce_sum({1, 2, 3}, 1);
-  ASSERT_EQ(sum.size(), 2u);
-  EXPECT_FLOAT_EQ(sum[0], 6.0f);
-  EXPECT_FLOAT_EQ(sum[1], 3.0f);
-}
-
-TEST(CommCollectives, ReduceRejectsLengthMismatch) {
-  comm::Network net(3);
-  comm::Endpoint root(net, 0);
-  comm::Endpoint c1(net, 1), c2(net, 2);
-  c1.send(0, 1, comm::Endpoint::pack_floats(std::vector<float>{1.0f}));
-  c2.send(0, 1, comm::Endpoint::pack_floats(std::vector<float>{1.0f, 2.0f}));
-  EXPECT_THROW(root.reduce_sum({1, 2}, 1), Error);
-}
-
-TEST(CommCollectives, AllreduceBroadcastsResult) {
-  comm::Network net(3);
-  comm::Endpoint root(net, 0);
-  comm::Endpoint c1(net, 1), c2(net, 2);
-  c1.send(0, 7, comm::Endpoint::pack_floats(std::vector<float>{1.0f}));
-  c2.send(0, 7, comm::Endpoint::pack_floats(std::vector<float>{2.0f}));
-  const std::vector<float> reduced = root.allreduce_sum({1, 2}, 7);
-  EXPECT_FLOAT_EQ(reduced[0], 3.0f);
-  EXPECT_FLOAT_EQ(comm::Endpoint::unpack_floats(c1.recv(0, 7))[0], 3.0f);
-  EXPECT_FLOAT_EQ(comm::Endpoint::unpack_floats(c2.recv(0, 7))[0], 3.0f);
-}
 
 TEST(CommCollectives, ScatterDeliversPerRankPayloads) {
   comm::Network net(3);
   comm::Endpoint root(net, 0);
-  root.scatter({1, 2}, 4,
-               {comm::Endpoint::pack_floats(std::vector<float>{1.0f}),
-                comm::Endpoint::pack_floats(std::vector<float>{2.0f, 3.0f})});
+  root.scatter({1, 2}, 4, {comm::Bytes(4), comm::Bytes(8)});
   comm::Endpoint c1(net, 1), c2(net, 2);
-  EXPECT_EQ(comm::Endpoint::unpack_floats(c1.recv(0, 4)).size(), 1u);
-  EXPECT_EQ(comm::Endpoint::unpack_floats(c2.recv(0, 4)).size(), 2u);
+  EXPECT_EQ(c1.recv(0, 4).size(), 4u);
+  EXPECT_EQ(c2.recv(0, 4).size(), 8u);
   EXPECT_THROW(root.scatter({1, 2}, 4, {comm::Bytes{}}), Error);
 }
 

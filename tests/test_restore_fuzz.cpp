@@ -1,21 +1,38 @@
-// Seeded mutation fuzz of models::restore_values(payload, params), the
-// decoder that writes a received model straight into a client's parameters.
-// It is a trust boundary: the bytes come off the wire. Every mutant of a
-// real FedAvg downlink must either restore exactly what
-// deserialize_tensors would have parsed, or throw fca::Error with every
-// parameter untouched, and the decoder may allocate only O(input) on the way.
+// Seeded mutation fuzz of every decoder that reads bytes from outside the
+// process: the model payload decoders (restore_values, view_tensors /
+// deserialize_tensors, deserialize_state), the client-state encoding, the
+// checkpoint container (SectionReader, CheckpointManager::resume) and the
+// client store's page files, the rendezvous Handshake and the fault
+// config/stats blobs. Seeds are bytes the code itself writes; each mutant
+// (bit flips, truncation, length inflation, trailing bytes, splices, swapped
+// shapes) must either parse or throw the decoder's typed error, and the
+// decoder may allocate only O(input) on the way. restore_values is held to
+// more: a mutant restores exactly what deserialize_tensors would have
+// parsed, or throws with every parameter untouched.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <optional>
+#include <string>
 
+#include "ckpt/checkpoint.hpp"
+#include "comm/fault.hpp"
+#include "comm/transport/handshake.hpp"
+#include "fl/client_state.hpp"
+#include "fl/client_store.hpp"
 #include "fl/fedavg.hpp"
 #include "fl_fixtures.hpp"
 #include "models/serialize.hpp"
+#include "utils/crc32.hpp"
 #include "utils/error.hpp"
+#include "utils/logging.hpp"
 #include "utils/rng.hpp"
 
 // -- allocation accounting ----------------------------------------------------
@@ -63,18 +80,24 @@ namespace {
 constexpr size_t kAllocPerInputByte = 8;
 constexpr size_t kAllocSlack = 64 * 1024;
 
-/// Where the header fields of a serialize_tensors buffer lie.
+/// Where the header fields of a seed lie, and which of them hold a shape.
 struct Layout {
   struct Field {
     size_t at;
-    size_t width;  // 4 (u32) or 8 (i64)
+    size_t width;  // 4 (u32) or 8 (u64/i64)
   };
   struct Record {
     size_t dims_at;
     uint32_t ndim;
   };
-  std::vector<Field> fields;  // count, then per tensor name_len, ndim, dims
+  std::vector<Field> fields;
   std::vector<Record> records;
+  /// Where each region's fields start in `fields`. A mutation picks a
+  /// region first, so a container's small sections are hit as often as
+  /// its large ones. Empty: one region.
+  std::vector<size_t> regions;
+
+  void begin_region() { regions.push_back(fields.size()); }
 };
 
 template <typename T>
@@ -89,9 +112,10 @@ void store(comm::Bytes& b, size_t at, T v) {
   std::memcpy(b.data() + at, &v, sizeof(v));
 }
 
-Layout layout_of(const comm::Bytes& b) {
-  Layout l;
-  size_t at = 0;
+/// The fields of a serialize_tensors (or named state) buffer at `base`:
+/// the count, then per tensor name_len, ndim and dims. Returns its end.
+size_t add_tensor_fields(Layout& l, const comm::Bytes& b, size_t base) {
+  size_t at = base;
   const auto count = load<uint32_t>(b, at);
   l.fields.push_back({at, 4});
   at += 4;
@@ -108,17 +132,145 @@ Layout layout_of(const comm::Bytes& b) {
       numel *= load<int64_t>(b, at);
       at += 8;
     }
-    at += static_cast<size_t>(numel) * sizeof(float);
+    at += static_cast<size_t>(ndim == 0 ? 0 : numel) * sizeof(float);
   }
-  EXPECT_EQ(at, b.size());
+  return at;
+}
+
+Layout layout_of(const comm::Bytes& b) {
+  Layout l;
+  EXPECT_EQ(add_tensor_fields(l, b, 0), b.size());
   return l;
 }
 
-enum class Mutation { kBitFlip, kTruncate, kInflate, kTrailing, kSwapShape };
+/// Every 4-aligned word of [base, end): the control blobs and the small
+/// checkpoint sections are sequences of 4- and 8-byte fields.
+void add_word_fields(Layout& l, size_t base, size_t end) {
+  for (size_t at = base; at + 4 <= end; at += 4) l.fields.push_back({at, 4});
+}
+
+Layout word_layout(const comm::Bytes& b) {
+  Layout l;
+  add_word_fields(l, 0, b.size());
+  return l;
+}
+
+/// encode_client_state's fields at `base`: the model blob, the optimizer
+/// scalars, the slot blob and the RNG word. Returns its end.
+size_t add_client_state_fields(Layout& l, const comm::Bytes& b, size_t base) {
+  l.fields.push_back({base, 8});
+  size_t at = add_tensor_fields(l, b, base + 8);
+  EXPECT_EQ(at, base + 8 + load<uint64_t>(b, base));
+  l.fields.push_back({at, 4});
+  const auto scalars = load<uint32_t>(b, at);
+  at += 4;
+  for (uint32_t i = 0; i < scalars; ++i, at += 8) l.fields.push_back({at, 8});
+  l.fields.push_back({at, 8});
+  at = add_tensor_fields(l, b, at + 8);
+  l.fields.push_back({at, 8});
+  return at + 8;
+}
+
+Layout client_state_layout(const comm::Bytes& b) {
+  Layout l;
+  EXPECT_EQ(add_client_state_fields(l, b, 0), b.size());
+  return l;
+}
+
+/// The counts in the checkpoint's "metrics" section at `base`: the row
+/// count and each row's accuracy count (after 11 eight-byte fields).
+void add_metrics_fields(Layout& l, const comm::Bytes& b, size_t base) {
+  l.fields.push_back({base, 4});
+  size_t at = base + 4;
+  for (uint32_t r = load<uint32_t>(b, base); r > 0; --r) {
+    at += 11 * 8;
+    l.fields.push_back({at, 4});
+    at += 4 + 8 * static_cast<size_t>(load<uint32_t>(b, at));
+  }
+}
+
+/// A checkpoint or page file: the container header and every section's
+/// prefix (one region), then with `deep` each payload's own fields (a
+/// region per section).
+Layout container_layout(const comm::Bytes& b, bool deep) {
+  Layout l;
+  l.begin_region();
+  l.fields.push_back({8, 4});   // format version
+  l.fields.push_back({12, 4});  // section count
+  size_t at = 16;
+  struct Section {
+    std::string name;
+    size_t at;
+    size_t len;
+  };
+  std::vector<Section> sections;
+  const auto count = load<uint32_t>(b, 12);
+  for (uint32_t i = 0; i < count; ++i) {
+    l.fields.push_back({at, 4});
+    const auto name_len = load<uint32_t>(b, at);
+    std::string name(reinterpret_cast<const char*>(b.data() + at + 4),
+                     name_len);
+    at += 4 + name_len;
+    l.fields.push_back({at, 8});
+    const auto len = static_cast<size_t>(load<uint64_t>(b, at));
+    at += 12;  // length + CRC
+    sections.push_back({std::move(name), at, len});
+    at += len;
+  }
+  EXPECT_EQ(at, b.size());
+  if (!deep) return l;
+  for (const Section& sec : sections) {
+    l.begin_region();
+    if (sec.name == "state" || sec.name.starts_with("client/")) {
+      EXPECT_EQ(add_client_state_fields(l, b, sec.at), sec.at + sec.len);
+    } else if (sec.name == "strategy" || sec.name == "bootstrap") {
+      EXPECT_EQ(add_tensor_fields(l, b, sec.at), sec.at + sec.len);
+    } else if (sec.name == "metrics") {
+      add_metrics_fields(l, b, sec.at);
+    } else if (sec.name == "clients") {
+      l.fields.push_back({sec.at, 4});  // the count; the ids are values
+    } else {
+      add_word_fields(l, sec.at, sec.at + sec.len);
+    }
+  }
+  return l;
+}
+
+/// Re-stamps the CRC of every section whose prefix and payload still lie
+/// inside the (mutated) file, so the mutant reaches the decoders behind the
+/// CRC check instead of stopping at it.
+void restamp_crcs(comm::Bytes& b) {
+  if (b.size() < 16) return;
+  const auto count = load<uint32_t>(b, 12);
+  size_t at = 16;
+  for (uint32_t i = 0; i < count; ++i) {
+    if (b.size() - at < 4) return;
+    const uint64_t name_len = load<uint32_t>(b, at);
+    if (b.size() - at - 4 < name_len + 12) return;
+    at += 4 + static_cast<size_t>(name_len);
+    const auto len = load<uint64_t>(b, at);
+    const size_t crc_at = at + 8;
+    at += 12;
+    if (len > b.size() - at) return;
+    store<uint32_t>(b, crc_at,
+                    crc32(std::span<const std::byte>(b).subspan(
+                        at, static_cast<size_t>(len))));
+    at += static_cast<size_t>(len);
+  }
+}
+
+enum class Mutation {
+  kBitFlip,
+  kTruncate,
+  kInflate,
+  kTrailing,
+  kSwapShape,
+  kSplice
+};
 
 constexpr Mutation kMutations[] = {Mutation::kBitFlip, Mutation::kTruncate,
                                    Mutation::kInflate, Mutation::kTrailing,
-                                   Mutation::kSwapShape};
+                                   Mutation::kSwapShape, Mutation::kSplice};
 
 const char* name_of(Mutation m) {
   switch (m) {
@@ -127,6 +279,7 @@ const char* name_of(Mutation m) {
     case Mutation::kInflate: return "length inflation";
     case Mutation::kTrailing: return "trailing bytes";
     case Mutation::kSwapShape: return "swapped shape";
+    case Mutation::kSplice: return "splice";
   }
   return "?";
 }
@@ -138,6 +291,14 @@ comm::Bytes mutate(const comm::Bytes& good, const Layout& layout,
   const auto pick = [&rng](size_t n) {
     return static_cast<size_t>(rng.uniform_int(n));
   };
+  const auto pick_field = [&]() -> const Layout::Field& {
+    if (layout.regions.empty()) return layout.fields[pick(layout.fields.size())];
+    const size_t r = pick(layout.regions.size());
+    const size_t begin = layout.regions[r];
+    const size_t end = r + 1 < layout.regions.size() ? layout.regions[r + 1]
+                                                     : layout.fields.size();
+    return layout.fields[begin + pick(end - begin)];
+  };
   switch (kind) {
     case Mutation::kBitFlip: {
       // Half the flips land in a header field; the rest anywhere (mostly
@@ -146,7 +307,7 @@ comm::Bytes mutate(const comm::Bytes& good, const Layout& layout,
       for (size_t f = 0; f < flips; ++f) {
         size_t at = pick(b.size());
         if (rng.uniform_int(2) == 0) {
-          const Layout::Field& field = layout.fields[pick(layout.fields.size())];
+          const Layout::Field& field = pick_field();
           at = field.at + pick(field.width);
         }
         b[at] ^= static_cast<std::byte>(1u << pick(8));
@@ -157,7 +318,7 @@ comm::Bytes mutate(const comm::Bytes& good, const Layout& layout,
       b.resize(pick(b.size()));
       break;
     case Mutation::kInflate: {
-      const Layout::Field& field = layout.fields[pick(layout.fields.size())];
+      const Layout::Field& field = pick_field();
       if (field.width == 4) {
         const auto old = load<uint32_t>(b, field.at);
         const uint32_t values[] = {old + 1, old * 2 + 1, 0x7FFFFFFFu,
@@ -165,10 +326,12 @@ comm::Bytes mutate(const comm::Bytes& good, const Layout& layout,
         store<uint32_t>(b, field.at, values[pick(4)]);
       } else {
         const auto old = load<int64_t>(b, field.at);
+        // -32 read as a u64 length is 2^64 - 32: added to any offset past
+        // 32 it wraps back inside the input.
         const int64_t values[] = {old + 1, old * 2 + 1, int64_t{1} << 31,
                                   int64_t{1} << 40,
-                                  std::numeric_limits<int64_t>::max()};
-        store<int64_t>(b, field.at, values[pick(5)]);
+                                  std::numeric_limits<int64_t>::max(), -32};
+        store<int64_t>(b, field.at, values[pick(6)]);
       }
       break;
     }
@@ -200,6 +363,17 @@ comm::Bytes mutate(const comm::Bytes& good, const Layout& layout,
         }
       }
       ADD_FAILURE() << "no tensor has two unequal dims to swap";
+      break;
+    }
+    case Mutation::kSplice: {
+      // A copy of one stretch inserted elsewhere: every field after the
+      // insertion point shifts.
+      const size_t from = pick(b.size());
+      const size_t n = 1 + pick(std::min<size_t>(64, b.size() - from));
+      const comm::Bytes chunk(b.begin() + static_cast<std::ptrdiff_t>(from),
+                              b.begin() + static_cast<std::ptrdiff_t>(from + n));
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(pick(b.size() + 1)),
+               chunk.begin(), chunk.end());
       break;
     }
   }
@@ -317,6 +491,290 @@ TEST_F(RestoreFuzz, MutantsRestoreExactlyOrThrowAndTouchNothing) {
       EXPECT_EQ(rejected, kPerMutation) << name_of(kind);
     }
   }
+}
+
+// -- every other decoder ------------------------------------------------------
+
+bool is_fca_error(const std::exception& e) {
+  return dynamic_cast<const Error*>(&e) != nullptr;
+}
+
+bool is_handshake_rejection(const std::exception& e) {
+  const auto* t = dynamic_cast<const comm::TransportError*>(&e);
+  return t != nullptr && t->code() == comm::TransportErrc::kHandshakeRejected;
+}
+
+bool is_page_error(const std::exception& e) {
+  return dynamic_cast<const fl::PageError*>(&e) != nullptr;
+}
+
+/// One decoder under fuzz: a seed the code wrote, where its fields lie, and
+/// how to feed it a mutant.
+struct DecoderCase {
+  std::string name;
+  comm::Bytes seed;
+  Layout layout;
+  /// Mutants per mutation kind.
+  int iterations = 100;
+  /// Unmetered setup for one mutant (writing it where the decoder reads).
+  std::function<void(const comm::Bytes&)> prepare = {};
+  /// The decoder itself: parses the mutant or throws.
+  std::function<void(const comm::Bytes&)> decode;
+  /// Whether an exception is the decoder's typed error.
+  bool (*typed)(const std::exception&) = is_fca_error;
+};
+
+comm::FaultConfig sample_fault_config() {
+  comm::FaultConfig fc;
+  fc.drop_rate = 0.125;
+  fc.straggler_rate = 0.25;
+  fc.straggler_delay_s = 3.5;
+  fc.round_deadline_s = 1.25;
+  fc.crash_rate = 0.0625;
+  fc.crash_rounds = 2;
+  fc.crash_schedule = comm::parse_crash_schedule("2@3x2,4@7");
+  fc.fault_seed = 0xFEEDFACE12345678ull;
+  return fc;
+}
+
+comm::FaultStats sample_fault_stats() {
+  comm::FaultStats st;
+  st.dropped_messages = 3;
+  st.dropped_bytes = 1234;
+  st.rejoins = 2;
+  st.real_peer_faults = 1;
+  return st;
+}
+
+class DecoderFuzz : public ::testing::Test {
+ protected:
+  DecoderFuzz() {
+    core::ExperimentConfig cfg = test::tiny_experiment_config();
+    cfg.models = core::ModelScheme::kHomogeneousResNet;
+    exp_ = std::make_unique<core::Experiment>(cfg);
+    run_ = test::resident_run(*exp_);
+    strat_.initialize(*run_);
+    dir_ = testing::TempDir() + "fca_decoder_fuzz";
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    previous_level_ = log_level();
+    // Checkpoint fallbacks log every rejected mutant.
+    set_log_level(LogLevel::kOff);
+  }
+  ~DecoderFuzz() override {
+    set_log_level(previous_level_);
+    std::filesystem::remove_all(dir_);
+  }
+
+  /// Feeds every mutant of `c` to its decoder with this thread's
+  /// allocations summed; `fixed_alloc` is what decoding may cost on top of
+  /// O(input) whatever the input.
+  void fuzz(const DecoderCase& c, size_t fixed_alloc = 0) {
+    Rng rng(20240611);
+    for (const Mutation kind : kMutations) {
+      if (kind == Mutation::kSwapShape && c.layout.records.empty()) continue;
+      int rejects = 0;
+      for (int it = 0; it < c.iterations; ++it) {
+        const comm::Bytes bytes = mutate(c.seed, c.layout, kind, rng);
+        if (c.prepare) c.prepare(bytes);
+        bool threw = false;
+        t_requested = 0;
+        t_armed = true;
+        try {
+          c.decode(bytes);
+        } catch (const std::exception& e) {
+          t_armed = false;
+          threw = true;
+          EXPECT_TRUE(c.typed(e)) << c.name << ", " << name_of(kind) << " #"
+                                  << it << " threw an untyped error: "
+                                  << e.what();
+        }
+        t_armed = false;
+        EXPECT_LE(t_requested,
+                  kAllocPerInputByte * bytes.size() + kAllocSlack + fixed_alloc)
+            << c.name << ", " << name_of(kind) << " #" << it << " allocated "
+            << t_requested << " bytes for " << bytes.size() << " input bytes";
+        rejects += threw ? 1 : 0;
+      }
+      // Every decoder reads its input to the end and no further, so no
+      // prefix parses and nothing parses with bytes after it.
+      if (kind == Mutation::kTruncate || kind == Mutation::kTrailing) {
+        EXPECT_EQ(rejects, c.iterations) << c.name << ", " << name_of(kind);
+      }
+    }
+  }
+
+  /// What decode(seed) allocates: the input-independent cost a mutant may
+  /// add on top of the O(input) bound (a page-in builds a client first).
+  static size_t seed_alloc(const DecoderCase& c) {
+    if (c.prepare) c.prepare(c.seed);
+    t_requested = 0;
+    t_armed = true;
+    c.decode(c.seed);
+    t_armed = false;
+    return t_requested;
+  }
+
+  /// Writes a container mutant to `path`, its section CRCs re-stamped.
+  static void write_container(const std::string& path, comm::Bytes b) {
+    restamp_crcs(b);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(b.data()),
+              static_cast<std::streamsize>(b.size()));
+    ASSERT_TRUE(out.good()) << path;
+  }
+
+  static comm::Bytes read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    const std::string s((std::istreambuf_iterator<char>(in)), {});
+    const auto* p = reinterpret_cast<const std::byte*>(s.data());
+    return comm::Bytes(p, p + s.size());
+  }
+
+  std::unique_ptr<core::Experiment> exp_;
+  std::unique_ptr<fl::FederatedRun> run_;
+  fl::FedAvg strat_;
+  std::string dir_;
+  LogLevel previous_level_ = LogLevel::kInfo;
+};
+
+TEST_F(DecoderFuzz, ControlBlobs) {
+  comm::Handshake hs;
+  hs.seed = 77;
+  hs.next_round = 5;
+  hs.faults = sample_fault_config();
+  hs.fault_stats = sample_fault_stats();
+  hs.world_size = 5;
+  hs.population = 4;
+  hs.config_digest = 0x0123456789ABCDEFull;
+  hs.flags = comm::Handshake::kFlagTracing;
+  const comm::Bytes handshake = hs.serialize();
+  fuzz({.name = "Handshake::parse",
+        .seed = handshake,
+        .layout = word_layout(handshake),
+        .iterations = 300,
+        .decode = [](const comm::Bytes& b) { (void)comm::Handshake::parse(b); },
+        .typed = is_handshake_rejection});
+
+  const comm::Bytes config = comm::serialize_fault_config(sample_fault_config());
+  fuzz({.name = "parse_fault_config",
+        .seed = config,
+        .layout = word_layout(config),
+        .iterations = 300,
+        .decode = [](const comm::Bytes& b) {
+          (void)comm::parse_fault_config(b);
+        }});
+
+  const comm::Bytes stats = comm::serialize_fault_stats(sample_fault_stats());
+  fuzz({.name = "parse_fault_stats",
+        .seed = stats,
+        .layout = word_layout(stats),
+        .iterations = 300,
+        .decode = [](const comm::Bytes& b) {
+          (void)comm::parse_fault_stats(b);
+        }});
+}
+
+TEST_F(DecoderFuzz, ModelPayloads) {
+  const comm::Bytes down = strat_.downlink(*run_);
+  fuzz({.name = "view_tensors",
+        .seed = down,
+        .layout = layout_of(down),
+        .decode = [](const comm::Bytes& b) { (void)view_tensors(b); }});
+  fuzz({.name = "deserialize_tensors",
+        .seed = down,
+        .layout = layout_of(down),
+        .decode = [](const comm::Bytes& b) { (void)deserialize_tensors(b); }});
+
+  const comm::Bytes state = serialize_state(run_->client(0).model());
+  SplitModel& target = run_->client(1).model();
+  fuzz({.name = "deserialize_state",
+        .seed = state,
+        .layout = layout_of(state),
+        .decode = [&target](const comm::Bytes& b) {
+          deserialize_state(b, target);
+        }});
+}
+
+TEST_F(DecoderFuzz, ClientState) {
+  const comm::Bytes state = fl::encode_client_state(run_->client(0));
+  fl::Client& target = run_->client(1);
+  fuzz({.name = "decode_client_state",
+        .seed = state,
+        .layout = client_state_layout(state),
+        .decode = [&target](const comm::Bytes& b) {
+          fl::decode_client_state(b, target);
+        }});
+}
+
+TEST_F(DecoderFuzz, CheckpointFiles) {
+  ckpt::CheckpointManager manager({dir_, 1, 1});
+  fl::ResumeState cursor;
+  cursor.next_round = 2;
+  cursor.sampler_state = 99;
+  fl::RoundMetrics row;
+  row.round = 1;
+  row.client_accuracies = {0.5, 0.25, 0.75, 1.0};
+  cursor.curve = {row};
+  manager.save(*run_, strat_, cursor);
+  const std::string path = ckpt::CheckpointManager::checkpoint_path(dir_, 1);
+  const comm::Bytes file = read_file(path);
+  const auto write = [&path](const comm::Bytes& b) {
+    write_container(path, b);
+  };
+  fuzz({.name = "SectionReader",
+        .seed = file,
+        .layout = container_layout(file, false),
+        .prepare = write,
+        .decode = [&path](const comm::Bytes&) {
+          (void)ckpt::SectionReader(path);
+        }});
+  fuzz({.name = "CheckpointManager::resume",
+        .seed = file,
+        .layout = container_layout(file, true),
+        .prepare = write,
+        .decode = [&](const comm::Bytes&) {
+          (void)manager.resume(*run_, strat_);
+        }});
+}
+
+TEST_F(DecoderFuzz, PageFiles) {
+  const int population = exp_->config().num_clients;
+  std::vector<int64_t> sizes;
+  for (int k = 0; k < population; ++k) {
+    sizes.push_back(static_cast<int64_t>(
+        exp_->partition().client_indices[static_cast<size_t>(k)].size()));
+  }
+  fl::ClientStoreOptions options;
+  options.max_resident = 2;
+  options.page_dir = dir_ + "/pages";
+  fl::ClientStore store(
+      population, [this](int k) { return exp_->build_client(k); },
+      std::move(sizes), options);
+  // Dirty client 0, then push it out so its page file exists.
+  (void)store.touch(0, true);
+  (void)store.touch(1, true);
+  (void)store.touch(2, true);
+  ASSERT_FALSE(store.resident(0));
+  const std::string path = store.page_path(0);
+  const comm::Bytes page = read_file(path);
+  const DecoderCase c{
+      .name = "page-file load",
+      .seed = page,
+      .layout = container_layout(page, true),
+      .prepare =
+          [&](const comm::Bytes& b) {
+            // Page 0 out again if the last mutant loaded, then put the
+            // mutant in its place.
+            (void)store.touch(3, false);
+            (void)store.touch(2, false);
+            ASSERT_FALSE(store.resident(0));
+            write_container(path, b);
+          },
+      .decode = [&store](const comm::Bytes&) { (void)store.touch(0, false); },
+      .typed = is_page_error};
+  fuzz(c, seed_alloc(c));
 }
 
 }  // namespace

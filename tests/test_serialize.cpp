@@ -128,6 +128,19 @@ TEST(Serialize, RestoreRejectsCountMismatch) {
   EXPECT_THROW(restore_values(wrong, a->parameters()), Error);
 }
 
+TEST(Serialize, RestoreRejectsMisshapedSnapshotBeforeAnyWrite) {
+  Rng rng(9);
+  auto a = build_model(tiny_config(), rng);
+  const std::vector<nn::Param*> params = a->parameters();
+  ASSERT_GE(params.size(), 2u);
+  std::vector<Tensor> snapshot = snapshot_values(params);
+  snapshot[0].fill(7.0f);
+  snapshot[1] = Tensor({params[1]->value.numel() + 1});
+  const Tensor before = params[0]->value.clone();
+  EXPECT_THROW(restore_values(snapshot, params), Error);
+  EXPECT_TRUE(allclose(params[0]->value, before, 0.0f, 0.0f));
+}
+
 TEST(Serialize, SerializeValuesMatchesSnapshotBytes) {
   ModelConfig mc = tiny_config();
   mc.arch = Arch::kMiniResNet;
