@@ -83,44 +83,6 @@ double mean_pairwise_spearman(const Tensor& scores) {
   return total / static_cast<double>(pairs);
 }
 
-double intra_class_distance(const Tensor& embedding,
-                            const std::vector<int>& labels) {
-  FCA_CHECK(embedding.ndim() == 2 &&
-            static_cast<int64_t>(labels.size()) == embedding.dim(0));
-  double total = 0.0;
-  int64_t pairs = 0;
-  const int64_t n = embedding.dim(0);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = i + 1; j < n; ++j) {
-      if (labels[static_cast<size_t>(i)] != labels[static_cast<size_t>(j)]) {
-        continue;
-      }
-      total += row_distance(embedding, i, j);
-      ++pairs;
-    }
-  }
-  return pairs > 0 ? total / static_cast<double>(pairs) : 0.0;
-}
-
-double inter_class_distance(const Tensor& embedding,
-                            const std::vector<int>& labels) {
-  FCA_CHECK(embedding.ndim() == 2 &&
-            static_cast<int64_t>(labels.size()) == embedding.dim(0));
-  double total = 0.0;
-  int64_t pairs = 0;
-  const int64_t n = embedding.dim(0);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = i + 1; j < n; ++j) {
-      if (labels[static_cast<size_t>(i)] == labels[static_cast<size_t>(j)]) {
-        continue;
-      }
-      total += row_distance(embedding, i, j);
-      ++pairs;
-    }
-  }
-  return pairs > 0 ? total / static_cast<double>(pairs) : 0.0;
-}
-
 double silhouette_score(const Tensor& embedding,
                         const std::vector<int>& labels) {
   FCA_CHECK(embedding.ndim() == 2 &&

@@ -19,13 +19,6 @@ double spearman(const std::vector<double>& a, const std::vector<double>& b);
 /// [clients, units]; the Fig. 9 "clients share unit importance" statistic.
 double mean_pairwise_spearman(const Tensor& scores);
 
-/// Mean distance between same-label pairs of embedding rows.
-double intra_class_distance(const Tensor& embedding,
-                            const std::vector<int>& labels);
-/// Mean distance between different-label pairs.
-double inter_class_distance(const Tensor& embedding,
-                            const std::vector<int>& labels);
-
 /// Mean silhouette coefficient of an embedding under the given labels;
 /// in [-1, 1], higher = better-separated label clusters.
 double silhouette_score(const Tensor& embedding,

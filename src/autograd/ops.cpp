@@ -48,17 +48,6 @@ Variable sub(const Variable& a, const Variable& b) {
   });
 }
 
-Variable mul(const Variable& a, const Variable& b) {
-  return make_op(fca::mul(a.value(), b.value()), {a, b}, [](Node& n) {
-    if (n.parents[0]->requires_grad) {
-      n.parents[0]->accumulate(fca::mul(n.grad, n.parents[1]->value));
-    }
-    if (n.parents[1]->requires_grad) {
-      n.parents[1]->accumulate(fca::mul(n.grad, n.parents[0]->value));
-    }
-  });
-}
-
 Variable mul_scalar(const Variable& a, float s) {
   return make_op(fca::mul_scalar(a.value(), s), {a}, [s](Node& n) {
     if (n.parents[0]->requires_grad) {
@@ -92,25 +81,12 @@ Variable log(const Variable& a) {
   });
 }
 
-Variable relu(const Variable& a) {
-  return make_op(fca::relu(a.value()), {a}, [](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
-    n.parents[0]->accumulate(fca::relu_backward(n.parents[0]->value, n.grad));
-  });
-}
-
 Variable mul_const(const Variable& a, const Tensor& c) {
   Tensor mask = c.clone();
   return make_op(fca::mul(a.value(), c), {a}, [mask](Node& n) {
     if (n.parents[0]->requires_grad) {
       n.parents[0]->accumulate(fca::mul(n.grad, mask));
     }
-  });
-}
-
-Variable add_const(const Variable& a, const Tensor& c) {
-  return make_op(fca::add(a.value(), c), {a}, [](Node& n) {
-    if (n.parents[0]->requires_grad) n.parents[0]->accumulate(n.grad);
   });
 }
 
@@ -145,38 +121,6 @@ Variable add_rowwise(const Variable& m, const Variable& row) {
   });
 }
 
-Variable sub_colwise(const Variable& m, const Variable& col) {
-  FCA_CHECK(m.value().ndim() == 2 && col.value().ndim() == 1 &&
-            col.value().dim(0) == m.value().dim(0));
-  Tensor v = m.value().clone();
-  const int64_t rows = v.dim(0);
-  const int64_t cols = v.dim(1);
-  for (int64_t i = 0; i < rows; ++i) {
-    const float c = col.value()[i];
-    for (int64_t j = 0; j < cols; ++j) v[i * cols + j] -= c;
-  }
-  return make_op(v, {m, col}, [](Node& n) {
-    if (n.parents[0]->requires_grad) n.parents[0]->accumulate(n.grad);
-    if (n.parents[1]->requires_grad) {
-      n.parents[1]->accumulate(fca::neg(fca::sum_cols(n.grad)));
-    }
-  });
-}
-
-Variable add_colwise_const(const Variable& m, const Tensor& col) {
-  FCA_CHECK(m.value().ndim() == 2 && col.ndim() == 1 &&
-            col.dim(0) == m.value().dim(0));
-  Tensor v = m.value().clone();
-  const int64_t rows = v.dim(0);
-  const int64_t cols = v.dim(1);
-  for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t j = 0; j < cols; ++j) v[i * cols + j] += col[i];
-  }
-  return make_op(v, {m}, [](Node& n) {
-    if (n.parents[0]->requires_grad) n.parents[0]->accumulate(n.grad);
-  });
-}
-
 Variable l2_normalize_rows(const Variable& m, float eps) {
   FCA_CHECK(m.value().ndim() == 2);
   Tensor y = fca::l2_normalize_rows(m.value(), eps);
@@ -208,27 +152,6 @@ Variable l2_normalize_rows(const Variable& m, float eps) {
   });
 }
 
-Variable concat_rows(const std::vector<Variable>& parts) {
-  FCA_CHECK(!parts.empty());
-  std::vector<Tensor> vals;
-  vals.reserve(parts.size());
-  for (const auto& p : parts) vals.push_back(p.value());
-  Tensor v = fca::concat_rows(vals);
-  return make_op(v, parts, [](Node& n) {
-    int64_t row = 0;
-    const int64_t cols = n.value.dim(1);
-    for (auto& p : n.parents) {
-      const int64_t r = p->value.dim(0);
-      if (p->requires_grad) {
-        Tensor slice({r, cols});
-        std::copy_n(n.grad.data() + row * cols, r * cols, slice.data());
-        p->accumulate(slice);
-      }
-      row += r;
-    }
-  });
-}
-
 Variable slice_rows(const Variable& m, int64_t from, int64_t to) {
   FCA_CHECK(m.value().ndim() == 2);
   const int64_t rows = m.value().dim(0);
@@ -256,21 +179,6 @@ Variable sum(const Variable& a) {
 Variable mean(const Variable& a) {
   FCA_CHECK(a.value().numel() > 0);
   return mul_scalar(sum(a), 1.0f / static_cast<float>(a.value().numel()));
-}
-
-Variable sum_cols(const Variable& m) {
-  FCA_CHECK(m.value().ndim() == 2);
-  Tensor v = fca::sum_cols(m.value());
-  return make_op(v, {m}, [](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
-    const int64_t rows = n.parents[0]->value.dim(0);
-    const int64_t cols = n.parents[0]->value.dim(1);
-    Tensor dx({rows, cols});
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < cols; ++j) dx[i * cols + j] = n.grad[i];
-    }
-    n.parents[0]->accumulate(dx);
-  });
 }
 
 Variable sum_squares(const Variable& a) {
@@ -332,15 +240,6 @@ Variable cross_entropy(const Variable& logits,
   Variable lsm = log_softmax_rows(logits);
   Variable picked = select_cols(lsm, labels);
   return neg(mean(picked));
-}
-
-Variable soft_cross_entropy(const Variable& logits,
-                            const Tensor& target_probs) {
-  FCA_CHECK(logits.value().same_shape(target_probs));
-  Variable lsm = log_softmax_rows(logits);
-  Variable weighted = mul_const(lsm, target_probs);
-  const auto batch = static_cast<float>(logits.value().dim(0));
-  return mul_scalar(sum(weighted), -1.0f / batch);
 }
 
 namespace {
@@ -503,14 +402,6 @@ Variable nt_xent(const Variable& embeddings, float temperature) {
     pair_labels[static_cast<size_t>(b + i)] = static_cast<int>(i);
   }
   return supervised_contrastive(embeddings, pair_labels, temperature);
-}
-
-Variable l2_distance(const Variable& a, const Variable& b) {
-  Variable diff = sub(a, b);
-  Variable ss = sum_squares(diff);
-  // sqrt via exp(0.5 log x); guard against zero distance.
-  Variable eps = add_scalar(ss, 1e-12f);
-  return exp(mul_scalar(log(eps), 0.5f));
 }
 
 }  // namespace fca::ag

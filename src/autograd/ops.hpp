@@ -3,8 +3,7 @@
 // Each op builds a tape node whose pullback accumulates gradients into its
 // parents. The op set is exactly what the FedClassAvg loss heads need:
 // cross-entropy, supervised contrastive (Khosla et al. 2020) and the L2
-// proximal term, plus generic building blocks used by tests and by KT-pFL's
-// distillation objective.
+// proximal term, plus the elementwise and matrix blocks they are built from.
 #pragma once
 
 #include <vector>
@@ -16,16 +15,13 @@ namespace fca::ag {
 // -- elementwise -------------------------------------------------------------
 Variable add(const Variable& a, const Variable& b);
 Variable sub(const Variable& a, const Variable& b);
-Variable mul(const Variable& a, const Variable& b);
 Variable mul_scalar(const Variable& a, float s);
 Variable add_scalar(const Variable& a, float s);
 Variable neg(const Variable& a);
 Variable exp(const Variable& a);
 Variable log(const Variable& a);
-Variable relu(const Variable& a);
 /// Elementwise product with a non-differentiable mask/constant tensor.
 Variable mul_const(const Variable& a, const Tensor& c);
-Variable add_const(const Variable& a, const Tensor& c);
 
 // -- matrix ------------------------------------------------------------------
 /// Matrix product with optional logical transposes.
@@ -33,14 +29,8 @@ Variable matmul(const Variable& a, const Variable& b, bool trans_a = false,
                 bool trans_b = false);
 /// [m,n] + [n] bias broadcast over rows.
 Variable add_rowwise(const Variable& m, const Variable& row);
-/// [m,n] - [m] column broadcast over columns.
-Variable sub_colwise(const Variable& m, const Variable& col);
-/// [m,n] + constant column [m] (no grad into the column).
-Variable add_colwise_const(const Variable& m, const Tensor& col);
 /// Row-wise L2 normalization (the SupCon projection step).
 Variable l2_normalize_rows(const Variable& m, float eps = 1e-12f);
-/// Stacks 2-D variables with equal column counts along dim 0.
-Variable concat_rows(const std::vector<Variable>& parts);
 /// Rows [from, to) of a 2-D matrix; gradient scatters back into place.
 Variable slice_rows(const Variable& m, int64_t from, int64_t to);
 
@@ -49,8 +39,6 @@ Variable slice_rows(const Variable& m, int64_t from, int64_t to);
 Variable sum(const Variable& a);
 /// Mean of all elements -> scalar [1].
 Variable mean(const Variable& a);
-/// Row sums of a 2-D matrix -> [m].
-Variable sum_cols(const Variable& m);
 /// Sum of squared elements -> scalar [1].
 Variable sum_squares(const Variable& a);
 
@@ -63,9 +51,6 @@ Variable select_cols(const Variable& m, const std::vector<int>& labels);
 // -- losses --------------------------------------------------------------
 /// Mean cross-entropy of logits [B, C] against integer labels; scalar.
 Variable cross_entropy(const Variable& logits, const std::vector<int>& labels);
-/// Mean KL(target_probs || softmax(logits)) up to the constant entropy term,
-/// i.e. -sum(target * log_softmax(logits)) / B; used by KT-pFL distillation.
-Variable soft_cross_entropy(const Variable& logits, const Tensor& target_probs);
 /// Supervised contrastive loss (Khosla et al. 2020, L_out) over an embedding
 /// batch [N, D] with integer labels (N = 2B when using two views). Anchors
 /// without positives contribute zero. `temperature` > 0.
@@ -78,7 +63,5 @@ Variable supervised_contrastive(const Variable& embeddings,
 /// contrastive variant the paper's conclusion proposes combining with
 /// FedClassAvg; equivalent to supervised_contrastive with per-sample labels.
 Variable nt_xent(const Variable& embeddings, float temperature = 0.5f);
-/// ||a - b||_2 (not squared), matching eq. (5) of the paper; scalar.
-Variable l2_distance(const Variable& a, const Variable& b);
 
 }  // namespace fca::ag

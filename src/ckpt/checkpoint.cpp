@@ -331,7 +331,7 @@ fl::ResumeState CheckpointManager::resume(fl::FederatedRun& run,
       stats_.load_seconds += timer.seconds();
       FCA_LOG_INFO << "resumed from " << path << " (round " << round << ")";
       return cursor;
-    } catch (const std::exception& e) {
+    } catch (const Error& e) {
       FCA_LOG_WARN << "checkpoint " << path << " rejected: " << e.what()
                    << (std::next(it) != rounds.rend()
                            ? "; falling back to previous checkpoint"
@@ -346,41 +346,10 @@ std::optional<fl::ResumeState> CheckpointManager::recover(
     fl::FederatedRun& run, fl::RoundStrategy& strategy) {
   try {
     return resume(run, strategy);
-  } catch (const std::exception& e) {
+  } catch (const Error& e) {
     FCA_LOG_WARN << "crash recovery unavailable: " << e.what();
     return std::nullopt;
   }
-}
-
-void CheckpointManager::restore_client(fl::FederatedRun& run, int client_id) {
-  std::vector<int> rounds = available_rounds(options_.dir);
-  FCA_CHECK_MSG(!rounds.empty(),
-                "no checkpoints in " << options_.dir << " to restore client "
-                                     << client_id << " from");
-  for (auto it = rounds.rbegin(); it != rounds.rend(); ++it) {
-    const std::string path = checkpoint_path(options_.dir, *it);
-    try {
-      SectionReader reader(path);
-      if (reader.has(client_section(client_id))) {
-        run.store().restore_serialized_state(
-            client_id, reader.section(client_section(client_id)));
-      } else if (run.store().rederivable()) {
-        // Recorded clean: the checkpoint's word is that this client equals
-        // factory + bootstrap output, so forgetting its current state IS
-        // the restore.
-        run.store().invalidate(client_id);
-      } else {
-        (void)reader.section(client_section(client_id));  // throws: missing
-      }
-      FCA_LOG_INFO << "restored client " << client_id << " from " << path;
-      return;
-    } catch (const std::exception& e) {
-      FCA_LOG_WARN << "checkpoint " << path << " rejected while restoring "
-                   << "client " << client_id << ": " << e.what();
-    }
-  }
-  throw Error("no loadable checkpoint in " + options_.dir +
-              " to restore client " + std::to_string(client_id));
 }
 
 }  // namespace fca::ckpt

@@ -54,7 +54,8 @@ class CheckpointManager : public fl::RoundHook {
                    const fl::ResumeState& cursor) override;
   /// Crash recovery: rolls the full simulation back to the newest loadable
   /// checkpoint (clearing in-flight messages first) and returns the cursor
-  /// to replay from; std::nullopt when no checkpoint is loadable.
+  /// to replay from; std::nullopt when no checkpoint is loadable. Anything
+  /// other than an fca::Error (a bad_alloc, a logic error) propagates.
   std::optional<fl::ResumeState> recover(fl::FederatedRun& run,
                                          fl::RoundStrategy& strategy) override;
 
@@ -67,15 +68,11 @@ class CheckpointManager : public fl::RoundHook {
   /// Restores the newest loadable checkpoint into `run` and `strategy`
   /// (clients, optimizer slots, RNG streams, strategy state, traffic
   /// accounting) and returns the cursor to continue from. Files failing CRC
-  /// or structural validation are logged and skipped in favor of the next
-  /// older retained checkpoint; throws fca::Error when none is loadable.
+  /// or structural validation (an fca::Error) are logged and skipped in favor
+  /// of the next older retained checkpoint; throws fca::Error when none is
+  /// loadable. Any other exception propagates at once: a bad_alloc or a logic
+  /// error is a fault of the program, not of the file.
   fl::ResumeState resume(fl::FederatedRun& run, fl::RoundStrategy& strategy);
-
-  /// Restores a single client (model, optimizer, RNG) from the newest
-  /// loadable checkpoint, leaving everything else untouched — targeted
-  /// recovery when one client's in-memory state is corrupted at a round
-  /// boundary.
-  void restore_client(fl::FederatedRun& run, int client_id);
 
   /// Rounds that have a checkpoint file in `dir`, ascending. Static so
   /// callers can probe for resumability without constructing a manager.

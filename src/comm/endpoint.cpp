@@ -35,28 +35,9 @@ std::optional<Bytes> Endpoint::recv_with_deadline(int src, int tag,
   return net_->recv_within(rank_, src, tag, deadline_s);
 }
 
-bool Endpoint::has_message(int src, int tag) const {
-  return net_->has_message(rank_, src, tag);
-}
-
 void Endpoint::bcast_send(const std::vector<int>& dsts, int tag,
                           std::span<const std::byte> payload) {
   for (int dst : dsts) send(dst, tag, payload);
-}
-
-std::vector<Bytes> Endpoint::gather(const std::vector<int>& srcs, int tag) {
-  std::vector<Bytes> out;
-  out.reserve(srcs.size());
-  for (int src : srcs) out.push_back(recv(src, tag));
-  return out;
-}
-
-void Endpoint::scatter(const std::vector<int>& dsts, int tag,
-                       const std::vector<Bytes>& payloads) {
-  FCA_CHECK_MSG(dsts.size() == payloads.size(),
-                "scatter arity mismatch: " << dsts.size() << " dsts, "
-                                           << payloads.size() << " payloads");
-  for (size_t i = 0; i < dsts.size(); ++i) send(dsts[i], tag, payloads[i]);
 }
 
 }  // namespace fca::comm

@@ -22,7 +22,6 @@ class Endpoint {
 
   void send(int dst, int tag, std::span<const std::byte> payload);
   Bytes recv(int src, int tag);
-  bool has_message(int src, int tag) const;
 
   /// Fault-tolerant receive: on a fabric with an active fault plan a missing
   /// message becomes std::nullopt (a reported loss); on a reliable fabric it
@@ -43,12 +42,6 @@ class Endpoint {
   /// Root-side broadcast: sends the payload to each destination rank.
   void bcast_send(const std::vector<int>& dsts, int tag,
                   std::span<const std::byte> payload);
-  /// Root-side gather: receives one message from each source rank, in order.
-  std::vector<Bytes> gather(const std::vector<int>& srcs, int tag);
-
-  /// Root-side scatter: sends payloads[i] to dsts[i].
-  void scatter(const std::vector<int>& dsts, int tag,
-               const std::vector<Bytes>& payloads);
 
   Network& network() { return *net_; }
 

@@ -72,11 +72,6 @@ TrafficStats& TrafficStats::operator+=(const TrafficStats& other) {
   return *this;
 }
 
-CostModel::CostModel(double latency, double bandwidth)
-    : latency_s(latency), bandwidth_bps(bandwidth) {
-  validate();
-}
-
 void CostModel::validate() const {
   FCA_CHECK_MSG(latency_s >= 0.0,
                 "cost model latency must be non-negative, got " << latency_s);
@@ -131,12 +126,6 @@ bool Network::degraded() const {
 
 bool Network::lossy() const {
   return plan_.enabled() || transport_->fallible() || degraded();
-}
-
-bool Network::condemn_peer(int rank, const std::string& why) {
-  check_rank(rank);
-  std::lock_guard lk(mu_);
-  return condemn_locked(rank, why);
 }
 
 bool Network::condemn_locked(int rank, const std::string& why) {
@@ -505,12 +494,6 @@ TrafficStats Network::total_stats() const {
 void Network::clear_pending() {
   std::lock_guard lk(mu_);
   transport_->clear_pending();
-}
-
-void Network::reset_stats() {
-  std::lock_guard lk(mu_);
-  for (auto& s : sent_) s = TrafficStats{};
-  faults_ = FaultStats{};
 }
 
 void Network::restore_stats(const std::vector<TrafficStats>& sent) {

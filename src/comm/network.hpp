@@ -56,11 +56,6 @@ struct CostModel {
   /// Link bandwidth (bytes/second); infinite by default.
   double bandwidth_bps = std::numeric_limits<double>::infinity();
 
-  CostModel() = default;
-  /// Validating constructor: rejects negative latency and non-positive
-  /// bandwidth at the point of construction.
-  CostModel(double latency, double bandwidth);
-
   /// Throws fca::Error on a physically meaningless model (negative latency
   /// or non-positive bandwidth). Network re-checks this on construction so
   /// field-assigned models are validated too.
@@ -141,7 +136,6 @@ class Network {
   TrafficStats rank_stats(int rank) const;
   /// Aggregate traffic.
   TrafficStats total_stats() const;
-  void reset_stats();
   /// Replaces the per-rank accounting with checkpointed values (must have
   /// exactly size() entries). Resume uses this so traffic totals after an
   /// interrupted-and-resumed run match the uninterrupted run's bit for bit.
@@ -180,10 +174,6 @@ class Network {
   /// shortcut, the survivor-set gather) branch on this instead of on the
   /// fault plan alone, so real failures degrade exactly like injected ones.
   bool lossy() const;
-  /// Condemns `rank` directly (tests, and the round driver when it maps an
-  /// error it caught itself onto a peer). Idempotent; returns true when the
-  /// rank transitioned alive -> dead.
-  bool condemn_peer(int rank, const std::string& why);
 
   // -- scoped-mode control plane (DESIGN.md §14) -----------------------------
   /// Ships `payload` directly through the transport: no metering, no fault

@@ -24,18 +24,6 @@ TransportKind parse_transport_kind(std::string_view name) {
               "' (want inproc | shm | tcp)");
 }
 
-std::string_view to_string(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kInproc:
-      return "inproc";
-    case TransportKind::kShm:
-      return "shm";
-    case TransportKind::kTcp:
-      return "tcp";
-  }
-  return "?";
-}
-
 void MailboxSet::push(WireMessage msg) {
   boxes_[Key{msg.src, msg.dst, msg.tag}].push_back(std::move(msg));
   ++count_;

@@ -71,7 +71,6 @@ enum class TransportKind { kInproc, kShm, kTcp };
 
 /// Parses "inproc" | "shm" | "tcp" (throws on anything else).
 TransportKind parse_transport_kind(std::string_view name);
-std::string_view to_string(TransportKind kind);
 
 /// Deterministic failure injection below the policy layer: when enabled,
 /// make_transport wraps the configured backend in a ChaosTransport

@@ -32,13 +32,16 @@ std::vector<std::byte> encode_client_state(Client& client) {
 }
 
 void decode_client_state(std::span<const std::byte> bytes, Client& client) {
-  // Parsed in place: the model and slot blobs are views into `bytes`.
+  // Parsed in place: the model and slot blobs are views into `bytes`. Every
+  // field is read and checked before the first write.
   utils::ByteReader r(bytes);
-  models::deserialize_state(r.blob(), client.model());
+  const std::span<const std::byte> model_bytes = r.blob();
   std::vector<int64_t> scalars(r.count(sizeof(int64_t)));
   for (int64_t& v : scalars) v = r.i64();
-  client.optimizer().restore_scalar_state(scalars);
   const std::vector<models::TensorView> slots = models::view_tensors(r.blob());
+  const uint64_t rng_state = r.u64();
+  r.expect_done();
+
   const std::vector<Tensor*> targets = client.optimizer().state_tensors();
   FCA_CHECK_MSG(slots.size() == targets.size(),
                 "optimizer slot count mismatch for client " << client.id()
@@ -47,13 +50,19 @@ void decode_client_state(std::span<const std::byte> bytes, Client& client) {
   for (size_t i = 0; i < slots.size(); ++i) {
     FCA_CHECK_MSG(slots[i].shape == targets[i]->shape(),
                   "optimizer slot shape mismatch for client " << client.id());
+  }
+  models::check_state(model_bytes, client.model());
+  // The optimizer checks its scalars before it stores them, so this first
+  // write is also the last step that can throw.
+  client.optimizer().restore_scalar_state(scalars);
+  models::deserialize_state(model_bytes, client.model());
+  for (size_t i = 0; i < slots.size(); ++i) {
     if (slots[i].numel > 0) {
       std::memcpy(targets[i]->data(), slots[i].data,
                   static_cast<size_t>(slots[i].numel) * sizeof(float));
     }
   }
-  client.rng().restore(r.u64());
-  r.expect_done();
+  client.rng().restore(rng_state);
 }
 
 }  // namespace fca::fl

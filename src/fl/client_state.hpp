@@ -23,8 +23,10 @@ namespace fca::fl {
 std::vector<std::byte> encode_client_state(Client& client);
 
 /// Restores state captured by encode_client_state() into `client`, which
-/// must have been built with the same architecture (shape/slot mismatches
-/// throw fca::Error before any state is touched incompletely).
+/// must have been built with the same architecture. The whole buffer is
+/// parsed and every name, shape, length and optimizer scalar is checked
+/// before the first write, so a rejected state throws fca::Error and leaves
+/// the client's model, optimizer and RNG as they were.
 void decode_client_state(std::span<const std::byte> bytes, Client& client);
 
 }  // namespace fca::fl

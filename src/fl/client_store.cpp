@@ -30,18 +30,6 @@ PageError::PageError(int client_id, std::string path, const std::string& why)
       client_id_(client_id),
       path_(std::move(path)) {}
 
-ClientStore::Lease& ClientStore::Lease::operator=(Lease&& o) noexcept {
-  if (this != &o) {
-    release();
-    store_ = o.store_;
-    id_ = o.id_;
-    client_ = o.client_;
-    o.store_ = nullptr;
-    o.client_ = nullptr;
-  }
-  return *this;
-}
-
 void ClientStore::Lease::release() {
   if (store_ != nullptr) {
     store_->release(id_);

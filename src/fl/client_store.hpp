@@ -143,7 +143,6 @@ class ClientStore {
       o.store_ = nullptr;
       o.client_ = nullptr;
     }
-    Lease& operator=(Lease&& o) noexcept;
     ~Lease() { release(); }
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;

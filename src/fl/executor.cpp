@@ -141,13 +141,6 @@ std::vector<double> RoundExecutor::map(
   return std::move(st->results);
 }
 
-double RoundExecutor::sum(const std::vector<int>& clients,
-                          const std::function<double(int)>& body) const {
-  double total = 0.0;
-  for (double v : map(clients, body)) total += v;
-  return total;
-}
-
 void RoundExecutor::for_each(const std::vector<int>& clients,
                              const std::function<void(int)>& body) const {
   map(clients, [&body](int k) {

@@ -13,9 +13,9 @@
 //      calling thread in cohort order, so floating-point reduction order
 //      never depends on scheduling.
 //   3. Every lane (including the caller's) runs inside a
-//      ThreadPool::SerialRegion, so nested kernel parallel_for degrades to a
-//      serial loop — no pool oversubscription, and the kernels' outputs are
-//      chunk-invariant, so the numbers do not change.
+//      ThreadPool::SerialRegion, so nested kernel parallel_for_range degrades
+//      to a serial loop — no pool oversubscription, and the kernels' outputs
+//      are chunk-invariant, so the numbers do not change.
 //   4. If bodies throw, the exception of the lowest cohort position is
 //      rethrown after all lanes drain — the same error a serial sweep that
 //      got that far would report.
@@ -78,10 +78,6 @@ class RoundExecutor {
 
   /// Positions sorted by descending cost, ties by ascending position.
   static std::vector<size_t> claim_order(const std::vector<double>& costs);
-
-  /// map() reduced with += in cohort order on the calling thread.
-  double sum(const std::vector<int>& clients,
-             const std::function<double(int)>& body) const;
 
   /// map() for side-effect-only bodies (restore/upload sweeps).
   void for_each(const std::vector<int>& clients,

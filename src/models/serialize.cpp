@@ -49,13 +49,17 @@ std::vector<std::byte> serialize_named(const std::vector<NamedTensor>& items) {
   return out;
 }
 
-void deserialize_named(std::span<const std::byte> bytes,
-                       const std::vector<NamedTensor>& items) {
+/// Checks a named-tensor buffer against `items` (count, names, shapes and
+/// length) and returns each tensor's data bytes; writes nothing.
+std::vector<std::span<const std::byte>> parse_named(
+    std::span<const std::byte> bytes, const std::vector<NamedTensor>& items) {
   utils::ByteReader r(bytes);
   const uint32_t count = r.u32();
   FCA_CHECK_MSG(count == items.size(), "tensor count mismatch: buffer has "
                                            << count << ", target has "
                                            << items.size());
+  std::vector<std::span<const std::byte>> data;
+  data.reserve(items.size());
   for (const auto& it : items) {
     const std::string_view name = r.str();
     FCA_CHECK_MSG(name == it.name,
@@ -68,11 +72,24 @@ void deserialize_named(std::span<const std::byte> bytes,
       FCA_CHECK_MSG(r.i64() == it.tensor->dim(d), "shape mismatch for "
                                                       << name);
     }
-    const size_t n = static_cast<size_t>(it.tensor->numel()) * sizeof(float);
-    const std::span<const std::byte> data = r.need(n);
-    if (n > 0) std::memcpy(it.tensor->data(), data.data(), n);
+    data.push_back(
+        r.need(static_cast<size_t>(it.tensor->numel()) * sizeof(float)));
   }
   r.expect_done();
+  return data;
+}
+
+/// parse_named, then the copies: a rejected buffer leaves every tensor as
+/// it was.
+void deserialize_named(std::span<const std::byte> bytes,
+                       const std::vector<NamedTensor>& items) {
+  const std::vector<std::span<const std::byte>> data =
+      parse_named(bytes, items);
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (!data[i].empty()) {
+      std::memcpy(items[i].tensor->data(), data[i].data(), data[i].size());
+    }
+  }
 }
 
 std::vector<NamedTensor> param_tensors(const std::vector<nn::Param*>& params) {
@@ -106,16 +123,6 @@ std::vector<NamedTensor> indexed_tensors(const std::vector<Tensor*>& tensors) {
 
 }  // namespace
 
-std::vector<std::byte> serialize_params(
-    const std::vector<nn::Param*>& params) {
-  return serialize_named(param_tensors(params));
-}
-
-void deserialize_params(std::span<const std::byte> bytes,
-                        const std::vector<nn::Param*>& params) {
-  deserialize_named(bytes, param_tensors(params));
-}
-
 size_t serialized_params_size(const std::vector<nn::Param*>& params) {
   return serialized_named_size(param_tensors(params));
 }
@@ -126,6 +133,10 @@ std::vector<std::byte> serialize_state(SplitModel& model) {
 
 void deserialize_state(std::span<const std::byte> bytes, SplitModel& model) {
   deserialize_named(bytes, state_tensors(model));
+}
+
+void check_state(std::span<const std::byte> bytes, SplitModel& model) {
+  parse_named(bytes, state_tensors(model));
 }
 
 size_t serialized_state_size(SplitModel& model) {
@@ -247,17 +258,6 @@ void accumulate_tensors(std::span<const TensorView> up, float weight,
 void accumulate_tensors(std::span<const std::byte> payload, float weight,
                         std::vector<Tensor>& agg) {
   accumulate_tensors(view_tensors(payload), weight, agg);
-}
-
-void copy_param_values(const std::vector<nn::Param*>& src,
-                       const std::vector<nn::Param*>& dst) {
-  FCA_CHECK(src.size() == dst.size());
-  for (size_t i = 0; i < src.size(); ++i) {
-    FCA_CHECK_MSG(src[i]->value.same_shape(dst[i]->value),
-                  "param shape mismatch at index " << i);
-    std::copy_n(src[i]->value.data(), src[i]->value.numel(),
-                dst[i]->value.data());
-  }
 }
 
 std::vector<Tensor> snapshot_values(const std::vector<nn::Param*>& params) {

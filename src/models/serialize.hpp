@@ -17,22 +17,19 @@
 
 namespace fca::models {
 
-/// Serializes parameter values (names + shapes + data) to a buffer.
-std::vector<std::byte> serialize_params(
-    const std::vector<nn::Param*>& params);
-
-/// Restores parameter values from a buffer produced by serialize_params.
-/// Count, order, names and shapes must match exactly.
-void deserialize_params(std::span<const std::byte> bytes,
-                        const std::vector<nn::Param*>& params);
-
-/// Serialized size in bytes without building the buffer.
+/// Size in bytes of `params`' values in this format, without building the
+/// buffer.
 size_t serialized_params_size(const std::vector<nn::Param*>& params);
 
 /// Full model state: every parameter plus every buffer (BatchNorm running
 /// stats), the equivalent of a PyTorch state_dict file.
 std::vector<std::byte> serialize_state(SplitModel& model);
+/// Restores serialize_state's bytes into `model`. Every name, shape and
+/// length is checked before the first write, so a rejected buffer throws
+/// fca::Error and leaves the model as it was.
 void deserialize_state(std::span<const std::byte> bytes, SplitModel& model);
+/// deserialize_state's checks alone: throws where it would, writes nothing.
+void check_state(std::span<const std::byte> bytes, SplitModel& model);
 size_t serialized_state_size(SplitModel& model);
 /// serialize_state's bytes appended to `out` in place, with no buffer of
 /// their own (reserve serialized_state_size first to avoid regrowth).
@@ -85,10 +82,6 @@ void accumulate_tensors(std::span<const std::byte> payload, float weight,
 /// weighted sum, e.g. FedClassAvg+Proto's prototypes).
 void accumulate_tensors(std::span<const TensorView> up, float weight,
                         std::span<Tensor> agg);
-
-/// Copies parameter *values* between equally shaped parameter lists.
-void copy_param_values(const std::vector<nn::Param*>& src,
-                       const std::vector<nn::Param*>& dst);
 
 /// Snapshots parameter values into plain tensors (deep copies).
 std::vector<Tensor> snapshot_values(const std::vector<nn::Param*>& params);

@@ -1,8 +1,7 @@
-// Activation and regularization layers.
+// Activation layers.
 #pragma once
 
 #include "nn/module.hpp"
-#include "utils/rng.hpp"
 
 namespace fca::nn {
 
@@ -14,33 +13,6 @@ class ReLU : public Module {
 
  private:
   Tensor cached_input_;
-};
-
-class LeakyReLU : public Module {
- public:
-  explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string name() const override { return "LeakyReLU"; }
-
- private:
-  float slope_;
-  Tensor cached_input_;
-};
-
-/// Inverted dropout: training scales kept activations by 1/(1-p); eval is
-/// the identity.
-class Dropout : public Module {
- public:
-  Dropout(float p, Rng rng);
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string name() const override { return "Dropout"; }
-
- private:
-  float p_;
-  Rng rng_;
-  Tensor cached_mask_;  // already scaled by 1/(1-p)
 };
 
 }  // namespace fca::nn

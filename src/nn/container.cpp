@@ -1,14 +1,11 @@
 #include "nn/container.hpp"
 
+#include <algorithm>
+
 #include "tensor/ops.hpp"
 #include "utils/error.hpp"
 
 namespace fca::nn {
-
-Sequential::Sequential(std::vector<ModulePtr> children)
-    : children_(std::move(children)) {
-  for (const auto& c : children_) FCA_CHECK(c != nullptr);
-}
 
 Sequential& Sequential::add(ModulePtr m) {
   FCA_CHECK(m != nullptr);

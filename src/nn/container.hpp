@@ -12,9 +12,6 @@ namespace fca::nn {
 /// Runs children in order; backward in reverse order.
 class Sequential : public Module {
  public:
-  Sequential() = default;
-  explicit Sequential(std::vector<ModulePtr> children);
-
   /// Builder-style append.
   Sequential& add(ModulePtr m);
 

@@ -13,17 +13,4 @@ Tensor kaiming_uniform(Shape shape, int64_t fan_in, Rng& rng) {
   return Tensor::rand(std::move(shape), rng, -bound, bound);
 }
 
-Tensor kaiming_normal(Shape shape, int64_t fan_in, Rng& rng) {
-  FCA_CHECK(fan_in > 0);
-  const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  return Tensor::randn(std::move(shape), rng, 0.0f, stddev);
-}
-
-Tensor xavier_uniform(Shape shape, int64_t fan_in, int64_t fan_out, Rng& rng) {
-  FCA_CHECK(fan_in > 0 && fan_out > 0);
-  const float bound =
-      std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  return Tensor::rand(std::move(shape), rng, -bound, bound);
-}
-
 }  // namespace fca::nn

@@ -1,4 +1,4 @@
-// Weight initialization schemes.
+// Weight initialization.
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -12,11 +12,5 @@ namespace fca::nn {
 /// He/Kaiming uniform: U[-b, b] with b = sqrt(6 / fan_in) (gain for ReLU
 /// folded into the constant, matching PyTorch's default for conv/linear).
 Tensor kaiming_uniform(Shape shape, int64_t fan_in, Rng& rng);
-
-/// He/Kaiming normal: N(0, sqrt(2 / fan_in)).
-Tensor kaiming_normal(Shape shape, int64_t fan_in, Rng& rng);
-
-/// Glorot/Xavier uniform: U[-b, b], b = sqrt(6 / (fan_in + fan_out)).
-Tensor xavier_uniform(Shape shape, int64_t fan_in, int64_t fan_out, Rng& rng);
 
 }  // namespace fca::nn

@@ -58,38 +58,6 @@ LossResult soft_target_cross_entropy(const Tensor& logits,
   return {static_cast<float>(loss / b), std::move(grad)};
 }
 
-LossResult distillation_kl(const Tensor& student_logits,
-                           const Tensor& teacher_logits, float temperature) {
-  FCA_CHECK(temperature > 0.0f);
-  FCA_CHECK(student_logits.same_shape(teacher_logits));
-  const float t = temperature;
-  Tensor teacher_probs = softmax_rows(mul_scalar(teacher_logits, 1.0f / t));
-  Tensor scaled_student = mul_scalar(student_logits, 1.0f / t);
-  LossResult ce = soft_target_cross_entropy(scaled_student, teacher_probs);
-  // KL = CE - H(teacher); the entropy term is constant w.r.t. the student.
-  double entropy = 0.0;
-  const int64_t n = teacher_probs.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    const float p = teacher_probs[i];
-    if (p > 0.0f) entropy -= static_cast<double>(p) * std::log(p);
-  }
-  entropy /= teacher_probs.dim(0);
-  LossResult out;
-  out.value = (ce.value - static_cast<float>(entropy)) * t * t;
-  // d/d(student) = t^2 * d(CE)/d(student/t) * (1/t) = t * grad
-  out.grad = mul_scalar(ce.grad, t);
-  return out;
-}
-
-LossResult mse(const Tensor& pred, const Tensor& target) {
-  FCA_CHECK(pred.same_shape(target) && pred.numel() > 0);
-  Tensor diff = sub(pred, target);
-  LossResult out;
-  out.value = sum_squares(diff) / static_cast<float>(pred.numel());
-  out.grad = mul_scalar(diff, 2.0f / static_cast<float>(pred.numel()));
-  return out;
-}
-
 float accuracy(const Tensor& logits, const std::vector<int>& labels) {
   FCA_CHECK(logits.ndim() == 2 &&
             static_cast<int64_t>(labels.size()) == logits.dim(0));

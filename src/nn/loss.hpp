@@ -28,14 +28,6 @@ LossResult softmax_cross_entropy(const Tensor& logits,
 LossResult soft_target_cross_entropy(const Tensor& logits,
                                      const Tensor& target_probs);
 
-/// Temperature-scaled KL distillation loss (Hinton et al.):
-/// KL(softmax(teacher/T) || softmax(student/T)) * T^2, mean over batch.
-LossResult distillation_kl(const Tensor& student_logits,
-                           const Tensor& teacher_logits, float temperature);
-
-/// Mean squared error between two equally shaped tensors; grad w.r.t. `pred`.
-LossResult mse(const Tensor& pred, const Tensor& target);
-
 /// Fraction of rows whose argmax equals the label.
 float accuracy(const Tensor& logits, const std::vector<int>& labels);
 

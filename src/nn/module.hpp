@@ -12,8 +12,7 @@
 //    the cached state of exactly that forward call. Every module a backbone
 //    uses frees its cached activations when backward returns, so between
 //    steps it holds only its parameters, their gradients and its buffers,
-//    and a second backward throws until a new training forward. (Dropout,
-//    LeakyReLU and AvgPool2d, which no backbone uses, keep their caches.)
+//    and a second backward throws until a new training forward.
 //  * Parameter gradients are *accumulated*; call Optimizer::zero_grad()
 //    (or Param::zero_grad) between steps.
 #pragma once
@@ -56,7 +55,7 @@ class Module {
   virtual ~Module() = default;
 
   /// Computes the output; `train` selects training behaviour (BatchNorm batch
-  /// stats, active Dropout) and enables caching for backward().
+  /// stats) and enables caching for backward().
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
   /// Backpropagates `grad_out` (shape of the last forward output) through

@@ -202,76 +202,6 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-AvgPool2d::AvgPool2d(int64_t kernel, int64_t stride, int64_t padding)
-    : kernel_(kernel), stride_(stride), padding_(padding) {
-  FCA_CHECK(kernel > 0 && stride > 0 && padding >= 0 && padding < kernel);
-}
-
-Tensor AvgPool2d::forward(const Tensor& x, bool train) {
-  FCA_CHECK(x.ndim() == 4);
-  const int64_t b = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int64_t oh = pooled_extent(h, kernel_, stride_, padding_);
-  const int64_t ow = pooled_extent(w, kernel_, stride_, padding_);
-  FCA_CHECK(oh > 0 && ow > 0);
-  if (train) cached_in_shape_ = x.shape();
-  Tensor out = Tensor::uninit({b, c, oh, ow});
-  // Padding taps count toward the divisor (count_include_pad, the PyTorch
-  // default), so the divisor is always kernel^2.
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  for (int64_t i = 0; i < b * c; ++i) {
-    const float* xi = x.data() + i * h * w;
-    float* oi = out.data() + i * oh * ow;
-    for (int64_t y = 0; y < oh; ++y) {
-      for (int64_t xo = 0; xo < ow; ++xo) {
-        double s = 0.0;
-        for (int64_t ky = 0; ky < kernel_; ++ky) {
-          const int64_t iy = y * stride_ - padding_ + ky;
-          if (iy < 0 || iy >= h) continue;
-          for (int64_t kx = 0; kx < kernel_; ++kx) {
-            const int64_t ix = xo * stride_ - padding_ + kx;
-            if (ix >= 0 && ix < w) s += xi[iy * w + ix];
-          }
-        }
-        oi[y * ow + xo] = static_cast<float>(s) * inv;
-      }
-    }
-  }
-  return out;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  FCA_CHECK_MSG(!cached_in_shape_.empty(),
-                "AvgPool2d::backward without a training forward");
-  const int64_t b = cached_in_shape_[0], c = cached_in_shape_[1],
-                h = cached_in_shape_[2], w = cached_in_shape_[3];
-  const int64_t oh = pooled_extent(h, kernel_, stride_, padding_);
-  const int64_t ow = pooled_extent(w, kernel_, stride_, padding_);
-  FCA_CHECK_MSG(grad_out.shape() == (Shape{b, c, oh, ow}),
-                "AvgPool2d::backward expects grad_out "
-                    << shape_to_string({b, c, oh, ow}) << ", got "
-                    << shape_to_string(grad_out.shape()));
-  Tensor grad_in(cached_in_shape_);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  for (int64_t i = 0; i < b * c; ++i) {
-    float* gi = grad_in.data() + i * h * w;
-    const float* go = grad_out.data() + i * oh * ow;
-    for (int64_t y = 0; y < oh; ++y) {
-      for (int64_t xo = 0; xo < ow; ++xo) {
-        const float g = go[y * ow + xo] * inv;
-        for (int64_t ky = 0; ky < kernel_; ++ky) {
-          const int64_t iy = y * stride_ - padding_ + ky;
-          if (iy < 0 || iy >= h) continue;
-          for (int64_t kx = 0; kx < kernel_; ++kx) {
-            const int64_t ix = xo * stride_ - padding_ + kx;
-            if (ix >= 0 && ix < w) gi[iy * w + ix] += g;
-          }
-        }
-      }
-    }
-  }
-  return grad_in;
-}
-
 Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   FCA_CHECK(x.ndim() == 4);
   const int64_t b = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);

@@ -28,18 +28,6 @@ class MaxPool2d : public Module {
   std::vector<int32_t> lane_scratch_;   // forward's per-lane index scratch
 };
 
-class AvgPool2d : public Module {
- public:
-  AvgPool2d(int64_t kernel, int64_t stride, int64_t padding = 0);
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string name() const override { return "AvgPool2d"; }
-
- private:
-  int64_t kernel_, stride_, padding_;
-  Shape cached_in_shape_;
-};
-
 /// Collapses each channel's spatial extent to its mean: [B,C,H,W] -> [B,C].
 class GlobalAvgPool : public Module {
  public:

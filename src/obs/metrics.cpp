@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -23,13 +22,6 @@ void set_metrics(bool on) {
 
 namespace {
 
-int bucket_of(double v) {
-  if (!(v > 0.0) || !std::isfinite(v)) return 0;
-  int e = 0;
-  std::frexp(v, &e);  // v = m * 2^e with m in [0.5, 1)
-  return std::clamp(e + 32, 0, Histogram::kBuckets - 1);
-}
-
 double now_us() {
   static const auto epoch = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(
@@ -45,7 +37,6 @@ void Histogram::observe(double v) {
   sum_ += v;
   min_ = std::min(min_, v);
   max_ = std::max(max_, v);
-  ++buckets_[bucket_of(v)];
 }
 
 uint64_t Histogram::count() const {
@@ -68,18 +59,12 @@ double Histogram::max() const {
   return max_;
 }
 
-std::vector<uint64_t> Histogram::buckets() const {
-  std::lock_guard lk(mu_);
-  return std::vector<uint64_t>(buckets_, buckets_ + kBuckets);
-}
-
 void Histogram::reset() {
   std::lock_guard lk(mu_);
   count_ = 0;
   sum_ = 0.0;
   min_ = std::numeric_limits<double>::infinity();
   max_ = -std::numeric_limits<double>::infinity();
-  std::fill(buckets_, buckets_ + kBuckets, 0);
 }
 
 ScopedTimer::ScopedTimer(Histogram* h) : h_(h) {

@@ -52,19 +52,14 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Latency/size distribution: count, sum, min, max plus power-of-two
-/// buckets (bucket i counts observations with 2^(i-33) < v <= 2^(i-32),
-/// i.e. frexp exponent + 32 — sub-nanosecond to ~2^31 seconds).
+/// Latency/size distribution: count, sum, min and max.
 class Histogram {
  public:
-  static constexpr int kBuckets = 64;
-
   void observe(double v);
   uint64_t count() const;
   double sum() const;
   double min() const;  // +inf when empty
   double max() const;  // -inf when empty
-  std::vector<uint64_t> buckets() const;
   void reset();
 
  private:
@@ -73,7 +68,6 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-  uint64_t buckets_[kBuckets] = {};
 };
 
 /// Observes elapsed seconds into a histogram at scope exit; a null

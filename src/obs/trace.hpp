@@ -56,11 +56,11 @@ void set_kernel_tracing(bool on);
 
 /// True when a kernel span opened on this thread right now would be
 /// deterministic: the thread holds a ContextScope and sits at the context's
-/// own parallel_for nesting level (parallel_for_depth()). Calls made from
-/// inside a parallel_for body fail the last condition however the loop was
-/// scheduled — which thread runs a chunk, and whether chunks run inline,
-/// depends on the pool and the lane count — so spans there are suppressed
-/// and only the enclosing (context-level) kernel span is recorded.
+/// own parallel_for_range nesting level (parallel_for_depth()). Calls made
+/// from inside a parallel_for_range body fail the last condition however the
+/// loop was scheduled — which thread runs a chunk, and whether chunks run
+/// inline, depends on the pool and the lane count — so spans there are
+/// suppressed and only the enclosing (context-level) kernel span is recorded.
 bool kernel_spans_armed();
 
 /// One completed span. cat/name point at string literals (every emission

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "tensor/gemm.hpp"
 #include "utils/error.hpp"
@@ -64,18 +63,8 @@ Tensor exp(const Tensor& a) {
 Tensor log(const Tensor& a) {
   return unary(a, [](float x) { return std::log(x); });
 }
-Tensor sqrt(const Tensor& a) {
-  return unary(a, [](float x) { return std::sqrt(x); });
-}
 Tensor neg(const Tensor& a) {
   return unary(a, [](float x) { return -x; });
-}
-Tensor clamp(const Tensor& a, float lo, float hi) {
-  FCA_CHECK(lo <= hi);
-  return unary(a, [lo, hi](float x) { return std::min(hi, std::max(lo, x)); });
-}
-Tensor apply(const Tensor& a, const std::function<float(float)>& f) {
-  return unary(a, f);
 }
 
 Tensor relu(const Tensor& a) {
@@ -87,41 +76,15 @@ Tensor relu_backward(const Tensor& x, const Tensor& grad_out) {
                 [](float xv, float g) { return xv > 0.0f ? g : 0.0f; });
 }
 
-Tensor leaky_relu(const Tensor& a, float slope) {
-  return unary(a, [slope](float x) { return x > 0.0f ? x : slope * x; });
-}
-
-Tensor leaky_relu_backward(const Tensor& x, const Tensor& grad_out,
-                           float slope) {
-  return binary(x, grad_out, "leaky_relu_backward",
-                [slope](float xv, float g) { return xv > 0.0f ? g : slope * g; });
-}
-
 void add_(Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add_");
   float* pa = a.data();
   const float* pb = b.data();
   for (int64_t i = 0; i < a.numel(); ++i) pa[i] += pb[i];
 }
-void sub_(Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub_");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a.numel(); ++i) pa[i] -= pb[i];
-}
-void mul_(Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul_");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a.numel(); ++i) pa[i] *= pb[i];
-}
 void mul_scalar_(Tensor& a, float s) {
   float* pa = a.data();
   for (int64_t i = 0; i < a.numel(); ++i) pa[i] *= s;
-}
-void add_scalar_(Tensor& a, float s) {
-  float* pa = a.data();
-  for (int64_t i = 0; i < a.numel(); ++i) pa[i] += s;
 }
 void axpy_(Tensor& a, float alpha, const Tensor& b) {
   check_same_shape(a, b, "axpy_");
@@ -143,19 +106,6 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   return c;
 }
 
-Tensor transpose2d(const Tensor& a) {
-  FCA_CHECK(a.ndim() == 2);
-  const int64_t m = a.dim(0);
-  const int64_t n = a.dim(1);
-  Tensor out = Tensor::uninit({n, m});
-  const float* pa = a.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) po[j * m + i] = pa[i * n + j];
-  }
-  return out;
-}
-
 Tensor add_rowwise(const Tensor& m, const Tensor& row) {
   FCA_CHECK(m.ndim() == 2 && row.ndim() == 1 && row.dim(0) == m.dim(1));
   Tensor out = Tensor::uninit(m.shape());
@@ -172,38 +122,6 @@ Tensor add_rowwise(const Tensor& m, const Tensor& row) {
   return out;
 }
 
-Tensor mul_rowwise(const Tensor& m, const Tensor& row) {
-  FCA_CHECK(m.ndim() == 2 && row.ndim() == 1 && row.dim(0) == m.dim(1));
-  Tensor out = Tensor::uninit(m.shape());
-  const int64_t rows = m.dim(0);
-  const int64_t cols = m.dim(1);
-  const float* pm = m.data();
-  const float* pr = row.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t j = 0; j < cols; ++j) {
-      po[i * cols + j] = pm[i * cols + j] * pr[j];
-    }
-  }
-  return out;
-}
-
-Tensor mul_colwise(const Tensor& m, const Tensor& col) {
-  FCA_CHECK(m.ndim() == 2 && col.ndim() == 1 && col.dim(0) == m.dim(0));
-  Tensor out = Tensor::uninit(m.shape());
-  const int64_t rows = m.dim(0);
-  const int64_t cols = m.dim(1);
-  const float* pm = m.data();
-  const float* pc = col.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t j = 0; j < cols; ++j) {
-      po[i * cols + j] = pm[i * cols + j] * pc[i];
-    }
-  }
-  return out;
-}
-
 float sum(const Tensor& a) {
   // Pairwise-ish accumulation in double keeps large reductions accurate.
   double s = 0.0;
@@ -212,39 +130,11 @@ float sum(const Tensor& a) {
   return static_cast<float>(s);
 }
 
-float mean(const Tensor& a) {
-  FCA_CHECK(a.numel() > 0);
-  return sum(a) / static_cast<float>(a.numel());
-}
-
-float max_value(const Tensor& a) {
-  FCA_CHECK(a.numel() > 0);
-  return *std::max_element(a.data(), a.data() + a.numel());
-}
-
-float min_value(const Tensor& a) {
-  FCA_CHECK(a.numel() > 0);
-  return *std::min_element(a.data(), a.data() + a.numel());
-}
-
 float sum_squares(const Tensor& a) {
   double s = 0.0;
   const float* p = a.data();
   for (int64_t i = 0; i < a.numel(); ++i) {
     s += static_cast<double>(p[i]) * p[i];
-  }
-  return static_cast<float>(s);
-}
-
-float l2_norm(const Tensor& a) { return std::sqrt(sum_squares(a)); }
-
-float dot(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "dot");
-  double s = 0.0;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    s += static_cast<double>(pa[i]) * pb[i];
   }
   return static_cast<float>(s);
 }
@@ -257,26 +147,6 @@ Tensor sum_rows(const Tensor& m) {
   for (int64_t i = 0; i < m.dim(0); ++i) {
     for (int64_t j = 0; j < m.dim(1); ++j) po[j] += pm[i * m.dim(1) + j];
   }
-  return out;
-}
-
-Tensor sum_cols(const Tensor& m) {
-  FCA_CHECK(m.ndim() == 2);
-  Tensor out = Tensor::uninit({m.dim(0)});
-  const float* pm = m.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < m.dim(0); ++i) {
-    double s = 0.0;
-    for (int64_t j = 0; j < m.dim(1); ++j) s += pm[i * m.dim(1) + j];
-    po[i] = static_cast<float>(s);
-  }
-  return out;
-}
-
-Tensor mean_cols(const Tensor& m) {
-  FCA_CHECK(m.ndim() == 2 && m.dim(1) > 0);
-  Tensor out = sum_cols(m);
-  mul_scalar_(out, 1.0f / static_cast<float>(m.dim(1)));
   return out;
 }
 

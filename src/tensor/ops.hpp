@@ -2,12 +2,11 @@
 //
 // Free functions over fca::Tensor. Out-of-place functions return new tensors;
 // functions with a trailing underscore mutate their first argument in place.
-// All binary elementwise ops require exactly matching shapes except the
-// *_rowwise family, which broadcasts a 1-D vector across the rows of a 2-D
-// matrix (the only broadcast the NN stack needs).
+// All binary elementwise ops require exactly matching shapes except
+// add_rowwise, which broadcasts a 1-D vector across the rows of a 2-D matrix
+// (the only broadcast the NN stack needs).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -23,31 +22,20 @@ Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 Tensor exp(const Tensor& a);
 Tensor log(const Tensor& a);
-Tensor sqrt(const Tensor& a);
 Tensor neg(const Tensor& a);
-Tensor clamp(const Tensor& a, float lo, float hi);
-Tensor apply(const Tensor& a, const std::function<float(float)>& f);
 
 // -- activations -------------------------------------------------------------
-// Dedicated entry points instead of apply(): the std::function indirection
-// costs an indirect call per element, which on the small CNNs here is as
+// Dedicated entry points, not a std::function callback: an indirect call per
+// element costs, which on the small CNNs here is as
 // expensive as the conv GEMM it feeds. These are branchless selects the
 // compiler vectorizes.
 /// max(x, 0)
 Tensor relu(const Tensor& a);
 /// d(relu)/dx: grad_out where x > 0, else 0.
 Tensor relu_backward(const Tensor& x, const Tensor& grad_out);
-/// x > 0 ? x : slope * x
-Tensor leaky_relu(const Tensor& a, float slope);
-/// d(leaky_relu)/dx: grad_out where x > 0, else slope * grad_out.
-Tensor leaky_relu_backward(const Tensor& x, const Tensor& grad_out,
-                           float slope);
 
 void add_(Tensor& a, const Tensor& b);
-void sub_(Tensor& a, const Tensor& b);
-void mul_(Tensor& a, const Tensor& b);
 void mul_scalar_(Tensor& a, float s);
-void add_scalar_(Tensor& a, float s);
 /// a += alpha * b
 void axpy_(Tensor& a, float alpha, const Tensor& b);
 
@@ -56,29 +44,15 @@ void axpy_(Tensor& a, float alpha, const Tensor& b);
 /// the *logical* operands.
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
-Tensor transpose2d(const Tensor& a);
 /// matrix [m,n] + row vector [n], broadcast over rows.
 Tensor add_rowwise(const Tensor& m, const Tensor& row);
-/// matrix [m,n] * row vector [n], broadcast over rows.
-Tensor mul_rowwise(const Tensor& m, const Tensor& row);
-/// matrix [m,n] * column vector [m], broadcast over columns.
-Tensor mul_colwise(const Tensor& m, const Tensor& col);
 
 // -- reductions ----------------------------------------------------------
 float sum(const Tensor& a);
-float mean(const Tensor& a);
-float max_value(const Tensor& a);
-float min_value(const Tensor& a);
 /// Sum of squares of all elements.
 float sum_squares(const Tensor& a);
-float l2_norm(const Tensor& a);
-float dot(const Tensor& a, const Tensor& b);
 /// Column sums of a 2-D matrix -> [n].
 Tensor sum_rows(const Tensor& m);
-/// Row sums of a 2-D matrix -> [m].
-Tensor sum_cols(const Tensor& m);
-/// Row means of a 2-D matrix -> [m].
-Tensor mean_cols(const Tensor& m);
 /// argmax over each row of a 2-D matrix.
 std::vector<int> argmax_rows(const Tensor& m);
 

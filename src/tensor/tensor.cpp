@@ -1,7 +1,6 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <sstream>
 
 #include "utils/error.hpp"
@@ -71,23 +70,6 @@ Tensor Tensor::rand(Shape shape, Rng& rng, float lo, float hi) {
   Tensor t = uninit(std::move(shape));
   for (int64_t i = 0; i < t.numel(); ++i) {
     t[i] = static_cast<float>(rng.uniform(lo, hi));
-  }
-  return t;
-}
-
-Tensor Tensor::arange(int64_t n) {
-  Tensor t = uninit({n});
-  for (int64_t i = 0; i < n; ++i) t[i] = static_cast<float>(i);
-  return t;
-}
-
-Tensor Tensor::one_hot(const std::vector<int>& labels, int64_t classes) {
-  Tensor t({static_cast<int64_t>(labels.size()), classes});
-  for (size_t i = 0; i < labels.size(); ++i) {
-    FCA_CHECK_MSG(labels[i] >= 0 && labels[i] < classes,
-                  "label " << labels[i] << " out of range [0, " << classes
-                           << ")");
-    t[static_cast<int64_t>(i) * classes + labels[i]] = 1.0f;
   }
   return t;
 }
@@ -165,19 +147,5 @@ void Tensor::copy_row_from(int64_t row, const Tensor& src, int64_t src_row) {
 }
 
 void Tensor::fill(float v) { std::fill(buf_->begin(), buf_->end(), v); }
-
-std::string Tensor::to_string() const {
-  std::ostringstream os;
-  os << "Tensor" << shape_to_string(shape_) << " {";
-  const int64_t show = std::min<int64_t>(numel_, 16);
-  os << std::setprecision(5);
-  for (int64_t i = 0; i < show; ++i) {
-    if (i > 0) os << ", ";
-    os << (*buf_)[static_cast<size_t>(i)];
-  }
-  if (numel_ > show) os << ", ...";
-  os << '}';
-  return os.str();
-}
 
 }  // namespace fca

@@ -72,10 +72,6 @@ class Tensor {
                       float stddev = 1.f);
   /// Elements i.i.d. U[lo, hi) drawn from `rng`.
   static Tensor rand(Shape shape, Rng& rng, float lo = 0.f, float hi = 1.f);
-  /// 1-D tensor [0, 1, ..., n-1].
-  static Tensor arange(int64_t n);
-  /// 2-D one-hot rows: out[i, labels[i]] = 1.
-  static Tensor one_hot(const std::vector<int>& labels, int64_t classes);
 
   // -- shape ---------------------------------------------------------------
   const Shape& shape() const { return shape_; }
@@ -111,8 +107,6 @@ class Tensor {
 
   /// Fills with a constant.
   void fill(float v);
-
-  std::string to_string() const;
 
  private:
   int64_t flat_index(std::initializer_list<int64_t> idx) const;

@@ -49,17 +49,6 @@ void CsvWriter::row(const std::vector<std::string>& values) {
   out_.flush();
 }
 
-void CsvWriter::row(const std::vector<double>& values) {
-  std::vector<std::string> s;
-  s.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream os;
-    os << std::setprecision(10) << v;
-    s.push_back(os.str());
-  }
-  row(s);
-}
-
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {
   FCA_CHECK(!header_.empty());

@@ -16,8 +16,6 @@ class CsvWriter {
 
   /// Appends one row; must have the same arity as the header.
   void row(const std::vector<std::string>& values);
-  /// Convenience overload for numeric rows.
-  void row(const std::vector<double>& values);
 
   const std::string& path() const { return path_; }
 

@@ -143,20 +143,4 @@ std::vector<int> Rng::sample_without_replacement(int n, int count) {
   return p;
 }
 
-int Rng::categorical(const std::vector<double>& weights) {
-  FCA_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    FCA_CHECK_MSG(w >= 0.0, "categorical weights must be non-negative");
-    total += w;
-  }
-  FCA_CHECK_MSG(total > 0.0, "categorical weights must not all be zero");
-  double r = uniform() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return static_cast<int>(i);
-  }
-  return static_cast<int>(weights.size()) - 1;
-}
-
 }  // namespace fca

@@ -1,7 +1,7 @@
 // Deterministic random number generation.
 //
 // Every stochastic component of the simulator (data synthesis, partitioning,
-// augmentation, weight init, client sampling, dropout, ...) draws from an
+// augmentation, weight init, client sampling, ...) draws from an
 // fca::Rng obtained by *deriving a named stream* from a single experiment
 // seed. Two runs with the same experiment seed therefore produce bit-identical
 // results regardless of evaluation order, which is what makes the benches and
@@ -72,9 +72,6 @@ class Rng {
 
   /// Samples `count` distinct indices from {0, ..., n-1} without replacement.
   std::vector<int> sample_without_replacement(int n, int count);
-
-  /// Categorical draw from unnormalized non-negative weights.
-  int categorical(const std::vector<double>& weights);
 
  private:
   uint64_t state_;

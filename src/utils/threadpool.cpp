@@ -9,22 +9,22 @@ namespace {
 
 /// Depth of pool tasks / SerialRegions the current thread is inside. Static
 /// and pool-agnostic: a task of any pool marks the thread, so nested
-/// parallel_for (which always targets the global pool) degrades to serial no
-/// matter which pool scheduled the enclosing task.
+/// parallel_for_range (which always targets the global pool) degrades to
+/// serial no matter which pool scheduled the enclosing task.
 thread_local int t_task_depth = 0;
 
-/// Number of parallel_for bodies the current thread is running, however
+/// Number of parallel_for_range bodies the current thread is running, however
 /// each loop was scheduled — the counter behind parallel_for_depth().
 thread_local int t_for_depth = 0;
 
 /// RAII depth bump around a task body; exception-safe so accounting survives
-/// a throwing task (parallel_for wrappers catch, but keep this robust).
+/// a throwing task (parallel_for_range wrappers catch, but keep this robust).
 struct TaskDepthScope {
   TaskDepthScope() { ++t_task_depth; }
   ~TaskDepthScope() { --t_task_depth; }
 };
 
-/// RAII bump of t_for_depth around one parallel_for body invocation.
+/// RAII bump of t_for_depth around one parallel_for_range body invocation.
 struct ForBodyScope {
   ForBodyScope() { ++t_for_depth; }
   ~ForBodyScope() { --t_for_depth; }
@@ -171,15 +171,5 @@ void parallel_for_range(int64_t begin, int64_t end,
 }
 
 int parallel_for_depth() { return t_for_depth; }
-
-void parallel_for(int64_t begin, int64_t end,
-                  const std::function<void(int64_t)>& fn, int64_t grain) {
-  parallel_for_range(
-      begin, end,
-      [&fn](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) fn(i);
-      },
-      grain);
-}
 
 }  // namespace fca

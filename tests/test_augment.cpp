@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.hpp"
+#include "test_helpers.hpp"
 
 namespace fca::data {
 namespace {
@@ -117,7 +118,7 @@ TEST(Augmentor, ShiftMovesContentWithZeroPad) {
   for (uint64_t seed = 0; seed < 16 && !saw_padding; ++seed) {
     Rng rng(seed);
     Tensor y = aug.augment(x, rng);
-    if (min_value(y) == 0.0f) saw_padding = true;
+    if (test::min_value(y) == 0.0f) saw_padding = true;
   }
   EXPECT_TRUE(saw_padding);
 }

@@ -14,6 +14,68 @@
 namespace fca::ag {
 namespace {
 
+/// Builds a tape node like the library's ops do: it needs a gradient when any
+/// input does.
+Variable tape(Tensor value, const std::vector<Variable>& inputs,
+              std::function<void(detail::Node&)> backward) {
+  std::vector<std::shared_ptr<detail::Node>> parents;
+  bool req = false;
+  for (const Variable& v : inputs) {
+    parents.push_back(v.node());
+    req = req || v.requires_grad();
+  }
+  return Variable(detail::make_node(std::move(value), req, std::move(parents),
+                                    req ? std::move(backward) : nullptr));
+}
+
+/// Row sums of a [m, n] matrix, accumulated in double -> [m].
+Tensor row_sums(const Tensor& m) {
+  const int64_t rows = m.dim(0);
+  const int64_t cols = m.dim(1);
+  Tensor out({rows});
+  for (int64_t i = 0; i < rows; ++i) {
+    double s = 0.0;
+    for (int64_t j = 0; j < cols; ++j) s += m[i * cols + j];
+    out[i] = static_cast<float>(s);
+  }
+  return out;
+}
+
+/// The reference's row-wise steps, taped here because only it needs them.
+/// m[i, j] + col[i] for a constant column.
+Variable add_colwise_const(const Variable& m, const Tensor& col) {
+  const int64_t cols = m.dim(1);
+  Tensor v = m.value().clone();
+  for (int64_t i = 0; i < v.numel(); ++i) v[i] += col[i / cols];
+  return tape(v, {m}, [](detail::Node& n) {
+    if (n.parents[0]->requires_grad) n.parents[0]->accumulate(n.grad);
+  });
+}
+
+/// Row sums -> [m].
+Variable sum_cols(const Variable& m) {
+  const int64_t cols = m.dim(1);
+  return tape(row_sums(m.value()), {m}, [cols](detail::Node& n) {
+    if (!n.parents[0]->requires_grad) return;
+    Tensor dx(n.parents[0]->value.shape());
+    for (int64_t i = 0; i < dx.numel(); ++i) dx[i] = n.grad[i / cols];
+    n.parents[0]->accumulate(dx);
+  });
+}
+
+/// m[i, j] - col[i].
+Variable sub_colwise(const Variable& m, const Variable& col) {
+  const int64_t cols = m.dim(1);
+  Tensor v = m.value().clone();
+  for (int64_t i = 0; i < v.numel(); ++i) v[i] -= col.value()[i / cols];
+  return tape(v, {m, col}, [](detail::Node& n) {
+    if (n.parents[0]->requires_grad) n.parents[0]->accumulate(n.grad);
+    if (n.parents[1]->requires_grad) {
+      n.parents[1]->accumulate(fca::neg(row_sums(n.grad)));
+    }
+  });
+}
+
 /// Op-by-op tape implementation of supervised_contrastive (one node per
 /// elementwise step, each materializing an n×n intermediate): the agreement
 /// oracle for the fused loss, which computes the same math with one forward
@@ -140,14 +202,6 @@ TEST(Autograd, SubPropagatesNegative) {
   EXPECT_FLOAT_EQ(b.grad()[0], -1.0f);
 }
 
-TEST(Autograd, MulProductRule) {
-  Variable a = Variable::leaf(Tensor({2}, {2, 3}));
-  Variable b = Variable::leaf(Tensor({2}, {5, 7}));
-  sum(mul(a, b)).backward();
-  EXPECT_FLOAT_EQ(a.grad()[0], 5.0f);
-  EXPECT_FLOAT_EQ(b.grad()[1], 3.0f);
-}
-
 TEST(Autograd, GradientAccumulatesAcrossUses) {
   Variable a = Variable::leaf(Tensor({2}, {1, 2}));
   // y = a + a -> dy/da = 2
@@ -158,8 +212,8 @@ TEST(Autograd, GradientAccumulatesAcrossUses) {
 TEST(Autograd, ConstantReceivesNoGradient) {
   Variable a = Variable::leaf(Tensor({2}, {1, 2}));
   Variable c = Variable::constant(Tensor({2}, {3, 4}));
-  sum(mul(a, c)).backward();
-  EXPECT_FLOAT_EQ(a.grad()[1], 4.0f);
+  sum(sub(a, c)).backward();
+  EXPECT_FLOAT_EQ(a.grad()[1], 1.0f);
   EXPECT_FALSE(c.has_grad());
 }
 
@@ -167,15 +221,6 @@ TEST(Autograd, ExpLogChain) {
   Rng rng(1);
   Tensor x = Tensor::rand({4}, rng, 0.5f, 2.0f);
   check_gradient(x, [](const Variable& v) { return sum(log(exp(v))); });
-}
-
-TEST(Autograd, ReluMasksNegative) {
-  Variable a = Variable::leaf(Tensor({4}, {-1, 2, -3, 4}));
-  sum(relu(a)).backward();
-  EXPECT_FLOAT_EQ(a.grad()[0], 0.0f);
-  EXPECT_FLOAT_EQ(a.grad()[1], 1.0f);
-  EXPECT_FLOAT_EQ(a.grad()[2], 0.0f);
-  EXPECT_FLOAT_EQ(a.grad()[3], 1.0f);
 }
 
 TEST(Autograd, MatmulFiniteDifference) {
@@ -225,22 +270,7 @@ TEST(Autograd, AddRowwiseBiasGradient) {
   Tensor m0 = Tensor::randn({3, 5}, rng);
   Tensor r0 = Tensor::randn({5}, rng);
   check_gradient(r0, [&](const Variable& r) {
-    return sum(mul(add_rowwise(Variable::constant(m0), r),
-                   add_rowwise(Variable::constant(m0), r)));
-  });
-}
-
-TEST(Autograd, SubColwiseGradient) {
-  Rng rng(5);
-  Tensor m0 = Tensor::randn({4, 3}, rng);
-  Tensor c0 = Tensor::randn({4}, rng);
-  check_gradient(c0, [&](const Variable& c) {
-    Variable diff = sub_colwise(Variable::constant(m0), c);
-    return sum(mul(diff, diff));
-  });
-  check_gradient(m0, [&](const Variable& m) {
-    Variable diff = sub_colwise(m, Variable::constant(c0));
-    return sum(mul(diff, diff));
+    return sum_squares(add_rowwise(Variable::constant(m0), r));
   });
 }
 
@@ -253,23 +283,13 @@ TEST(Autograd, L2NormalizeRowsGradient) {
   }, 1e-3f, 3e-2f);
 }
 
-TEST(Autograd, SliceAndConcatRoundTrip) {
+TEST(Autograd, SliceRowsGradientScattersBack) {
   Rng rng(7);
   Tensor x = Tensor::randn({6, 3}, rng);
   check_gradient(x, [](const Variable& v) {
     Variable top = slice_rows(v, 0, 2);
     Variable bottom = slice_rows(v, 2, 6);
-    Variable rebuilt = concat_rows({top, bottom});
-    return sum(mul(rebuilt, rebuilt));
-  });
-}
-
-TEST(Autograd, SumColsGradient) {
-  Rng rng(8);
-  Tensor x = Tensor::randn({3, 5}, rng);
-  check_gradient(x, [](const Variable& v) {
-    Variable s = sum_cols(v);
-    return sum(mul(s, s));
+    return add(sum_squares(top), sum_squares(bottom));
   });
 }
 
@@ -325,15 +345,6 @@ TEST(Autograd, CrossEntropyValueMatchesManual) {
   Variable l = Variable::leaf(logits);
   Variable loss = cross_entropy(l, {0});
   EXPECT_NEAR(loss.value()[0], std::log(2.0f), 1e-5);
-}
-
-TEST(Autograd, SoftCrossEntropyGradient) {
-  Rng rng(12);
-  Tensor logits = Tensor::randn({3, 5}, rng);
-  Tensor target = softmax_rows(Tensor::randn({3, 5}, rng));
-  check_gradient(logits, [&](const Variable& v) {
-    return soft_cross_entropy(v, target);
-  });
 }
 
 TEST(Autograd, SupConGradientFiniteDifference) {
@@ -443,29 +454,13 @@ TEST(Autograd, SupConTemperatureValidation) {
   EXPECT_THROW(supervised_contrastive(v, {0, 0}, 0.0f), Error);
 }
 
-TEST(Autograd, L2DistanceMatchesNorm) {
-  Tensor a({3}, {1, 2, 3});
-  Tensor b({3}, {4, 6, 3});
-  Variable va = Variable::leaf(a);
-  Variable d = l2_distance(va, Variable::constant(b));
-  EXPECT_NEAR(d.value()[0], 5.0f, 1e-4);
-}
-
-TEST(Autograd, L2DistanceGradient) {
-  Rng rng(15);
-  Tensor a = Tensor::randn({6}, rng);
-  Tensor b = Tensor::randn({6}, rng);
-  check_gradient(a, [&](const Variable& v) {
-    return l2_distance(v, Variable::constant(b));
-  });
-}
-
 TEST(Autograd, DiamondGraphTopologicalOrder) {
-  // x -> u = 2x, w = 3x; y = u * w = 6x^2; dy/dx = 12x.
+  // x -> u = 2x, w = 3x; y = exp(log u + log w) = u * w = 6x^2;
+  // dy/dx = 12x.
   Variable x = Variable::leaf(Tensor({1}, {2.0f}));
   Variable u = mul_scalar(x, 2.0f);
   Variable w = mul_scalar(x, 3.0f);
-  sum(mul(u, w)).backward();
+  sum(exp(add(log(u), log(w)))).backward();
   EXPECT_NEAR(x.grad()[0], 24.0f, 1e-4);
 }
 

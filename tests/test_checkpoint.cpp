@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <stdexcept>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/format.hpp"
@@ -352,28 +354,37 @@ TEST(CheckpointResume, ExecuteOrResumeIsIdempotentEntryPoint) {
   expect_bit_identical(reference.result, resumed.result);
 }
 
-TEST(CheckpointResume, RestoreClientRecoversPerturbedState) {
-  const std::string dir = scratch_dir("restoreclient");
+/// FedClassAvg whose load_state fails the way a fault of the program does,
+/// not the way a bad file does.
+class LogicErrorOnLoad : public core::FedClassAvg {
+ public:
+  using core::FedClassAvg::FedClassAvg;
+  void load_state(std::span<const std::byte>) override {
+    throw std::logic_error("load_state fault");
+  }
+};
+
+TEST(CheckpointResume, ProgramFaultPropagatesInsteadOfFallingBack) {
+  // Only a rejected file (fca::Error) falls back to an older checkpoint. A
+  // logic error or a bad_alloc must surface from resume and recover instead
+  // of reading as "no loadable checkpoint".
+  const std::string dir = scratch_dir("logicerror");
   ckpt::Options opts;
   opts.dir = dir;
+  opts.every = 1;
+  opts.keep_last = 2;
 
-  core::Experiment exp(resume_test_config(2));
+  core::Experiment exp(resume_test_config(3));
   core::FedClassAvg strat(exp.fedclassavg_config());
-  core::CompletedRun done = exp.execute(strat, opts);
-  fl::FederatedRun& run = *done.run;
+  exp.execute(strat, opts);
+  ASSERT_EQ(ckpt::CheckpointManager::available_rounds(dir).size(), 2u);
 
-  const std::vector<std::byte> before =
-      models::serialize_state(run.client(0).model());
-  // Corrupt client 0 in memory.
-  for (nn::Param* p : run.client(0).model().parameters()) {
-    for (int64_t i = 0; i < p->value.numel(); ++i) p->value[i] += 1.0f;
-  }
-  run.client(0).rng().restore(0xDEADBEEFu);
-  EXPECT_NE(models::serialize_state(run.client(0).model()), before);
-
+  core::Experiment exp2(resume_test_config(6));
+  LogicErrorOnLoad faulty(exp2.fedclassavg_config());
+  auto run = test::resident_run(exp2);
   ckpt::CheckpointManager manager(opts);
-  manager.restore_client(run, 0);
-  EXPECT_EQ(models::serialize_state(run.client(0).model()), before);
+  EXPECT_THROW(manager.resume(*run, faulty), std::logic_error);
+  EXPECT_THROW(manager.recover(*run, faulty), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -75,8 +75,6 @@ TEST(Network, TrafficAccounting) {
   const TrafficStats total = net.total_stats();
   EXPECT_EQ(total.messages, 3u);
   EXPECT_EQ(total.payload_bytes, 175u);
-  net.reset_stats();
-  EXPECT_EQ(net.total_stats().payload_bytes, 0u);
 }
 
 TEST(Network, CostModelAccumulatesSimTime) {
@@ -101,14 +99,14 @@ TEST(Endpoint, SendRecvThroughEndpoints) {
   Endpoint client(net, 1);
   const Bytes payload = make_payload(8, std::byte{0x42});
   server.send(1, 3, payload);
-  EXPECT_TRUE(client.has_message(0, 3));
+  EXPECT_TRUE(net.has_message(1, 0, 3));
   const Bytes got = client.recv(0, 3);
   EXPECT_EQ(got, payload);
   EXPECT_EQ(server.rank(), 0);
   EXPECT_EQ(client.world_size(), 3);
 }
 
-TEST(Endpoint, BroadcastAndGather) {
+TEST(Endpoint, BroadcastThenCollectReplies) {
   Network net(4);
   Endpoint server(net, 0);
   const Bytes payload = make_payload(16);
@@ -118,10 +116,9 @@ TEST(Endpoint, BroadcastAndGather) {
     EXPECT_EQ(c.recv(0, 9).size(), 16u);
     c.send(0, 10, make_payload(static_cast<size_t>(r)));
   }
-  const std::vector<Bytes> gathered = server.gather({1, 2, 3}, 10);
-  ASSERT_EQ(gathered.size(), 3u);
-  EXPECT_EQ(gathered[0].size(), 1u);
-  EXPECT_EQ(gathered[2].size(), 3u);
+  for (int r = 1; r <= 3; ++r) {
+    EXPECT_EQ(server.recv(r, 10).size(), static_cast<size_t>(r));
+  }
   // Broadcast traffic was metered per destination.
   EXPECT_EQ(net.rank_stats(0).payload_bytes, 48u);
 }
@@ -200,16 +197,9 @@ TEST(Network, ConcurrentTrafficAccountingIsExact) {
             static_cast<uint64_t>(kSendersCount * kPerSender) * 100u);
 }
 
-TEST(CostModel, ValidatingConstructorRejectsNonsense) {
-  EXPECT_THROW(CostModel(-0.1, 1000.0), Error);
-  EXPECT_THROW(CostModel(0.0, 0.0), Error);
-  EXPECT_THROW(CostModel(0.0, -5.0), Error);
-  EXPECT_NO_THROW(CostModel(0.0, 1.0));
-}
-
 TEST(CostModel, NetworkRevalidatesFieldAssignedModels) {
   CostModel cost;
-  cost.latency_s = -1.0;  // bypasses the validating constructor
+  cost.latency_s = -1.0;
   EXPECT_THROW(Network(2, cost), Error);
   cost.latency_s = 0.0;
   cost.bandwidth_bps = 0.0;
@@ -443,8 +433,6 @@ TEST(Network, FaultStatsRoundTripThroughRestore) {
   net.restore_fault_stats(f);
   EXPECT_TRUE(net.fault_stats() == f);
   EXPECT_EQ(net.fault_stats().injected_total(), 3u + 2u + 1u + 4u);
-  net.reset_stats();
-  EXPECT_TRUE(net.fault_stats() == FaultStats{});
 }
 
 TEST(Endpoint, TryRecvStaysStrictOnReliableFabric) {

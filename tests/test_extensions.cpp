@@ -114,17 +114,5 @@ TEST(FedClassAvgProto, SynchronizesClassifiersLikeBase) {
   }
 }
 
-// -- comm collectives ----------------------------------------------------
-
-TEST(CommCollectives, ScatterDeliversPerRankPayloads) {
-  comm::Network net(3);
-  comm::Endpoint root(net, 0);
-  root.scatter({1, 2}, 4, {comm::Bytes(4), comm::Bytes(8)});
-  comm::Endpoint c1(net, 1), c2(net, 2);
-  EXPECT_EQ(c1.recv(0, 4).size(), 4u);
-  EXPECT_EQ(c2.recv(0, 4).size(), 8u);
-  EXPECT_THROW(root.scatter({1, 2}, 4, {comm::Bytes{}}), Error);
-}
-
 }  // namespace
 }  // namespace fca

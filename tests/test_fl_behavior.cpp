@@ -3,6 +3,8 @@
 // evaluation plumbing.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/conductance.hpp"
 #include "analysis/tsne.hpp"
 #include "core/fedclassavg.hpp"
@@ -85,7 +87,7 @@ TEST(FedProtoBehavior, GlobalPrototypesTrackClassFeatureMeans) {
     for (int64_t j = 0; j < d; ++j) mean_feats[cl * d + j] /= counts[cl];
   }
   const float dist_to_mean = max_abs_diff(strat.prototypes(), mean_feats);
-  const float mean_magnitude = l2_norm(mean_feats);
+  const float mean_magnitude = std::sqrt(sum_squares(mean_feats));
   EXPECT_GT(mean_magnitude, 0.0f);
   // Prototypes were computed one epoch earlier than our recomputation, so
   // allow drift but demand the same order of magnitude.
@@ -112,7 +114,7 @@ TEST(ConductanceBehavior, ZeroImageHasZeroConductance) {
   Tensor zero({1, 8, 8});
   Tensor cond = analysis::layer_conductance(*model, zero, 0, 8);
   // Path from baseline 0 to input 0 is a point: conductance identically 0.
-  EXPECT_FLOAT_EQ(l2_norm(cond), 0.0f);
+  EXPECT_FLOAT_EQ(sum_squares(cond), 0.0f);
 }
 
 TEST(EvaluationPlumbing, EvaluateOnForeignDataset) {

@@ -1,9 +1,11 @@
 // Shared helpers for the test suite: finite-difference gradient checking of
-// nn::Module backward passes and of fca::ag loss heads.
+// nn::Module backward passes and of fca::ag loss heads, plus the reductions
+// only tests need.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -12,6 +14,24 @@
 #include "utils/rng.hpp"
 
 namespace fca::test {
+
+/// Sum of a[i] * b[i] over equally shaped tensors, accumulated in double.
+inline float dot(const Tensor& a, const Tensor& b) {
+  EXPECT_TRUE(a.same_shape(b));
+  double s = 0.0;
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    s += static_cast<double>(a[i]) * b[i];
+  }
+  return static_cast<float>(s);
+}
+
+inline float max_value(const Tensor& a) {
+  return *std::max_element(a.data(), a.data() + a.numel());
+}
+
+inline float min_value(const Tensor& a) {
+  return *std::min_element(a.data(), a.data() + a.numel());
+}
 
 /// Scalar objective used to probe backward passes: weighted sum of the
 /// module output with fixed random weights (gives a dense output gradient).

@@ -1,4 +1,4 @@
-#include "analysis/metrics.hpp"
+#include "fl/metrics.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,63 +13,8 @@
 #include "fl/fedproto.hpp"
 #include "fl/ktpfl.hpp"
 #include "fl/local_only.hpp"
-#include "fl/metrics.hpp"
 #include "fl_fixtures.hpp"
-#include "utils/error.hpp"
 
-namespace fca::analysis {
-namespace {
-
-TEST(ConfusionMatrix, CountsGoToCells) {
-  const Tensor m = confusion_matrix({0, 0, 1, 2}, {0, 1, 1, 2}, 3);
-  EXPECT_FLOAT_EQ((m.at({0, 0})), 1.0f);
-  EXPECT_FLOAT_EQ((m.at({0, 1})), 1.0f);
-  EXPECT_FLOAT_EQ((m.at({1, 1})), 1.0f);
-  EXPECT_FLOAT_EQ((m.at({2, 2})), 1.0f);
-  EXPECT_FLOAT_EQ((m.at({1, 0})), 0.0f);
-}
-
-TEST(ConfusionMatrix, RejectsBadLabels) {
-  EXPECT_THROW(confusion_matrix({3}, {0}, 3), Error);
-  EXPECT_THROW(confusion_matrix({0}, {-1}, 3), Error);
-  EXPECT_THROW(confusion_matrix({0, 1}, {0}, 3), Error);
-}
-
-TEST(Metrics, PerfectPredictor) {
-  const Tensor m = confusion_matrix({0, 1, 2, 1}, {0, 1, 2, 1}, 3);
-  EXPECT_DOUBLE_EQ(accuracy_of(m), 1.0);
-  EXPECT_DOUBLE_EQ(macro_f1(m), 1.0);
-  for (double r : per_class_recall(m)) EXPECT_DOUBLE_EQ(r, 1.0);
-}
-
-TEST(Metrics, RecallAndPrecisionAsymmetry) {
-  // Truth: two 0s, two 1s. Predictions: everything 0.
-  const Tensor m = confusion_matrix({0, 0, 1, 1}, {0, 0, 0, 0}, 2);
-  const auto recall = per_class_recall(m);
-  EXPECT_DOUBLE_EQ(recall[0], 1.0);
-  EXPECT_DOUBLE_EQ(recall[1], 0.0);
-  const auto precision = per_class_precision(m);
-  EXPECT_DOUBLE_EQ(precision[0], 0.5);
-  EXPECT_DOUBLE_EQ(precision[1], 0.0);  // empty column
-  EXPECT_DOUBLE_EQ(accuracy_of(m), 0.5);
-}
-
-TEST(Metrics, MacroF1AveragesPresentClassesOnly) {
-  // Class 2 never appears in the truth: excluded from the macro average.
-  const Tensor m = confusion_matrix({0, 1}, {0, 0}, 3);
-  // class 0: recall 1, precision 0.5 -> F1 = 2/3; class 1: F1 = 0.
-  EXPECT_NEAR(macro_f1(m), (2.0 / 3.0 + 0.0) / 2.0, 1e-12);
-}
-
-TEST(Metrics, AccuracyOfEmptyMatrixIsZero) {
-  EXPECT_DOUBLE_EQ(accuracy_of(Tensor({3, 3})), 0.0);
-  EXPECT_DOUBLE_EQ(macro_f1(Tensor({3, 3})), 0.0);
-}
-
-}  // namespace
-}  // namespace fca::analysis
-
-// ---------------------------------------------------------------------------
 // Learning-curve CSV schema and the fault columns (fl/metrics)
 
 namespace fca {

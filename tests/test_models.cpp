@@ -44,7 +44,7 @@ TEST_P(ArchTest, BackwardProducesNonzeroGradients) {
   // Every layer must receive some gradient signal.
   int64_t nonzero_params = 0;
   for (nn::Param* p : model->parameters()) {
-    if (l2_norm(p->grad) > 0.0f) ++nonzero_params;
+    if (sum_squares(p->grad) > 0.0f) ++nonzero_params;
   }
   const auto total = static_cast<int64_t>(model->parameters().size());
   EXPECT_GT(nonzero_params, total * 3 / 4)

@@ -24,6 +24,8 @@ namespace {
 
 using test::check_input_gradient;
 using test::check_param_gradients;
+using test::max_value;
+using test::min_value;
 
 TEST(Linear, ForwardShapeAndValue) {
   Rng rng(1);
@@ -721,30 +723,6 @@ TEST(MaxPool2d, BackwardRejectsMisshapenGradOut) {
   EXPECT_NO_THROW(pool.backward(Tensor({2, 3, 2, 2})));
 }
 
-TEST(AvgPool2d, ForwardAveragesWindow) {
-  AvgPool2d pool(2, 2);
-  Tensor x({1, 1, 2, 2}, {1, 2, 3, 6});
-  Tensor y = pool.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 3.0f);
-}
-
-TEST(AvgPool2d, GradientsMatchFiniteDifference) {
-  AvgPool2d pool(2, 2);
-  Rng rng(14);
-  Tensor x = Tensor::randn({2, 1, 4, 4}, rng);
-  check_input_gradient(pool, x);
-}
-
-TEST(AvgPool2d, BackwardRejectsMisshapenGradOut) {
-  AvgPool2d pool(2, 2);
-  Rng rng(16);
-  pool.forward(Tensor::randn({1, 2, 4, 4}, rng), true);
-  EXPECT_THROW(pool.backward(Tensor({1, 2, 3, 3})), Error);
-  EXPECT_THROW(pool.backward(Tensor({1, 1, 2, 2})), Error);
-  EXPECT_THROW(pool.backward(Tensor({2, 2})), Error);
-  EXPECT_NO_THROW(pool.backward(Tensor({1, 2, 2, 2})));
-}
-
 TEST(GlobalAvgPool, ForwardAndBackward) {
   GlobalAvgPool gap;
   Tensor x({1, 2, 2, 2}, {1, 2, 3, 4, 10, 10, 10, 10});
@@ -791,55 +769,6 @@ TEST(ReLU, ForwardAndGradient) {
   EXPECT_FLOAT_EQ(gx[2], 1.0f);
 }
 
-TEST(LeakyReLU, NegativeSlope) {
-  LeakyReLU lrelu(0.1f);
-  Tensor x({2}, {-10.0f, 10.0f});
-  Tensor y = lrelu.forward(x, true);
-  EXPECT_FLOAT_EQ(y[0], -1.0f);
-  EXPECT_FLOAT_EQ(y[1], 10.0f);
-  Tensor gx = lrelu.backward(Tensor({2}, {1.0f, 1.0f}));
-  EXPECT_FLOAT_EQ(gx[0], 0.1f);
-  EXPECT_FLOAT_EQ(gx[1], 1.0f);
-}
-
-TEST(Dropout, EvalIsIdentity) {
-  Dropout drop(0.5f, Rng(1));
-  Rng rng(16);
-  Tensor x = Tensor::randn({100}, rng);
-  Tensor y = drop.forward(x, /*train=*/false);
-  EXPECT_TRUE(allclose(x, y));
-}
-
-TEST(Dropout, TrainZeroesAboutPFraction) {
-  Dropout drop(0.3f, Rng(2));
-  Tensor x = Tensor::ones({10000});
-  Tensor y = drop.forward(x, true);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(y[i], 1.0f / 0.7f, 1e-4);
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.3, 0.03);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Dropout drop(0.5f, Rng(3));
-  Tensor x = Tensor::ones({64});
-  Tensor y = drop.forward(x, true);
-  Tensor gx = drop.backward(Tensor::ones({64}));
-  for (int64_t i = 0; i < 64; ++i) {
-    EXPECT_FLOAT_EQ(gx[i], y[i]);  // mask identical between fwd and bwd
-  }
-}
-
-TEST(Dropout, RejectsInvalidP) {
-  EXPECT_THROW(Dropout(1.0f, Rng(1)), Error);
-  EXPECT_THROW(Dropout(-0.1f, Rng(1)), Error);
-}
-
 TEST(Init, KaimingUniformBounds) {
   Rng rng(17);
   Tensor w = kaiming_uniform({64, 100}, 100, rng);
@@ -848,23 +777,6 @@ TEST(Init, KaimingUniformBounds) {
   EXPECT_GE(min_value(w), -bound);
   // Spread should cover a good part of the range.
   EXPECT_GT(max_value(w), bound * 0.8f);
-}
-
-TEST(Init, KaimingNormalStddev) {
-  Rng rng(18);
-  Tensor w = kaiming_normal({10000}, 50, rng);
-  const float expected_std = std::sqrt(2.0f / 50.0f);
-  double ss = 0.0;
-  for (int64_t i = 0; i < w.numel(); ++i) ss += static_cast<double>(w[i]) * w[i];
-  EXPECT_NEAR(std::sqrt(ss / 10000.0), expected_std, expected_std * 0.05);
-}
-
-TEST(Init, XavierUniformBounds) {
-  Rng rng(19);
-  Tensor w = xavier_uniform({40, 60}, 60, 40, rng);
-  const float bound = std::sqrt(6.0f / 100.0f);
-  EXPECT_LE(max_value(w), bound);
-  EXPECT_GE(min_value(w), -bound);
 }
 
 TEST(MacCounter, CountsConvAndLinearForwardMultiplyAdds) {

@@ -36,16 +36,10 @@ TEST(Ops, InPlaceVariants) {
   Tensor b({3}, {1, 1, 1});
   add_(a, b);
   EXPECT_EQ(a[0], 2.0f);
-  sub_(a, b);
-  EXPECT_EQ(a[0], 1.0f);
-  mul_(a, b);
-  EXPECT_EQ(a[2], 3.0f);
   mul_scalar_(a, 2.0f);
-  EXPECT_EQ(a[1], 4.0f);
-  add_scalar_(a, 1.0f);
-  EXPECT_EQ(a[0], 3.0f);
+  EXPECT_EQ(a[1], 6.0f);
   axpy_(a, 0.5f, b);
-  EXPECT_EQ(a[0], 3.5f);
+  EXPECT_EQ(a[0], 4.5f);
 }
 
 TEST(Ops, TranscendentalFunctions) {
@@ -54,19 +48,6 @@ TEST(Ops, TranscendentalFunctions) {
   EXPECT_NEAR(exp(a)[1], 2.71828f, 1e-4);
   Tensor b({2}, {1.0f, std::exp(2.0f)});
   EXPECT_NEAR(log(b)[1], 2.0f, 1e-5);
-  Tensor c({2}, {4.0f, 9.0f});
-  EXPECT_FLOAT_EQ(sqrt(c)[1], 3.0f);
-}
-
-TEST(Ops, ClampAndApply) {
-  Tensor a({4}, {-2, -0.5, 0.5, 2});
-  Tensor c = clamp(a, -1.0f, 1.0f);
-  EXPECT_EQ(c[0], -1.0f);
-  EXPECT_EQ(c[1], -0.5f);
-  EXPECT_EQ(c[3], 1.0f);
-  Tensor sq = apply(a, [](float v) { return v * v; });
-  EXPECT_EQ(sq[3], 4.0f);
-  EXPECT_THROW(clamp(a, 1.0f, -1.0f), Error);
 }
 
 TEST(Ops, MatmulMatchesHandComputation) {
@@ -79,6 +60,17 @@ TEST(Ops, MatmulMatchesHandComputation) {
   EXPECT_FLOAT_EQ((c.at({0, 1})), 64.0f);
   EXPECT_FLOAT_EQ((c.at({1, 0})), 139.0f);
   EXPECT_FLOAT_EQ((c.at({1, 1})), 154.0f);
+}
+
+/// Out-of-place transpose of a 2-D matrix, the oracle for matmul's flags.
+Tensor transpose2d(const Tensor& a) {
+  Tensor out({a.dim(1), a.dim(0)});
+  for (int64_t i = 0; i < a.dim(0); ++i) {
+    for (int64_t j = 0; j < a.dim(1); ++j) {
+      out[j * a.dim(0) + i] = a[i * a.dim(1) + j];
+    }
+  }
+  return out;
 }
 
 TEST(Ops, MatmulTransposes) {
@@ -104,49 +96,25 @@ TEST(Ops, MatmulInnerDimMismatchThrows) {
   EXPECT_THROW(matmul(a, b), Error);
 }
 
-TEST(Ops, Transpose2d) {
-  Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor t = transpose2d(a);
-  EXPECT_EQ(t.dim(0), 3);
-  EXPECT_EQ((t.at({0, 1})), 4.0f);
-  EXPECT_EQ((t.at({2, 0})), 3.0f);
-}
-
 TEST(Ops, RowwiseBroadcasts) {
   Tensor m({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor row({3}, {10, 20, 30});
   Tensor a = add_rowwise(m, row);
   EXPECT_EQ((a.at({0, 0})), 11.0f);
   EXPECT_EQ((a.at({1, 2})), 36.0f);
-  Tensor p = mul_rowwise(m, row);
-  EXPECT_EQ((p.at({1, 1})), 100.0f);
-  Tensor col({2}, {2, 3});
-  Tensor q = mul_colwise(m, col);
-  EXPECT_EQ((q.at({0, 2})), 6.0f);
-  EXPECT_EQ((q.at({1, 0})), 12.0f);
 }
 
 TEST(Ops, Reductions) {
   Tensor a({2, 2}, {1, 2, 3, 4});
   EXPECT_FLOAT_EQ(sum(a), 10.0f);
-  EXPECT_FLOAT_EQ(mean(a), 2.5f);
-  EXPECT_FLOAT_EQ(max_value(a), 4.0f);
-  EXPECT_FLOAT_EQ(min_value(a), 1.0f);
   EXPECT_FLOAT_EQ(sum_squares(a), 30.0f);
-  EXPECT_NEAR(l2_norm(a), std::sqrt(30.0f), 1e-5);
-  EXPECT_FLOAT_EQ(dot(a, a), 30.0f);
 }
 
-TEST(Ops, RowColumnSums) {
+TEST(Ops, ColumnSums) {
   Tensor m({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor cols = sum_rows(m);  // column sums -> [3]
   EXPECT_FLOAT_EQ(cols[0], 5.0f);
   EXPECT_FLOAT_EQ(cols[2], 9.0f);
-  Tensor rows = sum_cols(m);  // row sums -> [2]
-  EXPECT_FLOAT_EQ(rows[0], 6.0f);
-  EXPECT_FLOAT_EQ(rows[1], 15.0f);
-  Tensor means = mean_cols(m);
-  EXPECT_FLOAT_EQ(means[0], 2.0f);
 }
 
 TEST(Ops, ArgmaxRows) {

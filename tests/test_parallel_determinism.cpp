@@ -66,21 +66,6 @@ TEST(RoundExecutor, MapReturnsResultsInCohortOrder) {
   }
 }
 
-TEST(RoundExecutor, SumReducesInCohortOrder) {
-  // 1e16 + 1 + (-1e16) + 1 == 2 only under left-to-right reduction; any
-  // scheduling-dependent order would give 0 or 1.
-  const std::vector<double> vals{1e16, 1.0, -1e16, 1.0};
-  ThreadPool pool(3);
-  for (int parallelism : {1, 2, 4}) {
-    RoundExecutor exec(parallelism, &pool);
-    const double got =
-        exec.sum(iota_clients(4),
-                 [&](int k) { return vals[static_cast<size_t>(k)]; });
-    EXPECT_EQ(got, ((1e16 + 1.0) + -1e16) + 1.0)
-        << "parallelism " << parallelism;
-  }
-}
-
 TEST(RoundExecutor, EveryClientRunsExactlyOnce) {
   ThreadPool pool(3);
   for (int parallelism : {1, 3, 0}) {
@@ -168,7 +153,6 @@ TEST(RoundExecutor, ZeroWorkerPoolFallsBackToSerial) {
 TEST(RoundExecutor, EmptyCohortIsANoOp) {
   RoundExecutor exec(4);
   EXPECT_TRUE(exec.map({}, [](int) { return 1.0; }).empty());
-  EXPECT_EQ(exec.sum({}, [](int) { return 1.0; }), 0.0);
 }
 
 TEST(RoundExecutor, LanesSuppressNestedKernelParallelism) {

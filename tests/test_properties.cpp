@@ -12,6 +12,7 @@
 #include "data/partition.hpp"
 #include "models/serialize.hpp"
 #include "tensor/ops.hpp"
+#include "test_helpers.hpp"
 #include "utils/rng.hpp"
 
 namespace fca {
@@ -37,7 +38,7 @@ TEST_P(SoftmaxProperty, PreservesRowArgmax) {
 TEST_P(SoftmaxProperty, LogSoftmaxIsNonPositive) {
   Rng rng(static_cast<uint64_t>(GetParam()) + 2000);
   Tensor x = Tensor::randn({4, 6}, rng, 0.0f, 4.0f);
-  EXPECT_LE(max_value(log_softmax_rows(x)), 1e-6f);
+  EXPECT_LE(test::max_value(log_softmax_rows(x)), 1e-6f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SoftmaxProperty, ::testing::Range(0, 8));

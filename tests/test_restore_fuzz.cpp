@@ -522,6 +522,8 @@ struct DecoderCase {
   std::function<void(const comm::Bytes&)> decode;
   /// Whether an exception is the decoder's typed error.
   bool (*typed)(const std::exception&) = is_fca_error;
+  /// Unmetered check after a mutant the decoder rejected.
+  std::function<void()> after_reject = {};
 };
 
 comm::FaultConfig sample_fault_config() {
@@ -588,6 +590,7 @@ class DecoderFuzz : public ::testing::Test {
           EXPECT_TRUE(c.typed(e)) << c.name << ", " << name_of(kind) << " #"
                                   << it << " threw an untyped error: "
                                   << e.what();
+          if (c.after_reject) c.after_reject();
         }
         t_armed = false;
         EXPECT_LE(t_requested,
@@ -700,12 +703,43 @@ TEST_F(DecoderFuzz, ModelPayloads) {
 TEST_F(DecoderFuzz, ClientState) {
   const comm::Bytes state = fl::encode_client_state(run_->client(0));
   fl::Client& target = run_->client(1);
+  // A rejected mutant must leave the target's model, optimizer and RNG as
+  // they were; an accepted one may change them, so each mutant starts from
+  // a fresh snapshot.
+  comm::Bytes before;
   fuzz({.name = "decode_client_state",
         .seed = state,
         .layout = client_state_layout(state),
+        .prepare =
+            [&](const comm::Bytes&) {
+              before = fl::encode_client_state(target);
+            },
         .decode = [&target](const comm::Bytes& b) {
           fl::decode_client_state(b, target);
+        },
+        .after_reject = [&] {
+          EXPECT_TRUE(fl::encode_client_state(target) == before)
+              << "a rejected state changed the client";
         }});
+}
+
+TEST_F(DecoderFuzz, ClientStateCutShortLeavesTheClientUntouched) {
+  fl::Client& source = run_->client(0);
+  fl::Client& target = run_->client(1);
+  // Every part of the source differs from the target, so a decode that
+  // wrote anything before it threw would show.
+  for (nn::Param* p : source.model().parameters()) p->value.fill(0.5f);
+  for (const nn::BufferRef& b : source.model().buffers()) {
+    b.tensor->fill(0.25f);
+  }
+  for (Tensor* t : source.optimizer().state_tensors()) t->fill(0.125f);
+  source.rng().restore(12345);
+  comm::Bytes state = fl::encode_client_state(source);
+  state.resize(state.size() - 4);  // into the trailing RNG word
+  const comm::Bytes before = fl::encode_client_state(target);
+  EXPECT_THROW(fl::decode_client_state(state, target), Error);
+  EXPECT_TRUE(fl::encode_client_state(target) == before)
+      << "a state cut short half-restored the client";
 }
 
 TEST_F(DecoderFuzz, CheckpointFiles) {

@@ -193,23 +193,6 @@ TEST(Rng, SampleWithoutReplacementBounds) {
   EXPECT_TRUE(rng.sample_without_replacement(5, 0).empty());
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(43);
-  std::vector<int> counts(3, 0);
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) ++counts[static_cast<size_t>(rng.categorical({1.0, 2.0, 7.0}))];
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.2, 0.02);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.7, 0.02);
-}
-
-TEST(Rng, CategoricalRejectsBadWeights) {
-  Rng rng(47);
-  EXPECT_THROW(rng.categorical({}), Error);
-  EXPECT_THROW(rng.categorical({0.0, 0.0}), Error);
-  EXPECT_THROW(rng.categorical({1.0, -1.0}), Error);
-}
-
 TEST(Rng, HashLabelStable) {
   EXPECT_EQ(hash_label("abc"), hash_label("abc"));
   EXPECT_NE(hash_label("abc"), hash_label("abd"));

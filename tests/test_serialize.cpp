@@ -22,18 +22,12 @@ ModelConfig tiny_config() {
   return mc;
 }
 
-TEST(Serialize, ParamsRoundTrip) {
+TEST(Serialize, ParamsSizeIsTheStateSizeWithoutBuffers) {
   Rng rng(1);
-  auto src = build_model(tiny_config(), rng);
-  auto dst = build_model(tiny_config(), rng);  // different init
-  const auto bytes = serialize_params(src->parameters());
-  EXPECT_EQ(bytes.size(), serialized_params_size(src->parameters()));
-  deserialize_params(bytes, dst->parameters());
-  const auto sp = src->parameters();
-  const auto dp = dst->parameters();
-  for (size_t i = 0; i < sp.size(); ++i) {
-    EXPECT_TRUE(allclose(sp[i]->value, dp[i]->value, 0.0f, 0.0f));
-  }
+  auto model = build_model(tiny_config(), rng);  // MiniAlexNet: no buffers
+  ASSERT_TRUE(model->buffers().empty());
+  EXPECT_EQ(serialize_state(*model).size(),
+            serialized_params_size(model->parameters()));
 }
 
 TEST(Serialize, StateIncludesBuffers) {
@@ -83,14 +77,15 @@ TEST(Serialize, RejectsTruncatedBuffer) {
   EXPECT_THROW(deserialize_tensors(bytes), Error);
 }
 
-TEST(Serialize, RejectsShapeMismatchOnParams) {
+TEST(Serialize, RejectsShapeMismatchOnState) {
   Rng rng(5);
   auto a = build_model(tiny_config(), rng);
   ModelConfig other = tiny_config();
   other.feature_dim = 16;
   auto b = build_model(other, rng);
-  const auto bytes = serialize_params(a->parameters());
-  EXPECT_THROW(deserialize_params(bytes, b->parameters()), Error);
+  const auto bytes = serialize_state(*a);
+  EXPECT_THROW(deserialize_state(bytes, *b), Error);
+  EXPECT_THROW(check_state(bytes, *b), Error);
 }
 
 TEST(Serialize, ClassifierPayloadIsSmall) {
@@ -110,11 +105,11 @@ TEST(Serialize, CopySnapshotRestore) {
   Rng rng(7);
   auto a = build_model(tiny_config(), rng);
   auto b = build_model(tiny_config(), rng);
-  copy_param_values(a->parameters(), b->parameters());
+  const auto snapshot = snapshot_values(a->parameters());
+  restore_values(snapshot, b->parameters());
   EXPECT_TRUE(allclose(a->classifier().weight().value,
                        b->classifier().weight().value, 0.0f, 0.0f));
 
-  const auto snapshot = snapshot_values(a->parameters());
   a->classifier().weight().value.fill(9.0f);
   restore_values(snapshot, a->parameters());
   EXPECT_TRUE(allclose(a->classifier().weight().value,

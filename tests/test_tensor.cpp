@@ -80,26 +80,6 @@ TEST(Tensor, NegativeDimIndexing) {
   EXPECT_THROW(t.dim(3), Error);
 }
 
-TEST(Tensor, Arange) {
-  Tensor t = Tensor::arange(5);
-  for (int64_t i = 0; i < 5; ++i) EXPECT_EQ(t[i], static_cast<float>(i));
-}
-
-TEST(Tensor, OneHot) {
-  Tensor t = Tensor::one_hot({1, 0, 2}, 3);
-  EXPECT_EQ(t.dim(0), 3);
-  EXPECT_EQ(t.dim(1), 3);
-  EXPECT_EQ((t.at({0, 1})), 1.0f);
-  EXPECT_EQ((t.at({0, 0})), 0.0f);
-  EXPECT_EQ((t.at({1, 0})), 1.0f);
-  EXPECT_EQ((t.at({2, 2})), 1.0f);
-}
-
-TEST(Tensor, OneHotRejectsOutOfRange) {
-  EXPECT_THROW(Tensor::one_hot({3}, 3), Error);
-  EXPECT_THROW(Tensor::one_hot({-1}, 3), Error);
-}
-
 TEST(Tensor, RandnRespectsMoments) {
   Rng rng(5);
   Tensor t = Tensor::randn({10000}, rng, 1.0f, 0.5f);
@@ -136,11 +116,6 @@ TEST(Tensor, FillOverwrites) {
   Tensor t({4}, {1, 2, 3, 4});
   t.fill(7.0f);
   for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(t[i], 7.0f);
-}
-
-TEST(Tensor, ToStringMentionsShape) {
-  Tensor t({2, 2});
-  EXPECT_NE(t.to_string().find("[2, 2]"), std::string::npos);
 }
 
 TEST(ShapeUtils, NumelAndString) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,18 @@
 
 namespace fca {
 namespace {
+
+/// Calls fn(i) for every index, driven by parallel_for_range the way a
+/// kernel walks its grains.
+void parallel_for(int64_t begin, int64_t end,
+                  const std::function<void(int64_t)>& fn, int64_t grain = 256) {
+  parallel_for_range(
+      begin, end,
+      [&fn](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) fn(i);
+      },
+      grain);
+}
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(2);
