@@ -1,6 +1,7 @@
 #include "ckpt/checkpoint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -127,7 +128,14 @@ std::vector<int> CheckpointManager::available_rounds(const std::string& dir) {
         digits.find_first_not_of("0123456789") != std::string::npos) {
       continue;
     }
-    rounds.push_back(std::stoi(digits));
+    // A digit run too long for an int is not a file this manager wrote.
+    int round = 0;
+    const auto [end, ec_parse] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), round);
+    if (ec_parse != std::errc{} || end != digits.data() + digits.size()) {
+      continue;
+    }
+    rounds.push_back(round);
   }
   std::sort(rounds.begin(), rounds.end());
   return rounds;

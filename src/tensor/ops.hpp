@@ -25,10 +25,7 @@ Tensor log(const Tensor& a);
 Tensor neg(const Tensor& a);
 
 // -- activations -------------------------------------------------------------
-// Dedicated entry points, not a std::function callback: an indirect call per
-// element costs, which on the small CNNs here is as
-// expensive as the conv GEMM it feeds. These are branchless selects the
-// compiler vectorizes.
+// Branchless selects the compiler vectorizes.
 /// max(x, 0)
 Tensor relu(const Tensor& a);
 /// d(relu)/dx: grad_out where x > 0, else 0.

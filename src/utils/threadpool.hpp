@@ -10,9 +10,9 @@
 // ThreadPool::SerialRegion) runs any nested parallel_for_range serially
 // instead of re-submitting to the pool. This keeps outer task-level
 // parallelism (e.g. fl::RoundExecutor fanning clients out) from deadlocking
-// against inner kernel parallelism or oversubscribing the worker set. The kernels partition
-// disjoint outputs with a fixed per-element accumulation order, so serial and
-// parallel execution of the same loop are bit-identical.
+// against inner kernel parallelism or oversubscribing the worker set. The
+// kernels partition disjoint outputs with a fixed per-element accumulation
+// order, so serial and parallel execution of the same loop are bit-identical.
 #pragma once
 
 #include <condition_variable>

@@ -354,6 +354,34 @@ TEST(CheckpointResume, ExecuteOrResumeIsIdempotentEntryPoint) {
   expect_bit_identical(reference.result, resumed.result);
 }
 
+TEST(CheckpointResume, RoundNumberBeyondIntInFileNameIsIgnored) {
+  // A stray file shaped like a checkpoint name whose round does not fit in
+  // an int is skipped, not parsed into an out_of_range exception.
+  const std::string dir = scratch_dir("roundoverflow");
+  ckpt::Options opts;
+  opts.dir = dir;
+  opts.every = 1;
+  opts.keep_last = 2;
+
+  core::Experiment exp(resume_test_config(3));
+  core::FedClassAvg strat(exp.fedclassavg_config());
+  exp.execute(strat, opts);
+  atomic_write_file(dir + "/ckpt_round_99999999999.fckpt",
+                    std::string_view("stray"));
+  EXPECT_EQ(ckpt::CheckpointManager::available_rounds(dir),
+            (std::vector<int>{2, 3}));
+
+  core::Experiment exp2(resume_test_config(6));
+  core::FedClassAvg strat2(exp2.fedclassavg_config());
+  auto run = test::resident_run(exp2);
+  ckpt::CheckpointManager manager(opts);
+  EXPECT_EQ(manager.resume(*run, strat2).next_round, 4);
+  const std::optional<fl::ResumeState> recovered =
+      manager.recover(*run, strat2);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->next_round, 4);
+}
+
 /// FedClassAvg whose load_state fails the way a fault of the program does,
 /// not the way a bad file does.
 class LogicErrorOnLoad : public core::FedClassAvg {

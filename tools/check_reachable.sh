@@ -25,7 +25,7 @@ set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=$(realpath -m "${1:-$root/build-reach}")
-jobs=${JOBS:-$(nproc)}
+jobs=$(nproc)
 allowlist=$root/tools/reachable_allowlist.txt
 
 cfg=(-DCMAKE_BUILD_TYPE=Debug
