@@ -1,118 +1,102 @@
-// Kernel regression bench: GFLOP/s per GEMM kernel per shape, written to
-// BENCH_kernels.json so CI can track the packed kernel against the naive
-// baseline over time (DESIGN.md §9).
+// Conv2d forward bench: microseconds and GFLOP/s per layer shape, written to
+// BENCH_kernels.json so CI can track the conv forward over time (DESIGN.md
+// §9).
 //
-// The shape list is not synthetic: each conv entry is the (m, n, k) the
-// im2col lowering actually produces for a layer of the paper's model zoo at
-// 32x32 inputs (m = out channels, k = in_channels * kh * kw, n = oh * ow),
-// plus the Linear/classifier shapes and a few squares for calibration
-// against textbook numbers.
+// The shapes are not synthetic: each entry is a dense conv of one of the
+// bench_e2e workloads' backbones at that workload's image size (fedavg-shm:
+// MiniResNet width 16 on 8x8 one-channel images; hetero-fca: width 8 on
+// 16x16; paged-cohort: width 8 on 12x12), including every 2x2, 3x3 and 4x4
+// output plane they run. Each shape runs at batch 2, 8 and 16 — the eval
+// batches those workloads see — through nn::Conv2d::forward in eval mode, the
+// call the per-client evaluation makes. The bench times one lane (a
+// ThreadPool::SerialRegion), as a client's evaluation runs inside the round
+// executor.
 //
 // Usage: bench_kernels [output.json]   (default BENCH_kernels.json)
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "tensor/gemm.hpp"
+#include "nn/conv.hpp"
+#include "tensor/tensor.hpp"
 #include "utils/rng.hpp"
+#include "utils/threadpool.hpp"
 
 namespace {
 
 using fca::Rng;
+using fca::Tensor;
 
-struct ShapeCase {
-  const char* name;  // which layer this lowering comes from
-  int64_t m, n, k;
+struct ConvShape {
+  const char* name;  // workload.backbone.layer
+  int64_t c_in, c_out, kernel, stride, pad, size;  // square input planes
 };
 
-// m = out channels, k = in_c * kh * kw, n = oh * ow.
-const ShapeCase kShapes[] = {
-    {"cnn2.conv1.5x5", 16, 1024, 75},      // 3->16, 5x5, 32x32 out
-    {"cnn2.conv2.5x5", 32, 256, 400},      // 16->32, 5x5, 16x16 out
-    {"resnet.stem.3x3", 16, 1024, 27},     // 3->16, 3x3, 32x32 out
-    {"resnet.stage1.3x3", 16, 1024, 144},  // 16->16, 3x3, 32x32 out
-    {"resnet.stage2.3x3", 32, 256, 288},   // 16->32 s2, 3x3, 16x16 out
-    {"resnet.stage3.3x3", 64, 64, 576},    // 32->64 s2, 3x3, 8x8 out
-    {"alexnet.conv.3x3", 96, 64, 864},     // 96->96-ish midnet block
-    {"linear.feature", 32, 128, 2048},     // batch 32, flat -> feature_dim
-    {"linear.classifier", 32, 10, 128},    // batch 32, feature -> classes
-    {"square.64", 64, 64, 64},
-    {"square.128", 128, 128, 128},
-    {"square.256", 256, 256, 256},
+const ConvShape kShapes[] = {
+    {"fedavg-shm.resnet.stem", 1, 16, 3, 1, 1, 8},
+    {"fedavg-shm.resnet.stage1", 16, 16, 3, 1, 1, 8},
+    {"fedavg-shm.resnet.stage2.down", 16, 32, 3, 2, 1, 8},
+    {"fedavg-shm.resnet.stage2", 32, 32, 3, 1, 1, 4},
+    {"fedavg-shm.resnet.stage3.down", 32, 64, 3, 2, 1, 4},
+    {"fedavg-shm.resnet.stage3", 64, 64, 3, 1, 1, 2},
+    {"fedavg-shm.resnet.stage3.shortcut", 32, 64, 1, 2, 0, 4},
+    {"hetero-fca.resnet.stage1", 8, 8, 3, 1, 1, 16},
+    {"hetero-fca.resnet.stage3", 32, 32, 3, 1, 1, 4},
+    {"hetero-fca.alexnet.conv3", 16, 32, 3, 1, 1, 4},
+    {"hetero-fca.shufflenet.unit4.pointwise", 16, 16, 1, 1, 0, 4},
+    {"paged-cohort.resnet.stage3", 32, 32, 3, 1, 1, 3},
+    {"paged-cohort.resnet.stage3.shortcut", 16, 32, 1, 2, 0, 6},
+    {"paged-cohort.alexnet.conv3", 16, 32, 3, 1, 1, 3},
+    {"paged-cohort.shufflenet.unit4.pointwise", 16, 16, 1, 1, 0, 3},
 };
 
-std::vector<float> random_matrix(int64_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> v(static_cast<size_t>(n));
-  for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-  return v;
-}
-
-using KernelFn = void (*)(int64_t m, int64_t n, int64_t k, const float* a,
-                          const float* b, float* c);
-
-void run_naive(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
-               float* c) {
-  fca::sgemm_naive(false, false, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
-}
-void run_packed(int64_t m, int64_t n, int64_t k, const float* a,
-                const float* b, float* c) {
-  fca::sgemm_packed(false, false, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
-}
-
-struct KernelEntry {
-  const char* name;
-  KernelFn fn;
-};
-
-const KernelEntry kKernels[] = {
-    {"naive", run_naive},
-    {"packed", run_packed},
-};
+const int64_t kBatches[] = {2, 8, 16};
 
 struct Measurement {
-  const ShapeCase* shape;
-  const char* kernel;
-  int64_t iters;
-  double seconds;
+  const ConvShape* shape;
+  int64_t batch, out, iters;
+  double us;  // median microseconds per forward
   double gflops;
 };
 
-/// Times `fn` on the shape: warms up twice, then runs enough iterations to
-/// cover ~25 MFLOP-equivalents (min 3) so fast kernels on small shapes are
+/// Times the forward: warms up twice, then takes the median of 9 repeats,
+/// each of enough calls to cover ~100 MFLOP (min 3) so that small shapes are
 /// not timed as a single sub-microsecond call.
-Measurement measure(const ShapeCase& sc, const KernelEntry& kern) {
-  const auto a = random_matrix(sc.m * sc.k, 1);
-  const auto b = random_matrix(sc.k * sc.n, 2);
-  std::vector<float> c(static_cast<size_t>(sc.m * sc.n), 0.0f);
+Measurement measure(const ConvShape& s, int64_t batch) {
+  Rng rng(1);
+  fca::nn::Conv2d conv(s.c_in, s.c_out, s.kernel, s.stride, s.pad, rng,
+                       /*bias=*/false);
+  const Tensor x =
+      Tensor::rand({batch, s.c_in, s.size, s.size}, rng, -1.0f, 1.0f);
+  const int64_t out = (s.size + 2 * s.pad - s.kernel) / s.stride + 1;
+  const double flop = 2.0 * static_cast<double>(batch * s.c_out * out * out) *
+                      static_cast<double>(s.c_in * s.kernel * s.kernel);
+  const int64_t iters =
+      std::max<int64_t>(3, static_cast<int64_t>(1.0e8 / flop));
 
-  const double flop = 2.0 * static_cast<double>(sc.m) * sc.n * sc.k;
-  int64_t iters = static_cast<int64_t>(25.0e6 / flop) + 1;
-  if (iters < 3) iters = 3;
-
-  kern.fn(sc.m, sc.n, sc.k, a.data(), b.data(), c.data());
-  kern.fn(sc.m, sc.n, sc.k, a.data(), b.data(), c.data());
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int64_t i = 0; i < iters; ++i) {
-    kern.fn(sc.m, sc.n, sc.k, a.data(), b.data(), c.data());
+  fca::ThreadPool::SerialRegion one_lane;
+  float sink = 0.0f;
+  for (int w = 0; w < 2; ++w) sink += conv.forward(x, /*train=*/false)[0];
+  std::vector<double> reps;
+  for (int r = 0; r < 9; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int64_t i = 0; i < iters; ++i) {
+      sink += conv.forward(x, /*train=*/false)[0];
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    reps.push_back(std::chrono::duration<double>(t1 - t0).count() /
+                   static_cast<double>(iters));
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  // Keep the result live so the whole loop cannot be discarded.
-  volatile float sink = c[0];
-  (void)sink;
-
-  Measurement res;
-  res.shape = &sc;
-  res.kernel = kern.name;
-  res.iters = iters;
-  res.seconds = std::chrono::duration<double>(t1 - t0).count();
-  res.gflops = res.seconds > 0.0
-                   ? flop * static_cast<double>(iters) / res.seconds / 1.0e9
-                   : 0.0;
-  return res;
+  // Keep the results live so the loops cannot be discarded.
+  volatile float keep = sink;
+  (void)keep;
+  std::sort(reps.begin(), reps.end());
+  const double seconds = reps[reps.size() / 2];
+  return Measurement{&s, batch, out, iters, seconds * 1.0e6,
+                     flop / seconds / 1.0e9};
 }
 
 }  // namespace
@@ -121,24 +105,15 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
 
   std::vector<Measurement> results;
-  for (const ShapeCase& sc : kShapes) {
-    for (const KernelEntry& kern : kKernels) {
-      const Measurement m = measure(sc, kern);
-      std::printf("%-20s %-8s m=%-4lld n=%-4lld k=%-4lld %8.3f GFLOP/s\n",
-                  sc.name, m.kernel, static_cast<long long>(sc.m),
-                  static_cast<long long>(sc.n), static_cast<long long>(sc.k),
-                  m.gflops);
+  for (const ConvShape& s : kShapes) {
+    for (const int64_t batch : kBatches) {
+      const Measurement m = measure(s, batch);
+      std::printf("%-40s b=%-3lld out=%2lldx%-2lld %9.2f us %8.2f GFLOP/s\n",
+                  s.name, static_cast<long long>(batch),
+                  static_cast<long long>(m.out), static_cast<long long>(m.out),
+                  m.us, m.gflops);
       results.push_back(m);
     }
-  }
-
-  // Per-shape packed/naive speedup summary (the regression headline).
-  std::printf("\n%-20s %10s\n", "shape", "packed/naive");
-  for (size_t i = 0; i + 1 < results.size(); i += 2) {
-    const Measurement& naive = results[i];
-    const Measurement& packed = results[i + 1];
-    std::printf("%-20s %9.2fx\n", naive.shape->name,
-                naive.gflops > 0.0 ? packed.gflops / naive.gflops : 0.0);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -146,18 +121,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"kernels\",\n  \"flop_model\": \"2*m*n*k\",\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"kernels\",\n  \"call\": \"nn::Conv2d::"
+               "forward, eval mode, one lane\",\n  \"flop_model\": "
+               "\"2*batch*c_out*out*out*c_in*kernel*kernel\",\n");
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
+    const ConvShape& s = *m.shape;
     std::fprintf(f,
-                 "    {\"shape\": \"%s\", \"kernel\": \"%s\", \"m\": %lld, "
-                 "\"n\": %lld, \"k\": %lld, \"iters\": %lld, "
-                 "\"seconds\": %.6f, \"gflops\": %.3f}%s\n",
-                 m.shape->name, m.kernel, static_cast<long long>(m.shape->m),
-                 static_cast<long long>(m.shape->n),
-                 static_cast<long long>(m.shape->k),
-                 static_cast<long long>(m.iters), m.seconds, m.gflops,
+                 "    {\"shape\": \"%s\", \"batch\": %lld, \"c_in\": %lld, "
+                 "\"c_out\": %lld, \"kernel\": %lld, \"stride\": %lld, "
+                 "\"in\": %lld, \"out\": %lld, \"iters\": %lld, "
+                 "\"us\": %.2f, \"gflops\": %.3f}%s\n",
+                 s.name, static_cast<long long>(m.batch),
+                 static_cast<long long>(s.c_in),
+                 static_cast<long long>(s.c_out),
+                 static_cast<long long>(s.kernel),
+                 static_cast<long long>(s.stride),
+                 static_cast<long long>(s.size), static_cast<long long>(m.out),
+                 static_cast<long long>(m.iters), m.us, m.gflops,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -4,6 +4,30 @@
 #include "utils/error.hpp"
 
 namespace fca::fl {
+namespace {
+
+/// Runs `run` on ds in slices of batch_size images and stacks its
+/// [slice, width] results; rows follow ds order.
+template <class Run>
+Tensor eval_in_slices(const data::Dataset& ds, int64_t batch_size,
+                      int64_t width, Run run) {
+  FCA_CHECK(ds.size() > 0);
+  Tensor out({ds.size(), width});
+  for (int64_t start = 0; start < ds.size(); start += batch_size) {
+    const int64_t stop = std::min(start + batch_size, ds.size());
+    std::vector<int> idx;
+    idx.reserve(static_cast<size_t>(stop - start));
+    for (int64_t i = start; i < stop; ++i) idx.push_back(static_cast<int>(i));
+    const data::Batch batch = data::make_batch(ds, idx);
+    const Tensor rows = run(batch.images);
+    for (int64_t i = start; i < stop; ++i) {
+      out.copy_row_from(i, rows, i - start);
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Client::Client(int id, std::unique_ptr<models::SplitModel> model,
                data::Dataset train, data::Dataset test,
@@ -66,39 +90,17 @@ float Client::evaluate_on(const data::Dataset& ds) {
 }
 
 Tensor Client::predict_logits(const data::Dataset& ds) {
-  FCA_CHECK(ds.size() > 0);
-  const int64_t bs = config_.batch_size;
-  Tensor out({ds.size(), model_->num_classes()});
-  for (int64_t start = 0; start < ds.size(); start += bs) {
-    const int64_t stop = std::min(start + bs, ds.size());
-    std::vector<int> idx;
-    idx.reserve(static_cast<size_t>(stop - start));
-    for (int64_t i = start; i < stop; ++i) idx.push_back(static_cast<int>(i));
-    const data::Batch batch = data::make_batch(ds, idx);
-    Tensor logits = model_->forward(batch.images, /*train=*/false);
-    for (int64_t i = start; i < stop; ++i) {
-      out.copy_row_from(i, logits, i - start);
-    }
-  }
-  return out;
+  return eval_in_slices(ds, config_.batch_size, model_->num_classes(),
+                        [&](const Tensor& x) {
+                          return model_->forward(x, /*train=*/false);
+                        });
 }
 
 Tensor Client::extract_features(const data::Dataset& ds) {
-  FCA_CHECK(ds.size() > 0);
-  const int64_t bs = config_.batch_size;
-  Tensor out({ds.size(), model_->feature_dim()});
-  for (int64_t start = 0; start < ds.size(); start += bs) {
-    const int64_t stop = std::min(start + bs, ds.size());
-    std::vector<int> idx;
-    idx.reserve(static_cast<size_t>(stop - start));
-    for (int64_t i = start; i < stop; ++i) idx.push_back(static_cast<int>(i));
-    const data::Batch batch = data::make_batch(ds, idx);
-    Tensor feats = model_->features(batch.images, /*train=*/false);
-    for (int64_t i = start; i < stop; ++i) {
-      out.copy_row_from(i, feats, i - start);
-    }
-  }
-  return out;
+  return eval_in_slices(ds, config_.batch_size, model_->feature_dim(),
+                        [&](const Tensor& x) {
+                          return model_->features(x, /*train=*/false);
+                        });
 }
 
 }  // namespace fca::fl

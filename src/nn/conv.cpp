@@ -99,6 +99,23 @@ class GroupLowering {
     return rows_;
   }
 
+  /// Copies the live columns of one group's B operand, built from `im`, to
+  /// `dst`: row r's oh*ow output positions at dst + r*ld, without the gap
+  /// columns. Plain element loops: a memcpy per 2- or 4-float output row
+  /// made the 2x2 and 4x4 layers 5-20% slower.
+  void gather_live(const float* im, float* dst, int64_t ld) {
+    const float* ph = planes(im);
+    for (size_t r = 0; r < windows_.size(); ++r) {
+      const float* src = ph + windows_[r];
+      float* d = dst + static_cast<int64_t>(r) * ld;
+      for (int64_t y = 0; y < pp_.oh; ++y) {
+        for (int64_t x = 0; x < pp_.ow; ++x) {
+          d[y * pp_.ow + x] = src[y * pp_.wq + x];
+        }
+      }
+    }
+  }
+
   /// Where the forward pass writes its [ocg, n] result for the output planes
   /// `out`.
   float* gemm_out(float* out) { return out_wide_ != nullptr ? out_wide_ : out; }
@@ -322,8 +339,22 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const int64_t col_rows = g.col_rows();
   MacCounter::add(b * out_c_ * oh * ow * col_rows);
   const int64_t in_img = in_c_ * g.height * g.width;
-  const int64_t out_img = out_c_ * oh * ow;
+  const int64_t grp_in = icg * g.height * g.width;
+  const int64_t plane = oh * ow;
+  const int64_t out_img = out_c_ * plane;
   const bool direct = direct_depthwise();
+  // Images whose live output columns share one GEMM: taken when at least
+  // two planes fit one streamed register strip (DESIGN.md §9).
+  const int64_t per_gemm = direct ? 1 : gemm_stream_width() / plane;
+  // The per-channel bias is fused into the write-back.
+  auto epilogue = [&](int64_t grp) {
+    GemmEpilogue epi;
+    if (has_bias_) {
+      epi.bias = bias_.value.data() + grp * ocg;
+      epi.bias_kind = GemmEpilogue::Bias::kPerRow;
+    }
+    return epi;
+  };
 
   Tensor out = Tensor::uninit({b, out_c_, oh, ow});
   parallel_for_range(
@@ -333,19 +364,48 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
         // workers are long-lived, so after warm-up this allocates nothing.
         Workspace::Frame frame(Workspace::tls());
         GroupLowering low(g, ocg, frame, /*backward=*/false, direct);
+        if (per_gemm >= 2) {
+          // One image's GEMM would fill a few columns of a zero-padded
+          // strip. Instead the live columns of up to per_gemm images go
+          // into one [col_rows, imgs*plane] panel and one GEMM. Every
+          // output element runs the same sequence at any column, so the
+          // bytes match the per-image calls.
+          const int64_t ld = per_gemm * plane;
+          float* panel = frame.alloc(col_rows * ld);
+          const float** panel_rows = frame.alloc_rows(col_rows);
+          for (int64_t r = 0; r < col_rows; ++r) panel_rows[r] = panel + r * ld;
+          float* block = frame.alloc(ocg * ld);
+          for (int64_t i0 = lo; i0 < hi; i0 += per_gemm) {
+            const int64_t imgs = std::min(per_gemm, hi - i0);
+            const int64_t cols = imgs * plane;
+            for (int64_t grp = 0; grp < groups_; ++grp) {
+              for (int64_t j = 0; j < imgs; ++j) {
+                low.gather_live(x.data() + (i0 + j) * in_img + grp * grp_in,
+                                panel + j * plane, ld);
+              }
+              sgemm_rows(false, false, ocg, cols, col_rows, 1.0f,
+                         weight_.value.data() + grp * ocg * col_rows,
+                         col_rows, panel_rows, 0.0f, block, cols,
+                         epilogue(grp));
+              for (int64_t j = 0; j < imgs; ++j) {
+                float* o = out.data() + (i0 + j) * out_img + grp * ocg * plane;
+                for (int64_t oc = 0; oc < ocg; ++oc) {
+                  const float* src = block + oc * cols + j * plane;
+                  float* dst = o + oc * plane;
+                  for (int64_t q = 0; q < plane; ++q) dst[q] = src[q];
+                }
+              }
+            }
+          }
+          return;
+        }
         const int64_t n = low.n();
         for (int64_t i = lo; i < hi; ++i) {
           for (int64_t grp = 0; grp < groups_; ++grp) {
-            const float* im =
-                x.data() + i * in_img + grp * icg * g.height * g.width;
-            float* o = out.data() + i * out_img + grp * ocg * oh * ow;
+            const float* im = x.data() + i * in_img + grp * grp_in;
+            float* o = out.data() + i * out_img + grp * ocg * plane;
             const float* w = weight_.value.data() + grp * ocg * col_rows;
-            // The per-channel bias is fused into the write-back.
-            GemmEpilogue epi;
-            if (has_bias_) {
-              epi.bias = bias_.value.data() + grp * ocg;
-              epi.bias_kind = GemmEpilogue::Bias::kPerRow;
-            }
+            const GemmEpilogue epi = epilogue(grp);
             if (direct) {
               // The depthwise GEMM is an m = 1 call with k = taps, which the
               // packed kernel serves with this row update and epilogue.

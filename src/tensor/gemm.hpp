@@ -81,6 +81,13 @@ void sgemm_packed_rows(bool trans_a, bool trans_b, int64_t m, int64_t n,
                        const float* const* b_rows, float beta, float* c,
                        int64_t ldc, const GemmEpilogue& epi = {});
 
+/// Columns of the register strip sgemm_packed_rows streams B through
+/// (untransposed, k > kGemmRowUpdateMaxK): 32 on the x86-64-v4 clone, 24 on
+/// the others. A call narrower than one strip is computed at the full width
+/// with zeroed columns, so callers with many narrow products can fill the
+/// strip by multiplying several at once.
+int64_t gemm_stream_width();
+
 /// Deepest k that sgemm_packed serves with the rank-k row update below
 /// (B untransposed).
 constexpr int64_t kGemmRowUpdateMaxK = 16;

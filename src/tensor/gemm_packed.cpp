@@ -13,7 +13,7 @@
 // whatever SIMD width it targets, while the MR×NR accumulator block stays in
 // registers for the whole kb depth. That register reuse — C is loaded and
 // stored once per k-panel instead of once per k step — is where the speedup
-// over sgemm_naive comes from; see bench_kernels / BENCH_kernels.json.
+// over sgemm_naive comes from.
 // The kernel is additionally compiled as GCC function-multiversioning clones
 // (FCA_MICROKERNEL_CLONES in tensor/kernel.hpp, still no intrinsics): the
 // dynamic loader picks the x86-64-v4 clone (AVX-512) or the x86-64-v3 clone
@@ -1009,5 +1009,7 @@ void sgemm_packed_rows(bool trans_a, bool trans_b, int64_t m, int64_t n,
   packed_impl(trans_a, trans_b, m, n, k, alpha, a, lda, RowPointers{b_rows},
               beta, c, ldc, epi);
 }
+
+int64_t gemm_stream_width() { return wide_stream_tile() ? 32 : 24; }
 
 }  // namespace fca

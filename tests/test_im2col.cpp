@@ -19,7 +19,9 @@
 #include "nn/conv.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
+#include "tensor/workspace.hpp"
 #include "utils/rng.hpp"
+#include "utils/threadpool.hpp"
 
 namespace fca {
 namespace {
@@ -828,6 +830,68 @@ TEST(Conv2dLowering, StridedPairDepthParityMoves) {
   EXPECT_TRUE(same_bytes(got.grad_in, ref.grad_in));
   EXPECT_TRUE(same_bytes(got.grad_b, ref.grad_b));
   expect_weight_grad_within_bound(p, in, got.grad_w, ref.grad_w);
+}
+
+/// Dense and grouped convs with 1x1 to 5x5 output planes, which Conv2d's
+/// forward multiplies several images at a time once two or more planes fit
+/// one streamed register strip (DESIGN.md §9). k = 3 takes the streamed
+/// GEMM and k = 1 the row update.
+std::vector<LoweringCase> small_plane_sweep() {
+  std::vector<LoweringCase> cases;
+  for (int64_t stride : {1, 2}) {
+    for (int64_t k : {1, 3}) {
+      for (int64_t groups : {1, 2}) {
+        for (int64_t side = 1; side <= 5; ++side) {
+          const int64_t hw = (side - 1) * stride + 1;  // pad k/2
+          for (bool bias : {false, true}) {
+            cases.push_back(LoweringCase{groups == 1 ? 3 : 4, 8, groups, hw,
+                                         hw, k, k / 2, bias, stride});
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+TEST(Conv2dLowering, BatchedSmallPlanesByteEqualToIm2colLowering) {
+  // Every batch from 1 to 17, so each images-per-GEMM count meets every
+  // tail. module_conv memcmps its eval forward against its train forward;
+  // the pooled run splits the batch as the thread count does, the
+  // one-lane run sees it whole.
+  const std::vector<LoweringCase> cases = small_plane_sweep();
+  ASSERT_EQ(cases.size(), 80u);
+  uint64_t seed = 1600;
+  for (const LoweringCase& p : cases) {
+    for (int64_t batch = 1; batch <= 17; ++batch) {
+      const LoweringInputs in = lowering_inputs(p, batch, seed++);
+      const Tensor ref =
+          im2col_conv(p, in.x, in.weight, in.bias, in.grad_out).out;
+      const Tensor pooled =
+          module_conv(p, in.x, in.weight, in.bias, in.grad_out).out;
+      ThreadPool::SerialRegion one_lane;
+      const Tensor serial =
+          module_conv(p, in.x, in.weight, in.bias, in.grad_out).out;
+      EXPECT_TRUE(same_bytes(pooled, ref))
+          << "pooled: " << describe(p) << " batch=" << batch;
+      EXPECT_TRUE(same_bytes(serial, ref))
+          << "one lane: " << describe(p) << " batch=" << batch;
+    }
+  }
+}
+
+TEST(Conv2dLowering, BatchedForwardDoesNotGrowWorkspace) {
+  // ResNet's last stage at 8x8 inputs: 2x2 output planes, 16 images.
+  const LoweringCase p{64, 64, 1, 2, 2, 3, 1, true};
+  const LoweringInputs in = lowering_inputs(p, /*batch=*/16, 1700);
+  Rng init(1);
+  nn::Conv2d conv(p.c_in, p.c_out, p.k, p.stride, p.pad, init, p.bias);
+  ThreadPool::SerialRegion on_this_thread;  // every lane on this arena
+  Workspace& ws = Workspace::tls();
+  conv.forward(in.x, /*train=*/false);
+  const size_t capacity_after_warmup = ws.capacity_floats();
+  for (int rep = 0; rep < 10; ++rep) conv.forward(in.x, /*train=*/false);
+  EXPECT_EQ(ws.capacity_floats(), capacity_after_warmup);
 }
 
 }  // namespace
