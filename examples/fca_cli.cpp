@@ -564,12 +564,19 @@ int main(int argc, char** argv) {
       throw Error("unknown partition: " + partition);
     }
     const std::string algorithm = get("algorithm", "fedclassavg");
+    // Weight-sharing algorithms average whole models, so every client must
+    // run the same architecture; FedProto wants its CNN2 family.
+    const bool shares_weights =
+        algorithm == "fedavg" || algorithm == "fedprox" ||
+        algorithm == "ktpfl-weight" || algorithm == "fedclassavg-weight";
     std::string models = get("models", "");
+    if (shares_weights && !models.empty() && models != "homogeneous") {
+      throw Error("--algorithm " + algorithm +
+                  " averages whole models and needs --models homogeneous, "
+                  "got --models " + models);
+    }
     if (models.empty()) {
-      // Weight-sharing algorithms need homogeneous clients; FedProto wants
-      // its CNN2 family.
-      if (algorithm == "fedavg" || algorithm == "fedprox" ||
-          algorithm == "ktpfl-weight" || algorithm == "fedclassavg-weight") {
+      if (shares_weights) {
         models = "homogeneous";
       } else if (algorithm == "fedproto") {
         models = "cnn2";

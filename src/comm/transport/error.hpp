@@ -36,7 +36,8 @@ enum class TransportErrc {
   /// A shm ring stayed full past the retry budget (consumer wedged or dead).
   kRingStalled,
   /// Rendezvous/region negotiation failed: incompatible protocol version,
-  /// world-size or ring-capacity mismatch, malformed greeting.
+  /// world-size or ring-capacity mismatch, malformed greeting, or a shm
+  /// region too large to size.
   kHandshakeRejected,
 };
 

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "comm/transport/error.hpp"
@@ -114,9 +115,24 @@ ShmTransport::ShmTransport(const TransportOptions& options, int world,
   }
   ring_stride_ = align_up(sizeof(RingHeader), 64) + ring_capacity_;
   rings_offset_ = align_up(sizeof(RegionHeader), 64);
-  const size_t rings =
-      static_cast<size_t>(world) * static_cast<size_t>(world);
-  map_size_ = rings_offset_ + rings * ring_stride_;
+  // world^2 rings: checked, since ftruncate takes the size as an off_t and
+  // a wrapped product would map a region too small for its rings. Nothing
+  // is created or mapped before this.
+  size_t rings = 0;
+  size_t ring_bytes = 0;
+  if (__builtin_mul_overflow(static_cast<size_t>(world),
+                             static_cast<size_t>(world), &rings) ||
+      __builtin_mul_overflow(rings, ring_stride_, &ring_bytes) ||
+      __builtin_add_overflow(rings_offset_, ring_bytes, &map_size_) ||
+      map_size_ > static_cast<size_t>(std::numeric_limits<off_t>::max())) {
+    std::ostringstream os;
+    os << "a shm region for a world of " << world << " ranks with "
+       << ring_capacity_ << "-byte rings needs " << world << "^2 x "
+       << ring_stride_ << " + " << rings_offset_
+       << " bytes, more than an off_t can size";
+    throw TransportError(TransportErrc::kHandshakeRejected,
+                         TransportError::kNoPeer, os.str());
+  }
 
   created_ = options.shm_create;
   FCA_CHECK_MSG(self_rank_ == TransportOptions::kAllRanks || !shm_name_.empty(),

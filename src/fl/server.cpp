@@ -351,20 +351,9 @@ void FederatedRun::average_into(
     const std::vector<comm::Bytes>& payloads) const {
   FCA_CHECK(!clients.empty() && clients.size() == payloads.size());
   const std::vector<double> weights = data_weights(clients);
-  std::vector<Tensor> agg;
-  if (global.empty()) {
-    for (const models::TensorView& v : models::view_tensors(payloads[0])) {
-      agg.emplace_back(v.shape);
-    }
-  } else {
-    agg.reserve(global.size());
-    for (const Tensor& t : global) agg.emplace_back(t.shape());
-  }
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    models::accumulate_tensors(payloads[i], static_cast<float>(weights[i]),
-                               agg);
-  }
-  global = std::move(agg);
+  std::vector<float> w(weights.size());
+  for (size_t i = 0; i < w.size(); ++i) w[i] = static_cast<float>(weights[i]);
+  models::weighted_sum_into(payloads, w, global);
 }
 
 std::vector<double> FederatedRun::evaluate_all() {

@@ -320,9 +320,10 @@ class FederatedRun {
   double local_train(const std::function<float()>& epoch) const;
 
   /// Eq. 1 average into `global`: sum_i w_i * payloads[i], w = data weights
-  /// renormalized over `clients`. Keeps global's shapes, or takes
-  /// payloads[0]'s when global is empty (the C^1 init); a payload of any
-  /// other tensor count or shape throws.
+  /// renormalized over `clients` (models::weighted_sum_into). Keeps global's
+  /// shapes, or takes payloads[0]'s when global is empty (the C^1 init); a
+  /// payload of any other tensor count or shape throws and leaves global as
+  /// it was.
   void average_into(std::vector<Tensor>& global,
                     const std::vector<int>& clients,
                     const std::vector<comm::Bytes>& payloads) const;

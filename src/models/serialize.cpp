@@ -5,6 +5,7 @@
 
 #include "utils/bytes.hpp"
 #include "utils/error.hpp"
+#include "utils/threadpool.hpp"
 
 namespace fca::models {
 namespace {
@@ -234,13 +235,13 @@ std::vector<Tensor> deserialize_tensors(std::span<const std::byte> bytes) {
   return out;
 }
 
-void accumulate_tensors(std::span<const TensorView> up, float weight,
-                        std::span<Tensor> agg) {
+namespace {
+
+/// Throws unless `up` holds exactly agg.size() tensors of agg's shapes.
+void check_like(std::span<const TensorView> up, std::span<const Tensor> agg) {
   FCA_CHECK_MSG(up.size() == agg.size(), "tensor count mismatch: payload has "
                                              << up.size() << ", aggregate has "
                                              << agg.size());
-  // Every shape is checked before anything is added, so a rejected payload
-  // leaves the aggregate untouched.
   for (size_t t = 0; t < agg.size(); ++t) {
     FCA_CHECK_MSG(up[t].shape == agg[t].shape(),
                   "shape mismatch at tensor " << t << ": payload "
@@ -248,16 +249,78 @@ void accumulate_tensors(std::span<const TensorView> up, float weight,
                                               << ", aggregate "
                                               << shape_to_string(agg[t].shape()));
   }
-  for (size_t t = 0; t < agg.size(); ++t) {
-    // axpy_'s per-element arithmetic, reading straight from the bytes.
-    float* pa = agg[t].data();
-    for (int64_t i = 0; i < up[t].numel; ++i) pa[i] += weight * up[t][i];
-  }
 }
 
-void accumulate_tensors(std::span<const std::byte> payload, float weight,
-                        std::vector<Tensor>& agg) {
-  accumulate_tensors(view_tensors(payload), weight, agg);
+/// agg[j] += weight * up[j] for j in [lo, hi): axpy_'s per-element
+/// arithmetic, reading the floats straight from the payload bytes. Plain
+/// code on purpose: a cloned v3/v4 body would contract it into an FMA.
+void accumulate_range(const TensorView& up, float weight, float* agg,
+                      int64_t lo, int64_t hi) {
+  for (int64_t j = lo; j < hi; ++j) agg[j] += weight * up[j];
+}
+
+}  // namespace
+
+void weighted_sum_into(std::span<const std::vector<std::byte>> payloads,
+                       std::span<const float> weights,
+                       std::vector<Tensor>& out) {
+  FCA_CHECK(!payloads.empty() && payloads.size() == weights.size());
+  std::vector<std::vector<TensorView>> ups;
+  ups.reserve(payloads.size());
+  for (const std::vector<std::byte>& p : payloads) {
+    ups.push_back(view_tensors(p));
+  }
+  // Every element is written by its block, so the sums need no zero-fill.
+  // They go into new tensors, not out's storage: that allocation keeps
+  // glibc from trimming the freed uploads off the heap top each round,
+  // which cost fedavg-shm ~13 MB of page faults per round (DESIGN.md §15).
+  std::vector<Tensor> agg;
+  if (out.empty()) {
+    for (const TensorView& v : ups[0]) agg.push_back(Tensor::uninit(v.shape));
+  } else {
+    for (const Tensor& t : out) agg.push_back(Tensor::uninit(t.shape()));
+  }
+  for (const std::vector<TensorView>& up : ups) check_like(up, agg);
+
+  // Tensor t holds the flattened elements [start[t], start[t + 1]).
+  std::vector<int64_t> start(agg.size() + 1, 0);
+  for (size_t t = 0; t < agg.size(); ++t) {
+    start[t + 1] = start[t] + agg[t].numel();
+  }
+  const int64_t total = start.back();
+  const int64_t blocks = (total + kSumBlockFloats - 1) / kSumBlockFloats;
+  // Blocks own disjoint elements and each element's sum runs in payload
+  // order, so any split of the blocks over threads gives the same bytes.
+  parallel_for_range(
+      0, blocks,
+      [&](int64_t b0, int64_t b1) {
+        for (int64_t b = b0; b < b1; ++b) {
+          const int64_t lo = b * kSumBlockFloats;
+          const int64_t hi = std::min(lo + kSumBlockFloats, total);
+          for (size_t t = 0; t < agg.size(); ++t) {
+            const int64_t a = std::max(lo, start[t]) - start[t];
+            const int64_t e = std::min(hi, start[t + 1]) - start[t];
+            if (a >= e) continue;
+            float* pa = agg[t].data();
+            std::fill(pa + a, pa + e, 0.0f);
+            for (size_t i = 0; i < ups.size(); ++i) {
+              accumulate_range(ups[i][t], weights[i], pa, a, e);
+            }
+          }
+        }
+      },
+      /*grain=*/1);
+  out = std::move(agg);
+}
+
+void accumulate_tensors(std::span<const TensorView> up, float weight,
+                        std::span<Tensor> agg) {
+  // Every shape is checked before anything is added, so a rejected payload
+  // leaves the aggregate untouched.
+  check_like(up, agg);
+  for (size_t t = 0; t < agg.size(); ++t) {
+    accumulate_range(up[t], weight, agg[t].data(), 0, up[t].numel);
+  }
 }
 
 std::vector<Tensor> snapshot_values(const std::vector<nn::Param*>& params) {

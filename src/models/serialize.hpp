@@ -72,14 +72,28 @@ std::vector<TensorView> view_tensors(std::span<const std::byte> bytes);
 /// like view_tensors.
 std::vector<Tensor> deserialize_tensors(std::span<const std::byte> bytes);
 
-/// agg[t] += weight * (tensor t of the payload) for every t, with axpy_'s
-/// per-element arithmetic, reading the floats straight from the bytes (no
-/// per-payload tensors). The payload must hold exactly agg.size() tensors
-/// of agg's shapes, and nothing after them; anything else throws.
-void accumulate_tensors(std::span<const std::byte> payload, float weight,
-                        std::vector<Tensor>& agg);
-/// The same over already parsed views (a payload whose tail is not a plain
-/// weighted sum, e.g. FedClassAvg+Proto's prototypes).
+/// Element-block size, in floats, of weighted_sum_into. It is a constant,
+/// so the split never depends on the pool's thread count, and an aggregate
+/// of one block (a classifier pair) stays on the caller.
+inline constexpr int64_t kSumBlockFloats = int64_t{1} << 14;
+
+/// out = sum_i weights[i] * (payload i), tensor by tensor. Each element is
+/// seeded with 0.0f and then gets `+= weights[i] * up_i[j]` in ascending i:
+/// accumulate_tensors' expression, so the bytes equal zero-filled tensors
+/// passed through accumulate_tensors once per payload, in order. `out`
+/// keeps its shapes (its values are not read), or takes the first payload's
+/// shapes when empty; the sums land in new tensors that replace it. Every
+/// payload is parsed and shape-checked before the first write: one of
+/// another tensor count or shape, or with trailing bytes, throws fca::Error
+/// and leaves `out` as it was. Blocks of kSumBlockFloats elements run on
+/// parallel_for_range.
+void weighted_sum_into(std::span<const std::vector<std::byte>> payloads,
+                       std::span<const float> weights,
+                       std::vector<Tensor>& out);
+/// agg[t] += weight * up[t] for every t, over already parsed views (a
+/// payload whose tail is not a plain weighted sum, e.g. FedClassAvg+Proto's
+/// prototypes). The views must be agg.size() tensors of agg's shapes;
+/// anything else throws before the first write.
 void accumulate_tensors(std::span<const TensorView> up, float weight,
                         std::span<Tensor> agg);
 

@@ -45,9 +45,12 @@ obs::Histogram* step_histogram() {
 /// One parameter's Adam update over `n` elements, in the scalar expression
 /// order: g = grad (+ wd * value), m = b1 * m + (1 - b1) * g,
 /// v = b2 * v + ((1 - b2) * g) * g, value -= (lr * (m / bc1)) /
-/// (sqrt(v / bc2) + eps). Built without contraction, so the FMA clones give
+/// (sqrt(v / bc2) + eps). With kZeroSlots the old m and v are the literal
+/// 0.0f, not read: the bytes of a step from zero-filled slots, which the
+/// slots need not hold. Built without contraction, so the FMA clones give
 /// the baseline clone's bytes; the sqrt vectorizes because optim.cpp is
 /// compiled with -fno-math-errno (src/CMakeLists.txt).
+template <bool kZeroSlots>
 FCA_MICROKERNEL_CLONES __attribute__((optimize("fp-contract=off")))
 void adam_update(float* __restrict value, const float* __restrict grad,
                  float* __restrict m, float* __restrict v, int64_t n,
@@ -59,16 +62,16 @@ void adam_update(float* __restrict value, const float* __restrict grad,
 #pragma omp simd
     for (int64_t j = 0; j < n; ++j) {
       const float g = grad[j] + wd * value[j];
-      m[j] = b1 * m[j] + c1 * g;
-      v[j] = b2 * v[j] + c2 * g * g;
+      m[j] = b1 * (kZeroSlots ? 0.0f : m[j]) + c1 * g;
+      v[j] = b2 * (kZeroSlots ? 0.0f : v[j]) + c2 * g * g;
       value[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + eps);
     }
   } else {
 #pragma omp simd
     for (int64_t j = 0; j < n; ++j) {
       const float g = grad[j];
-      m[j] = b1 * m[j] + c1 * g;
-      v[j] = b2 * v[j] + c2 * g * g;
+      m[j] = b1 * (kZeroSlots ? 0.0f : m[j]) + c1 * g;
+      v[j] = b2 * (kZeroSlots ? 0.0f : v[j]) + c2 * g * g;
       value[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + eps);
     }
   }
@@ -131,26 +134,35 @@ void Adam::step() {
   obs::ProfileSpan span("kernel", "optim.step",
                         static_cast<int64_t>(params_.size()));
   obs::ScopedTimer timer(step_histogram());
+  for (const Param* p : params_) FCA_CHECK(p->grad.same_shape(p->value));
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const auto update = slots_owed_zeros_ ? adam_update<true>
+                                        : adam_update<false>;
   for (size_t i = 0; i < params_.size(); ++i) {
     Param& p = *params_[i];
-    FCA_CHECK(p.grad.same_shape(p.value));
-    adam_update(p.value.data(), p.grad.data(), m_[i].data(), v_[i].data(),
-                p.value.numel(), beta1_, beta2_, lr_, bc1, bc2, eps_,
-                weight_decay_);
+    update(p.value.data(), p.grad.data(), m_[i].data(), v_[i].data(),
+           p.value.numel(), beta1_, beta2_, lr_, bc1, bc2, eps_,
+           weight_decay_);
   }
+  slots_owed_zeros_ = false;
 }
 
 void Adam::reset() {
   Optimizer::reset();
-  for (Tensor& m : m_) m.fill(0.0f);
-  for (Tensor& v : v_) v.fill(0.0f);
   t_ = 0;
+  slots_owed_zeros_ = true;
 }
 
 std::vector<Tensor*> Adam::state_tensors() {
+  // The caller may read the slots or write through the pointers, so the
+  // zeros a reset skipped are written now.
+  if (slots_owed_zeros_) {
+    for (Tensor& m : m_) m.fill(0.0f);
+    for (Tensor& v : v_) v.fill(0.0f);
+    slots_owed_zeros_ = false;
+  }
   std::vector<Tensor*> out;
   out.reserve(m_.size() + v_.size());
   for (Tensor& m : m_) out.push_back(&m);

@@ -19,7 +19,7 @@ class Optimizer {
   /// Clears every parameter gradient.
   void zero_grad();
   /// Returns the optimizer to its freshly constructed state in place: the
-  /// slot tensors are zero-filled (their storage, and so every
+  /// slot tensors read as zeros (their storage, and so every
   /// state_tensors() pointer, stays the same), the scalar state restarts
   /// and the learning rate goes back to its constructor value.
   virtual void reset() { lr_ = initial_lr_; }
@@ -64,7 +64,9 @@ class SGD : public Optimizer {
 /// Adam (Kingma & Ba) with bias correction; the paper's local client update
 /// uses Adam with the Table-1 learning rates. The per-element update is a
 /// cloned, vectorized kernel (DESIGN.md §9) whose bytes equal the scalar
-/// expression order on every clone.
+/// expression order on every clone. reset() writes no slot: the next step
+/// reads literal zeros in their place, and state_tensors() writes them
+/// first if it comes before that step (DESIGN.md §13).
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Param*> params, float lr, float beta1 = 0.9f,
@@ -79,6 +81,8 @@ class Adam : public Optimizer {
   float beta1_, beta2_, eps_, weight_decay_;
   int64_t t_ = 0;
   std::vector<Tensor> m_, v_;
+  /// Set by reset(): m_ and v_ stand for zeros they do not hold yet.
+  bool slots_owed_zeros_ = false;
 };
 
 }  // namespace fca::nn

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 
 #include "utils/error.hpp"
@@ -283,6 +285,82 @@ TEST(Adam, ResetEqualsFreshConstruction) {
     return std::make_unique<Adam>(std::move(ps), 1e-2f, 0.8f, 0.99f, 1e-6f,
                                   /*weight_decay=*/1e-4f);
   });
+}
+
+/// Values a first Adam step must carry bit for bit: both signed zeros,
+/// subnormals of both signs, and ordinary floats.
+std::vector<float> edge_values(Rng& rng, int64_t n) {
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float special[] = {0.0f, -0.0f, sub, -sub, 1000.0f * sub,
+                           -std::numeric_limits<float>::min() / 4.0f};
+  std::vector<float> out(static_cast<size_t>(n));
+  for (int64_t j = 0; j < n; ++j) {
+    out[static_cast<size_t>(j)] =
+        j % 3 == 0 ? static_cast<float>(rng.normal())
+                   : special[static_cast<size_t>(j) % std::size(special)];
+  }
+  return out;
+}
+
+TEST(Adam, ResetSlotsReadAsZerosAndFirstStepEqualsFresh) {
+  for (const float wd : {0.0f, 1e-3f}) {
+    Rng rng(17);
+    // `lazy` steps straight after its reset, on slots it never zeroed;
+    // `read` has its slots read (so written) between the reset and the
+    // step; `fresh` is built at that point.
+    Param lazy_p("p", Tensor::randn({77}, rng));
+    lazy_p.grad = Tensor({77});
+    Param read_p("p", lazy_p.value.clone());
+    read_p.grad = Tensor({77});
+    Adam lazy({&lazy_p}, 3e-3f, 0.9f, 0.999f, 1e-8f, wd);
+    Adam read({&read_p}, 3e-3f, 0.9f, 0.999f, 1e-8f, wd);
+    for (int k = 0; k < 3; ++k) {
+      for (int64_t j = 0; j < 77; ++j) {
+        lazy_p.grad[j] = read_p.grad[j] = static_cast<float>(rng.normal());
+      }
+      lazy.step();
+      read.step();
+    }
+    lazy.reset();
+    read.reset();
+    for (const Tensor* s : read.state_tensors()) {
+      for (int64_t j = 0; j < s->numel(); ++j) {
+        ASSERT_EQ(std::signbit((*s)[j]), false) << "wd=" << wd;
+        ASSERT_EQ((*s)[j], 0.0f) << "wd=" << wd;
+      }
+    }
+    EXPECT_EQ(read.scalar_state(), std::vector<int64_t>{0});
+
+    const std::vector<float> value = edge_values(rng, 77);
+    const std::vector<float> grad = edge_values(rng, 77);
+    for (Param* p : {&lazy_p, &read_p}) {
+      std::memcpy(p->value.data(), value.data(), value.size() * sizeof(float));
+      std::memcpy(p->grad.data(), grad.data(), grad.size() * sizeof(float));
+    }
+    Param fresh_p("p", lazy_p.value.clone());
+    fresh_p.grad = lazy_p.grad.clone();
+    Adam fresh({&fresh_p}, 3e-3f, 0.9f, 0.999f, 1e-8f, wd);
+    lazy.step();
+    read.step();
+    fresh.step();
+
+    const size_t bytes = value.size() * sizeof(float);
+    const std::vector<Tensor*> fresh_slots = fresh.state_tensors();
+    for (Adam* opt : {&lazy, &read}) {
+      const Param& p = opt == &lazy ? lazy_p : read_p;
+      EXPECT_EQ(std::memcmp(p.value.data(), fresh_p.value.data(), bytes), 0)
+          << (opt == &lazy ? "lazy" : "read") << " value, wd=" << wd;
+      const std::vector<Tensor*> slots = opt->state_tensors();
+      ASSERT_EQ(slots.size(), fresh_slots.size());
+      for (size_t s = 0; s < slots.size(); ++s) {
+        EXPECT_EQ(std::memcmp(slots[s]->data(), fresh_slots[s]->data(), bytes),
+                  0)
+            << (opt == &lazy ? "lazy" : "read") << " slot " << s
+            << ", wd=" << wd;
+      }
+      EXPECT_EQ(opt->scalar_state(), fresh.scalar_state());
+    }
+  }
 }
 
 }  // namespace

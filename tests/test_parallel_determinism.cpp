@@ -168,6 +168,138 @@ TEST(RoundExecutor, LanesSuppressNestedKernelParallelism) {
 }
 
 // ---------------------------------------------------------------------------
+// The blocked eq. 1 aggregate (models::weighted_sum_into) against a serial
+// loop in payload order
+
+constexpr int64_t kBlock = models::kSumBlockFloats;
+
+/// Tensors below, at and just above one block, with an empty one and small
+/// ones between them, so blocks start and end inside tensors. Every fifth
+/// value is -0.0.
+std::vector<Tensor> aggregate_payload_tensors(Rng& rng) {
+  std::vector<Tensor> ts;
+  for (const Shape& shape : std::vector<Shape>{{kBlock - 1}, {3}, {kBlock},
+                                               {0}, {2, 5}, {kBlock + 1},
+                                               {4, kBlock / 4 + 1}}) {
+    Tensor t = Tensor::randn(shape, rng);
+    for (int64_t j = 0; j < t.numel(); j += 5) t[j] = -0.0f;
+    ts.push_back(std::move(t));
+  }
+  return ts;
+}
+
+/// The serial order: zero-filled sums, each payload added in turn.
+std::vector<Tensor> serial_weighted_sum(
+    const std::vector<std::vector<std::byte>>& payloads,
+    const std::vector<float>& weights) {
+  std::vector<Tensor> sum;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    const std::vector<Tensor> up = models::deserialize_tensors(payloads[i]);
+    if (sum.empty()) {
+      for (const Tensor& t : up) sum.emplace_back(t.shape());
+    }
+    for (size_t t = 0; t < up.size(); ++t) {
+      for (int64_t j = 0; j < up[t].numel(); ++j) {
+        sum[t][j] += weights[i] * up[t][j];
+      }
+    }
+  }
+  return sum;
+}
+
+bool same_bytes(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t t = 0; t < a.size(); ++t) {
+    if (!a[t].same_shape(b[t])) return false;
+    // An empty tensor's data() may be null, which memcmp must not see.
+    if (a[t].numel() > 0 &&
+        std::memcmp(a[t].data(), b[t].data(),
+                    static_cast<size_t>(a[t].numel()) * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ParallelAggregate, BlockedSumEqualsSerialLoopPooledSerialAndInLanes) {
+  Rng rng(29);
+  std::vector<std::vector<std::byte>> payloads;
+  std::vector<float> weights;
+  for (int i = 0; i < 20; ++i) {
+    payloads.push_back(models::serialize_tensors(aggregate_payload_tensors(rng)));
+    // Far from summing to 1, with a zero weight on -0.0 values too.
+    weights.push_back(i == 7 ? 0.0f
+                             : static_cast<float>(rng.uniform(0.01, 0.4)));
+  }
+  const std::vector<Tensor> expected = serial_weighted_sum(payloads, weights);
+  const auto sum_into_stale = [&] {
+    std::vector<Tensor> out;
+    for (const Tensor& t : expected) out.push_back(Tensor(t.shape(), 5.0f));
+    models::weighted_sum_into(payloads, weights, out);
+    return out;
+  };
+
+  std::vector<Tensor> fresh;
+  models::weighted_sum_into(payloads, weights, fresh);
+  EXPECT_TRUE(same_bytes(fresh, expected)) << "pooled, shapes from payload 0";
+  EXPECT_TRUE(same_bytes(sum_into_stale(), expected)) << "pooled, in place";
+  {
+    ThreadPool::SerialRegion serial;
+    EXPECT_TRUE(same_bytes(sum_into_stale(), expected)) << "SerialRegion";
+  }
+  // parallel_for_range always targets the global pool; inside a lane of an
+  // injected pool it runs serially, with lanes summing concurrently.
+  for (unsigned workers : {0u, 1u, 2u, 3u}) {
+    ThreadPool pool(workers);
+    RoundExecutor lanes(static_cast<int>(workers) + 1, &pool);
+    const std::vector<double> ok =
+        lanes.map(iota_clients(4), [&](int) {
+          return same_bytes(sum_into_stale(), expected) ? 1.0 : 0.0;
+        });
+    for (double v : ok) EXPECT_EQ(v, 1.0) << workers << " worker(s)";
+  }
+}
+
+TEST(ParallelAggregate, AverageIntoMatchesSerialLoopAndRejectsTheLastPayload) {
+  core::Experiment exp(tiny_experiment_config());
+  auto run = test::resident_run(exp);
+  Rng rng(31);
+  std::vector<int> clients;
+  std::vector<std::vector<std::byte>> payloads;
+  for (int i = 0; i < 20; ++i) {
+    clients.push_back(i % run->num_clients());
+    payloads.push_back(models::serialize_tensors(aggregate_payload_tensors(rng)));
+  }
+  std::vector<float> weights;
+  for (double w : run->data_weights(clients)) {
+    weights.push_back(static_cast<float>(w));
+  }
+  const std::vector<Tensor> expected = serial_weighted_sum(payloads, weights);
+  std::vector<Tensor> global;
+  run->average_into(global, clients, payloads);
+  EXPECT_TRUE(same_bytes(global, expected)) << "C^1 form";
+  run->average_into(global, clients, payloads);
+  EXPECT_TRUE(same_bytes(global, expected)) << "in place";
+
+  // A bad last payload throws before anything is written.
+  std::vector<Tensor> kept;
+  for (const Tensor& t : global) kept.push_back(t.clone());
+  std::vector<Tensor> wrong_count = aggregate_payload_tensors(rng);
+  wrong_count.pop_back();
+  std::vector<Tensor> wrong_shape = aggregate_payload_tensors(rng);
+  wrong_shape[4] = wrong_shape[4].reshape({5, 2});
+  for (const std::vector<Tensor>& bad : {wrong_count, wrong_shape}) {
+    std::vector<std::vector<std::byte>> with_bad = payloads;
+    with_bad.back() = models::serialize_tensors(bad);
+    EXPECT_THROW(run->average_into(global, clients, with_bad), Error);
+    EXPECT_TRUE(same_bytes(global, kept)) << "a rejected payload wrote";
+    std::vector<Tensor> none;
+    EXPECT_THROW(run->average_into(none, clients, with_bad), Error);
+    EXPECT_TRUE(none.empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: parallel == serial, bit for bit, for every strategy
 
 core::ExperimentConfig parallel_test_config(const std::string& strategy,

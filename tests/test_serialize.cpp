@@ -160,21 +160,31 @@ TEST(Serialize, AccumulateIsBitEqualToDeserializeAxpy) {
     uploads.push_back({Tensor::randn({5, 7}, rng), Tensor::randn({5}, rng),
                        Tensor::randn({2, 3, 2}, rng)});
   }
-  const float weights[3] = {0.2f, 0.3333333f, 0.4666667f};
+  const std::vector<float> weights = {0.2f, 0.3333333f, 0.4666667f};
   std::vector<Tensor> expected = zeros_like(uploads[0]);
-  std::vector<Tensor> got = zeros_like(uploads[0]);
+  std::vector<std::vector<std::byte>> payloads;
   for (size_t k = 0; k < uploads.size(); ++k) {
-    const std::vector<std::byte> bytes = serialize_tensors(uploads[k]);
-    const std::vector<Tensor> up = deserialize_tensors(bytes);
+    payloads.push_back(serialize_tensors(uploads[k]));
+    const std::vector<Tensor> up = deserialize_tensors(payloads.back());
     for (size_t t = 0; t < up.size(); ++t) axpy_(expected[t], weights[k], up[t]);
-    accumulate_tensors(bytes, weights[k], got);
   }
-  for (size_t t = 0; t < got.size(); ++t) {
-    ASSERT_EQ(got[t].shape(), expected[t].shape());
-    EXPECT_EQ(std::memcmp(got[t].data(), expected[t].data(),
-                          static_cast<size_t>(got[t].numel()) * sizeof(float)),
-              0)
-        << "tensor " << t;
+  // Once taking the first payload's shapes, once over stale values, which
+  // must not leak into the sum.
+  std::vector<Tensor> fresh;
+  weighted_sum_into(payloads, weights, fresh);
+  std::vector<Tensor> stale = zeros_like(uploads[0]);
+  for (Tensor& t : stale) t.fill(7.0f);
+  weighted_sum_into(payloads, weights, stale);
+  for (const std::vector<Tensor>* got : {&fresh, &stale}) {
+    ASSERT_EQ(got->size(), expected.size());
+    for (size_t t = 0; t < got->size(); ++t) {
+      const Tensor& g = (*got)[t];
+      ASSERT_EQ(g.shape(), expected[t].shape());
+      EXPECT_EQ(std::memcmp(g.data(), expected[t].data(),
+                            static_cast<size_t>(g.numel()) * sizeof(float)),
+                0)
+          << (got == &fresh ? "fresh" : "stale") << ", tensor " << t;
+    }
   }
 }
 
@@ -183,23 +193,35 @@ TEST(Serialize, AccumulateRejectsMismatchedPayloads) {
   const std::vector<Tensor> two{Tensor::randn({3, 2}, rng),
                                 Tensor::randn({3}, rng)};
   std::vector<Tensor> agg = zeros_like(two);
+  for (Tensor& t : agg) t.fill(3.0f);
+  const std::vector<float> weights = {0.5f, 0.5f};
+  // Each bad payload comes last, after a good one, so a sum that wrote
+  // before it checked every payload would show.
+  const auto rejects = [&](std::vector<std::byte> bad) {
+    const std::vector<std::vector<std::byte>> payloads{serialize_tensors(two),
+                                                       std::move(bad)};
+    EXPECT_THROW(weighted_sum_into(payloads, weights, agg), Error);
+    for (const Tensor& t : agg) {
+      EXPECT_TRUE(allclose(t, Tensor(t.shape(), 3.0f), 0.0f, 0.0f));
+    }
+    std::vector<Tensor> none;
+    EXPECT_THROW(weighted_sum_into(payloads, weights, none), Error);
+    EXPECT_TRUE(none.empty());
+  };
   // Count mismatch: one tensor too many and one too few.
   std::vector<Tensor> three = two;
   three.push_back(Tensor::randn({1}, rng));
-  EXPECT_THROW(accumulate_tensors(serialize_tensors(three), 1.0f, agg), Error);
-  EXPECT_THROW(accumulate_tensors(serialize_tensors({two[0]}), 1.0f, agg),
-               Error);
+  rejects(serialize_tensors(three));
+  rejects(serialize_tensors({two[0]}));
   // Shape mismatch: same numel, different shape.
-  const std::vector<Tensor> reshaped{two[0].reshape({2, 3}), two[1]};
-  EXPECT_THROW(accumulate_tensors(serialize_tensors(reshaped), 1.0f, agg),
-               Error);
+  rejects(serialize_tensors({two[0].reshape({2, 3}), two[1]}));
   // Trailing bytes after a well-formed list.
   std::vector<std::byte> trailing = serialize_tensors(two);
   trailing.push_back(std::byte{0});
-  EXPECT_THROW(accumulate_tensors(trailing, 1.0f, agg), Error);
-  // A rejected payload leaves the aggregate untouched: one good payload
-  // afterwards yields exactly that payload.
-  accumulate_tensors(serialize_tensors(two), 1.0f, agg);
+  rejects(std::move(trailing));
+  // One good payload at weight 1 yields exactly that payload.
+  const std::vector<std::vector<std::byte>> good{serialize_tensors(two)};
+  weighted_sum_into(good, std::vector<float>{1.0f}, agg);
   EXPECT_TRUE(allclose(agg[0], two[0], 0.0f, 0.0f));
 }
 

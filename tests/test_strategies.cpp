@@ -4,6 +4,7 @@
 
 #include "core/fedclassavg_proto.hpp"
 #include "fl_fixtures.hpp"
+#include "fl/client_state.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/fedprox.hpp"
 #include "fl/fedproto.hpp"
@@ -159,6 +160,26 @@ TEST(FedAvg, ClientKeepsOptimizerSlotsAcrossRounds) {
   }
   EXPECT_EQ(kept.optimizer().scalar_state(),
             fresh.optimizer().scalar_state());
+}
+
+TEST(FedAvg, ResetClientStateEqualsFreshClientState) {
+  // A trained client's reset leaves stale moments in its slots; its paged
+  // or checkpointed bytes must still be a fresh client's, whose slots are
+  // zero, once the model and RNG stream agree.
+  core::Experiment exp(homogeneous_config());
+  auto run = test::resident_run(exp);
+  FedAvg strat;
+  strat.initialize(*run);
+  Client& kept = run->client(0);
+  strat.update(*run, 1, kept, strat.downlink(*run));
+  kept.reset_optimizer();
+
+  auto fresh_run = test::resident_run(exp);
+  Client& fresh = fresh_run->client(0);
+  models::deserialize_state(models::serialize_state(kept.model()),
+                            fresh.model());
+  fresh.rng() = kept.rng();
+  EXPECT_EQ(encode_client_state(kept), encode_client_state(fresh));
 }
 
 TEST(FedProx, RunsAndReportsName) {

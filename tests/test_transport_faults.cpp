@@ -11,7 +11,9 @@
 // byte-identically.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <netinet/in.h>
@@ -206,6 +208,39 @@ TEST(TransportFaults, ShmPeerKilledBeforeSendingIsTypedTimeout) {
     FAIL() << "received a frame the dead peer never sent";
   } catch (const TransportError& e) {
     EXPECT_EQ(e.code(), TransportErrc::kTimeout) << e.what();
+  }
+}
+
+TEST(TransportFaults, ShmRegionTooLargeToSizeIsTypedBeforeCreation) {
+  // world^2 rings of at least 64 KiB: the first world overflows size_t, the
+  // second fits size_t but not the off_t that ftruncate takes. Either must
+  // throw from the sizing arithmetic, before shm_open creates the region.
+  const std::string name = "/fca_test_huge_" + std::to_string(getpid());
+  for (const int world : {std::numeric_limits<int>::max(), 13'500'000}) {
+    TransportOptions opts;
+    opts.kind = TransportKind::kShm;
+    opts.self_rank = 0;
+    opts.shm_name = name;
+    opts.shm_create = true;
+    try {
+      (void)make_transport(opts, world);
+      FAIL() << "a region for " << world << " ranks was accepted";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.code(), TransportErrc::kHandshakeRejected) << e.what();
+      EXPECT_FALSE(e.peer_scoped());
+      const std::string what = e.what();
+      EXPECT_NE(what.find("world of " + std::to_string(world) + " ranks"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("65536-byte rings"), std::string::npos) << what;
+      EXPECT_NE(what.find(" bytes"), std::string::npos) << what;
+    }
+    const int fd = shm_open(name.c_str(), O_RDONLY, 0600);
+    EXPECT_LT(fd, 0) << "the rejected region left " << name << " behind";
+    if (fd >= 0) {
+      close(fd);
+      shm_unlink(name.c_str());
+    }
   }
 }
 
