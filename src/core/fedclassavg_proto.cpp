@@ -105,16 +105,21 @@ void FedClassAvgProto::reduce(
   // then the count-weighted merge of the trailing [protos, counts].
   const std::vector<double> weights = run.data_weights(gathered.survivors);
   std::vector<std::vector<models::TensorView>> uploads;
+  std::vector<std::span<const models::TensorView>> classifiers;
+  std::vector<float> w;
   uploads.reserve(gathered.payloads.size());
-  std::vector<Tensor> clf_agg{Tensor(global_[0].shape()),
-                              Tensor(global_[1].shape())};
   for (size_t i = 0; i < gathered.payloads.size(); ++i) {
     uploads.push_back(models::view_tensors(gathered.payloads[i]));
     FCA_CHECK_MSG(uploads[i].size() == 4,
                   "FedClassAvg+Proto upload must hold [W, b, protos, counts]");
-    models::accumulate_tensors(std::span(uploads[i]).first(2),
-                               static_cast<float>(weights[i]), clf_agg);
+    classifiers.push_back(std::span(uploads[i]).first(2));
+    w.push_back(static_cast<float>(weights[i]));
   }
+  // Summed aside (global_'s shapes, not its values), so an upload whose
+  // prototype tail merge() rejects leaves global_ as it was.
+  std::vector<Tensor> clf_agg{Tensor::uninit(global_[0].shape()),
+                              Tensor::uninit(global_[1].shape())};
+  models::weighted_sum_into(classifiers, w, clf_agg);
   protos_.merge(uploads, 2);
   global_ = std::move(clf_agg);
 }

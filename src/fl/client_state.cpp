@@ -33,7 +33,12 @@ std::vector<std::byte> encode_client_state(Client& client) {
 
 void decode_client_state(std::span<const std::byte> bytes, Client& client) {
   // Parsed in place: the model and slot blobs are views into `bytes`. Every
-  // field is read and checked before the first write.
+  // field is read and checked before the first write the client can see.
+  // state_tensors() below may first write the zeros an Adam reset still
+  // owes (nn/optim.hpp); the slots read as those zeros either way, so a
+  // rejected decode leaves the client as it was. Only a decode into a
+  // client reset since its last step pays that fill, which the memcpy then
+  // overwrites.
   utils::ByteReader r(bytes);
   const std::span<const std::byte> model_bytes = r.blob();
   std::vector<int64_t> scalars(r.count(sizeof(int64_t)));

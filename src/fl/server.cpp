@@ -353,7 +353,14 @@ void FederatedRun::average_into(
   const std::vector<double> weights = data_weights(clients);
   std::vector<float> w(weights.size());
   for (size_t i = 0; i < w.size(); ++i) w[i] = static_cast<float>(weights[i]);
-  models::weighted_sum_into(payloads, w, global);
+  // Every payload is parsed (view_tensors rejects trailing bytes) before the
+  // sum, which checks every shape before it writes.
+  std::vector<std::vector<models::TensorView>> views;
+  views.reserve(payloads.size());
+  for (const comm::Bytes& p : payloads) views.push_back(models::view_tensors(p));
+  const std::vector<std::span<const models::TensorView>> ups(views.begin(),
+                                                             views.end());
+  models::weighted_sum_into(ups, w, global);
 }
 
 std::vector<double> FederatedRun::evaluate_all() {

@@ -235,41 +235,10 @@ std::vector<Tensor> deserialize_tensors(std::span<const std::byte> bytes) {
   return out;
 }
 
-namespace {
-
-/// Throws unless `up` holds exactly agg.size() tensors of agg's shapes.
-void check_like(std::span<const TensorView> up, std::span<const Tensor> agg) {
-  FCA_CHECK_MSG(up.size() == agg.size(), "tensor count mismatch: payload has "
-                                             << up.size() << ", aggregate has "
-                                             << agg.size());
-  for (size_t t = 0; t < agg.size(); ++t) {
-    FCA_CHECK_MSG(up[t].shape == agg[t].shape(),
-                  "shape mismatch at tensor " << t << ": payload "
-                                              << shape_to_string(up[t].shape)
-                                              << ", aggregate "
-                                              << shape_to_string(agg[t].shape()));
-  }
-}
-
-/// agg[j] += weight * up[j] for j in [lo, hi): axpy_'s per-element
-/// arithmetic, reading the floats straight from the payload bytes. Plain
-/// code on purpose: a cloned v3/v4 body would contract it into an FMA.
-void accumulate_range(const TensorView& up, float weight, float* agg,
-                      int64_t lo, int64_t hi) {
-  for (int64_t j = lo; j < hi; ++j) agg[j] += weight * up[j];
-}
-
-}  // namespace
-
-void weighted_sum_into(std::span<const std::vector<std::byte>> payloads,
+void weighted_sum_into(std::span<const std::span<const TensorView>> ups,
                        std::span<const float> weights,
                        std::vector<Tensor>& out) {
-  FCA_CHECK(!payloads.empty() && payloads.size() == weights.size());
-  std::vector<std::vector<TensorView>> ups;
-  ups.reserve(payloads.size());
-  for (const std::vector<std::byte>& p : payloads) {
-    ups.push_back(view_tensors(p));
-  }
+  FCA_CHECK(!ups.empty() && ups.size() == weights.size());
   // Every element is written by its block, so the sums need no zero-fill.
   // They go into new tensors, not out's storage: that allocation keeps
   // glibc from trimming the freed uploads off the heap top each round,
@@ -280,7 +249,17 @@ void weighted_sum_into(std::span<const std::vector<std::byte>> payloads,
   } else {
     for (const Tensor& t : out) agg.push_back(Tensor::uninit(t.shape()));
   }
-  for (const std::vector<TensorView>& up : ups) check_like(up, agg);
+  for (std::span<const TensorView> up : ups) {
+    FCA_CHECK_MSG(up.size() == agg.size(), "tensor count mismatch: payload has "
+                                               << up.size() << ", aggregate has "
+                                               << agg.size());
+    for (size_t t = 0; t < agg.size(); ++t) {
+      FCA_CHECK_MSG(up[t].shape == agg[t].shape(),
+                    "shape mismatch at tensor "
+                        << t << ": payload " << shape_to_string(up[t].shape)
+                        << ", aggregate " << shape_to_string(agg[t].shape()));
+    }
+  }
 
   // Tensor t holds the flattened elements [start[t], start[t + 1]).
   std::vector<int64_t> start(agg.size() + 1, 0);
@@ -291,6 +270,9 @@ void weighted_sum_into(std::span<const std::vector<std::byte>> payloads,
   const int64_t blocks = (total + kSumBlockFloats - 1) / kSumBlockFloats;
   // Blocks own disjoint elements and each element's sum runs in payload
   // order, so any split of the blocks over threads gives the same bytes.
+  // The sum is axpy_'s per-element arithmetic, reading the floats straight
+  // from the payload bytes, in plain code on purpose: a cloned v3/v4 body
+  // would contract it into an FMA.
   parallel_for_range(
       0, blocks,
       [&](int64_t b0, int64_t b1) {
@@ -304,23 +286,15 @@ void weighted_sum_into(std::span<const std::vector<std::byte>> payloads,
             float* pa = agg[t].data();
             std::fill(pa + a, pa + e, 0.0f);
             for (size_t i = 0; i < ups.size(); ++i) {
-              accumulate_range(ups[i][t], weights[i], pa, a, e);
+              const TensorView& up = ups[i][t];
+              const float w = weights[i];
+              for (int64_t j = a; j < e; ++j) pa[j] += w * up[j];
             }
           }
         }
       },
       /*grain=*/1);
   out = std::move(agg);
-}
-
-void accumulate_tensors(std::span<const TensorView> up, float weight,
-                        std::span<Tensor> agg) {
-  // Every shape is checked before anything is added, so a rejected payload
-  // leaves the aggregate untouched.
-  check_like(up, agg);
-  for (size_t t = 0; t < agg.size(); ++t) {
-    accumulate_range(up[t], weight, agg[t].data(), 0, up[t].numel);
-  }
 }
 
 std::vector<Tensor> snapshot_values(const std::vector<nn::Param*>& params) {

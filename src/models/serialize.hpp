@@ -77,25 +77,19 @@ std::vector<Tensor> deserialize_tensors(std::span<const std::byte> bytes);
 /// of one block (a classifier pair) stays on the caller.
 inline constexpr int64_t kSumBlockFloats = int64_t{1} << 14;
 
-/// out = sum_i weights[i] * (payload i), tensor by tensor. Each element is
-/// seeded with 0.0f and then gets `+= weights[i] * up_i[j]` in ascending i:
-/// accumulate_tensors' expression, so the bytes equal zero-filled tensors
-/// passed through accumulate_tensors once per payload, in order. `out`
-/// keeps its shapes (its values are not read), or takes the first payload's
-/// shapes when empty; the sums land in new tensors that replace it. Every
-/// payload is parsed and shape-checked before the first write: one of
-/// another tensor count or shape, or with trailing bytes, throws fca::Error
-/// and leaves `out` as it was. Blocks of kSumBlockFloats elements run on
+/// out = sum_i weights[i] * ups[i], tensor by tensor, over already parsed
+/// payloads (view_tensors, or a leading slice of one). Each element is
+/// seeded with 0.0f and then gets `+= weights[i] * up_i[j]` in ascending i,
+/// axpy_'s expression, so the bytes equal zero-filled tensors passed through
+/// axpy_ once per payload, in order. `out` keeps its shapes (its values are
+/// not read), or takes ups[0]'s shapes when empty; the sums land in new
+/// tensors that replace it. Every payload is shape-checked before the first
+/// write: one of another tensor count or shape throws fca::Error and leaves
+/// `out` as it was. Blocks of kSumBlockFloats elements run on
 /// parallel_for_range.
-void weighted_sum_into(std::span<const std::vector<std::byte>> payloads,
+void weighted_sum_into(std::span<const std::span<const TensorView>> ups,
                        std::span<const float> weights,
                        std::vector<Tensor>& out);
-/// agg[t] += weight * up[t] for every t, over already parsed views (a
-/// payload whose tail is not a plain weighted sum, e.g. FedClassAvg+Proto's
-/// prototypes). The views must be agg.size() tensors of agg's shapes;
-/// anything else throws before the first write.
-void accumulate_tensors(std::span<const TensorView> up, float weight,
-                        std::span<Tensor> agg);
 
 /// Snapshots parameter values into plain tensors (deep copies).
 std::vector<Tensor> snapshot_values(const std::vector<nn::Param*>& params);

@@ -207,6 +207,19 @@ std::vector<Tensor> serial_weighted_sum(
   return sum;
 }
 
+/// weighted_sum_into over serialized payloads, each parsed with
+/// view_tensors first, as FederatedRun::average_into parses them.
+void sum_payloads(const std::vector<std::vector<std::byte>>& payloads,
+                  std::span<const float> weights, std::vector<Tensor>& out) {
+  std::vector<std::vector<models::TensorView>> views;
+  for (const std::vector<std::byte>& p : payloads) {
+    views.push_back(models::view_tensors(p));
+  }
+  const std::vector<std::span<const models::TensorView>> ups(views.begin(),
+                                                       views.end());
+  models::weighted_sum_into(ups, weights, out);
+}
+
 bool same_bytes(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
   if (a.size() != b.size()) return false;
   for (size_t t = 0; t < a.size(); ++t) {
@@ -235,12 +248,12 @@ TEST(ParallelAggregate, BlockedSumEqualsSerialLoopPooledSerialAndInLanes) {
   const auto sum_into_stale = [&] {
     std::vector<Tensor> out;
     for (const Tensor& t : expected) out.push_back(Tensor(t.shape(), 5.0f));
-    models::weighted_sum_into(payloads, weights, out);
+    sum_payloads(payloads, weights, out);
     return out;
   };
 
   std::vector<Tensor> fresh;
-  models::weighted_sum_into(payloads, weights, fresh);
+  sum_payloads(payloads, weights, fresh);
   EXPECT_TRUE(same_bytes(fresh, expected)) << "pooled, shapes from payload 0";
   EXPECT_TRUE(same_bytes(sum_into_stale(), expected)) << "pooled, in place";
   {

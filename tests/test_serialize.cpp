@@ -147,6 +147,19 @@ TEST(Serialize, SerializeValuesMatchesSnapshotBytes) {
             serialize_tensors(snapshot_values(model->classifier_parameters())));
 }
 
+/// weighted_sum_into over serialized payloads, each parsed with
+/// view_tensors first, as FederatedRun::average_into parses them.
+void sum_payloads(const std::vector<std::vector<std::byte>>& payloads,
+                  std::span<const float> weights, std::vector<Tensor>& out) {
+  std::vector<std::vector<TensorView>> views;
+  for (const std::vector<std::byte>& p : payloads) {
+    views.push_back(view_tensors(p));
+  }
+  const std::vector<std::span<const TensorView>> ups(views.begin(),
+                                                       views.end());
+  weighted_sum_into(ups, weights, out);
+}
+
 std::vector<Tensor> zeros_like(const std::vector<Tensor>& ts) {
   std::vector<Tensor> out;
   for (const Tensor& t : ts) out.emplace_back(t.shape());
@@ -171,10 +184,10 @@ TEST(Serialize, AccumulateIsBitEqualToDeserializeAxpy) {
   // Once taking the first payload's shapes, once over stale values, which
   // must not leak into the sum.
   std::vector<Tensor> fresh;
-  weighted_sum_into(payloads, weights, fresh);
+  sum_payloads(payloads, weights, fresh);
   std::vector<Tensor> stale = zeros_like(uploads[0]);
   for (Tensor& t : stale) t.fill(7.0f);
-  weighted_sum_into(payloads, weights, stale);
+  sum_payloads(payloads, weights, stale);
   for (const std::vector<Tensor>* got : {&fresh, &stale}) {
     ASSERT_EQ(got->size(), expected.size());
     for (size_t t = 0; t < got->size(); ++t) {
@@ -200,12 +213,12 @@ TEST(Serialize, AccumulateRejectsMismatchedPayloads) {
   const auto rejects = [&](std::vector<std::byte> bad) {
     const std::vector<std::vector<std::byte>> payloads{serialize_tensors(two),
                                                        std::move(bad)};
-    EXPECT_THROW(weighted_sum_into(payloads, weights, agg), Error);
+    EXPECT_THROW(sum_payloads(payloads, weights, agg), Error);
     for (const Tensor& t : agg) {
       EXPECT_TRUE(allclose(t, Tensor(t.shape(), 3.0f), 0.0f, 0.0f));
     }
     std::vector<Tensor> none;
-    EXPECT_THROW(weighted_sum_into(payloads, weights, none), Error);
+    EXPECT_THROW(sum_payloads(payloads, weights, none), Error);
     EXPECT_TRUE(none.empty());
   };
   // Count mismatch: one tensor too many and one too few.
@@ -221,8 +234,47 @@ TEST(Serialize, AccumulateRejectsMismatchedPayloads) {
   rejects(std::move(trailing));
   // One good payload at weight 1 yields exactly that payload.
   const std::vector<std::vector<std::byte>> good{serialize_tensors(two)};
-  weighted_sum_into(good, std::vector<float>{1.0f}, agg);
+  sum_payloads(good, std::vector<float>{1.0f}, agg);
   EXPECT_TRUE(allclose(agg[0], two[0], 0.0f, 0.0f));
+}
+
+// FedClassAvg+Proto sums only the leading [W, b] of each [W, b, protos,
+// counts] upload: a slice of the views, not the whole payload.
+TEST(Serialize, WeightedSumOverLeadingSlices) {
+  Rng rng(13);
+  std::vector<std::vector<std::byte>> payloads;
+  for (int k = 0; k < 3; ++k) {
+    payloads.push_back(serialize_tensors(
+        {Tensor::randn({3, 4}, rng), Tensor::randn({3}, rng),
+         Tensor::randn({3, 6}, rng), Tensor::randn({3}, rng)}));
+  }
+  const std::vector<float> weights = {0.5f, 0.125f, 0.75f};
+  std::vector<std::vector<TensorView>> views;
+  std::vector<std::span<const TensorView>> heads;
+  std::vector<Tensor> expected{Tensor({3, 4}), Tensor({3})};
+  for (size_t k = 0; k < payloads.size(); ++k) {
+    views.push_back(view_tensors(payloads[k]));
+    heads.push_back(std::span(views[k]).first(2));
+    const std::vector<Tensor> up = deserialize_tensors(payloads[k]);
+    for (size_t t = 0; t < 2; ++t) axpy_(expected[t], weights[k], up[t]);
+  }
+  std::vector<Tensor> got{Tensor({3, 4}, 9.0f), Tensor({3}, 9.0f)};
+  weighted_sum_into(heads, weights, got);
+  ASSERT_EQ(got.size(), 2u);
+  for (size_t t = 0; t < 2; ++t) {
+    ASSERT_EQ(got[t].shape(), expected[t].shape());
+    EXPECT_EQ(std::memcmp(got[t].data(), expected[t].data(),
+                          static_cast<size_t>(got[t].numel()) * sizeof(float)),
+              0)
+        << "tensor " << t;
+  }
+  // The last slice holds [protos, counts] instead: rejected before a write.
+  heads.back() = std::span(views.back()).last(2);
+  std::vector<Tensor> kept{got[0].clone(), got[1].clone()};
+  EXPECT_THROW(weighted_sum_into(heads, weights, got), Error);
+  for (size_t t = 0; t < 2; ++t) {
+    EXPECT_TRUE(allclose(got[t], kept[t], 0.0f, 0.0f)) << "tensor " << t;
+  }
 }
 
 void put_u32_at(std::vector<std::byte>& b, size_t at, uint32_t v) {
