@@ -8,11 +8,20 @@
 // reflect what an experiment pays, not a bare ring write). Latency is the
 // wall time of one send+recv pair; p50/p99 come from the recorded samples.
 //
+// The star rows time a round's two collectives per backend in a 21-rank
+// all-local world (a server and 20 clients, 1 MiB shm rings): one
+// Network::broadcast of a 708,000-byte model to the 20 clients, and one
+// Network::gather of 20 such uploads into buffers kept across iterations,
+// as the round driver keeps them. The clients' own receives and sends
+// between the two are not timed.
+//
 // Usage: bench_transport [output.json]   (default BENCH_transport.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,6 +115,58 @@ Measurement measure(TransportKind kind, const PayloadCase& pc) {
   return m;
 }
 
+constexpr int kStarClients = 20;
+constexpr size_t kStarPayloadBytes = 708000;  // fedavg-shm's model
+constexpr int kStarIters = 100;
+
+struct StarMeasurement {
+  const char* backend;
+  double bcast_p50_us = 0.0;
+  double bcast_p99_us = 0.0;
+  double gather_p50_us = 0.0;
+  double gather_p99_us = 0.0;
+};
+
+StarMeasurement measure_star(TransportKind kind) {
+  TransportOptions opts;
+  opts.kind = kind;
+  opts.shm_ring_capacity = 1u << 20;
+  const int world = kStarClients + 1;
+  Network net(world, {}, {}, fca::comm::make_transport(opts, world));
+  std::vector<int> clients(kStarClients);
+  for (int k = 0; k < kStarClients; ++k) clients[static_cast<size_t>(k)] = k + 1;
+  const Bytes payload(kStarPayloadBytes, std::byte{0x5A});
+  std::vector<Bytes> storage(clients.size());
+  std::vector<double> bcast_us, gather_us;
+  // Two untimed warm-up rounds page in the rings and the kept buffers.
+  for (int i = -2; i < kStarIters; ++i) {
+    const auto b0 = Clock::now();
+    net.broadcast(0, clients, 1, payload);
+    const auto b1 = Clock::now();
+    for (int k : clients) {
+      (void)net.recv(k, 0, 1);
+      net.send(k, 0, 2, payload);
+    }
+    const auto g0 = Clock::now();
+    std::vector<std::optional<Bytes>> got = net.gather(
+        0, clients, 2, std::numeric_limits<double>::infinity(), storage);
+    const auto g1 = Clock::now();
+    for (size_t k = 0; k < got.size(); ++k) storage[k] = std::move(*got[k]);
+    if (i < 0) continue;
+    bcast_us.push_back(std::chrono::duration<double, std::micro>(b1 - b0).count());
+    gather_us.push_back(std::chrono::duration<double, std::micro>(g1 - g0).count());
+  }
+  std::sort(bcast_us.begin(), bcast_us.end());
+  std::sort(gather_us.begin(), gather_us.end());
+  StarMeasurement m;
+  m.backend = std::string_view(net.transport().name()).data();
+  m.bcast_p50_us = percentile(bcast_us, 0.50);
+  m.bcast_p99_us = percentile(bcast_us, 0.99);
+  m.gather_p50_us = percentile(gather_us, 0.50);
+  m.gather_p99_us = percentile(gather_us, 0.99);
+  return m;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,6 +182,17 @@ int main(int argc, char** argv) {
           m.p99_us);
       results.push_back(m);
     }
+  }
+
+  std::vector<StarMeasurement> stars;
+  for (const TransportKind kind : kBackends) {
+    const StarMeasurement m = measure_star(kind);
+    std::printf(
+        "%-7s star %d x %zu B  broadcast p50 %8.1f us p99 %8.1f us  "
+        "gather p50 %8.1f us p99 %8.1f us\n",
+        m.backend, kStarClients, kStarPayloadBytes, m.bcast_p50_us,
+        m.bcast_p99_us, m.gather_p50_us, m.gather_p99_us);
+    stars.push_back(m);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -142,6 +214,24 @@ int main(int argc, char** argv) {
                  m.backend, m.payload->name, m.payload->bytes,
                  m.payload->iters, m.seconds, m.msgs_per_sec, m.mb_per_sec,
                  m.p50_us, m.p99_us, i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"star_setup\": \"all-local world of %d ranks, one "
+               "Network::broadcast to and one Network::gather from %d "
+               "clients\",\n",
+               kStarClients + 1, kStarClients);
+  std::fprintf(f, "  \"star\": [\n");
+  for (size_t i = 0; i < stars.size(); ++i) {
+    const StarMeasurement& m = stars[i];
+    std::fprintf(f,
+                 "    {\"backend\": \"%s\", \"clients\": %d, "
+                 "\"payload_bytes\": %zu, \"iters\": %d, "
+                 "\"bcast_p50_us\": %.1f, \"bcast_p99_us\": %.1f, "
+                 "\"gather_p50_us\": %.1f, \"gather_p99_us\": %.1f}%s\n",
+                 m.backend, kStarClients, kStarPayloadBytes, kStarIters,
+                 m.bcast_p50_us, m.bcast_p99_us, m.gather_p50_us,
+                 m.gather_p99_us, i + 1 < stars.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

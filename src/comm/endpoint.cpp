@@ -1,6 +1,7 @@
 #include "comm/endpoint.hpp"
 
-#include <cmath>
+#include <limits>
+#include <utility>
 
 #include "utils/error.hpp"
 
@@ -16,13 +17,14 @@ void Endpoint::send(int dst, int tag, std::span<const std::byte> payload) {
 
 Bytes Endpoint::recv(int src, int tag) { return net_->recv(rank_, src, tag); }
 
-std::optional<Bytes> Endpoint::try_recv(int src, int tag) {
-  if (!net_->lossy()) return net_->recv(rank_, src, tag);
-  return net_->try_recv(rank_, src, tag);
+std::optional<Bytes> Endpoint::try_recv(int src, int tag, Bytes storage) {
+  return recv_with_deadline(src, tag, std::numeric_limits<double>::infinity(),
+                            std::move(storage));
 }
 
 std::optional<Bytes> Endpoint::recv_with_deadline(int src, int tag,
-                                                  double deadline_s) {
+                                                  double deadline_s,
+                                                  Bytes storage) {
   // Validate before the reliable-fabric shortcut: a zero/negative (or NaN)
   // deadline used to be silently ignored when no fault plan was active and
   // only blow up once faults were enabled — fail loudly in both modes.
@@ -30,14 +32,15 @@ std::optional<Bytes> Endpoint::recv_with_deadline(int src, int tag,
                 "recv_with_deadline needs a positive deadline, got "
                     << deadline_s << " (src=" << src << ", tag=" << tag
                     << "); use +infinity for 'no deadline'");
-  if (!net_->lossy()) return net_->recv(rank_, src, tag);
-  if (!std::isfinite(deadline_s)) return net_->try_recv(rank_, src, tag);
-  return net_->recv_within(rank_, src, tag, deadline_s);
+  // A gather of one source makes the reliable-fabric shortcut and the
+  // infinite-deadline choice.
+  return std::move(net_->gather(rank_, std::span<const int>(&src, 1), tag,
+                                deadline_s, std::span<Bytes>(&storage, 1))[0]);
 }
 
 void Endpoint::bcast_send(const std::vector<int>& dsts, int tag,
                           std::span<const std::byte> payload) {
-  for (int dst : dsts) send(dst, tag, payload);
+  net_->broadcast(rank_, dsts, tag, payload);
 }
 
 }  // namespace fca::comm

@@ -1,9 +1,9 @@
 // Rank-local endpoint with MPI-style point-to-point and collectives.
 //
 // In the FL simulation the server holds rank 0 and each client k holds rank
-// k + 1. Collectives are composed from point-to-point sends so every byte is
-// metered by the Network cost model, exactly as a flat MPI star topology
-// would behave.
+// k + 1. The broadcast meters every destination's copy through the Network
+// cost model, exactly as a loop of sends over a flat MPI star topology
+// would.
 #pragma once
 
 #include <optional>
@@ -29,7 +29,9 @@ class Endpoint {
   /// No retry loop is needed: strategies call this at quiescent points
   /// (after the sender's phase completed), so one mailbox check is
   /// definitive — the "bounded retry" degenerates to a single attempt.
-  std::optional<Bytes> try_recv(int src, int tag);
+  /// `storage` lends a buffer whose capacity the payload may reuse
+  /// (Network::gather).
+  std::optional<Bytes> try_recv(int src, int tag, Bytes storage = {});
 
   /// try_recv() that additionally enforces a simulated-time round deadline:
   /// a message slower than `deadline_s` (e.g. from a straggler) is consumed,
@@ -37,9 +39,11 @@ class Endpoint {
   /// +infinity means "no deadline"; a zero, negative or NaN deadline is a
   /// caller bug and throws on every fabric (reliable ones included).
   std::optional<Bytes> recv_with_deadline(int src, int tag,
-                                          double deadline_s);
+                                          double deadline_s,
+                                          Bytes storage = {});
 
-  /// Root-side broadcast: sends the payload to each destination rank.
+  /// Root-side broadcast: sends the payload to each destination rank
+  /// (Network::broadcast).
   void bcast_send(const std::vector<int>& dsts, int tag,
                   std::span<const std::byte> payload);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <string>
 #include <utility>
 
@@ -163,19 +164,9 @@ Network::EdgeCounters& Network::edge_counters_locked(int src, int dst) {
   return it->second;
 }
 
-void Network::send(int src, int dst, int tag,
-                   std::span<const std::byte> payload) {
-  check_rank(src);
-  check_rank(dst);
-  FCA_CHECK_MSG(tag < kOobTagBase,
-                "data-plane tag 0x" << std::hex << tag
-                                    << " collides with the control plane");
-  std::lock_guard lk(mu_);
-  if (scoped_ && src != self_rank_) {
-    // Another process owns this send: it runs the oracle path over there and
-    // ships the metering alongside the bytes (consume_wire_locked).
-    return;
-  }
+std::optional<WireView> Network::meter_locked(
+    int src, int dst, int tag, std::span<const std::byte> payload,
+    Bytes& envelope) {
   TrafficStats& s = sent_[static_cast<size_t>(src)];
   add_checked(s.messages, 1, "rank messages");
   add_checked(s.payload_bytes, static_cast<uint64_t>(payload.size()),
@@ -225,27 +216,18 @@ void Network::send(int src, int dst, int tag,
       add_checked(faults_.dropped_bytes, orig_size, "dropped bytes");
     }
   }
-  if (!scoped_) {
-    if (dropped) return;  // lost in flight; the sender still paid
-    if (peer_dead_[static_cast<size_t>(dst)] != 0 ||
-        peer_dead_[static_cast<size_t>(src)] != 0) {
-      return;  // link already condemned; the message is lost like any drop
-    }
-    try {
-      transport_->send(WireView{src, dst, tag, transfer, payload});
-    } catch (const TransportError& e) {
-      degrade_locked(e, dst);  // rethrows when not peer-scoped
-    }
-    return;
+  // A lost message sends nothing (the sender still paid), nor does one on a
+  // link already condemned — except that in scoped mode a drop travels as
+  // a tombstone.
+  if (dropped && !(scoped_ && tombstone)) return std::nullopt;
+  if (peer_dead_[static_cast<size_t>(dst)] != 0 ||
+      peer_dead_[static_cast<size_t>(src)] != 0) {
+    return std::nullopt;
   }
+  if (!scoped_) return WireView{src, dst, tag, transfer, payload};
   // Scoped wire path: wrap payload + metering record in an envelope. A
   // tombstone ships an empty payload (the bytes were lost; only the
   // accounting record travels).
-  if (dropped && !tombstone) return;
-  if (peer_dead_[static_cast<size_t>(dst)] != 0 ||
-      peer_dead_[static_cast<size_t>(src)] != 0) {
-    return;
-  }
   uint32_t flags = 0;
   double wire_transfer = transfer;
   if (tombstone) {
@@ -254,17 +236,54 @@ void Network::send(int src, int dst, int tag,
     payload = {};
   }
   if (extra > 0.0) flags |= kEnvDelayed;
-  const Bytes wrapped =
-      envelope_wrap(flags, orig_size, base_transfer, extra, payload);
-  try {
-    transport_->send(WireView{src, dst, tag, wire_transfer, wrapped});
-  } catch (const TransportError& e) {
-    degrade_locked(e, dst);  // rethrows when not peer-scoped
+  envelope = envelope_wrap(flags, orig_size, base_transfer, extra, payload);
+  return WireView{src, dst, tag, wire_transfer, envelope};
+}
+
+void Network::send(int src, int dst, int tag,
+                   std::span<const std::byte> payload) {
+  broadcast(src, std::span<const int>(&dst, 1), tag, payload);
+}
+
+void Network::broadcast(int src, std::span<const int> dsts, int tag,
+                        std::span<const std::byte> payload) {
+  check_rank(src);
+  for (int dst : dsts) check_rank(dst);
+  FCA_CHECK_MSG(tag < kOobTagBase,
+                "data-plane tag 0x" << std::hex << tag
+                                    << " collides with the control plane");
+  std::lock_guard lk(mu_);
+  if (scoped_ && src != self_rank_) {
+    // Another process owns these sends: it runs the oracle path over there
+    // and ships the metering alongside the bytes (consume_wire_locked).
+    return;
+  }
+  // Policy, serially and in destination order: the same metering, seq
+  // values and fault decisions as a loop of single sends.
+  std::vector<Bytes> envelopes(dsts.size());
+  std::vector<WireView> frames;
+  frames.reserve(dsts.size());
+  for (size_t i = 0; i < dsts.size(); ++i) {
+    const std::optional<WireView> frame =
+        meter_locked(src, dsts[i], tag, payload, envelopes[i]);
+    if (frame.has_value()) frames.push_back(*frame);
+  }
+  // Bytes: one batch the backend may fan out; failures are then applied in
+  // destination order, as the loop would have met them.
+  std::vector<std::exception_ptr> errors(frames.size());
+  transport_->send_many(frames, errors);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    if (!errors[i]) continue;
+    try {
+      std::rethrow_exception(errors[i]);
+    } catch (const TransportError& e) {
+      degrade_locked(e, frames[i].dst);  // rethrows when not peer-scoped
+    }
   }
 }
 
-std::optional<Bytes> Network::consume_wire_locked(int src, WireMessage msg) {
-  const auto [flags, orig_size, base_s, extra_s] = envelope_read(msg.payload);
+std::optional<Bytes> Network::consume_wire_locked(int src, Bytes wire) {
+  const auto [flags, orig_size, base_s, extra_s] = envelope_read(wire);
   // Replay the sender's metering into this rank's ledger so rank 0's totals
   // (own sends + consumed envelopes — the star topology routes every uplink
   // here) equal the all-local oracle's. Registry counters are per-process
@@ -283,46 +302,68 @@ std::optional<Bytes> Network::consume_wire_locked(int src, WireMessage msg) {
     return std::nullopt;
   }
   // Strip the envelope in place: the received buffer becomes the payload.
-  Bytes payload = std::move(msg.payload);
-  payload.erase(payload.begin(),
-                payload.begin() + static_cast<std::ptrdiff_t>(kEnvHeaderBytes));
-  return payload;
+  wire.erase(wire.begin(),
+             wire.begin() + static_cast<std::ptrdiff_t>(kEnvHeaderBytes));
+  return wire;
 }
 
-std::optional<Bytes> Network::scoped_wait_consume_locked(int dst, int src,
-                                                         int tag) {
-  try {
-    std::optional<WireMessage> msg = transport_->wait_recv(dst, src, tag);
-    if (!msg.has_value()) {
-      condemn_locked(src, "io timeout draining scoped frame");
-      return std::nullopt;
-    }
-    return consume_wire_locked(src, std::move(*msg));
-  } catch (const TransportError& e) {
-    degrade_locked(e, src);  // rethrows when not peer-scoped
-    return std::nullopt;
-  }
-}
-
-Bytes Network::recv(int dst, int src, int tag) {
-  check_rank(src);
-  check_rank(dst);
-  std::lock_guard lk(mu_);
+std::vector<std::optional<Bytes>> Network::receive_locked(
+    int dst, std::span<const int> srcs, int tag, RecvMode mode,
+    double deadline_s, std::span<Bytes> storage) {
+  std::vector<std::optional<Bytes>> out(srcs.size());
+  const bool strict = mode == RecvMode::kStrict;
   if (scoped_ && dst != self_rank_) {
-    // Another process owns this receive and consumes the real frame there.
-    // The only callers reaching here discard the value (symmetric drain
-    // loops over all ranks), so an empty payload stands in for it.
-    return Bytes{};
+    // Another process owns these receives and consumes the real frames
+    // there. The only strict callers reaching here discard the value
+    // (symmetric drain loops over all ranks), so an empty payload stands in.
+    if (strict) {
+      for (std::optional<Bytes>& o : out) o.emplace();
+    }
+    return out;
   }
-  if (scoped_ && src != self_rank_) {
+  // Which sources to receive from, and how, in source order.
+  std::vector<RecvSlot> slots;
+  std::vector<size_t> slot_src;  // slots[k] receives from srcs[slot_src[k]]
+  slots.reserve(srcs.size());
+  slot_src.reserve(srcs.size());
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    const int src = srcs[i];
+    // A condemned sender has nothing to receive. A strict receive still
+    // asks, and fails: the caller should have degraded to a lossy one.
+    if (!strict && peer_dead_[static_cast<size_t>(src)] != 0) continue;
+    RecvSlot& slot = slots.emplace_back();
+    slot.src = src;
+    // Strict receives may block for a remote sender (wait_recv). So may a
+    // scoped try_recv, except at the root mid-round, which
+    // polls like the oracle's mailbox: the per-round barrier (every joiner's
+    // control message arrives after its data sends, per-edge FIFO)
+    // guarantees frame-present ⇔ body-sent, so "nothing there" genuinely
+    // means the sender lost or skipped it.
+    slot.wait = strict || (mode == RecvMode::kTry && scoped_ &&
+                           src != self_rank_ && !(self_rank_ == 0 && in_round_));
+    if (i < storage.size()) slot.payload = std::move(storage[i]);
+    slot_src.push_back(i);
+  }
+  transport_->recv_many(dst, tag, slots);
+  for (size_t k = 0; k < slots.size(); ++k) {
+    out[slot_src[k]] = finish_recv_locked(dst, tag, mode, deadline_s, slots[k]);
+  }
+  return out;
+}
+
+std::optional<Bytes> Network::finish_recv_locked(int dst, int tag,
+                                                 RecvMode mode,
+                                                 double deadline_s,
+                                                 RecvSlot& slot) {
+  const int src = slot.src;
+  const bool remote = scoped_ && src != self_rank_;
+  if (mode == RecvMode::kStrict) {
+    // The no-fault path: a condemned sender means the caller should have
+    // degraded to try_recv/recv_within, so the error propagates (after the
+    // condemnation is recorded) instead of being swallowed.
     try {
-      std::optional<Bytes> payload =
-          consume_wire_locked(src, transport_->recv(dst, src, tag));
-      // A tombstone on the strict path is a protocol bug: strict receives
-      // are reserved for traffic the fault plan never targets.
-      FCA_CHECK_MSG(payload.has_value(),
-                    "strict recv consumed a tombstone from rank " << src);
-      return std::move(*payload);
+      if (slot.error) std::rethrow_exception(slot.error);
+      if (!slot.received) transport_->fail_no_message(dst, src, tag);
     } catch (const TransportError& e) {
       if (e.peer_scoped()) {
         condemn_locked(e.peer() != TransportError::kNoPeer ? e.peer() : src,
@@ -330,104 +371,99 @@ Bytes Network::recv(int dst, int src, int tag) {
       }
       throw;
     }
+    if (!remote) return std::move(slot.payload);
+    std::optional<Bytes> payload =
+        consume_wire_locked(src, std::move(slot.payload));
+    // A tombstone on the strict path is a protocol bug: strict receives are
+    // reserved for traffic the fault plan never targets.
+    FCA_CHECK_MSG(payload.has_value(),
+                  "strict recv consumed a tombstone from rank " << src);
+    return payload;
   }
-  // A strict recv is the no-fault path: a condemned sender means the caller
-  // should have degraded to try_recv/recv_within, so the error propagates
-  // (after the condemnation is recorded) instead of being swallowed.
-  try {
-    return std::move(transport_->recv(dst, src, tag).payload);
-  } catch (const TransportError& e) {
-    if (e.peer_scoped()) {
-      condemn_locked(e.peer() != TransportError::kNoPeer ? e.peer() : src,
-                     e.what());
+  if (slot.error) {
+    try {
+      std::rethrow_exception(slot.error);
+    } catch (const TransportError& e) {
+      degrade_locked(e, src);  // rethrows when not peer-scoped
     }
-    throw;
+    return std::nullopt;  // the sender is dead: nothing to receive
   }
+  if (!slot.received) {
+    // A wait for a remote sender that drained its io timeout is a real
+    // peer fault; a poll that found nothing is a reported loss.
+    if (slot.wait) condemn_locked(src, "io timeout draining scoped frame");
+    return std::nullopt;
+  }
+  const bool timed = mode == RecvMode::kDeadline;
+  if (!remote) {
+    if (timed && slot.transfer_s > deadline_s) {
+      // The message exists but arrives too late for this round: it was
+      // consumed (the mailbox must not leak into the next round); count
+      // the miss here, where the FaultStats live.
+      add_checked(faults_.deadline_misses, 1, "deadline misses");
+      return std::nullopt;
+    }
+    return std::move(slot.payload);
+  }
+  // A scoped frame's wire transfer time is the envelope's, not the
+  // sender's: unwrap first and apply the deadline to the replayed time.
+  const Envelope env = timed ? envelope_read(slot.payload) : Envelope{};
+  std::optional<Bytes> payload =
+      consume_wire_locked(src, std::move(slot.payload));
+  if (!payload.has_value()) return std::nullopt;  // tombstone, not a miss
+  if (timed && env.base_s + env.extra_s > deadline_s) {
+    add_checked(faults_.deadline_misses, 1, "deadline misses");
+    return std::nullopt;
+  }
+  return payload;
+}
+
+Bytes Network::recv(int dst, int src, int tag) {
+  check_rank(src);
+  check_rank(dst);
+  std::lock_guard lk(mu_);
+  return std::move(*receive_locked(dst, std::span<const int>(&src, 1), tag,
+                                   RecvMode::kStrict, kNoDeadline, {})[0]);
 }
 
 std::optional<Bytes> Network::try_recv(int dst, int src, int tag) {
   check_rank(src);
   check_rank(dst);
   std::lock_guard lk(mu_);
-  if (scoped_ && dst != self_rank_) return std::nullopt;
-  if (peer_dead_[static_cast<size_t>(src)] != 0) return std::nullopt;
-  if (scoped_ && src != self_rank_) {
-    if (self_rank_ == 0 && in_round_) {
-      // Root mid-round: non-blocking, like the oracle's mailbox poll. The
-      // per-round barrier (every joiner's control message arrives after its
-      // data sends, per-edge FIFO) guarantees frame-present ⇔ body-sent, so
-      // "nothing there" genuinely means the sender lost or skipped it.
-      try {
-        std::optional<WireMessage> msg = transport_->try_recv(dst, src, tag);
-        if (!msg.has_value()) return std::nullopt;
-        return consume_wire_locked(src, std::move(*msg));
-      } catch (const TransportError& e) {
-        degrade_locked(e, src);
-        return std::nullopt;
-      }
-    }
-    // Joiners (and out-of-round traffic): the frame may simply not have
-    // arrived yet, so block up to the io timeout; a drained timeout is a
-    // real peer fault.
-    return scoped_wait_consume_locked(dst, src, tag);
-  }
-  try {
-    std::optional<WireMessage> msg = transport_->try_recv(dst, src, tag);
-    if (!msg.has_value()) return std::nullopt;
-    return std::move(msg->payload);
-  } catch (const TransportError& e) {
-    degrade_locked(e, src);  // rethrows when not peer-scoped
-    return std::nullopt;     // the sender is dead: nothing to receive
-  }
+  return std::move(receive_locked(dst, std::span<const int>(&src, 1), tag,
+                                  RecvMode::kTry, kNoDeadline, {})[0]);
 }
 
 std::optional<Bytes> Network::recv_within(int dst, int src, int tag,
                                           double deadline_s) {
   check_rank(src);
   check_rank(dst);
+  FCA_CHECK_MSG(deadline_s > 0.0,
+                "recv_within needs a positive deadline, got " << deadline_s);
   std::lock_guard lk(mu_);
-  if (scoped_ && dst != self_rank_) return std::nullopt;
-  if (peer_dead_[static_cast<size_t>(src)] != 0) return std::nullopt;
-  if (scoped_ && src != self_rank_) {
-    // The transport's recv_with_deadline consumes a late frame internally,
-    // which would hide its envelope from accounting replay — so unwrap
-    // first and apply the deadline to the replayed transfer time.
-    FCA_CHECK_MSG(deadline_s > 0.0 && !std::isnan(deadline_s),
-                  "recv_within needs a positive deadline, got " << deadline_s);
-    std::optional<WireMessage> msg;
-    try {
-      msg = transport_->try_recv(dst, src, tag);
-    } catch (const TransportError& e) {
-      degrade_locked(e, src);
-      return std::nullopt;
-    }
-    if (!msg.has_value()) return std::nullopt;
-    const Envelope env = envelope_read(msg->payload);
-    std::optional<Bytes> payload = consume_wire_locked(src, std::move(*msg));
-    if (!payload.has_value()) return std::nullopt;  // tombstone, not a miss
-    if ((env.flags & kEnvTombstone) == 0 &&
-        env.base_s + env.extra_s > deadline_s) {
-      add_checked(faults_.deadline_misses, 1, "deadline misses");
-      return std::nullopt;
-    }
-    return payload;
+  return std::move(receive_locked(dst, std::span<const int>(&src, 1), tag,
+                                  RecvMode::kDeadline, deadline_s, {})[0]);
+}
+
+std::vector<std::optional<Bytes>> Network::gather(int dst,
+                                                  std::span<const int> srcs,
+                                                  int tag, double deadline_s,
+                                                  std::span<Bytes> storage) {
+  check_rank(dst);
+  for (int src : srcs) check_rank(src);
+  // Endpoint::recv_with_deadline's choice, made once for the whole gather:
+  // strict on a reliable fabric, where the deadline is never read;
+  // otherwise a loss is reported, and a finite deadline is enforced.
+  RecvMode mode = RecvMode::kStrict;
+  if (lossy()) {
+    FCA_CHECK_MSG(deadline_s > 0.0,
+                  "gather needs a positive deadline, got "
+                      << deadline_s << " (dst=" << dst << ", tag=" << tag
+                      << "); use +infinity for 'no deadline'");
+    mode = std::isfinite(deadline_s) ? RecvMode::kDeadline : RecvMode::kTry;
   }
-  bool missed = false;
-  std::optional<WireMessage> msg;
-  try {
-    msg = transport_->recv_with_deadline(dst, src, tag, deadline_s, &missed);
-  } catch (const TransportError& e) {
-    degrade_locked(e, src);
-    return std::nullopt;
-  }
-  if (missed) {
-    // The message exists but arrives too late for this round: the transport
-    // consumed it (the mailbox must not leak into the next round); count the
-    // miss here, where the FaultStats live.
-    add_checked(faults_.deadline_misses, 1, "deadline misses");
-  }
-  if (!msg.has_value()) return std::nullopt;
-  return std::move(msg->payload);
+  std::lock_guard lk(mu_);
+  return receive_locked(dst, srcs, tag, mode, deadline_s, storage);
 }
 
 bool Network::has_message(int dst, int src, int tag) const {

@@ -4,8 +4,16 @@
 // tagged byte messages through a comm::Transport backend (in-process
 // mailboxes, shared-memory rings, or TCP sockets — comm/transport/) with full
 // traffic accounting and a configurable latency/bandwidth cost model. The
-// API mirrors MPI point-to-point semantics; collectives are composed on top
-// in Endpoint. Thread-safe, so ranks may also be driven from worker threads.
+// API mirrors MPI point-to-point semantics, plus the star round's two
+// collectives, broadcast and gather. Thread-safe, so ranks may also be
+// driven from worker threads: every call holds one policy mutex.
+//
+// A collective does its policy work serially under that mutex, in
+// destination or source order, exactly as a loop of point-to-point calls
+// would: metering, fault decisions, envelopes, deadline misses and
+// condemnations. Only the byte moves go to the backend as one batch
+// (Transport::send_many / recv_many), which the shm backend fans out over
+// the kernel pool.
 //
 // Network owns everything that must be backend-invariant: the cost model
 // stamps each message's simulated transfer time before it reaches the
@@ -121,6 +129,25 @@ class Network {
   std::optional<Bytes> recv_within(int dst, int src, int tag,
                                    double deadline_s);
 
+  /// send() from `src` to each of `dsts`, with the metering, seq values,
+  /// fault decisions and failures of a loop of send() in `dsts` order. The
+  /// surviving frames reach the backend as one Transport::send_many batch
+  /// (send() is the one-destination case).
+  void broadcast(int src, std::span<const int> dsts, int tag,
+                 std::span<const std::byte> payload);
+
+  /// One receive into `dst` per source, with the outcome of this loop in
+  /// `srcs` order: a strict recv() on a reliable fabric (!lossy()),
+  /// otherwise recv_within(deadline_s), or try_recv() when deadline_s is
+  /// +infinity (a lossy gather rejects a non-positive deadline). Entry i is
+  /// srcs[i]'s payload, or std::nullopt for a reported loss. The bytes move
+  /// as one Transport::recv_many batch; `storage` lends buffers (moved
+  /// from) whose capacity payload i may reuse. A strict gather that throws
+  /// may have consumed later sources' messages.
+  std::vector<std::optional<Bytes>> gather(int dst, std::span<const int> srcs,
+                                           int tag, double deadline_s,
+                                           std::span<Bytes> storage = {});
+
   /// True when a matching message is pending.
   bool has_message(int dst, int src, int tag) const;
 
@@ -208,16 +235,37 @@ class Network {
   };
   EdgeCounters& edge_counters_locked(int src, int dst);
 
+  /// The send policy for one message: meters it, makes its fault decisions
+  /// and returns the frame to hand to the transport, or std::nullopt when
+  /// nothing goes on the wire (a loss, a condemned link). A scoped frame is
+  /// wrapped into `envelope`, which the returned view borrows. Caller holds
+  /// mu_.
+  std::optional<WireView> meter_locked(int src, int dst, int tag,
+                                       std::span<const std::byte> payload,
+                                       Bytes& envelope);
+
+  /// How a receive treats a missing or late message: recv(), try_recv(),
+  /// recv_within().
+  enum class RecvMode { kStrict, kTry, kDeadline };
+  static constexpr double kNoDeadline =
+      std::numeric_limits<double>::infinity();
+  /// The receives of recv/try_recv/recv_within/gather: decides per source,
+  /// in order, whether and how to receive, moves the bytes as one
+  /// recv_many batch, then finishes each source in order. Caller holds mu_.
+  std::vector<std::optional<Bytes>> receive_locked(
+      int dst, std::span<const int> srcs, int tag, RecvMode mode,
+      double deadline_s, std::span<Bytes> storage);
+  /// One source's outcome after the batch: errors, condemnation, envelope
+  /// replay and deadline misses. Caller holds mu_.
+  std::optional<Bytes> finish_recv_locked(int dst, int tag, RecvMode mode,
+                                          double deadline_s, RecvSlot& slot);
   /// Unwraps a scoped-mode envelope from `src` and replays the sender's
   /// metering decisions into this rank's ledgers (the sender made them under
   /// the deterministic fault plan; replaying keeps every rank's totals equal
   /// to the oracle's). Returns the payload, or std::nullopt for a tombstone
   /// — a message the plan dropped, shipped anyway so the receiver both
   /// accounts for it and knows not to keep waiting. Caller holds mu_.
-  std::optional<Bytes> consume_wire_locked(int src, WireMessage msg);
-  /// Blocking transport receive of one data-plane frame from remote `src`,
-  /// with condemn-on-timeout/-error. Caller holds mu_.
-  std::optional<Bytes> scoped_wait_consume_locked(int dst, int src, int tag);
+  std::optional<Bytes> consume_wire_locked(int src, Bytes wire);
 
   int ranks_;
   CostModel cost_;

@@ -13,11 +13,12 @@
 //       32     4  CRC32 over header bytes [0, 32) + the payload
 //       36     n  payload
 //
-// All integers are little-endian, written and read through the shared byte
-// cursor (utils/bytes.hpp), so the format is identical across compilers and
-// both ends of a cross-machine tcp link. The in-process backend never
-// materializes frames but accounts wire bytes with the same frame_size()
-// formula, keeping byte accounting backend-invariant.
+// All integers are little-endian: encode_header writes the fields in order
+// with the shared byte cursor's encoding, and decode_header reads them back
+// through that cursor (utils/bytes.hpp), so the format is identical across
+// compilers and both ends of a cross-machine tcp link. The in-process
+// backend never materializes frames but accounts wire bytes with the same
+// frame_size() formula, keeping byte accounting backend-invariant.
 //
 // Integrity (DESIGN.md §12): the CRC32 (shared slice-by-8 kernel,
 // utils/crc32.hpp — same polynomial as the checkpoint container) covers the
@@ -65,32 +66,29 @@ inline constexpr uint64_t frame_size(size_t payload_len) {
   return static_cast<uint64_t>(kHeaderBytes) + payload_len;
 }
 
-/// Appends the header for `h` to `out` and stamps the CRC over its first
-/// kCrcOffset bytes + payload. h.payload_len must equal payload.size().
-inline void append_header(const FrameHeader& h, std::vector<std::byte>& out,
-                          std::span<const std::byte> payload) {
-  const size_t at = out.size();
-  utils::ByteWriter w(out);
-  w.u32(kFrameMagic);
-  w.u32(kFrameVersion);
-  w.i32(h.src);
-  w.i32(h.dst);
-  w.i32(h.tag);
-  w.u32(h.payload_len);
-  w.f64(h.transfer_s);
-  uint32_t c = crc32_init();
-  c = crc32_update(c, std::span<const std::byte>(out).subspan(at, kCrcOffset));
-  c = crc32_update(c, payload);
-  w.u32(crc32_final(c));
-}
-
-/// append_header into `out`, which must hold kHeaderBytes.
+/// Writes the header for `h` into `out`, which must hold kHeaderBytes, and
+/// stamps the CRC over its first kCrcOffset bytes + payload.
+/// h.payload_len must equal payload.size(). Fields go in in order, with
+/// ByteWriter's encoding, and nothing is allocated: the shm fan-out runs
+/// this on pool threads.
 inline void encode_header(const FrameHeader& h, std::byte* out,
                           std::span<const std::byte> payload) {
-  std::vector<std::byte> header;
-  header.reserve(kHeaderBytes);
-  append_header(h, header, payload);
-  std::memcpy(out, header.data(), kHeaderBytes);
+  std::byte* p = out;
+  const auto put = [&p](auto v) {
+    std::memcpy(p, &v, sizeof(v));
+    p += sizeof(v);
+  };
+  put(kFrameMagic);
+  put(kFrameVersion);
+  put(static_cast<int32_t>(h.src));
+  put(static_cast<int32_t>(h.dst));
+  put(static_cast<int32_t>(h.tag));
+  put(h.payload_len);
+  put(h.transfer_s);
+  uint32_t c = crc32_init();
+  c = crc32_update(c, std::span<const std::byte>(out, kCrcOffset));
+  c = crc32_update(c, payload);
+  put(crc32_final(c));
 }
 
 [[noreturn]] inline void fail_corrupt(const std::string& what) {
@@ -150,9 +148,11 @@ inline void verify_frame(const FrameHeader& h, const std::byte* header_raw,
 inline void append_frame(std::vector<std::byte>& out, int src, int dst,
                          int tag, double transfer_s,
                          std::span<const std::byte> payload) {
-  append_header({src, dst, tag, static_cast<uint32_t>(payload.size()),
+  const size_t at = out.size();
+  out.resize(at + kHeaderBytes);
+  encode_header({src, dst, tag, static_cast<uint32_t>(payload.size()),
                  transfer_s, 0},
-                out, payload);
+                out.data() + at, payload);
   out.insert(out.end(), payload.begin(), payload.end());
 }
 

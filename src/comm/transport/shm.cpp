@@ -17,6 +17,7 @@
 #include "comm/transport/framing.hpp"
 #include "comm/transport/handshake.hpp"
 #include "utils/error.hpp"
+#include "utils/threadpool.hpp"
 
 namespace fca::comm {
 
@@ -301,11 +302,13 @@ bool ShmTransport::ring_write(int src, int dst, const WireView& msg) {
   return true;
 }
 
-void ShmTransport::drain_ring(int src, int dst) {
+std::exception_ptr ShmTransport::drain_ring_into(
+    int src, int dst, int take_tag, RecvSlot* take,
+    std::vector<WireMessage>& spill) {
   RingHeader& r = ring_header(src, dst);
   const uint64_t head = r.head.load(std::memory_order_acquire);
   uint64_t tail = r.tail.load(std::memory_order_relaxed);
-  if (head == tail) return;
+  if (head == tail) return nullptr;
   const std::byte* data = ring_data(src, dst);
   auto copy_out = [&](uint64_t at, std::byte* p, size_t n) {
     const size_t pos = static_cast<size_t>(at % ring_capacity_);
@@ -321,6 +324,8 @@ void ShmTransport::drain_ring(int src, int dst) {
     out.insert(out.end(), data + pos, data + pos + first);
     out.insert(out.end(), data, data + (n - first));
   };
+  bool took = false;
+  size_t taken_at = 0;  // the taken frame's place among the spilled ones
   // The producer publishes head only after the whole frame is in the
   // buffer, so everything below head parses as complete frames.
   try {
@@ -340,23 +345,48 @@ void ShmTransport::drain_ring(int src, int dst) {
            << " payload byte(s) beyond the published ring contents";
         framing::fail_corrupt(os.str());
       }
-      WireMessage msg;
-      msg.src = h.src;
-      msg.dst = h.dst;
-      msg.tag = h.tag;
-      msg.transfer_s = h.transfer_s;
-      append_out(tail + framing::kHeaderBytes, msg.payload, h.payload_len);
-      framing::verify_frame(h, raw, msg.payload);
+      if (take != nullptr && !take->received && h.tag == take_tag) {
+        take->payload.clear();  // keeps the capacity
+        append_out(tail + framing::kHeaderBytes, take->payload,
+                   h.payload_len);
+        framing::verify_frame(h, raw, take->payload);
+        take->transfer_s = h.transfer_s;
+        take->received = took = true;
+        taken_at = spill.size();
+      } else {
+        WireMessage msg;
+        msg.src = h.src;
+        msg.dst = h.dst;
+        msg.tag = h.tag;
+        msg.transfer_s = h.transfer_s;
+        append_out(tail + framing::kHeaderBytes, msg.payload, h.payload_len);
+        framing::verify_frame(h, raw, msg.payload);
+        spill.push_back(std::move(msg));
+      }
       tail += framing::frame_size(h.payload_len);
-      queues_.push(std::move(msg));
     }
   } catch (const TransportError& e) {
     // Keep the frames consumed before the bad one, then condemn the
     // producer: nothing after a desynchronized frame can be trusted.
+    if (took) {
+      spill.insert(spill.begin() + static_cast<std::ptrdiff_t>(taken_at),
+                   WireMessage{src, dst, take_tag, take->transfer_s,
+                               std::move(take->payload)});
+      take->received = false;
+    }
     r.tail.store(head, std::memory_order_release);
-    throw TransportError(e, src);
+    return std::make_exception_ptr(TransportError(e, src));
   }
   r.tail.store(tail, std::memory_order_release);
+  return nullptr;
+}
+
+void ShmTransport::drain_ring(int src, int dst) {
+  std::vector<WireMessage> spill;
+  const std::exception_ptr error =
+      drain_ring_into(src, dst, 0, nullptr, spill);
+  for (WireMessage& msg : spill) queues_.push(std::move(msg));
+  if (error) std::rethrow_exception(error);
 }
 
 void ShmTransport::drain_all_inbound() {
@@ -366,7 +396,7 @@ void ShmTransport::drain_all_inbound() {
   }
 }
 
-void ShmTransport::send(const WireView& msg) {
+void ShmTransport::check_send(const WireView& msg) const {
   check_rank_pair(msg.dst, msg.src);
   FCA_CHECK_MSG(produces(msg.src),
                 "rank " << self_rank_ << " cannot send as rank " << msg.src);
@@ -375,6 +405,10 @@ void ShmTransport::send(const WireView& msg) {
       "message of " << msg.payload.size() << " bytes exceeds the shm ring "
                     << "capacity of " << ring_capacity_
                     << " — raise FCA_SHM_RING_CAPACITY");
+}
+
+void ShmTransport::send(const WireView& msg) {
+  check_send(msg);
   note_sent_frame(msg.payload.size());
   const double deadline = monotonic_seconds() + io_timeout_s_;
   std::optional<RetrySchedule> stall;
@@ -399,6 +433,119 @@ void ShmTransport::send(const WireView& msg) {
     }
     note_retry();
     sleep_seconds(*backoff);
+  }
+}
+
+namespace {
+
+/// True when two of `keys` (ring indices) are equal: those messages share a
+/// ring, and only a serial loop keeps their order.
+bool shares_a_ring(std::vector<size_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  return std::adjacent_find(keys.begin(), keys.end()) != keys.end();
+}
+
+}  // namespace
+
+void ShmTransport::send_many(std::span<const WireView> msgs,
+                             std::span<std::exception_ptr> errors) {
+  FCA_CHECK(errors.size() == msgs.size());
+  size_t largest = 0;
+  for (const WireView& m : msgs) largest = std::max(largest, m.payload.size());
+  if (largest < kFanOutFrameBytes) {
+    Transport::send_many(msgs, errors);
+    return;
+  }
+  std::vector<size_t> rings;
+  rings.reserve(msgs.size());
+  for (const WireView& m : msgs) {
+    check_send(m);  // every message, before the first write
+    rings.push_back(static_cast<size_t>(m.src) * static_cast<size_t>(world_) +
+                    static_cast<size_t>(m.dst));
+  }
+  if (shares_a_ring(std::move(rings))) {
+    Transport::send_many(msgs, errors);
+    return;
+  }
+  std::vector<char> written(msgs.size(), 0);
+  parallel_for_range(
+      0, static_cast<int64_t>(msgs.size()),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const WireView& m = msgs[static_cast<size_t>(i)];
+          written[static_cast<size_t>(i)] = ring_write(m.src, m.dst, m) ? 1 : 0;
+        }
+      },
+      1);
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    if (written[i] != 0) {
+      note_sent_frame(msgs[i].payload.size());
+      continue;
+    }
+    // A full ring: send() self-drains it (all-local) or stalls for the
+    // remote consumer, both of which belong on this thread.
+    try {
+      send(msgs[i]);
+    } catch (const TransportError& e) {
+      errors[i] = std::current_exception();
+      if (!e.peer_scoped()) return;
+    }
+  }
+}
+
+void ShmTransport::recv_many(int dst, int tag, std::span<RecvSlot> slots) {
+  size_t largest = 0;
+  bool remote_wait = false;
+  std::vector<size_t> rings;
+  rings.reserve(slots.size());
+  for (const RecvSlot& s : slots) {
+    check_rank_pair(dst, s.src);
+    FCA_CHECK_MSG(consumes(dst),
+                  "rank " << self_rank_ << " cannot receive as rank " << dst);
+    const RingHeader& r = ring_header(s.src, dst);
+    largest = std::max<size_t>(largest,
+                               r.head.load(std::memory_order_acquire) -
+                                   r.tail.load(std::memory_order_relaxed));
+    remote_wait = remote_wait || (s.wait && !produces(s.src));
+    rings.push_back(static_cast<size_t>(s.src));
+  }
+  if (largest < kFanOutFrameBytes || remote_wait ||
+      shares_a_ring(std::move(rings))) {
+    Transport::recv_many(dst, tag, slots);
+    return;
+  }
+  // A frame already queued for (src, dst, tag) is older than anything in
+  // the ring, so it is the one try_recv would return.
+  std::vector<char> queued(slots.size(), 0);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    RecvSlot& s = slots[i];
+    std::optional<WireMessage> msg = queues_.pop(dst, s.src, tag);
+    if (!msg.has_value()) continue;
+    s.payload = std::move(msg->payload);
+    s.transfer_s = msg->transfer_s;
+    s.received = true;
+    queued[i] = 1;
+    note_consumed_frame();
+  }
+  std::vector<std::vector<WireMessage>> spills(slots.size());
+  parallel_for_range(
+      0, static_cast<int64_t>(slots.size()),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          RecvSlot& s = slots[static_cast<size_t>(i)];
+          s.error = drain_ring_into(s.src, dst, tag, &s,
+                                    spills[static_cast<size_t>(i)]);
+        }
+      },
+      1);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    for (WireMessage& msg : spills[i]) queues_.push(std::move(msg));
+    RecvSlot& s = slots[i];
+    if (s.error) {
+      s.received = false;
+    } else if (s.received && queued[i] == 0) {
+      note_consumed_frame();
+    }
   }
 }
 

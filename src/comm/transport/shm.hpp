@@ -25,15 +25,32 @@
 // The creator writes only the region and ring headers (the kernel hands out
 // zeroed pages), so a ring's body becomes resident when its edge is first
 // used, not when the world is built.
+//
+// Batches (send_many, recv_many) move each ring's bytes on the kernel pool
+// (parallel_for_range), one ring per task, once one ring of the batch
+// carries kFanOutFrameBytes or more: the writes of a broadcast, the drains
+// (copy + CRC) of a gather, straight into the slots' reused storage. Tasks
+// touch only their own ring and slot. Counters, the demux queues, a full
+// ring (which may need a self-drain or a stall) and a remote sender still
+// being waited on are all handled on the calling thread, in slot order.
+// Batches with two messages on one ring run serially.
 #pragma once
 
 #include <atomic>
+#include <exception>
+#include <vector>
 
 #include "comm/transport/transport.hpp"
 
 namespace fca::comm {
 
 struct Handshake;
+
+/// Fewest bytes one ring of a shm batch must carry (a frame to write, or
+/// bytes waiting to drain) for the batch to go to the kernel pool; batches
+/// of smaller frames (FedClassAvg's ~1.4 KB classifier pairs) stay on the
+/// caller. A constant, so the split never depends on the workload or host.
+inline constexpr size_t kFanOutFrameBytes = size_t{64} << 10;
 
 class ShmTransport : public Transport {
  public:
@@ -47,7 +64,10 @@ class ShmTransport : public Transport {
   std::string_view name() const override { return "shm"; }
 
   void send(const WireView& msg) override;
+  void send_many(std::span<const WireView> msgs,
+                 std::span<std::exception_ptr> errors) override;
   std::optional<WireMessage> try_recv(int dst, int src, int tag) override;
+  void recv_many(int dst, int tag, std::span<RecvSlot> slots) override;
   bool has_message(int dst, int src, int tag) override;
   std::optional<WireMessage> wait_recv(int dst, int src, int tag) override;
   void clear_pending() override;
@@ -65,9 +85,25 @@ class ShmTransport : public Transport {
   std::byte* region_base() const { return static_cast<std::byte*>(map_); }
   RingHeader& ring_header(int src, int dst) const;
   std::byte* ring_data(int src, int dst) const;
+  /// Writes one frame if the ring has room; false (nothing written) if not.
+  /// Touches only ring (msg.src, msg.dst).
   bool ring_write(int src, int dst, const WireView& msg);
-  /// Moves every complete frame of ring (src, dst) into the demux queues.
-  /// Only legal when this process is the ring's consumer.
+  /// send()'s argument checks (ranks, producer, frame fits a ring).
+  void check_send(const WireView& msg) const;
+  /// Parses every complete frame of ring (src, dst), in ring order. With a
+  /// non-null `take`, the first frame on `take_tag` goes into take->payload
+  /// (cleared, then appended to, so its capacity is reused) and sets
+  /// take->received; every other frame is appended to `spill`. A corrupt
+  /// frame stops the drain: the ring is skipped to its head, the frames
+  /// before it end up in `spill` (a taken one moved back, in ring order),
+  /// and the error, attributed to `src`, is returned. Touches only this
+  /// ring, `*take` and `spill`. Only legal when this process is the ring's
+  /// consumer.
+  std::exception_ptr drain_ring_into(int src, int dst, int take_tag,
+                                     RecvSlot* take,
+                                     std::vector<WireMessage>& spill);
+  /// Moves every complete frame of ring (src, dst) into the demux queues;
+  /// throws drain_ring_into's error after queueing the frames before it.
   void drain_ring(int src, int dst);
   void drain_all_inbound();
   bool consumes(int dst) const {

@@ -122,42 +122,53 @@ void Transport::check_rank_pair(int dst, int src) const {
                 "rank " << dst << " out of range [0, " << world_ << ")");
 }
 
-WireMessage Transport::recv(int dst, int src, int tag) {
-  std::optional<WireMessage> msg = wait_recv(dst, src, tag);
-  if (!msg.has_value()) {
-    std::ostringstream os;
-    os << "recv with no matching send: src=" << src << " dst=" << dst
-       << " tag=" << tag << "; " << pending_messages()
-       << " message(s) pending fabric-wide" << describe_pending(dst, src);
-    if (fallible()) {
-      // On a fabric where a remote sender can genuinely die or stall, a
-      // drained io timeout is an operational failure attributable to the
-      // sender, not a protocol bug — surface it as recoverable.
-      throw TransportError(TransportErrc::kTimeout, src, os.str());
+void Transport::send_many(std::span<const WireView> msgs,
+                          std::span<std::exception_ptr> errors) {
+  FCA_CHECK(errors.size() == msgs.size());
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    try {
+      send(msgs[i]);
+    } catch (const TransportError& e) {
+      errors[i] = std::current_exception();
+      if (!e.peer_scoped()) return;
     }
-    throw Error(os.str());
   }
-  return std::move(*msg);
 }
 
-std::optional<WireMessage> Transport::recv_with_deadline(int dst, int src,
-                                                         int tag,
-                                                         double deadline_s,
-                                                         bool* missed) {
-  FCA_CHECK_MSG(deadline_s > 0.0,
-                "recv deadline must be positive (NaN and non-positive values "
-                "are rejected), got "
-                    << deadline_s);
-  if (missed != nullptr) *missed = false;
-  std::optional<WireMessage> msg = try_recv(dst, src, tag);
-  if (!msg.has_value()) return std::nullopt;
-  if (msg->transfer_s > deadline_s) {
-    // The message exists but arrives too late for this round: consume it
-    // (the mailbox must not leak into the next round) and report a miss.
-    if (missed != nullptr) *missed = true;
-    return std::nullopt;
+void Transport::recv_many(int dst, int tag, std::span<RecvSlot> slots) {
+  for (RecvSlot& s : slots) {
+    try {
+      std::optional<WireMessage> msg =
+          s.wait ? wait_recv(dst, s.src, tag) : try_recv(dst, s.src, tag);
+      s.received = msg.has_value();
+      if (s.received) {
+        s.payload = std::move(msg->payload);
+        s.transfer_s = msg->transfer_s;
+      }
+    } catch (const TransportError&) {
+      s.error = std::current_exception();
+    }
   }
-  return msg;
+}
+
+void Transport::fail_no_message(int dst, int src, int tag) {
+  std::ostringstream os;
+  os << "recv with no matching send: src=" << src << " dst=" << dst
+     << " tag=" << tag << "; " << pending_messages()
+     << " message(s) pending fabric-wide" << describe_pending(dst, src);
+  if (fallible()) {
+    // On a fabric where a remote sender can genuinely die or stall, a
+    // drained io timeout is an operational failure attributable to the
+    // sender, not a protocol bug — surface it as recoverable.
+    throw TransportError(TransportErrc::kTimeout, src, os.str());
+  }
+  throw Error(os.str());
+}
+
+WireMessage Transport::recv(int dst, int src, int tag) {
+  std::optional<WireMessage> msg = wait_recv(dst, src, tag);
+  if (!msg.has_value()) fail_no_message(dst, src, tag);
+  return std::move(*msg);
 }
 
 std::unique_ptr<Transport> make_transport(const TransportOptions& options,

@@ -20,13 +20,19 @@
 //
 // Threading contract: the owning Network serializes all calls under its
 // policy lock, so backends need no internal locking for Network-driven use.
-// The shm rings themselves are additionally safe for one producer process
-// and one consumer process per ring — that is the cross-process case.
+// The batch calls (send_many, recv_many) are serial loops by default; a
+// backend may override them to move the bytes of different edges on the
+// kernel pool, provided its tasks touch only their own edge and output slot
+// and every shared counter or queue is updated on the calling thread after
+// the join. shm overrides both (DESIGN.md §11). The shm rings themselves are
+// additionally safe for one producer process and one consumer process per
+// ring — that is the cross-process case.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
@@ -67,6 +73,21 @@ struct WireMessage {
   operator WireView() const { return {src, dst, tag, transfer_s, payload}; }
 };
 
+/// One source's receive in a Transport::recv_many batch.
+struct RecvSlot {
+  int src = 0;
+  /// Block like wait_recv (a remote sender may still be writing) instead of
+  /// polling like try_recv.
+  bool wait = false;
+  /// In: storage whose capacity the payload may reuse. Out: the payload when
+  /// `received`.
+  Bytes payload;
+  double transfer_s = 0.0;
+  bool received = false;
+  /// The TransportError this source's receive raised, or null.
+  std::exception_ptr error;
+};
+
 enum class TransportKind { kInproc, kShm, kTcp };
 
 /// Parses "inproc" | "shm" | "tcp" (throws on anything else).
@@ -92,7 +113,7 @@ struct ChaosConfig {
   /// at-least-once fabric after a retransmit race).
   double duplicate_rate = 0.0;
   /// Per-message probability of adding delay_s simulated transfer seconds
-  /// (interacts with recv_with_deadline exactly like a straggler).
+  /// (interacts with recv_within deadlines exactly like a straggler).
   double delay_rate = 0.0;
   double delay_s = 0.0;
   /// Kill the link to this rank once kill_after_bytes wire bytes have moved
@@ -208,21 +229,32 @@ class Transport {
   /// The payload is only borrowed for the duration of the call.
   virtual void send(const WireView& msg) = 0;
 
+  /// One send() per message, in order; errors.size() == msgs.size(). A
+  /// TransportError lands in errors[i]: a peer-scoped one lets the batch go
+  /// on, any other stops it there. Other exceptions propagate. An override
+  /// must give the same deliveries and counters.
+  virtual void send_many(std::span<const WireView> msgs,
+                         std::span<std::exception_ptr> errors);
+
   /// Oldest pending message for (dst, src, tag) after a non-blocking
   /// progress pass; std::nullopt when none is available locally.
   virtual std::optional<WireMessage> try_recv(int dst, int src, int tag) = 0;
+
+  /// One receive into `dst` on `tag` per slot, in order: wait_recv or
+  /// try_recv as the slot asks, its payload moved into the slot and its
+  /// TransportError, if any, stored there. An override must consume the same
+  /// frames; it may write a payload into the slot's existing capacity.
+  virtual void recv_many(int dst, int tag, std::span<RecvSlot> slots);
 
   /// try_recv that may block (up to the io timeout) when the sender is a
   /// remote process; throws a diagnostic protocol-bug error when no message
   /// can arrive.
   WireMessage recv(int dst, int src, int tag);
 
-  /// try_recv enforcing a simulated-time deadline: a message whose
-  /// transfer_s exceeds `deadline_s` is consumed, `*missed` is set, and
-  /// std::nullopt is returned (the caller counts the deadline miss).
-  std::optional<WireMessage> recv_with_deadline(int dst, int src, int tag,
-                                                double deadline_s,
-                                                bool* missed);
+  /// recv()'s failure for a message that never came: a TransportError
+  /// (kTimeout, attributed to `src`) on a fallible fabric, a protocol-bug
+  /// fca::Error otherwise.
+  [[noreturn]] void fail_no_message(int dst, int src, int tag);
 
   virtual bool has_message(int dst, int src, int tag) = 0;
 

@@ -70,7 +70,7 @@ void FedClassAvg::initialize(fl::FederatedRun& run) {
   // keeps the strict protocol-bug check on a reliable fabric and mirrors
   // the contributor set to every rank of a multi-process world.
   const fl::FederatedRun::CollectedUploads collected =
-      run.collect_uploads(all, fl::kTagModelUp, /*strict=*/false);
+      run.collect_uploads(all, fl::kTagModelUp);
   FCA_CHECK_MSG(!collected.contributors.empty(),
                 "no client survived initialization: every init upload was "
                 "lost to transport failures");

@@ -223,17 +223,16 @@ FederatedRun::SurvivorGather FederatedRun::gather_survivors(
   SurvivorGather g;
   g.survivors.reserve(expected.size());
   g.payloads.reserve(expected.size());
-  // Fault-tolerant gathers are used whenever a round can actually lose a
+  // Fault-tolerant receives are used whenever a round can actually lose a
   // client: an injected FaultPlan, a transport that can fail for real
-  // (remote peers, chaos injection), or a peer already condemned.
-  const bool faulty = network_->lossy();
-  for (int k : expected) {
-    std::optional<comm::Bytes> payload =
-        faulty ? server_ep_->recv_with_deadline(k + 1, tag, round_deadline())
-               : std::optional<comm::Bytes>(server_ep_->recv(k + 1, tag));
-    if (payload.has_value()) {
-      g.survivors.push_back(k);
-      g.payloads.push_back(std::move(*payload));
+  // (remote peers, chaos injection), or a peer already condemned
+  // (Network::gather). The uploads land in the run's receive buffers.
+  std::vector<std::optional<comm::Bytes>> got = network_->gather(
+      0, ranks_of(expected), tag, round_deadline(), recv_buffers_);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (got[i].has_value()) {
+      g.survivors.push_back(expected[i]);
+      g.payloads.push_back(std::move(*got[i]));
     }
   }
   report_.survivors =
@@ -254,20 +253,21 @@ FederatedRun::SurvivorGather FederatedRun::gather_survivors(
 }
 
 FederatedRun::CollectedUploads FederatedRun::collect_uploads(
-    const std::vector<int>& clients, int tag, bool strict) {
+    const std::vector<int>& clients, int tag) {
   CollectedUploads c;
   if (scoped() && !is_root()) {
     return scoped_consume_collect();
   }
   c.contributors.reserve(clients.size());
   c.uploads.reserve(clients.size());
-  for (int k : clients) {
-    std::optional<comm::Bytes> up =
-        strict ? std::optional<comm::Bytes>(server_ep_->recv(k + 1, tag))
-               : server_ep_->try_recv(k + 1, tag);
-    if (up.has_value()) {
-      c.contributors.push_back(k);
-      c.uploads.push_back(std::move(*up));
+  // Endpoint::try_recv per client: strict on a reliable fabric, a reported
+  // loss otherwise.
+  std::vector<std::optional<comm::Bytes>> got = network_->gather(
+      0, ranks_of(clients), tag, std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < clients.size(); ++i) {
+    if (got[i].has_value()) {
+      c.contributors.push_back(clients[i]);
+      c.uploads.push_back(std::move(*got[i]));
     }
   }
   if (scoped()) scoped_publish_collect(c);
@@ -317,7 +317,7 @@ float FederatedRun::run_pipeline(PipelineStrategy& strategy, int round,
     comm::Endpoint& ep = client_endpoint(k);
     std::optional<comm::Bytes> down;
     if (has_downlink) {
-      down = ep.try_recv(0, kTagModelDown);
+      down = ep.try_recv(0, kTagModelDown, borrow_down_buffer());
       if (!down.has_value()) return std::numeric_limits<double>::quiet_NaN();
     }
     const ClientUpdate update = strategy.update(
@@ -325,6 +325,7 @@ float FederatedRun::run_pipeline(PipelineStrategy& strategy, int round,
         down.has_value() ? std::span<const std::byte>(*down)
                          : std::span<const std::byte>());
     if (tag != kTagNone) ep.send(0, tag, update.upload);
+    if (down.has_value()) return_down_buffer(std::move(*down));
     return update.loss;
   }, store_->costs(live, &ClientStore::Cost::train));
 
@@ -332,11 +333,26 @@ float FederatedRun::run_pipeline(PipelineStrategy& strategy, int round,
   // the strategy's state carries over unchanged.
   if (tag != kTagNone) {
     obs::TraceSpan agg_span("fl", "aggregate");
-    const SurvivorGather g = gather_survivors(live, tag);
+    SurvivorGather g = gather_survivors(live, tag);
     agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
     if (g.quorum_met && !g.survivors.empty()) strategy.reduce(*this, g);
+    // The uploads' buffers serve the next round's gather.
+    recv_buffers_ = std::move(g.payloads);
   }
   return mean_finite(losses, config_.local_epochs);
+}
+
+comm::Bytes FederatedRun::borrow_down_buffer() {
+  std::lock_guard lk(down_buffers_mu_);
+  if (down_buffers_.empty()) return {};
+  comm::Bytes buffer = std::move(down_buffers_.back());
+  down_buffers_.pop_back();
+  return buffer;
+}
+
+void FederatedRun::return_down_buffer(comm::Bytes buffer) {
+  std::lock_guard lk(down_buffers_mu_);
+  down_buffers_.push_back(std::move(buffer));
 }
 
 double FederatedRun::local_train(const std::function<float()>& epoch) const {

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -303,7 +304,7 @@ class FederatedRun {
   /// finite. Returns 0 when nothing is finite.
   static float mean_finite(const std::vector<double>& values, int scale = 1);
 
-  /// The round deadline strategies pass to Endpoint::recv_with_deadline.
+  /// The round deadline gather_survivors enforces on a lossy fabric.
   double round_deadline() const { return config_.faults.round_deadline_s; }
 
   // -- the round pipeline (DESIGN.md §15) ------------------------------------
@@ -344,19 +345,18 @@ class FederatedRun {
   }
 
   /// Init-time fault-tolerant collect over `clients` on `tag` (the
-  /// initialization barrier's server half). All-local / root: a serial
-  /// receive loop — strict receives on `strict` (a lost upload is a
-  /// protocol bug), try_recv otherwise (a lost upload just drops out of
-  /// `contributors`). Scoped: the root additionally mirrors the outcome to
-  /// every live joiner over the control plane, and joiners consume the
-  /// mirror instead of receiving — so every rank derives the identical
-  /// contributor set and aggregate.
+  /// initialization barrier's server half). All-local / root: one
+  /// Network::gather with Endpoint::try_recv's semantics — strict on a
+  /// reliable fabric (a lost upload is a protocol bug), a lost upload just
+  /// drops out of `contributors` otherwise. Scoped: the root additionally
+  /// mirrors the outcome to every live joiner over the control plane, and
+  /// joiners consume the mirror instead of receiving — so every rank
+  /// derives the identical contributor set and aggregate.
   struct CollectedUploads {
     std::vector<int> contributors;
     std::vector<comm::Bytes> uploads;
   };
-  CollectedUploads collect_uploads(const std::vector<int>& clients, int tag,
-                                   bool strict);
+  CollectedUploads collect_uploads(const std::vector<int>& clients, int tag);
 
   // -- round-report accessors (valid once a round has started) ---------------
   /// Sampled cohort size of the round in flight (or just completed).
@@ -410,6 +410,19 @@ class FederatedRun {
   std::unique_ptr<comm::Network> network_;
   std::unique_ptr<comm::Endpoint> server_ep_;
   std::vector<std::unique_ptr<comm::Endpoint>> client_eps_;
+  /// Storage for the survivor gather's payloads, kept across rounds:
+  /// run_pipeline hands the reduced uploads back here, and the next gather
+  /// lends them to Network::gather, whose shm drains write into their
+  /// capacity. No model-sized buffer is freed and allocated again every
+  /// round, so whether glibc trims it in between no longer matters.
+  std::vector<comm::Bytes> recv_buffers_;
+  /// The same for the client bodies' downlinks: a body borrows a buffer for
+  /// its downlink receive and returns it after its update, so at most one
+  /// per lane is out and the pool never outgrows the lane count.
+  std::mutex down_buffers_mu_;
+  std::vector<comm::Bytes> down_buffers_;
+  comm::Bytes borrow_down_buffer();
+  void return_down_buffer(comm::Bytes buffer);
 };
 
 /// What one client's update stage hands back to the pipeline.

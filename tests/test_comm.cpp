@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "utils/error.hpp"
@@ -451,6 +456,191 @@ TEST(Endpoint, TryRecvIsTolerantUnderActiveFaultPlan) {
   Endpoint client(net, 1);
   EXPECT_FALSE(client.try_recv(0, 1).has_value());
   EXPECT_FALSE(client.recv_with_deadline(0, 1, 1.0).has_value());
+}
+
+// -- collectives vs the loops they replace ----------------------------------
+// Each scenario runs the same traffic on two networks over the backend
+// FCA_TRANSPORT selects: one through the collective, one through the
+// point-to-point loop it replaces. Payloads, survivors and every ledger
+// must agree. The large payloads are big enough for the shm backend to
+// move them on the kernel pool; the small ones stay on the caller.
+
+struct CollectiveScenario {
+  const char* name;
+  FaultConfig faults;
+  int kill_peer = ChaosConfig::kNoKill;  // condemned at its first traffic
+};
+
+std::vector<CollectiveScenario> collective_scenarios() {
+  std::vector<CollectiveScenario> out;
+  out.push_back({"reliable", FaultConfig{}});
+  FaultConfig drops;
+  drops.drop_rate = 0.3;
+  drops.fault_seed = 11;
+  out.push_back({"drop-rate", drops});
+  FaultConfig straggle;
+  straggle.straggler_rate = 0.5;
+  straggle.straggler_delay_s = 2.0;
+  straggle.round_deadline_s = 1.0;
+  straggle.fault_seed = 12;
+  out.push_back({"straggler-deadline", straggle});
+  FaultConfig crash;
+  crash.crash_schedule = parse_crash_schedule("3@1x2,6@2");
+  out.push_back({"crashed-rank", crash});
+  FaultConfig condemned;
+  condemned.drop_rate = 0.1;
+  condemned.fault_seed = 13;
+  out.push_back({"condemned-peer", condemned, 4});
+  return out;
+}
+
+constexpr int kCollectiveWorld = 9;
+constexpr int kCollectiveRounds = 3;
+
+std::unique_ptr<Network> collective_net(const CollectiveScenario& sc) {
+  TransportOptions opts = transport_options_from_env();
+  if (sc.kill_peer != ChaosConfig::kNoKill) {
+    opts.chaos.kill_peer = sc.kill_peer;
+    opts.chaos.kill_after_bytes = 0;
+  }
+  return std::make_unique<Network>(kCollectiveWorld, CostModel{0.001, 1e8},
+                                   sc.faults,
+                                   make_transport(opts, kCollectiveWorld));
+}
+
+/// Payload sizes: a classifier-sized frame and a model-sized one (the
+/// latter capped below the ring size FCA_SHM_RING_CAPACITY may force).
+std::vector<size_t> collective_sizes() {
+  size_t big = 96u << 10;
+  const TransportOptions opts = transport_options_from_env();
+  if (opts.shm_ring_capacity != 0) {
+    big = std::min(big, opts.shm_ring_capacity / 2 - 64);
+  }
+  return {1400, big};
+}
+
+Bytes patterned(size_t n, int salt) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::byte>((i * 131 + static_cast<size_t>(salt) * 17) &
+                                  0xFF);
+  }
+  return b;
+}
+
+void expect_same_ledgers(const Network& a, const Network& b) {
+  for (int r = 0; r < kCollectiveWorld; ++r) {
+    const TrafficStats sa = a.rank_stats(r);
+    const TrafficStats sb = b.rank_stats(r);
+    EXPECT_EQ(sa.messages, sb.messages) << "rank " << r;
+    EXPECT_EQ(sa.payload_bytes, sb.payload_bytes) << "rank " << r;
+    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds) << "rank " << r;
+    EXPECT_EQ(a.peer_alive(r), b.peer_alive(r)) << "rank " << r;
+  }
+  EXPECT_EQ(a.total_stats().messages, b.total_stats().messages);
+  EXPECT_EQ(a.total_stats().payload_bytes, b.total_stats().payload_bytes);
+  EXPECT_EQ(a.total_stats().sim_seconds, b.total_stats().sim_seconds);
+  EXPECT_TRUE(a.fault_stats() == b.fault_stats());
+  EXPECT_EQ(a.pending_messages(), b.pending_messages());
+}
+
+TEST(Network, BroadcastMetersAndDropsLikeSerialSends) {
+  // Destinations out of rank order: metering, seq values and fault
+  // decisions follow the list, as a loop of sends would.
+  const std::vector<int> dsts = {5, 2, 8, 1, 7, 3, 6, 4};
+  for (const CollectiveScenario& sc : collective_scenarios()) {
+    for (size_t bytes : collective_sizes()) {
+      SCOPED_TRACE(std::string(sc.name) + ", " + std::to_string(bytes) +
+                   " B");
+      auto coll = collective_net(sc);
+      auto loop = collective_net(sc);
+      for (int round = 1; round <= kCollectiveRounds; ++round) {
+        const Bytes payload = patterned(bytes, round);
+        coll->begin_round(round);
+        loop->begin_round(round);
+        coll->broadcast(0, dsts, 9, payload);
+        for (int dst : dsts) loop->send(0, dst, 9, payload);
+        for (int dst : dsts) {
+          const std::optional<Bytes> got = coll->try_recv(dst, 0, 9);
+          EXPECT_EQ(got, loop->try_recv(dst, 0, 9)) << "rank " << dst;
+          if (got.has_value()) {
+            EXPECT_EQ(*got, payload) << "rank " << dst;
+          }
+        }
+        coll->end_round();
+        loop->end_round();
+        expect_same_ledgers(*coll, *loop);
+      }
+    }
+  }
+}
+
+TEST(Network, GatherMatchesPerSourceReceives) {
+  const std::vector<int> srcs = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (const CollectiveScenario& sc : collective_scenarios()) {
+    for (size_t bytes : collective_sizes()) {
+      SCOPED_TRACE(std::string(sc.name) + ", " + std::to_string(bytes) +
+                   " B");
+      auto coll = collective_net(sc);
+      auto loop = collective_net(sc);
+      const double deadline = sc.faults.round_deadline_s;
+      // Storage that outlives the rounds, as FederatedRun keeps it; it
+      // starts larger than any payload and full of stale bytes.
+      std::vector<Bytes> storage(srcs.size(), Bytes(2 * bytes, std::byte{7}));
+      for (int round = 1; round <= kCollectiveRounds; ++round) {
+        coll->begin_round(round);
+        loop->begin_round(round);
+        for (int src : srcs) {
+          // Rank 2 also sends a second upload and one on another tag: the
+          // gather takes the oldest, and the rest stay queued in order.
+          const int copies = src == 2 ? 2 : 1;
+          for (int c = 0; c < copies; ++c) {
+            const Bytes up = patterned(bytes + static_cast<size_t>(src),
+                                       round * 100 + src * 10 + c);
+            coll->send(src, 0, 10, up);
+            loop->send(src, 0, 10, up);
+          }
+          if (src == 2) {
+            coll->send(src, 0, 11, patterned(64, round));
+            loop->send(src, 0, 11, patterned(64, round));
+          }
+        }
+        std::vector<std::optional<Bytes>> got =
+            coll->gather(0, srcs, 10, deadline, storage);
+        ASSERT_EQ(got.size(), srcs.size());
+        // The loop gather_survivors ran: strict receives on a reliable
+        // fabric, recv_within (try_recv without a deadline) otherwise.
+        const bool lossy = loop->lossy();
+        for (size_t i = 0; i < srcs.size(); ++i) {
+          const std::optional<Bytes> want =
+              !lossy ? std::optional<Bytes>(loop->recv(0, srcs[i], 10))
+              : std::isfinite(deadline) ? loop->recv_within(0, srcs[i], 10,
+                                                            deadline)
+                                        : loop->try_recv(0, srcs[i], 10);
+          EXPECT_EQ(got[i], want) << "rank " << srcs[i];
+          if (got[i].has_value()) {
+            // The first upload, or rank 2's second when the first was lost.
+            const size_t n = bytes + static_cast<size_t>(srcs[i]);
+            const int salt = round * 100 + srcs[i] * 10;
+            EXPECT_TRUE(*got[i] == patterned(n, salt) ||
+                        (srcs[i] == 2 && *got[i] == patterned(n, salt + 1)))
+                << "rank " << srcs[i];
+          }
+        }
+        // What the gather left behind is what the loop left behind.
+        for (int tag : {10, 11}) {
+          EXPECT_EQ(coll->try_recv(0, 2, tag), loop->try_recv(0, 2, tag))
+              << "tag " << tag;
+        }
+        coll->end_round();
+        loop->end_round();
+        expect_same_ledgers(*coll, *loop);
+        for (size_t i = 0; i < srcs.size(); ++i) {
+          storage[i] = got[i].has_value() ? std::move(*got[i]) : Bytes{};
+        }
+      }
+    }
+  }
 }
 
 TEST(Network, RestoreStatsRacesWithSendersWithoutTearing) {

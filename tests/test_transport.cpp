@@ -405,18 +405,24 @@ TEST_P(TransportBackend, RecvWithoutSendThrowsDiagnostic) {
 }
 
 TEST_P(TransportBackend, RecvWithDeadlineConsumesLateMessages) {
-  auto t = make(2);
-  t->send(make_msg(0, 1, 1, make_payload(1), /*transfer_s=*/5.0));
-  t->send(make_msg(0, 1, 1, make_payload(1), /*transfer_s=*/0.5));
-  bool missed = false;
-  EXPECT_FALSE(t->recv_with_deadline(1, 0, 1, 1.0, &missed).has_value());
-  EXPECT_TRUE(missed);  // the 5s message missed the 1s deadline...
-  EXPECT_TRUE(t->recv_with_deadline(1, 0, 1, 1.0, &missed).has_value());
-  EXPECT_FALSE(missed);  // ...and was consumed, exposing the on-time one
-  EXPECT_THROW(t->recv_with_deadline(1, 0, 1, 0.0, &missed), Error);
+  // The deadline is Network's (recv_within), read from the transfer time
+  // the backend carried in the frame. At 2 B/s a 10-byte message takes 5 s
+  // and a 1-byte one 0.5 s.
+  CostModel cost;
+  cost.bandwidth_bps = 2.0;
+  Network net(2, cost, {}, make(2));
+  net.send(0, 1, 1, make_payload(10));
+  net.send(0, 1, 1, make_payload(1));
+  EXPECT_FALSE(net.recv_within(1, 0, 1, 1.0).has_value());
+  EXPECT_EQ(net.fault_stats().deadline_misses, 1u);  // the 5s message...
+  const std::optional<Bytes> on_time = net.recv_within(1, 0, 1, 1.0);
+  ASSERT_TRUE(on_time.has_value());  // ...was consumed, exposing the next
+  EXPECT_EQ(on_time->size(), 1u);
+  EXPECT_EQ(net.fault_stats().deadline_misses, 1u);
+  EXPECT_EQ(net.pending_messages(), 0u);
+  EXPECT_THROW(net.recv_within(1, 0, 1, 0.0), Error);
   EXPECT_THROW(
-      t->recv_with_deadline(1, 0, 1,
-                            std::numeric_limits<double>::quiet_NaN(), &missed),
+      net.recv_within(1, 0, 1, std::numeric_limits<double>::quiet_NaN()),
       Error);
 }
 
@@ -501,6 +507,109 @@ TEST(ShmTransport, OversizedFrameIsDiagnosed) {
               std::string::npos)
         << e.what();
   }
+}
+
+Bytes patterned_payload(size_t n, int salt) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::byte>((i * 167 + static_cast<size_t>(salt) * 29) &
+                                  0xFF);
+  }
+  return b;
+}
+
+bool same_bytes(const Bytes& got, const Bytes& want) {
+  return got.size() == want.size() &&
+         std::memcmp(got.data(), want.data(), want.size()) == 0;
+}
+
+TEST(ShmTransport, FannedBroadcastRetriesFullRingsSerially) {
+  // Frames large enough for send_many to write the rings on the kernel
+  // pool, into 128 KiB rings that cannot hold two of them: the rings that
+  // already carry a frame are full, so their writes fail in the fan-out and
+  // are retried on the caller, which self-drains them (all-local world).
+  constexpr size_t kCapacity = 1u << 17;
+  constexpr size_t kFrame = 80u << 10;
+  static_assert(kFrame >= kFanOutFrameBytes);
+  static_assert(2 * framing::frame_size(kFrame) > kCapacity);
+  TransportOptions opts;
+  opts.kind = TransportKind::kShm;
+  opts.shm_ring_capacity = kCapacity;
+  auto t = make_transport(opts, 6);
+  const Bytes older1 = patterned_payload(kFrame, 1);
+  const Bytes older3 = patterned_payload(kFrame - 9, 3);
+  t->send(make_msg(0, 1, 4, older1));
+  t->send(make_msg(0, 3, 4, older3));
+  const uint64_t wire_before = t->wire_bytes();
+
+  const Bytes payload = patterned_payload(kFrame, 9);
+  std::vector<WireView> views;
+  for (int dst = 1; dst <= 5; ++dst) views.push_back({0, dst, 4, 0.5, payload});
+  std::vector<std::exception_ptr> errors(views.size());
+  t->send_many(views, errors);
+  for (const std::exception_ptr& e : errors) EXPECT_FALSE(e);
+  EXPECT_EQ(t->wire_bytes() - wire_before, 5 * framing::frame_size(kFrame));
+  EXPECT_EQ(t->pending_messages(), 7u);
+
+  // Per-ring FIFO: the older frame, then the broadcast's, byte for byte.
+  for (int dst = 1; dst <= 5; ++dst) {
+    if (dst == 1 || dst == 3) {
+      const WireMessage first = t->recv(dst, 0, 4);
+      EXPECT_TRUE(same_bytes(first.payload, dst == 1 ? older1 : older3))
+          << "rank " << dst;
+    }
+    const WireMessage got = t->recv(dst, 0, 4);
+    EXPECT_TRUE(same_bytes(got.payload, payload)) << "rank " << dst;
+    EXPECT_EQ(got.transfer_s, 0.5);
+  }
+  EXPECT_EQ(t->pending_messages(), 0u);
+}
+
+TEST(ShmTransport, FannedGatherKeepsFifoAndReusesStorage) {
+  // Ring (1 -> 0) holds frames of two tags while the demux queue already
+  // holds an older frame for the gathered key (1, 0, 5): the gather returns
+  // the queued one, and the ring's frames stay queued in order.
+  constexpr size_t kFrame = 80u << 10;
+  static_assert(kFrame >= kFanOutFrameBytes);
+  TransportOptions opts;
+  opts.kind = TransportKind::kShm;
+  opts.shm_ring_capacity = 1u << 20;
+  auto t = make_transport(opts, 4);
+  const Bytes a = patterned_payload(kFrame, 1);      // 1 -> 0, tag 5, queued
+  const Bytes b = patterned_payload(kFrame + 3, 2);  // 1 -> 0, tag 7, ring
+  const Bytes c = patterned_payload(kFrame + 5, 3);  // 1 -> 0, tag 5, ring
+  const Bytes d = patterned_payload(kFrame + 7, 4);  // 2 -> 0, tag 5, ring
+  const Bytes e = patterned_payload(100, 5);         // 3 -> 0, tag 7, ring
+  t->send(make_msg(1, 0, 5, a, 0.25));
+  ASSERT_TRUE(t->has_message(0, 1, 5));  // drains ring (1, 0) into the queue
+  t->send(make_msg(1, 0, 7, b));
+  t->send(make_msg(1, 0, 5, c));
+  t->send(make_msg(2, 0, 5, d, 0.75));
+  t->send(make_msg(3, 0, 7, e));
+
+  std::vector<RecvSlot> slots(3);
+  for (int i = 0; i < 3; ++i) {
+    slots[static_cast<size_t>(i)].src = i + 1;
+    // Stale storage, larger than any frame.
+    slots[static_cast<size_t>(i)].payload = Bytes(2 * kFrame, std::byte{0xEE});
+  }
+  const std::byte* storage2 = slots[1].payload.data();
+  t->recv_many(0, 5, slots);
+  for (const RecvSlot& s : slots) EXPECT_FALSE(s.error) << "rank " << s.src;
+  ASSERT_TRUE(slots[0].received);
+  EXPECT_TRUE(same_bytes(slots[0].payload, a));
+  EXPECT_EQ(slots[0].transfer_s, 0.25);
+  ASSERT_TRUE(slots[1].received);
+  EXPECT_TRUE(same_bytes(slots[1].payload, d));
+  EXPECT_EQ(slots[1].transfer_s, 0.75);
+  EXPECT_EQ(slots[1].payload.data(), storage2) << "the drain reallocated";
+  EXPECT_FALSE(slots[2].received);
+
+  EXPECT_EQ(t->pending_messages(), 3u);
+  EXPECT_TRUE(same_bytes(t->recv(0, 1, 7).payload, b));
+  EXPECT_TRUE(same_bytes(t->recv(0, 1, 5).payload, c));
+  EXPECT_TRUE(same_bytes(t->recv(0, 3, 7).payload, e));
+  EXPECT_EQ(t->pending_messages(), 0u);
 }
 
 /// Resident shared-memory pages of this process in KiB (RssShmem in
