@@ -10,10 +10,12 @@
 //
 // The star rows time a round's two collectives per backend in a 21-rank
 // all-local world (a server and 20 clients, 1 MiB shm rings): one
-// Network::broadcast of a 708,000-byte model to the 20 clients, and one
+// Network::broadcast of a payload to the 20 clients, and one
 // Network::gather of 20 such uploads into buffers kept across iterations,
 // as the round driver keeps them. The clients' own receives and sends
-// between the two are not timed.
+// between the two are not timed. Two payloads: FedAvg's 708,000-byte model,
+// which the shm backend moves on the kernel pool, and a 1,400-byte
+// classifier pair, which stays under kFanOutFrameBytes and on the caller.
 //
 // Usage: bench_transport [output.json]   (default BENCH_transport.json)
 #include <algorithm>
@@ -116,18 +118,20 @@ Measurement measure(TransportKind kind, const PayloadCase& pc) {
 }
 
 constexpr int kStarClients = 20;
-constexpr size_t kStarPayloadBytes = 708000;  // fedavg-shm's model
+// FedClassAvg's classifier pair and fedavg-shm's model.
+constexpr size_t kStarPayloadBytes[] = {1400, 708000};
 constexpr int kStarIters = 100;
 
 struct StarMeasurement {
   const char* backend;
+  size_t payload_bytes = 0;
   double bcast_p50_us = 0.0;
   double bcast_p99_us = 0.0;
   double gather_p50_us = 0.0;
   double gather_p99_us = 0.0;
 };
 
-StarMeasurement measure_star(TransportKind kind) {
+StarMeasurement measure_star(TransportKind kind, size_t payload_bytes) {
   TransportOptions opts;
   opts.kind = kind;
   opts.shm_ring_capacity = 1u << 20;
@@ -135,7 +139,7 @@ StarMeasurement measure_star(TransportKind kind) {
   Network net(world, {}, {}, fca::comm::make_transport(opts, world));
   std::vector<int> clients(kStarClients);
   for (int k = 0; k < kStarClients; ++k) clients[static_cast<size_t>(k)] = k + 1;
-  const Bytes payload(kStarPayloadBytes, std::byte{0x5A});
+  const Bytes payload(payload_bytes, std::byte{0x5A});
   std::vector<Bytes> storage(clients.size());
   std::vector<double> bcast_us, gather_us;
   // Two untimed warm-up rounds page in the rings and the kept buffers.
@@ -160,6 +164,7 @@ StarMeasurement measure_star(TransportKind kind) {
   std::sort(gather_us.begin(), gather_us.end());
   StarMeasurement m;
   m.backend = std::string_view(net.transport().name()).data();
+  m.payload_bytes = payload_bytes;
   m.bcast_p50_us = percentile(bcast_us, 0.50);
   m.bcast_p99_us = percentile(bcast_us, 0.99);
   m.gather_p50_us = percentile(gather_us, 0.50);
@@ -186,13 +191,15 @@ int main(int argc, char** argv) {
 
   std::vector<StarMeasurement> stars;
   for (const TransportKind kind : kBackends) {
-    const StarMeasurement m = measure_star(kind);
-    std::printf(
-        "%-7s star %d x %zu B  broadcast p50 %8.1f us p99 %8.1f us  "
-        "gather p50 %8.1f us p99 %8.1f us\n",
-        m.backend, kStarClients, kStarPayloadBytes, m.bcast_p50_us,
-        m.bcast_p99_us, m.gather_p50_us, m.gather_p99_us);
-    stars.push_back(m);
+    for (const size_t bytes : kStarPayloadBytes) {
+      const StarMeasurement m = measure_star(kind, bytes);
+      std::printf(
+          "%-7s star %d x %zu B  broadcast p50 %8.1f us p99 %8.1f us  "
+          "gather p50 %8.1f us p99 %8.1f us\n",
+          m.backend, kStarClients, m.payload_bytes, m.bcast_p50_us,
+          m.bcast_p99_us, m.gather_p50_us, m.gather_p99_us);
+      stars.push_back(m);
+    }
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -229,7 +236,7 @@ int main(int argc, char** argv) {
                  "\"payload_bytes\": %zu, \"iters\": %d, "
                  "\"bcast_p50_us\": %.1f, \"bcast_p99_us\": %.1f, "
                  "\"gather_p50_us\": %.1f, \"gather_p99_us\": %.1f}%s\n",
-                 m.backend, kStarClients, kStarPayloadBytes, kStarIters,
+                 m.backend, kStarClients, m.payload_bytes, kStarIters,
                  m.bcast_p50_us, m.bcast_p99_us, m.gather_p50_us,
                  m.gather_p99_us, i + 1 < stars.size() ? "," : "");
   }

@@ -488,7 +488,14 @@ void ShmTransport::send_many(std::span<const WireView> msgs,
       send(msgs[i]);
     } catch (const TransportError& e) {
       errors[i] = std::current_exception();
-      if (!e.peer_scoped()) return;
+      if (e.peer_scoped()) continue;
+      // The batch stops here, but the later frames the pool wrote are
+      // already in their rings: count them, so the counters match the
+      // rings.
+      for (size_t j = i + 1; j < msgs.size(); ++j) {
+        if (written[j] != 0) note_sent_frame(msgs[j].payload.size());
+      }
+      return;
     }
   }
 }

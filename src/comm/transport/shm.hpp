@@ -50,7 +50,13 @@ struct Handshake;
 /// bytes waiting to drain) for the batch to go to the kernel pool; batches
 /// of smaller frames (FedClassAvg's ~1.4 KB classifier pairs) stay on the
 /// caller. A constant, so the split never depends on the workload or host.
-inline constexpr size_t kFanOutFrameBytes = size_t{64} << 10;
+/// Set at the measured crossover. A 20-client star (bench_transport's star
+/// loop, 1 MiB rings, 4-vCPU host, p50 of 10 alternating runs), pool vs
+/// caller: at 1.4 KB the broadcast took 31 vs 21 us and the gather 24 vs
+/// 9 us; at 16 KiB the broadcast won (38 vs 55 us) and the gather lost
+/// (42 vs 37 us); from 32 KiB the pool won both in every run (57 vs 103
+/// and 63 vs 85 us).
+inline constexpr size_t kFanOutFrameBytes = size_t{32} << 10;
 
 class ShmTransport : public Transport {
  public:

@@ -463,7 +463,47 @@ TEST(Endpoint, TryRecvIsTolerantUnderActiveFaultPlan) {
 // FCA_TRANSPORT selects: one through the collective, one through the
 // point-to-point loop it replaces. Payloads, survivors and every ledger
 // must agree. The large payloads are big enough for the shm backend to
-// move them on the kernel pool; the small ones stay on the caller.
+// move them on the kernel pool; the small ones stay on the caller. The
+// loop's network wraps its backend in SerialBatches, so its sends and
+// receives never reach a backend's send_many/recv_many override: they go
+// one message at a time through the backend's own send and try_recv.
+
+/// Forwards everything to the wrapped backend except the batch calls,
+/// which stay Transport's serial loops over the forwarded single calls.
+class SerialBatches : public Transport {
+ public:
+  explicit SerialBatches(std::unique_ptr<Transport> inner)
+      : Transport(inner->world_size(), inner->self_rank()),
+        inner_(std::move(inner)) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  void send(const WireView& msg) override { inner_->send(msg); }
+  std::optional<WireMessage> try_recv(int dst, int src, int tag) override {
+    return inner_->try_recv(dst, src, tag);
+  }
+  std::optional<WireMessage> wait_recv(int dst, int src, int tag) override {
+    return inner_->wait_recv(dst, src, tag);
+  }
+  bool has_message(int dst, int src, int tag) override {
+    return inner_->has_message(dst, src, tag);
+  }
+  size_t pending_messages() const override {
+    return inner_->pending_messages();
+  }
+  void clear_pending() override { inner_->clear_pending(); }
+  void discard_peer(int rank) override { inner_->discard_peer(rank); }
+  bool fallible() const override { return inner_->fallible(); }
+  uint64_t retry_events() const override { return inner_->retry_events(); }
+  void begin_round(int round) override { inner_->begin_round(round); }
+  void end_round() override { inner_->end_round(); }
+  uint64_t wire_bytes() const override { return inner_->wire_bytes(); }
+  std::string describe_pending(int dst, int src) override {
+    return inner_->describe_pending(dst, src);
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+};
 
 struct CollectiveScenario {
   const char* name;
@@ -497,15 +537,20 @@ std::vector<CollectiveScenario> collective_scenarios() {
 constexpr int kCollectiveWorld = 9;
 constexpr int kCollectiveRounds = 3;
 
-std::unique_ptr<Network> collective_net(const CollectiveScenario& sc) {
+/// The scenario's network; `serial` wraps its backend in SerialBatches.
+std::unique_ptr<Network> collective_net(const CollectiveScenario& sc,
+                                        bool serial) {
   TransportOptions opts = transport_options_from_env();
   if (sc.kill_peer != ChaosConfig::kNoKill) {
     opts.chaos.kill_peer = sc.kill_peer;
     opts.chaos.kill_after_bytes = 0;
   }
+  std::unique_ptr<Transport> transport = make_transport(opts, kCollectiveWorld);
+  if (serial) {
+    transport = std::make_unique<SerialBatches>(std::move(transport));
+  }
   return std::make_unique<Network>(kCollectiveWorld, CostModel{0.001, 1e8},
-                                   sc.faults,
-                                   make_transport(opts, kCollectiveWorld));
+                                   sc.faults, std::move(transport));
 }
 
 /// Payload sizes: a classifier-sized frame and a model-sized one (the
@@ -552,8 +597,8 @@ TEST(Network, BroadcastMetersAndDropsLikeSerialSends) {
     for (size_t bytes : collective_sizes()) {
       SCOPED_TRACE(std::string(sc.name) + ", " + std::to_string(bytes) +
                    " B");
-      auto coll = collective_net(sc);
-      auto loop = collective_net(sc);
+      auto coll = collective_net(sc, false);
+      auto loop = collective_net(sc, true);
       for (int round = 1; round <= kCollectiveRounds; ++round) {
         const Bytes payload = patterned(bytes, round);
         coll->begin_round(round);
@@ -581,8 +626,8 @@ TEST(Network, GatherMatchesPerSourceReceives) {
     for (size_t bytes : collective_sizes()) {
       SCOPED_TRACE(std::string(sc.name) + ", " + std::to_string(bytes) +
                    " B");
-      auto coll = collective_net(sc);
-      auto loop = collective_net(sc);
+      auto coll = collective_net(sc, false);
+      auto loop = collective_net(sc, true);
       const double deadline = sc.faults.round_deadline_s;
       // Storage that outlives the rounds, as FederatedRun keeps it; it
       // starts larger than any payload and full of stale bytes.
@@ -592,13 +637,20 @@ TEST(Network, GatherMatchesPerSourceReceives) {
         loop->begin_round(round);
         for (int src : srcs) {
           // Rank 2 also sends a second upload and one on another tag: the
-          // gather takes the oldest, and the rest stay queued in order.
+          // gather takes the oldest, and the rest stay queued in order. Its
+          // first upload is moved out of the ring into the backend's queue
+          // before the second is sent (has_message drains a shm ring), so
+          // the gather must take a queued frame ahead of the ring's.
           const int copies = src == 2 ? 2 : 1;
           for (int c = 0; c < copies; ++c) {
             const Bytes up = patterned(bytes + static_cast<size_t>(src),
                                        round * 100 + src * 10 + c);
             coll->send(src, 0, 10, up);
             loop->send(src, 0, 10, up);
+            if (src == 2 && c == 0) {
+              EXPECT_EQ(coll->has_message(0, 2, 10),
+                        loop->has_message(0, 2, 10));
+            }
           }
           if (src == 2) {
             coll->send(src, 0, 11, patterned(64, round));

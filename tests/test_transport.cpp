@@ -565,6 +565,57 @@ TEST(ShmTransport, FannedBroadcastRetriesFullRingsSerially) {
   EXPECT_EQ(t->pending_messages(), 0u);
 }
 
+/// A shm backend whose single sends fail with a batch-stopping error once
+/// armed. Only the serial full-ring retry of send_many calls send().
+class FailingRetryShm : public ShmTransport {
+ public:
+  using ShmTransport::ShmTransport;
+  void send(const WireView& msg) override {
+    if (armed) {
+      throw TransportError(TransportErrc::kHandshakeRejected, msg.dst,
+                           "injected batch-stopping failure");
+    }
+    ShmTransport::send(msg);
+  }
+  bool armed = false;
+};
+
+TEST(ShmTransport, FannedBroadcastCountsFramesWrittenPastAStoppingError) {
+  // Ring (0 -> 1) is full, so its frame is retried serially after the
+  // pool wrote the other four, and the retry fails with an error that
+  // stops the batch. The four frames are in their rings all the same, and
+  // the counters must say so.
+  constexpr size_t kCapacity = 1u << 17;
+  constexpr size_t kFrame = 80u << 10;
+  static_assert(kFrame >= kFanOutFrameBytes);
+  static_assert(2 * framing::frame_size(kFrame) > kCapacity);
+  TransportOptions opts;
+  opts.kind = TransportKind::kShm;
+  opts.shm_ring_capacity = kCapacity;
+  FailingRetryShm t(opts, 6, nullptr);
+  const Bytes older = patterned_payload(kFrame, 1);
+  t.send(make_msg(0, 1, 4, older));
+  const uint64_t wire_before = t.wire_bytes();
+  t.armed = true;
+
+  const Bytes payload = patterned_payload(kFrame, 9);
+  std::vector<WireView> views;
+  for (int dst = 1; dst <= 5; ++dst) views.push_back({0, dst, 4, 0.5, payload});
+  std::vector<std::exception_ptr> errors(views.size());
+  t.send_many(views, errors);
+  EXPECT_TRUE(errors[0]);
+  for (size_t i = 1; i < errors.size(); ++i) EXPECT_FALSE(errors[i]);
+  EXPECT_EQ(t.wire_bytes() - wire_before, 4 * framing::frame_size(kFrame));
+  EXPECT_EQ(t.pending_messages(), 5u);
+
+  EXPECT_TRUE(same_bytes(t.recv(1, 0, 4).payload, older));
+  for (int dst = 2; dst <= 5; ++dst) {
+    EXPECT_TRUE(same_bytes(t.recv(dst, 0, 4).payload, payload))
+        << "rank " << dst;
+  }
+  EXPECT_EQ(t.pending_messages(), 0u);
+}
+
 TEST(ShmTransport, FannedGatherKeepsFifoAndReusesStorage) {
   // Ring (1 -> 0) holds frames of two tags while the demux queue already
   // holds an older frame for the gathered key (1, 0, 5): the gather returns
