@@ -1,6 +1,6 @@
 #include "core/fedclassavg.hpp"
 
-#include <optional>
+#include <limits>
 
 #include "autograd/ops.hpp"
 #include "models/serialize.hpp"
@@ -66,31 +66,23 @@ void FedClassAvg::initialize(fl::FederatedRun& run) {
   // The initialization barrier degrades like a round (DESIGN.md §12): on a
   // fabric that can actually lose a peer, a client whose init upload dies
   // is condemned by the network and excluded from C^1, with the eq. 1
-  // weights renormalized over the clients that reported. collect_uploads
-  // keeps the strict protocol-bug check on a reliable fabric and mirrors
-  // the contributor set to every rank of a multi-process world.
-  const fl::FederatedRun::CollectedUploads collected =
-      run.collect_uploads(all, fl::kTagModelUp);
-  FCA_CHECK_MSG(!collected.contributors.empty(),
+  // weights renormalized over the clients that reported.
+  const fl::FederatedRun::SurvivorGather init = run.gather_survivors(
+      all, fl::kTagModelUp, std::numeric_limits<double>::infinity());
+  FCA_CHECK_MSG(!init.survivors.empty(),
                 "no client survived initialization: every init upload was "
                 "lost to transport failures");
   global_.clear();
-  run.average_into(global_, collected.contributors, collected.uploads);
-  const comm::Bytes payload = models::serialize_tensors(global_);
+  run.average_into(global_, init.survivors, init.payloads);
   // Condemned ranks are short-circuited by the network, so the broadcast
-  // still targets everyone.
+  // still targets everyone; a client cut off keeps its local init weights.
   run.server_endpoint().bcast_send(fl::FederatedRun::ranks_of(all),
-                                   fl::kTagModelDown, payload);
-  run.executor().for_each(all, [&](int k) {
-    const fl::ClientStore::Lease lease = run.lease_client(k);
-    const std::optional<comm::Bytes> down =
-        run.client_endpoint(k).try_recv(0, fl::kTagModelDown);
-    // A client cut off during initialization keeps its local init weights;
-    // it is already condemned, so later rounds exclude it anyway.
-    if (!down.has_value()) return;
-    models::restore_values(*down,
-                           shared_params(*lease, config_.share_all_weights));
-  });
+                                   fl::kTagModelDown,
+                                   models::serialize_tensors(global_));
+  run.receive_each(all, fl::kTagModelDown,
+                   [&](fl::Client& client, const comm::Bytes& down) {
+                     bootstrap_client(run, client, down);
+                   });
 }
 
 comm::Bytes FedClassAvg::initialize_lazy(fl::FederatedRun& run) {

@@ -7,18 +7,18 @@ namespace fca::fl {
 
 void FedAvg::initialize(FederatedRun& run) {
   global_ = models::snapshot_values(run.client(0).model().parameters());
-  // Initial synchronization: ship the global model to every client.
+  // Initial synchronization: ship the global model to every client. A
+  // client cut off before round 1 keeps its own init weights; it is already
+  // condemned, so every round excludes it.
   const comm::Bytes payload = models::serialize_tensors(global_);
   std::vector<int> all;
   for (int k = 0; k < run.num_clients(); ++k) all.push_back(k);
   run.server_endpoint().bcast_send(FederatedRun::ranks_of(all), kTagModelDown,
                                    payload);
-  run.executor().for_each(all, [&run](int k) {
-    const ClientStore::Lease lease = run.lease_client(k);
-    const comm::Bytes down = run.client_endpoint(k).recv(0, kTagModelDown);
-    models::restore_values(down, lease->model().parameters());
-    lease->reset_optimizer();
-  });
+  run.receive_each(all, kTagModelDown,
+                   [&](Client& client, const comm::Bytes& down) {
+                     bootstrap_client(run, client, down);
+                   });
 }
 
 comm::Bytes FedAvg::initialize_lazy(FederatedRun& run) {

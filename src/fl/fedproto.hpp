@@ -62,16 +62,6 @@ class FedProto : public PipelineStrategy {
   /// FedProto has no init sweep (prototypes grow lazily from round 1), so
   /// lazy mode is the default behavior with an empty bootstrap.
   bool supports_lazy_init() const override { return true; }
-  comm::Bytes initialize_lazy(FederatedRun& run) override {
-    (void)run;
-    return {};
-  }
-  void bootstrap_client(FederatedRun& run, Client& client,
-                        const comm::Bytes& payload) override {
-    (void)run;
-    (void)client;
-    (void)payload;
-  }
   comm::Bytes save_state() const override;
   void load_state(std::span<const std::byte> state) override;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "models/serialize.hpp"
 #include "obs/trace.hpp"
@@ -53,11 +52,9 @@ void KTpFL::initialize(FederatedRun& run) {
   for (int i = 0; i < k; ++i) all.push_back(i);
   run.server_endpoint().bcast_send(FederatedRun::ranks_of(all),
                                    kTagPublicData, payload);
-  for (int i = 0; i < k; ++i) {
-    // Clients keep their own copy; in this single-process simulation the
-    // receive just validates and discards the duplicate payload.
-    (void)run.client_endpoint(i).recv(0, kTagPublicData);
-  }
+  // Clients keep their own copy; in this simulation the receive just
+  // consumes the duplicate payload.
+  run.receive_each(all, kTagPublicData, nullptr);
 }
 
 comm::Bytes KTpFL::initialize_lazy(FederatedRun& run) {
@@ -165,15 +162,10 @@ void KTpFL::reduce(FederatedRun& run,
                                    models::serialize_tensors({target}));
       }
     }
-    run.executor().for_each(survivors, [&](int k) {
-      const ClientStore::Lease lease = run.lease_client(k);
-      Client& c = *lease;
-      const std::optional<comm::Bytes> down_bytes =
-          run.client_endpoint(k).try_recv(0, kTagAuxDown);
-      if (!down_bytes.has_value()) return;
+    run.receive_each(survivors, kTagAuxDown,
+                     [&](Client& c, const comm::Bytes& down_bytes) {
       obs::TraceSpan distill_span("fl", "distill", config_.distill_epochs);
-      const std::vector<Tensor> down =
-          models::deserialize_tensors(*down_bytes);
+      const std::vector<Tensor> down = models::deserialize_tensors(down_bytes);
       FCA_CHECK_MSG(down.size() == 1 && down[0].ndim() == 2 &&
                         down[0].dim(0) == public_data_.size(),
                     "KT-pFL target must hold one [" << public_data_.size()
@@ -203,50 +195,39 @@ void KTpFL::reduce(FederatedRun& run,
   // whose upload or downlink is lost keeps its local model.
   run.executor().for_each(survivors, [&run](int k) {
     const ClientStore::Lease lease = run.lease_client_readonly(k);
-    Client& c = *lease;
     run.client_endpoint(k).send(
-        0, kTagModelUp, models::serialize_values(c.model().parameters()));
+        0, kTagModelUp, models::serialize_values(lease->model().parameters()));
   });
   obs::TraceSpan exch_span("fl", "exchange");
   const FederatedRun::SurvivorGather gw =
-      run.gather_survivors(survivors, kTagModelUp);
+      run.gather_survivors(survivors, kTagModelUp, run.round_deadline());
   exch_span.set_value(static_cast<int64_t>(gw.survivors.size()));
   if (!gw.quorum_met || gw.survivors.empty()) return;
-  std::vector<std::vector<Tensor>> weights;
-  weights.reserve(gw.survivors.size());
-  for (const comm::Bytes& payload : gw.payloads) {
-    weights.push_back(models::deserialize_tensors(payload));
-    FCA_CHECK_MSG(weights.back().size() == weights.front().size(),
-                  "KT-pFL weight uploads differ in tensor count");
+  // Parsed once; every personalized model sums the same views.
+  std::vector<std::vector<models::TensorView>> views;
+  views.reserve(gw.payloads.size());
+  for (const comm::Bytes& p : gw.payloads) {
+    views.push_back(models::view_tensors(p));
   }
+  const std::vector<std::span<const models::TensorView>> ups(views.begin(),
+                                                             views.end());
   const int64_t kk = coef_.dim(0);
-  for (size_t a = 0; a < gw.survivors.size(); ++a) {
-    const int k = gw.survivors[a];
+  std::vector<float> w(gw.survivors.size());
+  std::vector<Tensor> personalized;
+  for (const int k : gw.survivors) {
     double wt = 0.0;
-    for (size_t b = 0; b < gw.survivors.size(); ++b) {
-      wt += coef_[k * kk + gw.survivors[b]];
+    for (const int l : gw.survivors) wt += coef_[k * kk + l];
+    for (size_t b = 0; b < w.size(); ++b) {
+      w[b] = static_cast<float>(coef_[k * kk + gw.survivors[b]] / wt);
     }
-    std::vector<Tensor> personalized;
-    for (const Tensor& t0 : weights.front()) {
-      personalized.emplace_back(t0.shape());
-    }
-    for (size_t b = 0; b < gw.survivors.size(); ++b) {
-      const auto w = static_cast<float>(coef_[k * kk + gw.survivors[b]] / wt);
-      for (size_t i = 0; i < personalized.size(); ++i) {
-        axpy_(personalized[i], w, weights[b][i]);
-      }
-    }
+    models::weighted_sum_into(ups, w, personalized);
     run.server_endpoint().send(k + 1, kTagModelDown,
                                models::serialize_tensors(personalized));
   }
-  run.executor().for_each(gw.survivors, [&run](int k) {
-    const ClientStore::Lease lease = run.lease_client(k);
-    Client& c = *lease;
-    const std::optional<comm::Bytes> down =
-        run.client_endpoint(k).try_recv(0, kTagModelDown);
-    if (!down.has_value()) return;
-    models::restore_values(*down, c.model().parameters());
-  });
+  run.receive_each(gw.survivors, kTagModelDown,
+                   [](Client& c, const comm::Bytes& down) {
+                     models::restore_values(down, c.model().parameters());
+                   });
 }
 
 }  // namespace fca::fl

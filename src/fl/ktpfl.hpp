@@ -54,12 +54,6 @@ class KTpFL : public PipelineStrategy {
   /// does not fit massive populations regardless of paging.
   bool supports_lazy_init() const override { return true; }
   comm::Bytes initialize_lazy(FederatedRun& run) override;
-  void bootstrap_client(FederatedRun& run, Client& client,
-                        const comm::Bytes& payload) override {
-    (void)run;
-    (void)client;
-    (void)payload;
-  }
   /// The knowledge-coefficient matrix; the public dataset is construction
   /// state and is re-supplied on resume, not checkpointed.
   comm::Bytes save_state() const override;

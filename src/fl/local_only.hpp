@@ -18,16 +18,6 @@ class LocalOnly : public PipelineStrategy {
   /// No server state and no init sweep: clients start from their factory
   /// weights, so lazy mode needs no bootstrap at all.
   bool supports_lazy_init() const override { return true; }
-  comm::Bytes initialize_lazy(FederatedRun& run) override {
-    (void)run;
-    return {};
-  }
-  void bootstrap_client(FederatedRun& run, Client& client,
-                        const comm::Bytes& payload) override {
-    (void)run;
-    (void)client;
-    (void)payload;
-  }
 };
 
 }  // namespace fca::fl

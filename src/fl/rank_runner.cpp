@@ -17,7 +17,7 @@ namespace fca::fl {
 namespace {
 
 // Smallest encodings the out-of-band decoders bound their counts by: a
-// gather/collect entry is an i32 rank + a u32-prefixed payload; a trace
+// gather mirror entry is an i32 client + a u32-prefixed payload; a trace
 // event two i32s, two u64s and two u32-prefixed strings.
 constexpr size_t kMinUploadBytes = 2 * sizeof(uint32_t);
 constexpr size_t kMinTraceEventBytes =
@@ -98,6 +98,38 @@ void verify_scoped_handshake(const comm::Handshake& got,
   obs::set_tracing((got.flags & comm::Handshake::kFlagTracing) != 0);
 }
 
+comm::Bytes encode_gather_mirror(const FederatedRun::SurvivorGather& g) {
+  utils::ByteWriter w;
+  w.u32(static_cast<uint32_t>(g.survivors.size()));
+  for (size_t i = 0; i < g.survivors.size(); ++i) {
+    w.i32(g.survivors[i]);
+    w.bytes(g.payloads[i]);
+  }
+  return w.take();
+}
+
+FederatedRun::SurvivorGather decode_gather_mirror(
+    std::span<const std::byte> blob, const std::vector<int>& expected) {
+  FederatedRun::SurvivorGather g;
+  utils::ByteReader r(blob);
+  const uint32_t n = r.count(kMinUploadBytes);
+  g.survivors.reserve(n);
+  g.payloads.reserve(n);
+  size_t next = 0;  // survivors are a subsequence of `expected`, in order
+  for (uint32_t i = 0; i < n; ++i) {
+    const int k = r.i32();
+    while (next < expected.size() && expected[next] != k) ++next;
+    FCA_CHECK_MSG(next < expected.size(), "gather mirror lists client "
+                                              << k << " out of gather order");
+    ++next;
+    g.survivors.push_back(k);
+    const std::span<const std::byte> payload = r.bytes();
+    g.payloads.emplace_back(payload.begin(), payload.end());
+  }
+  r.expect_done();
+  return g;
+}
+
 // -- FederatedRun scoped machinery -------------------------------------------
 
 void FederatedRun::scoped_install_hooks() {
@@ -141,14 +173,7 @@ void FederatedRun::scoped_reconcile(const std::vector<int>& clients,
 }
 
 void FederatedRun::scoped_publish_gather(const SurvivorGather& g) {
-  utils::ByteWriter w;
-  w.u32(static_cast<uint32_t>(g.survivors.size()));
-  for (size_t i = 0; i < g.survivors.size(); ++i) {
-    w.i32(g.survivors[i]);
-    w.bytes(g.payloads[i]);
-  }
-  w.u32(g.quorum_met ? 1u : 0u);
-  const comm::Bytes blob = w.take();
+  const comm::Bytes blob = encode_gather_mirror(g);
   for (int k = 0; k < num_clients(); ++k) {
     if (!network_->peer_alive(k + 1)) continue;
     network_->oob_send(k + 1, kOobGather, blob);
@@ -165,61 +190,7 @@ FederatedRun::SurvivorGather FederatedRun::scoped_consume_gather(
       network_->oob_recv(0, kOobGather, num_clients() + 1);
   FCA_CHECK_MSG(blob.has_value(),
                 "root rank died: no gather mirror on the control channel");
-  SurvivorGather g;
-  utils::ByteReader r(*blob);
-  const uint32_t n = r.count(kMinUploadBytes);
-  g.survivors.reserve(n);
-  g.payloads.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    g.survivors.push_back(r.i32());
-    const std::span<const std::byte> payload = r.bytes();
-    g.payloads.emplace_back(payload.begin(), payload.end());
-  }
-  g.quorum_met = r.u32() != 0;
-  // Replay the root's round-report bookkeeping so SPMD code downstream
-  // (abort branches, metrics hooks) sees the same state everywhere. The
-  // quorum decision itself is the root's — only it saw the real gather.
-  (void)expected;
-  report_.survivors =
-      std::min(report_.survivors, static_cast<int>(g.survivors.size()));
-  if (!g.quorum_met && !report_.aborted) {
-    report_.aborted = true;
-    network_->record_round_faults(0, 0, true);
-  }
-  return g;
-}
-
-void FederatedRun::scoped_publish_collect(const CollectedUploads& c) {
-  utils::ByteWriter w;
-  w.u32(static_cast<uint32_t>(c.contributors.size()));
-  for (size_t i = 0; i < c.contributors.size(); ++i) {
-    w.i32(c.contributors[i]);
-    w.bytes(c.uploads[i]);
-  }
-  const comm::Bytes blob = w.take();
-  for (int k = 0; k < num_clients(); ++k) {
-    if (!network_->peer_alive(k + 1)) continue;
-    network_->oob_send(k + 1, kOobCollect, blob);
-  }
-}
-
-FederatedRun::CollectedUploads FederatedRun::scoped_consume_collect() {
-  // Same patience rationale as scoped_consume_gather.
-  std::optional<comm::Bytes> blob =
-      network_->oob_recv(0, kOobCollect, num_clients() + 1);
-  FCA_CHECK_MSG(blob.has_value(),
-                "root rank died: no collect mirror on the control channel");
-  CollectedUploads c;
-  utils::ByteReader r(*blob);
-  const uint32_t n = r.count(kMinUploadBytes);
-  c.contributors.reserve(n);
-  c.uploads.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    c.contributors.push_back(r.i32());
-    const std::span<const std::byte> upload = r.bytes();
-    c.uploads.emplace_back(upload.begin(), upload.end());
-  }
-  return c;
+  return decode_gather_mirror(*blob, expected);
 }
 
 void FederatedRun::scoped_sync_state() {

@@ -18,9 +18,11 @@
 //     positions' results to the root, which fills every slot — the
 //     reconcile doubles as the per-sweep cross-rank barrier, and is where a
 //     SIGKILLed peer is detected (io-timeout -> condemnation).
-//   * gather/collect mirrors: the root performs the real server-side
-//     receives and broadcasts the outcome (survivors, payloads, quorum) so
-//     SPMD strategy code takes identical branches on all ranks.
+//   * gather mirror: the root performs the real server-side receives of
+//     every gather (the initialization barrier's and each round's) and
+//     broadcasts the outcome (survivors, payloads) so SPMD strategy code,
+//     and the quorum decision each rank derives from it, take identical
+//     branches on all ranks.
 //   * state sync: after initialization and every round each joiner ships
 //     its own client's full serialized state (model + optimizer + RNG) to
 //     the root's mirror store, which evaluation and checkpoints read.
@@ -34,6 +36,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "comm/network.hpp"
 #include "comm/transport/handshake.hpp"
@@ -45,7 +49,6 @@ namespace fca::fl {
 // rejects).
 inline constexpr int kOobMapValue = comm::Network::kOobTagBase + 1;
 inline constexpr int kOobGather = comm::Network::kOobTagBase + 2;
-inline constexpr int kOobCollect = comm::Network::kOobTagBase + 3;
 inline constexpr int kOobState = comm::Network::kOobTagBase + 4;
 inline constexpr int kOobTrace = comm::Network::kOobTagBase + 5;
 
@@ -58,6 +61,15 @@ uint64_t scoped_config_digest(const FLConfig& config, int population);
 /// The handshake a rank derives from its local configuration. The root
 /// publishes it at rendezvous; joiners compare the root's against their own.
 comm::Handshake make_scoped_handshake(const FLConfig& config, int population);
+
+/// The gather mirror's wire form: a u32 count, then per survivor its client
+/// index (i32) and u32-prefixed payload.
+comm::Bytes encode_gather_mirror(const FederatedRun::SurvivorGather& g);
+/// Inverse of encode_gather_mirror for a gather over `expected`; throws
+/// fca::Error unless the survivors are a subsequence of `expected` and the
+/// blob ends where the mirror does. Each rank derives quorum_met itself.
+FederatedRun::SurvivorGather decode_gather_mirror(
+    std::span<const std::byte> blob, const std::vector<int>& expected);
 
 /// Joiner-side check of the root's published context against the locally
 /// derived one. Throws TransportError(kHandshakeRejected) on any mismatch;

@@ -56,14 +56,6 @@ void RoundStrategy::load_state(std::span<const std::byte> state) {
                             << state.size() << " bytes");
 }
 
-comm::Bytes RoundStrategy::initialize_lazy(FederatedRun& run) {
-  (void)run;
-  FCA_CHECK_MSG(false, "strategy " << name()
-                                   << " does not support lazy "
-                                      "initialization (--lazy-init)");
-  return {};
-}
-
 void RoundStrategy::bootstrap_client(FederatedRun& run, Client& client,
                                      const comm::Bytes& payload) {
   (void)run;
@@ -150,10 +142,6 @@ FederatedRun::FederatedRun(std::unique_ptr<ClientStore> store,
         world, config_.cost, config_.faults, std::move(transport));
     scoped_install_hooks();
   }
-  server_ep_ = std::make_unique<comm::Endpoint>(*network_, 0);
-  // Endpoints register lazily (see client_endpoint()); only the slots are
-  // allocated up front.
-  client_eps_.resize(static_cast<size_t>(num_clients()));
 }
 
 std::vector<int> FederatedRun::ranks_of(const std::vector<int>& clients) {
@@ -213,65 +201,52 @@ std::vector<int> FederatedRun::live_clients(int round,
 }
 
 FederatedRun::SurvivorGather FederatedRun::gather_survivors(
-    const std::vector<int>& expected, int tag) {
-  if (scoped() && !is_root()) {
-    // The root performs the real gather; every joiner (strategy code is
-    // SPMD) consumes the mirrored outcome so survivor lists, quorum
-    // decisions and aggregation inputs agree on all ranks.
-    return scoped_consume_gather(expected);
-  }
+    const std::vector<int>& expected, int tag, double deadline_s) {
   SurvivorGather g;
-  g.survivors.reserve(expected.size());
-  g.payloads.reserve(expected.size());
-  // Fault-tolerant receives are used whenever a round can actually lose a
-  // client: an injected FaultPlan, a transport that can fail for real
-  // (remote peers, chaos injection), or a peer already condemned
-  // (Network::gather). The uploads land in the run's receive buffers.
-  std::vector<std::optional<comm::Bytes>> got = network_->gather(
-      0, ranks_of(expected), tag, round_deadline(), recv_buffers_);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (got[i].has_value()) {
-      g.survivors.push_back(expected[i]);
-      g.payloads.push_back(std::move(*got[i]));
+  if (scoped() && !is_root()) {
+    // The root performs the real receives; every joiner (strategy code is
+    // SPMD) consumes the mirrored outcome.
+    g = scoped_consume_gather(expected);
+  } else {
+    g.survivors.reserve(expected.size());
+    g.payloads.reserve(expected.size());
+    // Network::gather tolerates a loss whenever one can actually happen: an
+    // injected FaultPlan, a transport that can fail for real (remote peers,
+    // chaos injection), or a peer already condemned. The uploads land in
+    // the run's receive buffers.
+    std::vector<std::optional<comm::Bytes>> got = network_->gather(
+        0, ranks_of(expected), tag, deadline_s, recv_buffers_);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      if (got[i].has_value()) {
+        g.survivors.push_back(expected[i]);
+        g.payloads.push_back(std::move(*got[i]));
+      }
+    }
+    if (scoped()) scoped_publish_gather(g);
+  }
+  // The round report, from the survivor list every rank now holds. A
+  // fault-free round can never abort: the effective quorum is capped at the
+  // sampled cohort size, which SPMD sampling makes equal on all ranks.
+  if (report_.selected > 0) {
+    report_.survivors =
+        std::min(report_.survivors, static_cast<int>(g.survivors.size()));
+    const int need = std::min(config_.quorum, report_.selected);
+    g.quorum_met = static_cast<int>(g.survivors.size()) >= need;
+    if (!g.quorum_met && !report_.aborted) {
+      report_.aborted = true;
+      network_->record_round_faults(0, 0, true);
     }
   }
-  report_.survivors =
-      std::min(report_.survivors, static_cast<int>(g.survivors.size()));
-  // A fault-free round can never abort: the effective quorum is capped at
-  // the sampled cohort size (report_.selected, set by execute(); strategies
-  // driven outside execute() fall back to the expected set's size).
-  const int cohort =
-      report_.selected > 0 ? report_.selected : static_cast<int>(expected.size());
-  const int need = std::min(config_.quorum, cohort);
-  g.quorum_met = static_cast<int>(g.survivors.size()) >= need;
-  if (!g.quorum_met && !report_.aborted) {
-    report_.aborted = true;
-    network_->record_round_faults(0, 0, true);
-  }
-  if (scoped()) scoped_publish_gather(g);
   return g;
 }
 
-FederatedRun::CollectedUploads FederatedRun::collect_uploads(
-    const std::vector<int>& clients, int tag) {
-  CollectedUploads c;
-  if (scoped() && !is_root()) {
-    return scoped_consume_collect();
-  }
-  c.contributors.reserve(clients.size());
-  c.uploads.reserve(clients.size());
-  // Endpoint::try_recv per client: strict on a reliable fabric, a reported
-  // loss otherwise.
-  std::vector<std::optional<comm::Bytes>> got = network_->gather(
-      0, ranks_of(clients), tag, std::numeric_limits<double>::infinity());
-  for (size_t i = 0; i < clients.size(); ++i) {
-    if (got[i].has_value()) {
-      c.contributors.push_back(clients[i]);
-      c.uploads.push_back(std::move(*got[i]));
-    }
-  }
-  if (scoped()) scoped_publish_collect(c);
-  return c;
+void FederatedRun::receive_each(
+    const std::vector<int>& clients, int tag,
+    const std::function<void(Client&, const comm::Bytes&)>& apply) {
+  executor_.for_each(clients, [&](int k) {
+    const std::optional<comm::Bytes> got = client_endpoint(k).try_recv(0, tag);
+    if (got.has_value() && apply) apply(*lease_client(k), *got);
+  });
 }
 
 float FederatedRun::mean_finite(const std::vector<double>& values,
@@ -304,7 +279,7 @@ float FederatedRun::run_pipeline(PipelineStrategy& strategy, int round,
     }
     obs::TraceSpan bcast_span("fl", "broadcast",
                               static_cast<int64_t>(live.size()));
-    server_ep_->bcast_send(ranks_of(live), kTagModelDown, payload);
+    server_endpoint().bcast_send(ranks_of(live), kTagModelDown, payload);
   }
 
   // One executor body per live client (fl/executor.hpp): each touches only
@@ -314,7 +289,7 @@ float FederatedRun::run_pipeline(PipelineStrategy& strategy, int round,
   const int tag = strategy.upload_tag();
   const std::vector<double> losses = executor_.map(live, [&](int k) {
     const ClientStore::Lease lease = lease_client(k);
-    comm::Endpoint& ep = client_endpoint(k);
+    comm::Endpoint ep = client_endpoint(k);
     std::optional<comm::Bytes> down;
     if (has_downlink) {
       down = ep.try_recv(0, kTagModelDown, borrow_down_buffer());
@@ -333,7 +308,7 @@ float FederatedRun::run_pipeline(PipelineStrategy& strategy, int round,
   // the strategy's state carries over unchanged.
   if (tag != kTagNone) {
     obs::TraceSpan agg_span("fl", "aggregate");
-    SurvivorGather g = gather_survivors(live, tag);
+    SurvivorGather g = gather_survivors(live, tag, round_deadline());
     agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
     if (g.quorum_met && !g.survivors.empty()) strategy.reduce(*this, g);
     // The uploads' buffers serve the next round's gather.
@@ -429,6 +404,9 @@ RunResult FederatedRun::execute(RoundStrategy& strategy, RoundHook* hook,
     // total exactly. (Init traffic stays excluded from round_bytes — those
     // watermarks are taken after.)
     real_faults_before = network_->fault_stats().real_peer_faults;
+    // No round is open: the initialization barrier's gathers keep no round
+    // report and apply no quorum.
+    report_ = RoundReport{};
     if (config_.lazy_init) {
       // Lazy initialization: no all-population sweep. The strategy derives
       // its server state from read-only touches and the store applies the

@@ -27,6 +27,7 @@
 #include "fl/executor.hpp"
 #include "fl/metrics.hpp"
 #include "fl/sampling.hpp"
+#include "utils/error.hpp"
 #include "utils/threadpool.hpp"
 
 namespace fca::fl {
@@ -116,9 +117,13 @@ class RoundStrategy {
   /// must leave each client bit-identical to the eager sweep. The driver
   /// calls initialize_lazy() before round 1; it may read clients through
   /// FederatedRun::client_readonly() (touches stay clean) and returns the
-  /// payload the store passes back to every bootstrap_client() call.
+  /// payload the store passes back to every bootstrap_client() call. The
+  /// defaults fit a strategy with no init sweep: no state, empty payload.
   virtual bool supports_lazy_init() const { return false; }
-  virtual comm::Bytes initialize_lazy(FederatedRun& run);
+  virtual comm::Bytes initialize_lazy(FederatedRun& run) {
+    (void)run;
+    return {};
+  }
   /// Applied to one freshly-factory-built client on the lane that
   /// materializes it, with the ClientStore's lock released — so it runs
   /// concurrently with other clients' bootstraps (and factory builds, page
@@ -239,18 +244,11 @@ class FederatedRun {
   const RoundExecutor& executor() const { return executor_; }
 
   comm::Network& network() { return *network_; }
-  comm::Endpoint& server_endpoint() { return *server_ep_; }
-  /// Client k's fabric endpoint, registered lazily on first use so a 100k
-  /// population does not pay 100k Endpoint constructions up front. Distinct
-  /// k's occupy distinct pre-sized slots and concurrent executor bodies
-  /// each own their k exclusively, so no locking is needed.
-  comm::Endpoint& client_endpoint(int k) {
-    std::unique_ptr<comm::Endpoint>& slot =
-        client_eps_.at(static_cast<size_t>(k));
-    if (slot == nullptr) {
-      slot = std::make_unique<comm::Endpoint>(*network_, k + 1);
-    }
-    return *slot;
+  comm::Endpoint server_endpoint() { return {*network_, 0}; }
+  /// Client k's fabric endpoint (rank k + 1).
+  comm::Endpoint client_endpoint(int k) {
+    FCA_CHECK_MSG(k >= 0, "client " << k << " has no endpoint");
+    return {*network_, k + 1};
   }
   /// Fabric ranks of a client list (client k lives on rank k + 1).
   static std::vector<int> ranks_of(const std::vector<int>& clients);
@@ -290,12 +288,25 @@ class FederatedRun {
   /// crashed client neither receives nor trains.
   std::vector<int> live_clients(int round, const std::vector<int>& selected);
 
-  /// Server-side fault-tolerant gather over `expected` clients on `tag`.
-  /// Strict (throwing) on a reliable fabric; under an active fault plan a
-  /// client whose upload was lost or missed the round deadline is silently
-  /// excluded from the survivor set. Updates the round report (survivor
-  /// count = min across a round's gathers; quorum aborts counted once).
-  SurvivorGather gather_survivors(const std::vector<int>& expected, int tag);
+  /// The server's one receive from the clients: `expected`'s uploads on
+  /// `tag`, with deadline_s = round_deadline() in a round and +infinity at
+  /// the initialization barrier. Strict on a reliable fabric; on a lossy one
+  /// a lost or late upload drops out of the survivor set. A scoped root
+  /// mirrors the outcome to the joiners, which consume it instead. Inside a
+  /// round every rank then updates the round report from the survivors
+  /// (count = min across the round's gathers; quorum aborts counted once).
+  SurvivorGather gather_survivors(const std::vector<int>& expected, int tag,
+                                  double deadline_s);
+
+  /// The client half of a server -> clients exchange outside the round
+  /// pipeline (initialization syncs, KT-pFL's phase 4). On the executor,
+  /// each client try_recv's `tag` from the server; if the bytes arrived,
+  /// `apply` gets them and the client under a dirty lease. A client whose
+  /// message was lost keeps its state. A null `apply` only consumes the
+  /// bytes and touches no client. Emits no trace span.
+  void receive_each(
+      const std::vector<int>& clients, int tag,
+      const std::function<void(Client&, const comm::Bytes&)>& apply);
 
   /// Mean over finite entries of per-client losses, additionally divided by
   /// `scale` (the local-epoch count); NaN entries mark clients whose
@@ -304,7 +315,7 @@ class FederatedRun {
   /// finite. Returns 0 when nothing is finite.
   static float mean_finite(const std::vector<double>& values, int scale = 1);
 
-  /// The round deadline gather_survivors enforces on a lossy fabric.
+  /// The deadline a round's gather_survivors enforces on a lossy fabric.
   double round_deadline() const { return config_.faults.round_deadline_s; }
 
   // -- the round pipeline (DESIGN.md §15) ------------------------------------
@@ -344,33 +355,17 @@ class FederatedRun {
     return !scoped() || self_rank() == k + 1;
   }
 
-  /// Init-time fault-tolerant collect over `clients` on `tag` (the
-  /// initialization barrier's server half). All-local / root: one
-  /// Network::gather with Endpoint::try_recv's semantics — strict on a
-  /// reliable fabric (a lost upload is a protocol bug), a lost upload just
-  /// drops out of `contributors` otherwise. Scoped: the root additionally
-  /// mirrors the outcome to every live joiner over the control plane, and
-  /// joiners consume the mirror instead of receiving — so every rank
-  /// derives the identical contributor set and aggregate.
-  struct CollectedUploads {
-    std::vector<int> contributors;
-    std::vector<comm::Bytes> uploads;
-  };
-  CollectedUploads collect_uploads(const std::vector<int>& clients, int tag);
-
   // -- round-report accessors (valid once a round has started) ---------------
   /// Sampled cohort size of the round in flight (or just completed).
   int last_selected() const { return report_.selected; }
   /// Minimum surviving set across the round's gathers.
   int last_survivors() const { return report_.survivors; }
-  /// True when this round recorded a below-quorum abort.
-  bool last_round_aborted() const { return report_.aborted; }
 
  private:
   /// Per-round fault consequences, reset at each round start by execute()
   /// and filled in by live_clients()/gather_survivors().
   struct RoundReport {
-    int selected = 0;    // sampled cohort size
+    int selected = 0;    // sampled cohort size; 0 outside a round
     int survivors = 0;   // min surviving set across the round's gathers
     bool aborted = false;  // quorum abort already recorded this round
   };
@@ -385,12 +380,8 @@ class FederatedRun {
                         std::vector<double>& results);
   /// Root half of a scoped gather: mirror the outcome to every live joiner.
   void scoped_publish_gather(const SurvivorGather& g);
-  /// Joiner half: consume the root's mirror (fatal when the root is gone)
-  /// and replay the round-report bookkeeping.
+  /// Joiner half: consume the root's mirror (fatal when the root is gone).
   SurvivorGather scoped_consume_gather(const std::vector<int>& expected);
-  /// Same mirror pair for the initialization collect.
-  void scoped_publish_collect(const CollectedUploads& c);
-  CollectedUploads scoped_consume_collect();
   /// Ships every joiner-owned client's serialized state to the root (which
   /// restores it into its mirror store) — after initialize() and after
   /// every round, so root-side eval and checkpoints see oracle state.
@@ -408,8 +399,6 @@ class FederatedRun {
   std::unique_ptr<ThreadPool> lane_pool_;
   RoundExecutor executor_;
   std::unique_ptr<comm::Network> network_;
-  std::unique_ptr<comm::Endpoint> server_ep_;
-  std::vector<std::unique_ptr<comm::Endpoint>> client_eps_;
   /// Storage for the survivor gather's payloads, kept across rounds:
   /// run_pipeline hands the reduced uploads back here, and the next gather
   /// lends them to Network::gather, whose shm drains write into their

@@ -401,6 +401,89 @@ TEST(FailureInjection, EveryStrategySurvivesLossyFabric) {
   }
 }
 
+/// The tiny experiment with the link to fabric rank 2 (client 1) killed at
+/// its first byte, before round 1: during the initialization sync.
+core::ExperimentConfig link_lost_at_init_config(core::ModelScheme models) {
+  core::ExperimentConfig cfg = tiny_experiment_config();
+  cfg.models = models;
+  cfg.transport.chaos.kill_peer = 2;
+  cfg.transport.chaos.kill_from_round = 0;
+  cfg.transport.chaos.kill_after_bytes = 0;
+  return cfg;
+}
+
+TEST(FailureInjection, LinkLostBeforeRoundOneDegradesEveryInitSync) {
+  // Every strategy's initialization sync must degrade around a peer lost
+  // before round 1 (DESIGN.md §12): one real fault, charged to round 1's
+  // row, and the server never condemned.
+  struct Case {
+    const char* name;
+    core::ModelScheme models;
+  };
+  const Case cases[] = {
+      {"fedavg", core::ModelScheme::kHomogeneousResNet},
+      {"ktpfl", core::ModelScheme::kHeterogeneous},
+      {"fedclassavg", core::ModelScheme::kHeterogeneous},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::Experiment exp(link_lost_at_init_config(c.models));
+    std::unique_ptr<fl::RoundStrategy> strat;
+    if (std::string(c.name) == "fedavg") {
+      strat = std::make_unique<fl::FedAvg>();
+    } else if (std::string(c.name) == "ktpfl") {
+      strat = std::make_unique<fl::KTpFL>(exp.public_data(),
+                                          fl::KTpFLConfig{});
+    } else {
+      strat = std::make_unique<core::FedClassAvg>(exp.fedclassavg_config());
+    }
+    try {
+      const core::CompletedRun done = exp.execute(*strat);
+      EXPECT_EQ(done.result.total_faults.real_peer_faults, 1u);
+      EXPECT_TRUE(done.run->network().peer_alive(0))
+          << "the server was condemned";
+      EXPECT_FALSE(done.run->network().peer_alive(2));
+      ASSERT_FALSE(done.result.curve.empty());
+      EXPECT_EQ(done.result.curve[0].real_fault_events, 1u);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "run failed: " << e.what();
+    }
+  }
+}
+
+TEST(FailureInjection, InitBarrierAveragesTheClientsThatReported) {
+  // Client 1's init upload dies with its link, so C^1 is the eq. 1 average
+  // over clients {0, 2, 3}, renormalized over them; client 1 keeps its own
+  // initial classifier.
+  core::Experiment exp(
+      link_lost_at_init_config(core::ModelScheme::kHeterogeneous));
+  auto run = test::resident_run(exp);
+  core::FedClassAvg strat(exp.fedclassavg_config());
+  strat.initialize(*run);
+  const std::vector<int> reporters = {0, 2, 3};
+  std::vector<comm::Bytes> uploads;
+  for (int k : reporters) {
+    uploads.push_back(models::serialize_values(
+        exp.build_client(k)->model().classifier_parameters()));
+  }
+  std::vector<Tensor> want;
+  run->average_into(want, reporters, uploads);
+  const std::vector<Tensor> got = strat.global_classifier();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t t = 0; t < got.size(); ++t) {
+    EXPECT_TRUE(allclose(got[t], want[t], 0.0f, 0.0f)) << "tensor " << t;
+  }
+  for (int k : reporters) {
+    EXPECT_TRUE(allclose(run->client(k).model().classifier().weight().value,
+                         want[0], 0.0f, 0.0f))
+        << "client " << k << " did not receive C^1";
+  }
+  EXPECT_TRUE(allclose(
+      run->client(1).model().classifier().weight().value,
+      exp.build_client(1)->model().classifier().weight().value, 0.0f, 0.0f))
+      << "the cut-off client changed";
+}
+
 TEST(FailureInjection, InvalidFaultConfigRejectedAtExperimentStart) {
   core::ExperimentConfig cfg = tiny_experiment_config();
   cfg.faults.drop_rate = 2.0;

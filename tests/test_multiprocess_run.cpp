@@ -229,6 +229,9 @@ int rank_child_main() {
     }
     const std::string timeout = env_str("FCA_MP_IO_TIMEOUT");
     if (!timeout.empty()) config.transport.io_timeout_s = std::stod(timeout);
+    const std::string drop_rate = env_str("FCA_MP_DROP_RATE");
+    if (!drop_rate.empty()) config.faults.drop_rate = std::stod(drop_rate);
+    config.quorum = env_int("FCA_MP_QUORUM", config.quorum);
 
     const int kill_rank = env_int("FCA_MP_KILL_RANK", -1);
     const int kill_round =
@@ -330,6 +333,8 @@ struct WorldOpts {
   std::string curve_out;
   std::string trace_out;
   double io_timeout_s = 0.0;  // 0 = backend default
+  double drop_rate = 0.0;     // fault-plan message drop rate
+  int quorum = 1;
 };
 
 /// Launches clients+1 rank processes, waits for all of them, and asserts
@@ -377,6 +382,10 @@ void run_world(const WorldOpts& o) {
     if (o.io_timeout_s > 0.0) {
       env.push_back("FCA_MP_IO_TIMEOUT=" + std::to_string(o.io_timeout_s));
     }
+    if (o.drop_rate > 0.0) {
+      env.push_back("FCA_MP_DROP_RATE=" + std::to_string(o.drop_rate));
+    }
+    env.push_back("FCA_MP_QUORUM=" + std::to_string(o.quorum));
     pids.push_back(spawn_rank(env));
     // Head start for the root's listener / shm region; joiners also retry.
     if (r == 0) usleep(50 * 1000);
@@ -574,6 +583,48 @@ void expect_sigkill_matches_chaos_oracle(const std::string& transport) {
   ASSERT_FALSE(oracle.result.curve.empty());
   EXPECT_GE(oracle.result.total_faults.real_peer_faults, 1u);
   cleanup_dir(dir);
+}
+
+void expect_quorum_aborts_match_oracle(const std::string& algo,
+                                       const std::string& transport) {
+  SCOPED_TRACE("quorum aborts of " + algo + " over " + transport);
+  const std::string dir = fresh_dir("fca_mp_quorum_" + algo + "_" + transport);
+  WorldOpts o;
+  o.algo = algo;
+  o.transport = transport;
+  o.rounds = 3;
+  o.drop_rate = 0.3;
+  o.quorum = o.clients;  // any lost upload aborts the round
+  o.curve_out = dir + "/curve_mp.csv";
+  run_world(o);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Every joiner decides each quorum itself, from the mirrored survivors:
+  // the root's curve must still be the oracle's, aborted rounds included.
+  // (KT-pFL's reduce runs client sweeps, so a joiner that decided
+  // otherwise than the root would fall out of step with it.)
+  core::ExperimentConfig cfg = mp_config(o.algo, o.clients, o.rounds);
+  cfg.faults.drop_rate = o.drop_rate;
+  cfg.quorum = o.quorum;
+  const RunOutput oracle = run_once(cfg, o.algo, -1, "");
+  const std::string oracle_csv = dir + "/curve_oracle.csv";
+  write_curve_csv(oracle_csv, oracle.result);
+
+  const std::string got = read_file(o.curve_out);
+  ASSERT_FALSE(got.empty()) << "root rank wrote no curve";
+  EXPECT_EQ(got, read_file(oracle_csv));
+  // The oracle must have aborted a round, or the comparison proves nothing.
+  EXPECT_GE(oracle.result.total_faults.aborted_rounds, 1u);
+  cleanup_dir(dir);
+}
+
+TEST(MultiProcessRun, QuorumAbortsMatchInprocOracleOverShmAndTcp) {
+  for (const char* algo : {"fedclassavg", "ktpfl"}) {
+    for (const char* transport : {"shm", "tcp"}) {
+      expect_quorum_aborts_match_oracle(algo, transport);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(MultiProcessRun, SigkilledJoinerMatchesChaosOracleOverShm) {

@@ -2,13 +2,14 @@
 // process: the model payload decoders (restore_values, view_tensors /
 // deserialize_tensors, deserialize_state), the client-state encoding, the
 // checkpoint container (SectionReader, CheckpointManager::resume) and the
-// client store's page files, the rendezvous Handshake and the fault
-// config/stats blobs. Seeds are bytes the code itself writes; each mutant
-// (bit flips, truncation, length inflation, trailing bytes, splices, swapped
-// shapes) must either parse or throw the decoder's typed error, and the
-// decoder may allocate only O(input) on the way. restore_values is held to
-// more: a mutant restores exactly what deserialize_tensors would have
-// parsed, or throws with every parameter untouched.
+// client store's page files, the rendezvous Handshake, the fault
+// config/stats blobs and the scoped gather mirror. Seeds are bytes the code
+// itself writes; each mutant (bit flips, truncation, length inflation,
+// trailing bytes, splices, swapped shapes) must either parse or throw the
+// decoder's typed error, and the decoder may allocate only O(input) on the
+// way. restore_values is held to more: a mutant restores exactly what
+// deserialize_tensors would have parsed, or throws with every parameter
+// untouched.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include "fl/client_state.hpp"
 #include "fl/client_store.hpp"
 #include "fl/fedavg.hpp"
+#include "fl/rank_runner.hpp"
 #include "fl_fixtures.hpp"
 #include "models/serialize.hpp"
 #include "utils/crc32.hpp"
@@ -152,6 +154,21 @@ void add_word_fields(Layout& l, size_t base, size_t end) {
 Layout word_layout(const comm::Bytes& b) {
   Layout l;
   add_word_fields(l, 0, b.size());
+  return l;
+}
+
+/// encode_gather_mirror's fields: the count, then each survivor's client
+/// index and payload length.
+Layout gather_mirror_layout(const comm::Bytes& b) {
+  Layout l;
+  l.fields.push_back({0, 4});
+  size_t at = 4;
+  for (uint32_t i = load<uint32_t>(b, 0); i > 0; --i) {
+    l.fields.push_back({at, 4});
+    l.fields.push_back({at + 4, 4});
+    at += 8 + load<uint32_t>(b, at + 4);
+  }
+  EXPECT_EQ(at, b.size());
   return l;
 }
 
@@ -676,6 +693,33 @@ TEST_F(DecoderFuzz, ControlBlobs) {
         .iterations = 300,
         .decode = [](const comm::Bytes& b) {
           (void)comm::parse_fault_stats(b);
+        }});
+}
+
+TEST_F(DecoderFuzz, GatherMirror) {
+  // What the root of a scoped world publishes after a gather over clients
+  // 0..3 in which client 1's upload was lost.
+  fl::FederatedRun::SurvivorGather g;
+  g.survivors = {0, 2, 3};
+  for (int k : g.survivors) {
+    g.payloads.push_back(serialize_values(
+        run_->client(k).model().classifier_parameters()));
+  }
+  const std::vector<int> expected = {0, 1, 2, 3};
+  const comm::Bytes mirror = fl::encode_gather_mirror(g);
+  const fl::FederatedRun::SurvivorGather back =
+      fl::decode_gather_mirror(mirror, expected);
+  EXPECT_EQ(back.survivors, g.survivors);
+  EXPECT_EQ(back.payloads, g.payloads);
+  // Survivors out of the gather's order, or outside it, are rejected.
+  EXPECT_THROW(fl::decode_gather_mirror(mirror, {3, 2, 0}), Error);
+  EXPECT_THROW(fl::decode_gather_mirror(mirror, {0, 2}), Error);
+  fuzz({.name = "decode_gather_mirror",
+        .seed = mirror,
+        .layout = gather_mirror_layout(mirror),
+        .iterations = 300,
+        .decode = [&expected](const comm::Bytes& b) {
+          (void)fl::decode_gather_mirror(b, expected);
         }});
 }
 
