@@ -10,9 +10,10 @@
 //
 // Scenarios (FedAvg on homogeneous MiniResNet, 3 rounds, 16 selected
 // clients per round, 16-client eval cohort):
-//   1k  all-resident eager  — the historical O(population) baseline, and
-//                             the reference curve for the byte-identity
-//                             check below
+//   1k  resident eager      — an unbudgeted store: eager init builds all
+//                             1,000 clients and each stays in memory. The
+//                             O(population) baseline, and the reference
+//                             curve for the byte-identity check below
 //   1k  paged lazy          — 24-client residency budget; its curve CSV
 //                             must match the baseline byte for byte
 //   10k paged lazy          — same budget
@@ -232,13 +233,13 @@ int main(int argc, char** argv) {
   }
 
   // Acceptance check: the paged 1k curve is byte-identical to the
-  // all-resident 1k reference.
+  // unbudgeted 1k reference.
   const std::string reference = read_file(results[0].curve_path);
   const std::string paged_1k = read_file(results[1].curve_path);
   const bool curve_match = !reference.empty() && reference == paged_1k;
   if (!curve_match) {
     std::fprintf(stderr,
-                 "FAIL: paged 1k curve CSV differs from the all-resident "
+                 "FAIL: paged 1k curve CSV differs from the unbudgeted "
                  "reference\n");
   }
 

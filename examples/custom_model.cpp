@@ -62,14 +62,14 @@ int main() {
   core::Experiment experiment(config);
 
   // Build clients by hand: even ids get the custom MLP extractor, odd ids
-  // the stock MiniResNet from the factory.
+  // the experiment's stock backbone (Experiment::build_model). The store
+  // calls this factory at each client's first use, so it must be pure in
+  // the id: every stream it draws from is forked by k.
   const Rng root(config.seed);
   fl::ClientConfig client_config;
   client_config.batch_size = config.batch_size;
   client_config.lr = config.lr;
-
-  std::vector<fl::ClientPtr> clients;
-  for (int k = 0; k < config.num_clients; ++k) {
+  const auto build_client = [&](int k) -> fl::ClientPtr {
     Rng init = root.fork("custom-init/" + std::to_string(k));
     std::unique_ptr<models::SplitModel> model;
     if (k % 2 == 0) {
@@ -83,17 +83,24 @@ int main() {
     } else {
       model = experiment.build_model(k);
     }
-    clients.push_back(std::make_unique<fl::Client>(
+    return std::make_unique<fl::Client>(
         k, std::move(model),
         experiment.train_data().subset(
             experiment.partition().client_indices[static_cast<size_t>(k)]),
         experiment.test_data().subset(
             experiment.test_split()[static_cast<size_t>(k)]),
-        client_config, root.fork("custom-rng/" + std::to_string(k))));
+        client_config, root.fork("custom-rng/" + std::to_string(k)));
+  };
+  std::vector<int64_t> train_sizes;
+  for (const std::vector<int>& shard : experiment.partition().client_indices) {
+    train_sizes.push_back(static_cast<int64_t>(shard.size()));
   }
 
-  fl::FederatedRun run(std::make_unique<fl::ClientStore>(std::move(clients)),
-                       experiment.fl_config());
+  fl::FederatedRun run(
+      std::make_unique<fl::ClientStore>(config.num_clients, build_client,
+                                        std::move(train_sizes),
+                                        fl::ClientStoreOptions{}),
+      experiment.fl_config());
   core::FedClassAvg strategy(experiment.fedclassavg_config());
   const fl::RunResult result = run.execute(strategy);
 

@@ -173,10 +173,9 @@ void CheckpointManager::save(fl::FederatedRun& run,
   meta.u64(cursor.real_fault_marker);
   w.add("meta", meta.take());
   w.add("strategy", strategy.save_state());
-  // Dirty clients only (every client on a resident store): serialized_state
-  // lifts paged-out clients straight from their page files without
-  // materializing them, so a checkpoint's cost is O(dirty state), not
-  // O(population).
+  // Dirty clients only: serialized_state lifts paged-out clients straight
+  // from their page files without materializing them, so a checkpoint's
+  // cost is O(dirty state), not O(population).
   const std::vector<int> recorded = run.store().checkpoint_clients();
   w.add("clients", encode_client_index(recorded));
   for (int k : recorded) {
@@ -276,23 +275,14 @@ fl::ResumeState CheckpointManager::resume(fl::FederatedRun& run,
       fl::ClientStore& store = run.store();
       const std::vector<int> recorded =
           decode_client_index(reader.section("clients"));
-      FCA_CHECK_MSG(
-          store.rederivable() ||
-              static_cast<int>(recorded.size()) == run.num_clients(),
-          "checkpoint records " << recorded.size() << " of "
-              << run.num_clients() << " clients; the rest were clean and "
-              << "re-derivable, which an all-resident store cannot do");
       // Roll the store back to factory state, re-arm the lazy-init
       // bootstrap (clean clients must re-derive exactly as in the original
-      // run), then overlay the recorded clients. On a resident store
-      // reset() is a no-op and every client is overwritten in place.
+      // run), then overlay the recorded clients.
       store.reset();
       if (reader.has("bootstrap")) {
         const std::span<const std::byte> boot = reader.section("bootstrap");
-        if (store.rederivable()) {
-          store.arm_bootstrap(&run, &strategy,
-                              comm::Bytes(boot.begin(), boot.end()));
-        }
+        store.arm_bootstrap(&run, &strategy,
+                            comm::Bytes(boot.begin(), boot.end()));
       } else if (run.config().lazy_init) {
         FCA_CHECK_MSG(false,
                       "resuming a lazy-init run, but " << path

@@ -19,7 +19,7 @@ namespace {
 
 /// FCA_MAX_RESIDENT_CLIENTS as a plain non-negative decimal int: a sign,
 /// whitespace, trailing bytes or an overflow is an EnvError, never a silent
-/// fallback to all-resident.
+/// fallback to an unbudgeted store.
 int parse_resident_budget(const char* value) {
   const char* end = value + std::strlen(value);
   int budget = 0;
@@ -144,12 +144,6 @@ std::unique_ptr<fl::ClientStore> Experiment::build_store() const {
   int budget = config_.max_resident_clients;
   if (const char* env = std::getenv("FCA_MAX_RESIDENT_CLIENTS")) {
     if (*env != '\0') budget = parse_resident_budget(env);
-  }
-  if (budget <= 0 && !config_.lazy_init) {
-    // Historical behavior: the whole population resident for the run.
-    auto store = std::make_unique<fl::ClientStore>(build_clients());
-    store->set_costs(client_costs());
-    return store;
   }
   std::vector<int64_t> sizes;
   sizes.reserve(static_cast<size_t>(config_.num_clients));

@@ -68,17 +68,16 @@ struct ExperimentConfig {
   /// inproc (default), shm or tcp; overridable via FCA_TRANSPORT.
   comm::TransportOptions transport;
   /// O(active-cohort) memory: cap on simultaneously resident clients
-  /// (--max-resident-clients). 0 keeps the historical all-resident
-  /// behavior; > 0 backs the run with a paging ClientStore whose idle
-  /// clients live on disk. Must be at least client parallelism + 1.
+  /// (--max-resident-clients). 0 keeps every client in memory once built;
+  /// > 0 pages idle clients to disk. Must be at least client
+  /// parallelism + 1.
   /// FCA_MAX_RESIDENT_CLIENTS (a plain non-negative decimal; anything else
   /// throws EnvError) overrides at store construction.
   int max_resident_clients = 0;
   /// Directory for client page files; empty picks a fresh directory under
   /// the system temp dir (cleaned up with the store).
   std::string page_dir;
-  /// Skip the all-population init sweep (FLConfig::lazy_init); requires a
-  /// factory-backed store, which build_store() then always constructs.
+  /// Skip the all-population init sweep (FLConfig::lazy_init).
   bool lazy_init = false;
   /// Evaluate only clients [0, eval_clients) per eval round; 0 = all
   /// (FLConfig::eval_clients).
@@ -141,12 +140,12 @@ class Experiment {
   /// the store drop clean clients instead of paging them.
   fl::ClientPtr build_client(int client_id) const;
 
-  /// The client store execute()/resume() drive: an all-resident vector
-  /// store when max_resident_clients <= 0 and lazy_init is off (historical
-  /// behavior), otherwise a factory store (paged when the budget, possibly
-  /// overridden by FCA_MAX_RESIDENT_CLIENTS, is positive). The factory
-  /// captures `this`, so the Experiment must outlive the returned store and
-  /// any run built on it.
+  /// The client store execute()/resume() drive: a store over build_client,
+  /// paged when the budget (max_resident_clients, possibly overridden by
+  /// FCA_MAX_RESIDENT_CLIENTS) is positive and unbudgeted otherwise, so
+  /// every client built stays in memory. The factory captures `this`, so
+  /// the Experiment must outlive the returned store and any run built on
+  /// it.
   std::unique_ptr<fl::ClientStore> build_store() const;
 
   /// Builds one client's model (exposed for analysis tooling).

@@ -38,20 +38,6 @@ void ClientStore::Lease::release() {
   }
 }
 
-ClientStore::ClientStore(std::vector<ClientPtr> clients)
-    : population_(static_cast<int>(clients.size())),
-      resident_all_(std::move(clients)) {
-  FCA_CHECK_MSG(population_ > 0, "client store needs at least one client");
-  for (int k = 0; k < population_; ++k) {
-    FCA_CHECK_MSG(resident_all_[static_cast<size_t>(k)] != nullptr,
-                  "client " << k << " is null");
-  }
-  // No factory: nothing is re-derivable, so every client counts as dirty
-  // and permanently resident.
-  dirty_.assign(static_cast<size_t>(population_), 1);
-  stats_.peak_resident = population_;
-}
-
 ClientStore::ClientStore(int population, ClientFactory factory,
                          std::vector<int64_t> train_sizes,
                          ClientStoreOptions options)
@@ -60,7 +46,7 @@ ClientStore::ClientStore(int population, ClientFactory factory,
       train_sizes_(std::move(train_sizes)),
       options_(std::move(options)) {
   FCA_CHECK_MSG(population_ > 0, "client store needs at least one client");
-  FCA_CHECK_MSG(factory_ != nullptr, "lazy client store needs a factory");
+  FCA_CHECK_MSG(factory_ != nullptr, "client store needs a factory");
   FCA_CHECK_MSG(
       train_sizes_.size() == static_cast<size_t>(population_),
       "train_sizes has " << train_sizes_.size() << " entries for "
@@ -85,7 +71,7 @@ ClientStore::ClientStore(int population, ClientFactory factory,
 ClientStore::~ClientStore() {
   std::error_code ec;
   for (int k = 0; k < population_; ++k) {
-    if (!page_valid_.empty() && page_valid_[static_cast<size_t>(k)] != 0) {
+    if (page_valid_[static_cast<size_t>(k)] != 0) {
       std::filesystem::remove(page_path(k), ec);
     }
   }
@@ -98,9 +84,6 @@ void ClientStore::check_id(int k) const {
 
 int64_t ClientStore::train_size(int k) const {
   check_id(k);
-  if (factory_ == nullptr) {
-    return resident_all_[static_cast<size_t>(k)]->train_size();
-  }
   return train_sizes_[static_cast<size_t>(k)];
 }
 
@@ -131,10 +114,6 @@ std::string ClientStore::page_path(int k) const {
 
 ClientStore::Lease ClientStore::lease(int k, bool mark_dirty) {
   check_id(k);
-  if (factory_ == nullptr) {
-    // Resident backing: permanently materialized, nothing to pin.
-    return Lease(nullptr, k, resident_all_[static_cast<size_t>(k)].get());
-  }
   std::unique_lock<std::mutex> lk(mu_);
   Client& c = acquire(k, mark_dirty, /*pin=*/true, lk);
   return Lease(this, k, &c);
@@ -142,7 +121,6 @@ ClientStore::Lease ClientStore::lease(int k, bool mark_dirty) {
 
 Client& ClientStore::touch(int k, bool mark_dirty) {
   check_id(k);
-  if (factory_ == nullptr) return *resident_all_[static_cast<size_t>(k)];
   std::unique_lock<std::mutex> lk(mu_);
   return acquire(k, mark_dirty, /*pin=*/false, lk);
 }
@@ -331,8 +309,6 @@ void ClientStore::write_page(int k, std::vector<std::byte> state) const {
 
 void ClientStore::arm_bootstrap(FederatedRun* run, RoundStrategy* strategy,
                                 comm::Bytes payload) {
-  FCA_CHECK_MSG(factory_ != nullptr,
-                "bootstrap only applies to a lazily-backed client store");
   std::unique_lock<std::mutex> lk(mu_);
   settle_all(lk);
   // Clients materialized before arming (initialize_lazy's read-only
@@ -365,11 +341,6 @@ bool ClientStore::bootstrap_armed() const {
 
 std::vector<int> ClientStore::checkpoint_clients() const {
   std::vector<int> ids;
-  if (factory_ == nullptr) {
-    ids.resize(static_cast<size_t>(population_));
-    for (int k = 0; k < population_; ++k) ids[static_cast<size_t>(k)] = k;
-    return ids;
-  }
   std::unique_lock<std::mutex> lk(mu_);
   for (int k = 0; k < population_; ++k) {
     if (dirty_[static_cast<size_t>(k)] != 0) ids.push_back(k);
@@ -379,9 +350,6 @@ std::vector<int> ClientStore::checkpoint_clients() const {
 
 std::vector<std::byte> ClientStore::serialized_state(int k) {
   check_id(k);
-  if (factory_ == nullptr) {
-    return encode_client_state(*resident_all_[static_cast<size_t>(k)]);
-  }
   std::unique_lock<std::mutex> lk(mu_);
   settle(k, lk);
   auto it = entries_.find(k);
@@ -415,10 +383,6 @@ std::vector<std::byte> ClientStore::serialized_state(int k) {
 void ClientStore::restore_serialized_state(int k,
                                            std::span<const std::byte> bytes) {
   check_id(k);
-  if (factory_ == nullptr) {
-    decode_client_state(bytes, *resident_all_[static_cast<size_t>(k)]);
-    return;
-  }
   std::unique_lock<std::mutex> lk(mu_);
   settle(k, lk);
   auto it = entries_.find(k);
@@ -446,7 +410,6 @@ void ClientStore::restore_serialized_state(int k,
 }
 
 void ClientStore::reset() {
-  if (factory_ == nullptr) return;
   std::unique_lock<std::mutex> lk(mu_);
   settle_all(lk);
   for (const auto& [id, e] : entries_) {
@@ -467,9 +430,6 @@ void ClientStore::reset() {
 
 void ClientStore::invalidate(int k) {
   check_id(k);
-  FCA_CHECK_MSG(factory_ != nullptr,
-                "cannot invalidate client " << k
-                    << " of a resident store: nothing can re-derive it");
   std::unique_lock<std::mutex> lk(mu_);
   settle(k, lk);
   auto it = entries_.find(k);
@@ -488,21 +448,18 @@ void ClientStore::invalidate(int k) {
 }
 
 int ClientStore::resident_count() const {
-  if (factory_ == nullptr) return population_;
   std::unique_lock<std::mutex> lk(mu_);
   return static_cast<int>(entries_.size());
 }
 
 bool ClientStore::resident(int k) const {
   check_id(k);
-  if (factory_ == nullptr) return true;
   std::unique_lock<std::mutex> lk(mu_);
   return entries_.count(k) != 0;
 }
 
 bool ClientStore::dirty(int k) const {
   check_id(k);
-  if (factory_ == nullptr) return true;
   std::unique_lock<std::mutex> lk(mu_);
   return dirty_[static_cast<size_t>(k)] != 0;
 }

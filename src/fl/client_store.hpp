@@ -1,17 +1,15 @@
 // O(active-cohort) client lifetime management.
 //
-// A ClientStore owns the run's client population behind one of two backings:
-//
-//  * resident: a prebuilt vector of clients, all in memory for the whole run
-//    (the historical behavior; what FederatedRun's vector constructor wraps).
-//  * lazy: a population size plus a deterministic factory. Clients are
-//    materialized on first use; under a --max-resident-clients budget, idle
-//    clients are paged to disk (LRU) through the checkpoint container format
-//    (CRC-protected, atomically written) and restored bit-identically on
-//    reselection. The factory must be pure in the client id — same id, same
-//    freshly-initialized client — which is what makes paging invisible to
-//    the curve: a clean (never-mutated) client can simply be dropped and
-//    re-derived, and a dirty one round-trips through its page file.
+// A ClientStore owns the run's client population as a population size plus
+// a deterministic factory. Clients are materialized on first use and, with
+// no budget, stay in memory for the rest of the run. Under a
+// --max-resident-clients budget, idle clients are paged to disk (LRU)
+// through the checkpoint container format (CRC-protected, atomically
+// written) and restored bit-identically on reselection. The factory must be
+// pure in the client id — same id, same freshly-initialized client — which
+// is what makes paging invisible to the curve: a clean (never-mutated)
+// client can simply be dropped and re-derived, and a dirty one round-trips
+// through its page file.
 //
 // Dirty tracking is what keeps the page traffic proportional to the active
 // cohort rather than the population: only clients the run has actually
@@ -74,10 +72,10 @@ class PageError : public Error {
 };
 
 struct ClientStoreOptions {
-  /// Maximum clients resident in memory at once; 0 disables paging (lazy
-  /// materialization still applies when a factory backs the store). The run
-  /// driver requires at least client_parallelism + 1 so every executor lane
-  /// can pin its client while one slot stays free for materialization.
+  /// Maximum clients resident in memory at once; 0 disables paging (clients
+  /// still materialize on first use, then stay resident). The run driver
+  /// requires at least client_parallelism + 1 so every executor lane can pin
+  /// its client while one slot stays free for materialization.
   int max_resident = 0;
   /// Directory for page files; required when max_resident > 0. Pages are
   /// owned by the store and deleted on destruction.
@@ -95,14 +93,9 @@ struct ClientStoreStats {
 
 class ClientStore {
  public:
-  /// Resident backing: wraps a prebuilt population. No factory, so every
-  /// client is permanently in memory and always checkpointed.
-  explicit ClientStore(std::vector<ClientPtr> clients);
-
-  /// Lazy backing: `factory(k)` materializes client k on demand;
-  /// `train_sizes[k]` caches |D_k| so data-weight computations never force a
-  /// materialization. With options.max_resident > 0, idle clients page to
-  /// options.page_dir.
+  /// `factory(k)` materializes client k on demand; `train_sizes[k]` caches
+  /// |D_k| so data-weight computations never force a materialization. With
+  /// options.max_resident > 0, idle clients page to options.page_dir.
   ClientStore(int population, ClientFactory factory,
               std::vector<int64_t> train_sizes, ClientStoreOptions options);
 
@@ -112,9 +105,6 @@ class ClientStore {
 
   int population() const { return population_; }
   bool paged() const { return options_.max_resident > 0; }
-  /// True when clients can be re-derived (factory backing): clean clients
-  /// need no page writes and no checkpoint sections.
-  bool rederivable() const { return factory_ != nullptr; }
   int max_resident() const { return options_.max_resident; }
   int64_t train_size(int k) const;
 
@@ -188,28 +178,25 @@ class ClientStore {
   const comm::Bytes& bootstrap_payload() const { return bootstrap_payload_; }
 
   // -- checkpoint integration ------------------------------------------------
-  /// Clients a checkpoint must record: every client for a resident store,
-  /// the dirty set (ascending) for a factory store — clean clients are
-  /// re-derived on resume from factory + bootstrap.
+  /// Clients a checkpoint must record: the dirty set, ascending. Clean
+  /// clients are re-derived on resume from factory + bootstrap.
   std::vector<int> checkpoint_clients() const;
   /// Client k's encoded state (fl/client_state.hpp), whether k is resident
   /// (encoded live under a pin) or paged out (lifted from its page file
   /// without materializing).
   std::vector<std::byte> serialized_state(int k);
-  /// Overwrites client k's state with checkpoint bytes: decoded in place for
-  /// a resident store, written as k's page for a paged store (no
-  /// materialization), decoded into a materialized client otherwise. Marks k
-  /// dirty.
+  /// Overwrites client k's state with checkpoint bytes: written as k's page
+  /// for a paged store (no materialization), decoded into a materialized
+  /// client otherwise. Marks k dirty.
   void restore_serialized_state(int k, std::span<const std::byte> bytes);
   /// Drops every materialized client, page file and dirty flag so the next
   /// access re-derives from factory + bootstrap — the first step of a
-  /// checkpoint rollback on a factory store (clients recorded in the
-  /// checkpoint are then re-applied via restore_serialized_state). No-op on
-  /// a resident store, whose rollback overwrites every client in place.
+  /// checkpoint rollback (clients recorded in the checkpoint are then
+  /// re-applied via restore_serialized_state).
   void reset();
   /// Forgets client k's state (resident + page + dirty flag) so it
   /// re-derives from factory + bootstrap; targeted restore of a client a
-  /// checkpoint recorded as clean. Factory stores only.
+  /// checkpoint recorded as clean.
   void invalidate(int k);
 
   // -- introspection ---------------------------------------------------------
@@ -253,15 +240,14 @@ class ClientStore {
   void check_id(int k) const;
 
   int population_ = 0;
-  ClientFactory factory_;                 // null for resident backing
-  std::vector<ClientPtr> resident_all_;   // resident backing storage
+  ClientFactory factory_;
   std::vector<int64_t> train_sizes_;
   std::vector<Cost> costs_;               // empty = unset
   ClientStoreOptions options_;
 
   mutable std::mutex mu_;
   std::condition_variable settled_;         // a transit mark cleared
-  std::unordered_map<int, Entry> entries_;  // materialized clients (lazy)
+  std::unordered_map<int, Entry> entries_;  // materialized clients
   std::vector<char> dirty_;                 // sticky mutation flags
   std::vector<char> page_valid_;            // page file exists for client k
   std::vector<char> in_transit_;            // k's I/O runs off the lock

@@ -130,6 +130,50 @@ FederatedRun::SurvivorGather decode_gather_mirror(
   return g;
 }
 
+double decode_map_value(std::span<const std::byte> blob) {
+  utils::ByteReader r(blob);
+  const double value = r.f64();
+  r.expect_done();
+  return value;
+}
+
+comm::Bytes encode_trace_sync(const std::vector<obs::TraceEvent>& events,
+                              int rank) {
+  utils::ByteWriter w;
+  uint32_t count = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.rank == rank) ++count;
+  }
+  w.u32(count);
+  for (const obs::TraceEvent& e : events) {
+    if (e.rank != rank) continue;
+    w.i32(e.round);
+    w.i32(e.rank);
+    w.u64(e.seq);
+    w.str(e.cat);
+    w.str(e.name);
+    w.u64(static_cast<uint64_t>(e.value));
+  }
+  return w.take();
+}
+
+std::vector<ShippedTraceEvent> decode_trace_sync(
+    std::span<const std::byte> blob) {
+  utils::ByteReader r(blob);
+  const uint32_t n = r.count(kMinTraceEventBytes);
+  std::vector<ShippedTraceEvent> events(n);
+  for (ShippedTraceEvent& s : events) {
+    s.event.round = r.i32();
+    s.event.rank = r.i32();
+    s.event.seq = r.u64();
+    s.cat = r.str();
+    s.name = r.str();
+    s.event.value = static_cast<int64_t>(r.u64());
+  }
+  r.expect_done();
+  return events;
+}
+
 // -- FederatedRun scoped machinery -------------------------------------------
 
 void FederatedRun::scoped_install_hooks() {
@@ -167,8 +211,7 @@ void FederatedRun::scoped_reconcile(const std::vector<int>& clients,
       results[i] = std::numeric_limits<double>::quiet_NaN();
       continue;
     }
-    utils::ByteReader r(*blob);
-    results[i] = r.f64();
+    results[i] = decode_map_value(*blob);
   }
 }
 
@@ -195,16 +238,21 @@ FederatedRun::SurvivorGather FederatedRun::scoped_consume_gather(
 
 void FederatedRun::scoped_sync_state() {
   if (!is_root()) {
+    // A clean client is factory output, which the root's copy already is:
+    // ship nothing rather than an encoding the store does not keep.
     const int own = self_rank() - 1;
-    network_->oob_send(0, kOobState, store_->serialized_state(own));
+    network_->oob_send(0, kOobState,
+                       store_->dirty(own) ? store_->serialized_state(own)
+                                          : comm::Bytes{});
     return;
   }
   for (int k = 0; k < num_clients(); ++k) {
     if (!network_->peer_alive(k + 1)) continue;
     std::optional<comm::Bytes> blob = network_->oob_recv(k + 1, kOobState);
     // A timeout condemned the peer just now; the mirror keeps the last
-    // synced state — exactly what an injected crash leaves behind.
-    if (!blob.has_value()) continue;
+    // synced state — exactly what an injected crash leaves behind. An empty
+    // blob is a client still clean, which the mirror leaves clean.
+    if (!blob.has_value() || blob->empty()) continue;
     store_->restore_serialized_state(k, *blob);
   }
 }
@@ -216,40 +264,16 @@ void FederatedRun::scoped_sync_trace() {
     // Drain everything this joiner buffered and forward only its own rank's
     // events: SPMD means joiners also emit the driver's rank-0 spans, which
     // the root already produces itself.
-    const std::vector<obs::TraceEvent> events = tracer.drain();
-    utils::ByteWriter w;
-    uint32_t count = 0;
-    for (const obs::TraceEvent& e : events) {
-      if (e.rank == self_rank()) ++count;
-    }
-    w.u32(count);
-    for (const obs::TraceEvent& e : events) {
-      if (e.rank != self_rank()) continue;
-      w.i32(e.round);
-      w.i32(e.rank);
-      w.u64(e.seq);
-      w.str(e.cat);
-      w.str(e.name);
-      w.u64(static_cast<uint64_t>(e.value));
-    }
-    network_->oob_send(0, kOobTrace, w.take());
+    network_->oob_send(0, kOobTrace,
+                       encode_trace_sync(tracer.drain(), self_rank()));
     return;
   }
   for (int k = 0; k < num_clients(); ++k) {
     if (!network_->peer_alive(k + 1)) continue;
     std::optional<comm::Bytes> blob = network_->oob_recv(k + 1, kOobTrace);
     if (!blob.has_value()) continue;
-    utils::ByteReader r(*blob);
-    const uint32_t n = r.count(kMinTraceEventBytes);
-    for (uint32_t i = 0; i < n; ++i) {
-      obs::TraceEvent e;
-      e.round = r.i32();
-      e.rank = r.i32();
-      e.seq = r.u64();
-      const std::string cat(r.str());
-      const std::string name(r.str());
-      e.value = static_cast<int64_t>(r.u64());
-      tracer.inject(e, cat, name);
+    for (const ShippedTraceEvent& s : decode_trace_sync(*blob)) {
+      tracer.inject(s.event, s.cat, s.name);
     }
   }
 }

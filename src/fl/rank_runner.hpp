@@ -25,7 +25,10 @@
 //     branches on all ranks.
 //   * state sync: after initialization and every round each joiner ships
 //     its own client's full serialized state (model + optimizer + RNG) to
-//     the root's mirror store, which evaluation and checkpoints read.
+//     the root's mirror store, which evaluation and checkpoints read. A
+//     client still clean (never mutated: factory output) ships an empty
+//     blob and stays clean on the root too, so the root's dirty set — what
+//     its checkpoints record — equals the oracle's.
 //   * trace sync: each joiner ships its own-rank trace events; the root
 //     injects them so the end-of-run logical trace equals the oracle's.
 //
@@ -37,11 +40,13 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "comm/network.hpp"
 #include "comm/transport/handshake.hpp"
 #include "fl/server.hpp"
+#include "obs/trace.hpp"
 
 namespace fca::fl {
 
@@ -70,6 +75,28 @@ comm::Bytes encode_gather_mirror(const FederatedRun::SurvivorGather& g);
 /// blob ends where the mirror does. Each rank derives quorum_met itself.
 FederatedRun::SurvivorGather decode_gather_mirror(
     std::span<const std::byte> blob, const std::vector<int>& expected);
+
+/// A map value's wire form is one f64: a joiner's result for one position
+/// of an executor sweep. Throws fca::Error unless the blob is exactly that.
+double decode_map_value(std::span<const std::byte> blob);
+
+/// One joiner-shipped trace event; its category and name are held here
+/// until the root interns them (obs::Tracer::inject).
+struct ShippedTraceEvent {
+  obs::TraceEvent event;
+  std::string cat;
+  std::string name;
+};
+
+/// The trace sync's wire form: a u32 count, then per event of rank `rank`
+/// its round and rank (i32), seq (u64), u32-prefixed cat and name, and
+/// value (u64). Events of other ranks are left out.
+comm::Bytes encode_trace_sync(const std::vector<obs::TraceEvent>& events,
+                              int rank);
+/// Inverse of encode_trace_sync; throws fca::Error unless the blob ends
+/// where the last event does.
+std::vector<ShippedTraceEvent> decode_trace_sync(
+    std::span<const std::byte> blob);
 
 /// Joiner-side check of the root's published context against the locally
 /// derived one. Throws TransportError(kHandshakeRejected) on any mismatch;

@@ -75,11 +75,6 @@ FederatedRun::FederatedRun(std::unique_ptr<ClientStore> store,
   FCA_CHECK_MSG(config_.quorum >= 1 && config_.quorum <= num_clients(),
                 "quorum " << config_.quorum << " outside [1, "
                           << num_clients() << "]");
-  if (config_.lazy_init) {
-    FCA_CHECK_MSG(store_->rederivable(),
-                  "--lazy-init needs a factory-backed client store (clients "
-                  "must be re-derivable at first selection)");
-  }
   // On single-core hosts the process-wide kernel pool has zero workers and
   // the executor would quietly degrade to serial. An explicit
   // client_parallelism > 1 is a request for real concurrency — back it with

@@ -55,18 +55,18 @@ struct FLConfig {
   /// round can never abort.
   int quorum = 1;
   /// Message-fabric backend (comm/transport/): inproc (default), shm or
-  /// tcp. The round driver runs all ranks in one process, so the backend
-  /// must be all-local (self_rank == kAllRanks) — every byte still moves
-  /// through the real rings/sockets, which is what the cross-backend
-  /// determinism tier exercises. FCA_TRANSPORT overrides the kind at run
+  /// tcp. An all-local backend (self_rank == kAllRanks) drives every rank
+  /// in this process, every byte still moving through the real
+  /// rings/sockets — the cross-backend determinism tier. A multi-process
+  /// backend (self_rank >= 0) makes this process one rank of a scoped world
+  /// (fl/rank_runner.hpp). FCA_TRANSPORT overrides the kind at run
   /// construction (see comm::transport_options_from_env).
   comm::TransportOptions transport;
   /// Replace the strategy's all-population initialize() sweep with
   /// RoundStrategy::initialize_lazy(): the strategy computes its server
   /// state from read-only client snapshots and a per-client bootstrap is
   /// applied at each client's first materialization instead of a broadcast.
-  /// Requires a factory-backed ClientStore and a strategy whose
-  /// supports_lazy_init() is true. The metric curve is bit-identical to the
+  /// Requires a strategy whose supports_lazy_init() is true. The metric curve is bit-identical to the
   /// eager run (round_bytes watermarks already exclude init traffic);
   /// RunResult::total_traffic is smaller because O(population) init
   /// broadcasts never happen — which is the point at 100k clients.

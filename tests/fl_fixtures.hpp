@@ -59,11 +59,12 @@ inline std::string wrapping_section_container() {
   return f;
 }
 
-/// A run over `exp`'s freshly built clients in an all-resident store.
+/// A run over `exp`'s own store (unbudgeted unless `exp` sets a budget);
+/// `exp` must outlive the run.
 inline std::unique_ptr<fl::FederatedRun> resident_run(
     const core::Experiment& exp) {
-  return std::make_unique<fl::FederatedRun>(
-      std::make_unique<fl::ClientStore>(exp.build_clients()), exp.fl_config());
+  return std::make_unique<fl::FederatedRun>(exp.build_store(),
+                                            exp.fl_config());
 }
 
 /// Curve-only bit-identity: every curve row must match, but the traffic

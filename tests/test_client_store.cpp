@@ -449,21 +449,6 @@ TEST(ClientStore, ResidentBudgetEnvIsParsedStrictly) {
   EXPECT_FALSE(exp.build_store()->paged());
 }
 
-TEST(ClientStore, ResidentBackingKeepsEveryoneInMemory) {
-  core::Experiment exp(tiny_experiment_config());
-  fl::ClientStore store(exp.build_clients());
-  EXPECT_FALSE(store.paged());
-  EXPECT_FALSE(store.rederivable());
-  EXPECT_EQ(store.resident_count(), store.population());
-  for (int k = 0; k < store.population(); ++k) {
-    const fl::ClientStore::Lease lease = store.lease(k, false);
-    EXPECT_EQ(lease->id(), k);
-  }
-  // Every client is always checkpointed.
-  EXPECT_EQ(static_cast<int>(store.checkpoint_clients().size()),
-            store.population());
-}
-
 TEST(ClientStore, DirtySetDrivesCheckpointClients) {
   StoreFixture f(6, 3);
   (void)f.store->touch(4, true);

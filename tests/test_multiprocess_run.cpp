@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/format.hpp"
 #include "core/fedclassavg.hpp"
 #include "core/fedclassavg_proto.hpp"
 #include "core/trainer.hpp"
@@ -48,6 +49,7 @@
 #include "fl/metrics.hpp"
 #include "fl_fixtures.hpp"
 #include "obs/trace.hpp"
+#include "utils/bytes.hpp"
 #include "utils/csv.hpp"
 #include "utils/error.hpp"
 
@@ -231,6 +233,8 @@ int rank_child_main() {
     if (!timeout.empty()) config.transport.io_timeout_s = std::stod(timeout);
     const std::string drop_rate = env_str("FCA_MP_DROP_RATE");
     if (!drop_rate.empty()) config.faults.drop_rate = std::stod(drop_rate);
+    const std::string sample_rate = env_str("FCA_MP_SAMPLE_RATE");
+    if (!sample_rate.empty()) config.sample_rate = std::stod(sample_rate);
     config.quorum = env_int("FCA_MP_QUORUM", config.quorum);
 
     const int kill_rank = env_int("FCA_MP_KILL_RANK", -1);
@@ -334,6 +338,7 @@ struct WorldOpts {
   std::string trace_out;
   double io_timeout_s = 0.0;  // 0 = backend default
   double drop_rate = 0.0;     // fault-plan message drop rate
+  double sample_rate = 1.0;   // fraction of clients selected per round
   int quorum = 1;
 };
 
@@ -384,6 +389,9 @@ void run_world(const WorldOpts& o) {
     }
     if (o.drop_rate > 0.0) {
       env.push_back("FCA_MP_DROP_RATE=" + std::to_string(o.drop_rate));
+    }
+    if (o.sample_rate < 1.0) {
+      env.push_back("FCA_MP_SAMPLE_RATE=" + std::to_string(o.sample_rate));
     }
     env.push_back("FCA_MP_QUORUM=" + std::to_string(o.quorum));
     pids.push_back(spawn_rank(env));
@@ -508,6 +516,47 @@ TEST(MultiProcessRun, RootWrittenCheckpointMatchesInprocOracle) {
                                  << mp_file;
   EXPECT_EQ(mp_bytes, read_file(oracle_file))
       << "final checkpoint images diverge";
+  cleanup_dir(dir);
+}
+
+TEST(MultiProcessRun, CleanClientsStayOutOfTheRootWrittenCheckpoint) {
+  // LocalOnly under sampling leaves some client never trained: clean on
+  // its own rank, so its joiner ships no state and the root's mirror must
+  // keep it clean too, or the checkpoints would record different client
+  // sets.
+  const std::string dir = fresh_dir("fca_mp_clean");
+  WorldOpts o;
+  o.algo = "local";
+  o.transport = "shm";
+  o.clients = 4;
+  o.rounds = 2;
+  o.sample_rate = 0.5;
+  o.ckpt_dir = dir + "/ckpt_mp";
+  o.curve_out = dir + "/curve_mp.csv";
+  run_world(o);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  core::ExperimentConfig cfg = mp_config(o.algo, o.clients, o.rounds);
+  cfg.sample_rate = o.sample_rate;
+  const std::string oracle_ckpt = dir + "/ckpt_oracle";
+  const RunOutput oracle = run_once(cfg, o.algo, -1, oracle_ckpt);
+  const std::string oracle_csv = dir + "/curve_oracle.csv";
+  write_curve_csv(oracle_csv, oracle.result);
+  EXPECT_EQ(read_file(o.curve_out), read_file(oracle_csv));
+
+  const std::string mp_file =
+      ckpt::CheckpointManager::checkpoint_path(o.ckpt_dir, o.rounds);
+  const std::string oracle_file =
+      ckpt::CheckpointManager::checkpoint_path(oracle_ckpt, o.rounds);
+  const std::string mp_bytes = read_file(mp_file);
+  ASSERT_FALSE(mp_bytes.empty()) << "no root-written checkpoint at "
+                                 << mp_file;
+  EXPECT_EQ(mp_bytes, read_file(oracle_file))
+      << "final checkpoint images diverge";
+  // The oracle must have left a client clean, or the clean path never ran.
+  ckpt::SectionReader reader(oracle_file);
+  utils::ByteReader index(reader.section("clients"));
+  EXPECT_LT(index.u32(), static_cast<uint32_t>(o.clients));
   cleanup_dir(dir);
 }
 

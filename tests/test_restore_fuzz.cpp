@@ -32,6 +32,8 @@
 #include "fl/rank_runner.hpp"
 #include "fl_fixtures.hpp"
 #include "models/serialize.hpp"
+#include "obs/trace.hpp"
+#include "utils/bytes.hpp"
 #include "utils/crc32.hpp"
 #include "utils/error.hpp"
 #include "utils/logging.hpp"
@@ -167,6 +169,28 @@ Layout gather_mirror_layout(const comm::Bytes& b) {
     l.fields.push_back({at, 4});
     l.fields.push_back({at + 4, 4});
     at += 8 + load<uint32_t>(b, at + 4);
+  }
+  EXPECT_EQ(at, b.size());
+  return l;
+}
+
+/// encode_trace_sync's fields: the count, then each event's round, rank,
+/// seq, category and name lengths, and value.
+Layout trace_sync_layout(const comm::Bytes& b) {
+  Layout l;
+  l.fields.push_back({0, 4});
+  size_t at = 4;
+  for (uint32_t i = load<uint32_t>(b, 0); i > 0; --i) {
+    l.fields.push_back({at, 4});
+    l.fields.push_back({at + 4, 4});
+    l.fields.push_back({at + 8, 8});
+    at += 16;
+    for (int s = 0; s < 2; ++s) {
+      l.fields.push_back({at, 4});
+      at += 4 + load<uint32_t>(b, at);
+    }
+    l.fields.push_back({at, 8});
+    at += 8;
   }
   EXPECT_EQ(at, b.size());
   return l;
@@ -720,6 +744,48 @@ TEST_F(DecoderFuzz, GatherMirror) {
         .iterations = 300,
         .decode = [&expected](const comm::Bytes& b) {
           (void)fl::decode_gather_mirror(b, expected);
+        }});
+}
+
+TEST_F(DecoderFuzz, MapValue) {
+  // What a joiner ships the root for one position of an executor sweep.
+  utils::ByteWriter w;
+  w.f64(0.8125);
+  const comm::Bytes value = w.take();
+  EXPECT_EQ(fl::decode_map_value(value), 0.8125);
+  fuzz({.name = "decode_map_value",
+        .seed = value,
+        .layout = word_layout(value),
+        .iterations = 300,
+        .decode = [](const comm::Bytes& b) {
+          (void)fl::decode_map_value(b);
+        }});
+}
+
+TEST_F(DecoderFuzz, TraceSync) {
+  // What joiner rank 2 ships at a round boundary: its own events only, not
+  // the driver's rank-0 span it also recorded.
+  const std::vector<obs::TraceEvent> events = {
+      {.round = 1, .rank = 2, .seq = 0, .cat = "fl", .name = "train",
+       .value = 40},
+      {.round = 1, .rank = 0, .seq = 0, .cat = "fl", .name = "round",
+       .value = 3},
+      {.round = 1, .rank = 2, .seq = 1, .cat = "comm",
+       .name = "upload_classifier", .value = -1},
+  };
+  const comm::Bytes blob = fl::encode_trace_sync(events, 2);
+  const std::vector<fl::ShippedTraceEvent> back = fl::decode_trace_sync(blob);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[1].event.seq, 1u);
+  EXPECT_EQ(back[1].event.value, -1);
+  EXPECT_EQ(back[1].cat, "comm");
+  EXPECT_EQ(back[1].name, "upload_classifier");
+  fuzz({.name = "decode_trace_sync",
+        .seed = blob,
+        .layout = trace_sync_layout(blob),
+        .iterations = 300,
+        .decode = [](const comm::Bytes& b) {
+          (void)fl::decode_trace_sync(b);
         }});
 }
 
